@@ -20,7 +20,7 @@ from .bipolar import (
     bipolar_preference_tensor,
     bipolar_preference_vector,
     choquet_coefficients,
-    pair_coefficient_matrices,
+    flow_coefficients,
 )
 from .elicitation import (
     ConstraintRow,
@@ -83,7 +83,7 @@ __all__ = [
     "bipolar_choquet_2additive",
     "bipolar_choquet_general",
     "choquet_coefficients",
-    "pair_coefficient_matrices",
+    "flow_coefficients",
     "bipolar_flows",
     "ConstraintRow",
     "ConstraintSystem",

@@ -40,7 +40,7 @@ __all__ = [
     "bipolar_choquet_general",
     "bipolar_choquet_2additive",
     "choquet_coefficients",
-    "pair_coefficient_matrices",
+    "flow_coefficients",
     "bipolar_flows",
 ]
 
@@ -438,53 +438,37 @@ def choquet_coefficients(x, layout: ParameterLayout) -> tuple[np.ndarray, np.nda
     For a fixed signed vector both parts are linear in the parameters;
     this returns rows ``cp`` and ``cn`` with positive part = cp . theta and
     negative part = cn . theta for any packed parameter vector theta.
+    Leading axes broadcast: an (..., n) input gives (..., size) rows.
     """
     x = np.asarray(x, dtype=float)
-    n = layout.n
-    if x.shape != (n,):
-        raise ValueError(f"expected vector of length {n}, got {x.shape}")
-    cp = np.zeros(layout.size)
-    cn = np.zeros(layout.size)
-    for j in range(n):
-        if x[j] > 0.0:
-            cp[j] = x[j]
-        elif x[j] < 0.0:
-            cn[j] = -x[j]
-    for idx, (j, k) in enumerate(layout.pair_keys):
-        col = n + idx
-        if x[j] > 0.0 and x[k] > 0.0:
-            cp[col] = min(x[j], x[k])
-        elif x[j] < 0.0 and x[k] < 0.0:
-            cn[col] = -max(x[j], x[k])
-    base = n + len(layout.pair_keys)
-    for idx, (j, k) in enumerate(layout.opp_keys):
-        col = base + idx
-        if x[j] > 0.0 > x[k]:
-            cp[col] = min(x[j], -x[k])
-        elif x[k] > 0.0 > x[j]:
-            # a+_{j|k} doubles as a-_{k|j} inside the negative part
-            cn[col] = min(x[k], -x[j])
+    if x.shape[-1:] != (layout.n,):
+        raise ValueError(f"expected vectors of length {layout.n}, got {x.shape}")
+    sup = np.where(x > 0.0, x, 0.0)
+    opp = np.where(x < 0.0, -x, 0.0)
+    pj, pk = np.array(layout.pair_keys, dtype=int).reshape(-1, 2).T
+    oj, ok = np.array(layout.opp_keys, dtype=int).reshape(-1, 2).T
+    cp = np.concatenate(
+        [sup, np.minimum(sup[..., pj], sup[..., pk]),
+         np.minimum(sup[..., oj], opp[..., ok])], axis=-1)
+    # a+_{j|k} doubles as a-_{k|j} inside the negative part
+    cn = np.concatenate(
+        [opp, np.minimum(opp[..., pj], opp[..., pk]),
+         np.minimum(opp[..., oj], sup[..., ok])], axis=-1)
     return cp, cn
 
 
-def pair_coefficient_matrices(
+def flow_coefficients(
     table: PerformanceTable, layout: ParameterLayout
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient rows of both parts for every ordered pair.
+    """Flow coefficient rows of every alternative.
 
-    Returns (Cp, Cn), each of shape (m*m, layout.size), with the row of
-    pair (a, b) at index a*m + b. Diagonal rows are zero.
+    Returns (Fp, Fn), each of shape (m, layout.size): the positive and
+    negative flows of alternative a are Fp[a] . theta and Fn[a] . theta
+    for any packed parameter vector theta.
     """
-    tensor = bipolar_preference_tensor(table)
     m = table.n_alternatives
-    cp = np.zeros((m * m, layout.size))
-    cn = np.zeros((m * m, layout.size))
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            cp[a * m + b], cn[a * m + b] = choquet_coefficients(tensor[a, b], layout)
-    return cp, cn
+    cp, cn = choquet_coefficients(bipolar_preference_tensor(table), layout)
+    return cp.sum(axis=1) / (m - 1), cn.sum(axis=1) / (m - 1)
 
 
 def bipolar_flows(table: PerformanceTable, params: BicapacityParams) -> Flows:

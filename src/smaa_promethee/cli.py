@@ -73,6 +73,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown report formats {bad or args.format!r}", file=sys.stderr)
         return 1
     try:
+        config = SamplerConfig(
+            sample_count=args.samples, burn_in=args.burn_in,
+            thinning=args.thin, seed=args.seed, delta_strict=args.delta_strict,
+        )
         table = load_problem(args.problem)
         statements = parse_statements(args.statements)
         full_system = compile_statements(table, statements)
@@ -117,10 +121,6 @@ def main(argv: list[str] | None = None) -> int:
     system = classical_system if chosen == "classical" else full_system
     try:
         polytope = build_polytope(system, args.delta_strict)
-        config = SamplerConfig(
-            sample_count=args.samples, burn_in=args.burn_in,
-            thinning=args.thin, seed=args.seed, delta_strict=args.delta_strict,
-        )
         batch = hit_and_run(polytope, config)
     except (InfeasibleSystemError, ValueError) as exc:
         print(f"error: sampling failed: {exc}", file=sys.stderr)

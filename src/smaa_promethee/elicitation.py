@@ -27,8 +27,9 @@ from .bipolar import (
     ParameterLayout,
     _check_cap,
     _disjoint_pairs,
-    bipolar_choquet_2additive,
     bipolar_preference_tensor,
+    choquet_coefficients,
+    flow_coefficients,
 )
 from .model import PerformanceTable
 
@@ -356,53 +357,6 @@ class _RowBuilder:
         self.rows.append(ConstraintRow(coefs=coefs, rel=rel, rhs=rhs, origin=origin))
 
 
-def _chb_rows(x: np.ndarray, layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient rows of the integral's two parts for a fixed vector.
-
-    Both parts are linear in the parameters, so each coefficient is read
-    off by evaluating with that parameter alone set to 1.
-    """
-    cp = np.zeros(layout.size)
-    cn = np.zeros(layout.size)
-    unit = np.zeros(layout.size)
-    for col in range(layout.size):
-        unit[col] = 1.0
-        val = bipolar_choquet_2additive(x, layout.unpack(unit))
-        cp[col] = val.positive
-        cn[col] = val.negative
-        unit[col] = 0.0
-    return cp, cn
-
-
-class _FlowRows:
-    """Per-alternative flow coefficient rows over the parameter columns."""
-
-    def __init__(self, table: PerformanceTable, layout: ParameterLayout):
-        tensor = bipolar_preference_tensor(table)
-        m = table.n_alternatives
-        self.pos = np.zeros((m, layout.size))
-        self.neg = np.zeros((m, layout.size))
-        cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                key = tensor[a, b].tobytes()
-                if key not in cache:
-                    cache[key] = _chb_rows(tensor[a, b], layout)
-                cp, cn = cache[key]
-                self.pos[a] += cp
-                self.neg[a] += cn
-        self.pos /= m - 1
-        self.neg /= m - 1
-        self.net = self.pos - self.neg
-
-
-def net_flow_row(table: PerformanceTable, layout: ParameterLayout, a: str) -> np.ndarray:
-    """Net-flow coefficients of one alternative over the parameter columns."""
-    return _FlowRows(table, layout).net[table.alternative_index(a)]
-
-
 def compile_statements(
     table: PerformanceTable,
     statements: Iterable[Statement],
@@ -421,13 +375,8 @@ def compile_statements(
     layout = ParameterLayout(n)
     rb = _RowBuilder(layout)
     tensor = bipolar_preference_tensor(table)
-    flow_rows: _FlowRows | None = None
-
-    def flows() -> _FlowRows:
-        nonlocal flow_rows
-        if flow_rows is None:
-            flow_rows = _FlowRows(table, layout)
-        return flow_rows
+    flow_pos, flow_neg = flow_coefficients(table, layout)
+    flow_net = flow_pos - flow_neg
 
     def alt(label: str, where: str) -> int:
         try:
@@ -448,7 +397,7 @@ def compile_statements(
     for pos_idx, st in enumerate(statements, start=1):
         where = f"statement {pos_idx} ({_describe(st)})"
         if isinstance(st, LocalPair):
-            cp, cn = _chb_rows(pair_x(st.a, st.b, where), layout)
+            cp, cn = choquet_coefficients(pair_x(st.a, st.b, where), layout)
             row = rb.blank()
             row[:size] = cp - cn
             if st.kind == "P":
@@ -457,11 +406,10 @@ def compile_statements(
                 rb.add(row, "=", 0.0, where)
         elif isinstance(st, GlobalP1):
             ia, ib = alt(st.a, where), alt(st.b, where)
-            fr = flows()
             pos_row, neg_row, net_row = rb.blank(), rb.blank(), rb.blank()
-            pos_row[:size] = fr.pos[ia] - fr.pos[ib]
-            neg_row[:size] = fr.neg[ib] - fr.neg[ia]
-            net_row[:size] = fr.net[ia] - fr.net[ib]
+            pos_row[:size] = flow_pos[ia] - flow_pos[ib]
+            neg_row[:size] = flow_neg[ib] - flow_neg[ia]
+            net_row[:size] = flow_net[ia] - flow_net[ib]
             if st.kind == "P":
                 rb.add(pos_row, ">=", 0.0, where + " [positive flows]")
                 rb.add(neg_row, ">=", 0.0, where + " [negative flows]")
@@ -472,14 +420,14 @@ def compile_statements(
         elif isinstance(st, GlobalP2):
             ia, ib = alt(st.a, where), alt(st.b, where)
             row = rb.blank()
-            row[:size] = flows().net[ia] - flows().net[ib]
+            row[:size] = flow_net[ia] - flow_net[ib]
             if st.kind == "P":
                 rb.add(row, ">=", 0.0, where, strict=True)
             else:
                 rb.add(row, "=", 0.0, where)
         elif isinstance(st, Intensity):
-            cp1, cn1 = _chb_rows(pair_x(*st.pair1, where), layout)
-            cp2, cn2 = _chb_rows(pair_x(*st.pair2, where), layout)
+            cp1, cn1 = choquet_coefficients(pair_x(*st.pair1, where), layout)
+            cp2, cn2 = choquet_coefficients(pair_x(*st.pair2, where), layout)
             row = rb.blank()
             row[:size] = (cp1 - cn1) - (cp2 - cn2)
             if st.kind == "P":

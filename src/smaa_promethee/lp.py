@@ -17,7 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elicitation import ConstraintRow, ConstraintSystem, net_flow_row
+from .bipolar import flow_coefficients
+from .elicitation import ConstraintRow, ConstraintSystem
 from .model import PerformanceTable
 
 __all__ = [
@@ -284,16 +285,6 @@ def max_epsilon(system: ConstraintSystem, eps_cap: float = EPS_CAP) -> LpOutcome
     )
 
 
-def _flow_difference_row(
-    system: ConstraintSystem, table: PerformanceTable, a: str, b: str
-) -> np.ndarray:
-    row = np.zeros(system.n_cols)
-    row[: system.layout.size] = net_flow_row(table, system.layout, a) - net_flow_row(
-        table, system.layout, b
-    )
-    return row
-
-
 def exact_ror_pair(
     system: ConstraintSystem,
     table: PerformanceTable,
@@ -312,7 +303,12 @@ def exact_ror_pair(
         coefs=np.eye(system.n_cols)[system.eps_col], rel=">=", rhs=eps_min,
         origin="margin floor",
     )
-    diff = _flow_difference_row(system, table, a, b)
+    flow_pos, flow_neg = flow_coefficients(table, system.layout)
+    net = flow_pos - flow_neg
+    diff = np.zeros(system.n_cols)
+    diff[: system.layout.size] = (
+        net[table.alternative_index(a)] - net[table.alternative_index(b)]
+    )
     pos_row = ConstraintRow(coefs=diff, rel=">=", rhs=0.0, origin=f"test {a} >= {b}")
     possible = max_epsilon(system.with_rows([floor, pos_row])).feasible
     neg_row = ConstraintRow(

@@ -105,7 +105,7 @@ class PerformanceTable:
 
     def criterion_index(self, ref: str | int) -> int:
         """Resolve a criterion given by name or 1-based position."""
-        if isinstance(ref, bool):
+        if isinstance(ref, bool) or not isinstance(ref, (str, int)):
             raise KeyError(f"invalid criterion reference {ref!r}")
         if isinstance(ref, int):
             if not 1 <= ref <= self.n_criteria:

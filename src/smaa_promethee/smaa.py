@@ -1,23 +1,22 @@
 """Monte-Carlo statistics over a batch of sampled parameter vectors.
 
-Every sample yields per-pair bipolar flow values through one matrix
-product with precomputed coefficient rows, so the per-sample work is two
-GEMMs plus integer relation counting. Classical batches (interaction
-columns pinned to zero) run through the same pipeline: with zero
-interactions the bipolar aggregation reduces exactly to the weighted
-preference sum, which keeps the two modes consistent to the bit.
+Flows are linear in the packed parameters, so each alternative's positive
+and negative flow is one precomputed coefficient row. The per-sample work
+is two (s x size) . (size x m) GEMMs over those per-alternative rows, plus
+integer relation counting. Classical batches (interaction columns pinned
+to zero) run through the same pipeline: with zero interactions the bipolar
+aggregation reduces exactly to the weighted preference sum, which keeps
+the two modes consistent to the bit.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import count_relations
-from .bipolar import ParameterLayout, pair_coefficient_matrices
+from .bipolar import ParameterLayout, flow_coefficients
 from .elicitation import ConstraintSystem
 from .lp import exact_ror_pair
 from .model import PerformanceTable
@@ -29,7 +28,6 @@ __all__ = [
     "aggregate",
     "flow_matrices",
     "validate_against_exact_ror",
-    "worker_count",
 ]
 
 _COUNT_CHUNK = 65536
@@ -71,13 +69,8 @@ def flow_matrices(
     table: PerformanceTable, data: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive and negative flow matrices (samples x alternatives)."""
-    m = len(table.alternatives)
-    layout = ParameterLayout(len(table.criteria))
-    cp, cn = pair_coefficient_matrices(table, layout)
-    s = data.shape[0]
-    pos = (data @ cp.T).reshape(s, m, m).sum(axis=2) / (m - 1)
-    neg = (data @ cn.T).reshape(s, m, m).sum(axis=2) / (m - 1)
-    return pos, neg
+    flow_pos, flow_neg = flow_coefficients(table, ParameterLayout(len(table.criteria)))
+    return data @ flow_pos.T, data @ flow_neg.T
 
 
 def aggregate(
@@ -112,7 +105,7 @@ def aggregate(
     elif mode != "bipolar":
         raise ValueError(f"unknown mode {mode!r}")
 
-    cp, cn = pair_coefficient_matrices(table, layout)
+    flow_pos, flow_neg = flow_coefficients(table, layout)
     rank_counts = np.zeros((m, m), dtype=np.int64)
     p1_pref = np.zeros((m, m), dtype=np.int64)
     p1_ind = np.zeros((m, m), dtype=np.int64)
@@ -126,8 +119,8 @@ def aggregate(
     for lo in range(0, total, chunk):
         z = data[lo : lo + chunk]
         s = z.shape[0]
-        pos = (z @ cp.T).reshape(s, m, m).sum(axis=2) / (m - 1)
-        neg = (z @ cn.T).reshape(s, m, m).sum(axis=2) / (m - 1)
+        pos = z @ flow_pos.T
+        neg = z @ flow_neg.T
         imbalance = np.abs((pos - neg).sum(axis=1)).max()
         worst_imbalance = max(worst_imbalance, float(imbalance))
         first_mask = np.zeros((s, m), dtype=np.uint8)
@@ -204,14 +197,6 @@ def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:
                     raise AssertionError("mean parameter vector leaves the polytope")
 
 
-def worker_count() -> int:
-    """Worker cap for the exact outranking sweep (SMAA_THREADS wins)."""
-    env = os.environ.get("SMAA_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
 def validate_against_exact_ror(
     results: SmaaResults,
     system: ConstraintSystem,
@@ -231,14 +216,10 @@ def validate_against_exact_ror(
     possible = np.eye(m, dtype=bool)
     pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
 
-    def solve(pair: tuple[int, int]):
-        i, j = pair
-        return pair, exact_ror_pair(system, table, names[i], names[j])
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for (i, j), verdict in pool.map(solve, pairs):
-            possible[i, j] = verdict.possible
-            necessary[i, j] = verdict.necessary
+    for i, j in pairs:
+        verdict = exact_ror_pair(system, table, names[i], names[j])
+        possible[i, j] = verdict.possible
+        necessary[i, j] = verdict.necessary
 
     freq_sum = results.p2_pref + results.p2_indiff
     report = {

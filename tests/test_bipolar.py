@@ -12,7 +12,7 @@ from smaa_promethee.bipolar import (
     bipolar_preference_tensor,
     bipolar_preference_vector,
     choquet_coefficients,
-    pair_coefficient_matrices,
+    flow_coefficients,
 )
 from smaa_promethee.promethee import Relation, classical_flows, promethee1_relation, promethee2_ranking
 
@@ -180,26 +180,37 @@ def test_coefficient_rows_match_direct_evaluation():
         assert float(cn @ theta) == pytest.approx(direct.negative, abs=1e-12)
 
 
-def test_pair_coefficient_matrices(students):
+def test_flow_coefficients(students):
     layout = ParameterLayout(3)
-    cp, cn = pair_coefficient_matrices(students, layout)
-    assert cp.shape == (64, layout.size)
+    tensor = bipolar_preference_tensor(students)
+    cp, cn = choquet_coefficients(tensor, layout)
+    assert cp.shape == cn.shape == (8, 8, layout.size)
     rng = np.random.default_rng(2)
     params = random_valid_params(rng, 3)
     theta = layout.pack(params)
-    tensor = bipolar_preference_tensor(students)
     for a in range(8):
-        assert np.all(cp[a * 8 + a] == 0.0)
+        assert np.all(cp[a, a] == 0.0) and np.all(cn[a, a] == 0.0)
         for b in range(8):
+            one_p, one_n = choquet_coefficients(tensor[a, b], layout)
+            assert np.array_equal(cp[a, b], one_p)
+            assert np.array_equal(cn[a, b], one_n)
             if a == b:
                 continue
             direct = bipolar_choquet_2additive(tensor[a, b], params)
-            assert float(cp[a * 8 + b] @ theta) == pytest.approx(
-                direct.positive, abs=1e-12
-            )
-            assert float(cn[a * 8 + b] @ theta) == pytest.approx(
-                direct.negative, abs=1e-12
-            )
+            assert float(cp[a, b] @ theta) == pytest.approx(direct.positive, abs=1e-12)
+            assert float(cn[a, b] @ theta) == pytest.approx(direct.negative, abs=1e-12)
+
+    cases = [(students, params)]
+    for m, n in ((2, 2), (5, 3), (9, 4)):
+        cases.append((random_table(rng, m, n, q=0.5, p=2.0), random_valid_params(rng, n)))
+    for table, params in cases:
+        layout = ParameterLayout(params.n)
+        theta = layout.pack(params)
+        flow_pos, flow_neg = flow_coefficients(table, layout)
+        assert flow_pos.shape == flow_neg.shape == (table.n_alternatives, layout.size)
+        loop = bipolar_flows(table, params)
+        assert np.allclose(flow_pos @ theta, loop.positive, rtol=0.0, atol=1e-12)
+        assert np.allclose(flow_neg @ theta, loop.negative, rtol=0.0, atol=1e-12)
 
 
 def test_layout_columns_and_packing():

@@ -127,6 +127,30 @@ def test_unknown_format_exits_1(tmp_path, capsys):
     assert "xml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arg", [
+    "--samples=0", "--thin=0", "--burn-in=-1", "--delta-strict=-0.5",
+])
+def test_bad_sampler_argument_exits_1_before_any_output(tmp_path, capsys, arg):
+    assert run_cli(tmp_path, arg) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "feasibility.json").exists()
+
+
+@pytest.mark.parametrize("ref", [[1], 2.0, {"j": 1}])
+def test_invalid_criterion_reference_exits_1(tmp_path, capsys, ref):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"type": "criterion_importance", "j": ref, "k": 2}) + "\n",
+                   encoding="utf-8")
+    code = main([
+        "--problem", str(FIXTURES / "students.json"),
+        "--statements", str(bad),
+        "--out", str(tmp_path),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: statement 1 (" in err and "invalid criterion reference" in err
+
+
 def test_format_subset_writes_only_requested(tmp_path):
     code = run_cli(tmp_path, "--format", "json")
     assert code == 0

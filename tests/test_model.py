@@ -82,6 +82,9 @@ def test_criterion_index_forms(students):
         students.criterion_index("missing")
     with pytest.raises(KeyError):
         students.criterion_index(9)
+    for ref in ([1], 2.0, {"j": 1}):
+        with pytest.raises(KeyError, match="invalid criterion reference"):
+            students.criterion_index(ref)
     with pytest.raises(KeyError):
         students.alternative_index("s99")
 
