@@ -1,12 +1,12 @@
-"""Hot loops with numba-compiled and pure-numpy twins.
+"""Hot loops: the hit-and-run chain and pairwise relation counting.
 
-Two stages dominate runtime: stepping the hit-and-run chain and counting
-pairwise relations across samples. Each has a numba version and a numpy
-version; both consume identical pre-drawn random buffers in the same
-order and perform the same elementwise float operations, so a given
-backend is bit-reproducible for a seed. Backend selection happens at call
-time: numba is used when importable unless SMAA_PROMETHEE_NUMBA=0 or
-NUMBA_DISABLE_JIT is set in the environment.
+The chain has a numba-compiled and a pure-numpy twin; both consume
+identical pre-drawn random buffers in the same order and perform the same
+elementwise float operations, so a given backend is bit-reproducible for
+a seed. Backend selection happens at call time: numba is used when
+importable unless SMAA_PROMETHEE_NUMBA=0 or NUMBA_DISABLE_JIT is set in
+the environment. Relation counting is numpy only: integer tallies of
+vectorised comparisons over one unordered pair of alternatives at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def numba_available() -> bool:
 
 
 def active_backend() -> str:
-    """Backend the dispatchers will use for the next call."""
+    """Backend the chain dispatcher will use for the next call."""
     if _HAVE_NUMBA and os.environ.get("SMAA_PROMETHEE_NUMBA", "1") != "0":
         return "numba"
     return "numpy"
@@ -189,79 +189,72 @@ def chain_steps(At, bt, y, dirs, uniforms, burn_in, thinning, retry_budget,
                              retry_budget, state, out)
 
 
-def _count_loop(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
-                p2_pref, p2_ind, first_mask):
-    n_samples, m = pos.shape
-    for s in range(n_samples):
-        for i in range(m):
-            net_i = pos[s, i] - neg[s, i]
-            rank = 1
-            for k in range(m):
-                if k != i and (pos[s, k] - neg[s, k]) - net_i > tau:
-                    rank += 1
-            rank_counts[i, rank - 1] += 1
-            if rank == 1:
-                first_mask[s, i] = 1
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                dnet = (pos[s, i] - neg[s, i]) - (pos[s, j] - neg[s, j])
-                if dnet > tau:
-                    p2_pref[i, j] += 1
-                elif dnet >= -tau:
-                    p2_ind[i, j] += 1
-                dpos = pos[s, i] - pos[s, j]
-                dneg = neg[s, i] - neg[s, j]
-                if -tau <= dpos <= tau and -tau <= dneg <= tau:
-                    p1_ind[i, j] += 1
-                elif dpos >= -tau and dneg <= tau and (dpos > tau or dneg < -tau):
-                    p1_pref[i, j] += 1
-                elif not (dpos <= tau and dneg >= -tau and (dpos < -tau or dneg > tau)):
-                    # neither direction wins and the flows do not tie
-                    p1_inc[i, j] += 1
-
-
-_count_numba = _njit(cache=True, nogil=True)(_count_loop) if _HAVE_NUMBA else None
-
-
-def _count_vectorised(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
-                      p2_pref, p2_ind, first_mask):
-    m = pos.shape[1]
-    net = pos - neg
-    dnet = net[:, :, None] - net[:, None, :]
-    ranks = 1 + (dnet < -tau).sum(axis=2)
-    for i in range(m):
-        rank_counts[i] += np.bincount(ranks[:, i] - 1, minlength=m)
-    first_mask[:] = ranks == 1
-    off = ~np.eye(m, dtype=bool)
-    p2_pref += (off & (dnet > tau)).sum(axis=0)
-    p2_ind += (off & (dnet <= tau) & (dnet >= -tau)).sum(axis=0)
-    dpos = pos[:, :, None] - pos[:, None, :]
-    dneg = neg[:, :, None] - neg[:, None, :]
-    ind = (np.abs(dpos) <= tau) & (np.abs(dneg) <= tau)
-    pref_ij = (dpos >= -tau) & (dneg <= tau) & ((dpos > tau) | (dneg < -tau))
-    pref_ji = (dpos <= tau) & (dneg >= -tau) & ((dpos < -tau) | (dneg > tau))
-    p1_ind += (off & ind).sum(axis=0)
-    p1_pref += (off & ~ind & pref_ij).sum(axis=0)
-    p1_inc += (off & ~ind & ~pref_ij & ~pref_ji).sum(axis=0)
-
-
 def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
-                    p2_pref, p2_ind, first_mask, backend: str | None = None):
+                    p2_pref, p2_ind, first_mask):
     """Accumulate relation counts for one block of per-sample flows.
 
-    ``pos`` and ``neg`` are (samples, m) flow arrays, the count matrices
-    are int64 and updated in place, and ``first_mask`` (samples, m, uint8)
-    flags rank-1 hits for the central weight accumulation. Counts are
-    integer tallies of identical float comparisons, so the two backends
-    agree exactly.
+    ``pos`` and ``neg`` are finite (samples, m) flow arrays, the count
+    matrices are int64 and updated in place, and ``first_mask``
+    (samples, m, uint8) flags rank-1 hits for the central weight
+    accumulation. ``tau`` must be non-negative.
+
+    Each unordered pair (i, k), k > i, is compared once, over all samples
+    at a time, so working memory stays O(samples * m). The reverse
+    direction reuses the same differences: IEEE subtraction is exactly
+    antisymmetric (``b - a == -(a - b)``), so ``x_k - x_i > tau`` is
+    ``x_i - x_k < -tau`` bit for bit.
     """
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba" and _count_numba is not None:
-        _count_numba(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
-                     p2_pref, p2_ind, first_mask)
-    else:
-        _count_vectorised(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
-                          p2_pref, p2_ind, first_mask)
+    if not tau >= 0.0:
+        raise ValueError(f"tie tolerance must be non-negative, got {tau!r}")
+    n_samples, m = pos.shape
+    # alternative-major copies, so each alternative's samples are contiguous
+    pos_t = np.ascontiguousarray(pos.T)
+    neg_t = np.ascontiguousarray(neg.T)
+    net_t = pos_t - neg_t
+    # above[i, s]: alternatives whose net flow beats i's by more than tau
+    above = np.zeros((m, n_samples), dtype=np.int64)
+    diff_buf = np.empty((m - 1, n_samples))
+    gt_buf = np.empty((m - 1, n_samples), dtype=bool)
+    lt_buf = np.empty_like(gt_buf)
+    for i in range(m - 1):
+        rest = slice(i + 1, m)
+        r = m - 1 - i
+        diff, gt, lt = diff_buf[:r], gt_buf[:r], lt_buf[:r]
+
+        # P2 on net flows: gt is i P k, lt is k P i, the rest is I
+        np.subtract(net_t[i], net_t[rest], out=diff)
+        np.greater(diff, tau, out=gt)
+        np.less(diff, -tau, out=lt)
+        n_gt = np.count_nonzero(gt, axis=1)
+        n_lt = np.count_nonzero(lt, axis=1)
+        p2_pref[i, rest] += n_gt
+        p2_pref[rest, i] += n_lt
+        tie = n_samples - n_gt - n_lt
+        p2_ind[i, rest] += tie
+        p2_ind[rest, i] += tie
+        above[i] += np.count_nonzero(lt, axis=0)
+        above[rest] += gt
+
+        # P1: ahead marks i ahead on some flow, behind marks k ahead on one;
+        # one-sided is a preference, neither is I, both is R
+        ahead, behind = gt, lt
+        np.subtract(pos_t[i], pos_t[rest], out=diff)
+        np.greater(diff, tau, out=ahead)
+        np.less(diff, -tau, out=behind)
+        np.subtract(neg_t[i], neg_t[rest], out=diff)
+        ahead |= diff < -tau
+        behind |= diff > tau
+        n_ahead = np.count_nonzero(ahead, axis=1)
+        n_behind = np.count_nonzero(behind, axis=1)
+        n_both = np.count_nonzero(ahead & behind, axis=1)
+        p1_pref[i, rest] += n_ahead - n_both
+        p1_pref[rest, i] += n_behind - n_both
+        p1_inc[i, rest] += n_both
+        p1_inc[rest, i] += n_both
+        ind = n_samples - n_ahead - n_behind + n_both
+        p1_ind[i, rest] += ind
+        p1_ind[rest, i] += ind
+
+    for i in range(m):
+        rank_counts[i] += np.bincount(above[i], minlength=m)
+    first_mask[:] = (above == 0).T

@@ -3,7 +3,7 @@
 Model escalation follows the simplest-first rule: in auto mode the
 weights-only model is tried first and the bipolar one only when the
 classical margin is not strictly positive. Exit codes: 0 success, 1 bad
-input, 2 no compatible model at the requested margin.
+input, 2 no compatible model at the requested margin or sampling failed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .elicitation import compile_statements, parse_statements, restrict_classica
 from .lp import max_epsilon
 from .model import load_problem
 from .reports import render_csv, render_text, results_to_dict
-from .sampler import InfeasibleSystemError, SamplerConfig, build_polytope, hit_and_run
+from .sampler import SamplerConfig, build_polytope, hit_and_run
 from .smaa import aggregate, validate_against_exact_ror
 
 __all__ = ["main"]
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         polytope = build_polytope(system, args.delta_strict)
         batch = hit_and_run(polytope, config)
-    except (InfeasibleSystemError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:  # InfeasibleSystemError included
         print(f"error: sampling failed: {exc}", file=sys.stderr)
         return 2
 

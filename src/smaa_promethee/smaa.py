@@ -3,10 +3,12 @@
 Flows are linear in the packed parameters, so each alternative's positive
 and negative flow is one precomputed coefficient row. The per-sample work
 is two (s x size) . (size x m) GEMMs over those per-alternative rows, plus
-integer relation counting. Classical batches (interaction columns pinned
-to zero) run through the same pipeline: with zero interactions the bipolar
-aggregation reduces exactly to the weighted preference sum, which keeps
-the two modes consistent to the bit.
+integer relation counting, which compares each unordered pair of
+alternatives once across a chunk of samples in O(s x m) memory. Classical
+batches (interaction columns pinned to zero) run through the same
+pipeline: with zero interactions the bipolar aggregation reduces exactly
+to the weighted preference sum, which keeps the two modes consistent to
+the bit.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ def aggregate(
     """
     if batch.sample_count == 0:
         raise ValueError("sample batch is empty")
+    if not np.isfinite(batch.data).all():
+        raise ValueError("sample batch holds non-finite values")
     m = len(table.alternatives)
     if m < 2:
         raise ValueError("need at least two alternatives")

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from smaa_promethee import cli
 from smaa_promethee.cli import main
 
 from conftest import FIXTURES
@@ -134,6 +135,18 @@ def test_bad_sampler_argument_exits_1_before_any_output(tmp_path, capsys, arg):
     assert run_cli(tmp_path, arg) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "feasibility.json").exists()
+
+
+def test_stuck_chain_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    def stuck(polytope, config):
+        raise RuntimeError("hit-and-run made no progress")
+
+    monkeypatch.setattr(cli, "hit_and_run", stuck)
+    assert run_cli(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "error: sampling failed: hit-and-run made no progress" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "smaa_report.json").exists()
 
 
 @pytest.mark.parametrize("ref", [[1], 2.0, {"j": 1}])

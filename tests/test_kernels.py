@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,19 +150,20 @@ def empty_counts(m):
     )
 
 
-def run_counts(backend, seed=17, m=5):
-    pos, neg = random_flow_block(seed, m=m)
-    acc = empty_counts(m)
+def run_counts(pos, neg, tau):
+    acc = empty_counts(pos.shape[1])
     first = np.zeros(pos.shape, dtype=np.uint8)
     count_relations(
-        pos, neg, 1e-9, acc["rank_counts"], acc["p1_pref"], acc["p1_ind"],
-        acc["p1_inc"], acc["p2_pref"], acc["p2_ind"], first, backend=backend,
+        pos, neg, tau, acc["rank_counts"], acc["p1_pref"], acc["p1_ind"],
+        acc["p1_inc"], acc["p2_pref"], acc["p2_ind"], first,
     )
-    return acc, first, pos.shape[0]
+    return acc, first
 
 
 def test_count_relations_partitions():
-    acc, first, n_samples = run_counts("numpy")
+    pos, neg = random_flow_block(17)
+    n_samples = pos.shape[0]
+    acc, first = run_counts(pos, neg, 1e-9)
     m = acc["rank_counts"].shape[0]
     assert np.all(acc["rank_counts"].sum(axis=1) == n_samples)
     off = ~np.eye(m, dtype=bool)
@@ -175,36 +178,84 @@ def test_count_relations_partitions():
     assert first.sum(axis=0).tolist() == acc["rank_counts"][:, 0].tolist()
 
 
-@needs_numba
-def test_backends_identical_counts():
-    for seed in (17, 99, 1234):
-        acc_np, first_np, _ = run_counts("numpy", seed=seed)
-        acc_nb, first_nb, _ = run_counts("numba", seed=seed)
-        for key in acc_np:
-            assert np.array_equal(acc_np[key], acc_nb[key]), key
-        assert np.array_equal(first_np, first_nb)
+def plain_python_counts(pos, neg, tau):
+    """Every tally by the definitions, one ordered pair at a time."""
+    n_samples, m = pos.shape
+    ref = {key: np.zeros((m, m), dtype=np.int64) for key in empty_counts(m)}
+    first = np.zeros((n_samples, m), dtype=np.uint8)
+    for s in range(n_samples):
+        p, n = pos[s].tolist(), neg[s].tolist()
+        net = [p[i] - n[i] for i in range(m)]
+        for i in range(m):
+            rank = 1 + sum(net[k] - net[i] > tau for k in range(m) if k != i)
+            ref["rank_counts"][i, rank - 1] += 1
+            first[s, i] = rank == 1
+            for j in range(m):
+                if i == j:
+                    continue
+                dnet = net[i] - net[j]
+                if dnet > tau:
+                    ref["p2_pref"][i, j] += 1
+                elif dnet >= -tau:
+                    ref["p2_ind"][i, j] += 1
+                # P1: i P j when i is no worse on either flow and better on
+                # one; I when both flows tie; R otherwise (and not j P i)
+                dpos, dneg = p[i] - p[j], n[i] - n[j]
+                no_worse = dpos >= -tau and dneg <= tau
+                better = dpos > tau or dneg < -tau
+                no_better = dpos <= tau and dneg >= -tau
+                worse = dpos < -tau or dneg > tau
+                if abs(dpos) <= tau and abs(dneg) <= tau:
+                    ref["p1_ind"][i, j] += 1
+                elif no_worse and better:
+                    ref["p1_pref"][i, j] += 1
+                elif not (no_better and worse):
+                    ref["p1_inc"][i, j] += 1
+    return ref, first
 
 
 def test_count_relations_matches_plain_python():
-    m = 4
-    tau = 1e-9
-    pos, neg = random_flow_block(3, n_samples=60, m=m)
-    ref_rank = np.zeros((m, m), dtype=int)
-    ref_p2_pref = np.zeros((m, m), dtype=int)
-    for s in range(60):
-        net = pos[s] - neg[s]
-        for i in range(m):
-            rank = 1 + sum(net[k] > net[i] + tau for k in range(m) if k != i)
-            ref_rank[i, rank - 1] += 1
-            for j in range(m):
-                if i != j and net[i] - net[j] > tau:
-                    ref_p2_pref[i, j] += 1
+    for m in (2, 5, 9):
+        # flows on a 0.25 grid with tau = 0.25: every difference is exact,
+        # and many sit exactly on +tau or -tau, which must count as ties
+        tau = 0.25
+        rng = np.random.default_rng(m)
+        pos = rng.integers(0, 6, size=(150, m)) * 0.25
+        neg = rng.integers(0, 6, size=(150, m)) * 0.25
+        diff = pos[:, :, None] - pos[:, None, :]
+        assert np.any(diff == tau) and np.any(diff == -tau)
+        ref, ref_first = plain_python_counts(pos, neg, tau)
+        acc, first = run_counts(pos, neg, tau)
+        for key in ref:
+            assert np.array_equal(acc[key], ref[key]), (m, key)
+        assert np.array_equal(first, ref_first), m
+        # every relation occurs, so no branch of the oracle goes untested
+        for key in ("p2_pref", "p2_ind", "p1_pref", "p1_ind", "p1_inc"):
+            assert acc[key].sum() > 0, (m, key)
 
-    acc = empty_counts(m)
-    first = np.zeros((60, m), dtype=np.uint8)
-    count_relations(
-        pos, neg, tau, acc["rank_counts"], acc["p1_pref"], acc["p1_ind"],
-        acc["p1_inc"], acc["p2_pref"], acc["p2_ind"], first, backend="numpy",
-    )
-    assert np.array_equal(acc["rank_counts"], ref_rank)
-    assert np.array_equal(acc["p2_pref"], ref_p2_pref)
+    # generic flows with forced exact ties at the default tolerance
+    pos, neg = random_flow_block(3, n_samples=60, m=6)
+    ref, ref_first = plain_python_counts(pos, neg, 1e-9)
+    acc, first = run_counts(pos, neg, 1e-9)
+    for key in ref:
+        assert np.array_equal(acc[key], ref[key]), key
+    assert np.array_equal(first, ref_first)
+
+
+def test_count_relations_rejects_negative_tolerance():
+    pos, neg = random_flow_block(5, n_samples=10, m=4)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_counts(pos, neg, -1e-9)
+
+
+def test_count_relations_memory_is_linear_in_alternatives():
+    # the counter must not build (samples, m, m) arrays: at s = 5,000 and
+    # m = 100 one such float64 array is 400 MB, 100 times pos.nbytes
+    pos, neg = random_flow_block(11, n_samples=5000, m=100, ties=False)
+    tracemalloc.start()
+    try:
+        run_counts(pos, neg, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * pos.nbytes, f"peak {peak / 2**20:.1f} MiB"

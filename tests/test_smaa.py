@@ -132,6 +132,33 @@ def test_aggregate_input_validation(students):
         aggregate(students, batch, mode="nonsense")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_aggregate_rejects_non_finite_samples(students, bad):
+    system = restrict_classical(compile_statements(students, []))
+    polytope, batch = sample_system(system, count=10)
+    data = batch.data.copy()
+    data[3, 1] = bad
+    broken = SampleBatch(columns=batch.columns, data=data, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        aggregate(students, broken, mode="classical")
+
+
+def test_aggregate_frequencies_do_not_depend_on_chunk(students):
+    system = compile_statements(
+        students, parse_statements(FIXTURES / "scenario1.jsonl")
+    )
+    polytope, batch = sample_system(system, count=500, seed=9)
+    whole = aggregate(students, batch, polytope=polytope)
+    chunked = aggregate(students, batch, polytope=polytope, chunk=7)
+    for name in ("rank_acceptability", "p2_pref", "p2_indiff", "p1_pref",
+                 "p1_indiff", "p1_incomp", "ror_possible_approx",
+                 "ror_necessary_approx"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+    assert whole.central_weights.keys() == chunked.central_weights.keys()
+    for name, vec in whole.central_weights.items():
+        np.testing.assert_allclose(chunked.central_weights[name], vec, atol=1e-12)
+
+
 def test_dominant_alternative_identity_pattern():
     table = PerformanceTable(
         ("top", "low"),
