@@ -8,7 +8,6 @@ feasibility checks, uniform polytope sampling and the Monte-Carlo
 acceptability statistics computed from the samples.
 """
 
-from ._kernels import active_backend, numba_available
 from .bipolar import (
     BicapacityParams,
     ChoquetTriple,
@@ -58,8 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "active_backend",
-    "numba_available",
     "Criterion",
     "PerformanceTable",
     "load_problem",

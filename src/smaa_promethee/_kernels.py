@@ -1,23 +1,18 @@
-"""Hot loops: the hit-and-run chain and pairwise relation counting.
+"""Hot loops: the batched hit-and-run chain and pairwise relation counting.
 
-The chain has a numba-compiled and a pure-numpy twin; both consume
-identical pre-drawn random buffers in the same order and perform the same
-elementwise float operations, so a given backend is bit-reproducible for
-a seed. Backend selection happens at call time: numba is used when
-importable unless SMAA_PROMETHEE_NUMBA=0 or NUMBA_DISABLE_JIT is set in
-the environment. Relation counting is numpy only: integer tallies of
-vectorised comparisons over one unordered pair of alternatives at a time.
+Both are numpy only. The chain steps C independent chains together: one
+refill of pre-drawn directions and uniforms moves every chain up to R
+steps, with one GEMM for all chord coefficients of the refill and every
+step vectorised over the chains, so a seed gives bit-identical samples on
+a given numpy build. Relation counting tallies vectorised comparisons
+over one unordered pair of alternatives at a time.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "numba_available",
-    "active_backend",
     "chain_steps",
     "count_relations",
     "CHAIN_OK",
@@ -25,7 +20,6 @@ __all__ = [
     "CHAIN_UNBOUNDED",
 ]
 
-# status codes shared by both chain implementations
 CHAIN_OK = 0
 CHAIN_STUCK = 1
 CHAIN_UNBOUNDED = 2
@@ -34,159 +28,67 @@ CHAIN_UNBOUNDED = 2
 _CHORD_TOL = 1e-12
 _DOT_TOL = 1e-14
 
-try:
-    if os.environ.get("NUMBA_DISABLE_JIT", "0") not in ("", "0"):
-        raise ImportError("NUMBA_DISABLE_JIT is set")
-    from numba import njit as _njit
 
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-    _njit = None
+def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, retry_budget,
+                state, quota, out):
+    """Advance C chains on ``A @ y <= b`` through one refill of draws.
 
-
-def numba_available() -> bool:
-    return _HAVE_NUMBA
-
-
-def active_backend() -> str:
-    """Backend the chain dispatcher will use for the next call."""
-    if _HAVE_NUMBA and os.environ.get("SMAA_PROMETHEE_NUMBA", "1") != "0":
-        return "numba"
-    return "numpy"
-
-
-def _chain_loop(At, bt, y, dirs, uniforms, burn_in, thinning, retry_budget,
-                state, out):
-    """Advance the chain while the random buffers last.
-
-    ``state`` holds (steps_done, kept, retries) and is updated in place;
-    ``out`` receives thinned post-burn-in points. Every attempted step
-    consumes one direction row and one uniform, so random consumption is
-    identical across backends. Returns (status, randoms_consumed).
+    ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
+    steps done, samples kept and consecutive empty-chord retries of each
+    chain; both are updated in place. Row r of ``dirs`` (R, C, k, not
+    normalised) and ``uniforms`` (R, C) drives step attempt r of every
+    chain. An empty chord leaves its chain in place and counts as a retry,
+    not a step. Chain c keeps ``quota[c]`` thinned post-burn-in points,
+    written chain-major into ``out``: its block starts after the quotas of
+    the chains before it. Returns (status, rows of draws consumed).
     """
-    steps_done = state[0]
-    kept = state[1]
-    retries = state[2]
-    total = burn_in + out.shape[0] * thinning
-    n_rows = At.shape[0]
-    n_rand = dirs.shape[0]
-    consumed = 0
-    status = CHAIN_OK
-    while steps_done < total and consumed < n_rand:
-        d = dirs[consumed]
-        u = uniforms[consumed]
-        consumed += 1
-        norm = np.sqrt(np.dot(d, d))
-        if norm <= 0.0:
-            retries += 1
-            if retries > retry_budget:
-                status = CHAIN_STUCK
-                break
-            continue
-        dn = d / norm
-        coef = np.dot(At, dn)
-        slack = bt - np.dot(At, y)
-        t_lo = -np.inf
-        t_hi = np.inf
+    steps, kept, retries = state
+    total = burn_in + quota * thinning
+    first = np.cumsum(quota) - quota
+    # next output row of each chain, and the step count that fills it
+    slot = first + kept
+    due = burn_in + (kept + 1) * thinning
+    n_rows, chains, k = dirs.shape
+    dn = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
+    coef = (dn.reshape(-1, k) @ A.T).reshape(n_rows, chains, -1)
+    upper = coef > _DOT_TOL
+    lower = coef < -_DOT_TOL
+    # a direction with no bounding row on one side leaves the chord open
+    open_chord = ~(upper.any(axis=2) & lower.any(axis=2))
+    any_open = open_chord.any(axis=1).tolist()
+    # computed once per refill, then moved along with the points
+    slack = b - Y @ A.T
+    status, consumed = CHAIN_OK, n_rows
+    with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(n_rows):
-            c = coef[r]
-            if c > _DOT_TOL:
-                ratio = slack[r] / c
-                if ratio < t_hi:
-                    t_hi = ratio
-            elif c < -_DOT_TOL:
-                ratio = slack[r] / c
-                if ratio > t_lo:
-                    t_lo = ratio
-        if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
-            status = CHAIN_UNBOUNDED
-            break
-        if t_hi - t_lo < _CHORD_TOL:
-            retries += 1
-            if retries > retry_budget:
-                status = CHAIN_STUCK
+            active = steps < total
+            if not active.any():
+                consumed = r
                 break
-            continue
-        retries = 0
-        t = t_lo + u * (t_hi - t_lo)
-        step = t * dn
-        for i in range(y.shape[0]):
-            y[i] = y[i] + step[i]
-        steps_done += 1
-        if steps_done > burn_in and (steps_done - burn_in) % thinning == 0:
-            out[kept] = y
-            kept += 1
-    state[0] = steps_done
-    state[1] = kept
-    state[2] = retries
+            if any_open[r] and (active & open_chord[r]).any():
+                status, consumed = CHAIN_UNBOUNDED, r + 1
+                break
+            ratio = slack / coef[r]
+            t_hi = np.where(upper[r], ratio, np.inf).min(axis=1)
+            t_lo = np.where(lower[r], ratio, -np.inf).max(axis=1)
+            width = t_hi - t_lo
+            move = active & (width >= _CHORD_TOL)
+            retries += active
+            retries *= ~move
+            if retries.max() > retry_budget:
+                status, consumed = CHAIN_STUCK, r + 1
+                break
+            t = np.where(move, t_lo + uniforms[r] * width, 0.0)
+            Y += t[:, None] * dn[r]
+            slack -= t[:, None] * coef[r]
+            steps += move
+            emit = np.flatnonzero(move & (steps == due))
+            if emit.size:
+                out[slot[emit]] = Y[emit]
+                slot[emit] += 1
+                due[emit] += thinning
+    kept[:] = slot - first
     return status, consumed
-
-
-def _chain_loop_numpy(At, bt, y, dirs, uniforms, burn_in, thinning, retry_budget,
-                      state, out):
-    """Vectorised twin of the chain loop (chord bounds without the row scan)."""
-    steps_done = int(state[0])
-    kept = int(state[1])
-    retries = int(state[2])
-    total = burn_in + out.shape[0] * thinning
-    n_rand = dirs.shape[0]
-    consumed = 0
-    status = CHAIN_OK
-    while steps_done < total and consumed < n_rand:
-        d = dirs[consumed]
-        u = uniforms[consumed]
-        consumed += 1
-        norm = np.sqrt(np.dot(d, d))
-        if norm <= 0.0:
-            retries += 1
-            if retries > retry_budget:
-                status = CHAIN_STUCK
-                break
-            continue
-        dn = d / norm
-        coef = np.dot(At, dn)
-        slack = bt - np.dot(At, y)
-        upper = coef > _DOT_TOL
-        lower = coef < -_DOT_TOL
-        # min/max are exact, so the bounds match the scalar scan bit for bit
-        t_hi = np.min(slack[upper] / coef[upper]) if upper.any() else np.inf
-        t_lo = np.max(slack[lower] / coef[lower]) if lower.any() else -np.inf
-        if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
-            status = CHAIN_UNBOUNDED
-            break
-        if t_hi - t_lo < _CHORD_TOL:
-            retries += 1
-            if retries > retry_budget:
-                status = CHAIN_STUCK
-                break
-            continue
-        retries = 0
-        t = t_lo + u * (t_hi - t_lo)
-        y += t * dn
-        steps_done += 1
-        if steps_done > burn_in and (steps_done - burn_in) % thinning == 0:
-            out[kept] = y
-            kept += 1
-    state[0] = steps_done
-    state[1] = kept
-    state[2] = retries
-    return status, consumed
-
-
-_chain_numba = _njit(cache=True, nogil=True)(_chain_loop) if _HAVE_NUMBA else None
-
-
-def chain_steps(At, bt, y, dirs, uniforms, burn_in, thinning, retry_budget,
-                state, out, backend: str | None = None):
-    """Dispatch one chain burst to the selected backend."""
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba" and _chain_numba is not None:
-        return _chain_numba(At, bt, y, dirs, uniforms, burn_in, thinning,
-                            retry_budget, state, out)
-    return _chain_loop_numpy(At, bt, y, dirs, uniforms, burn_in, thinning,
-                             retry_budget, state, out)
 
 
 def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,

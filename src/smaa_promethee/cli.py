@@ -53,8 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated report formats (json,text,csv)")
     parser.add_argument("--delta-strict", type=float, default=0.0,
                         help="margin enforced on strict rows while sampling")
-    parser.add_argument("--burn-in", type=int, default=1_000)
-    parser.add_argument("--thin", type=int, default=1)
+    parser.add_argument("--burn-in", type=int, default=1_000,
+                        help="steps discarded at the start of each chain")
+    parser.add_argument("--thin", type=int, default=1,
+                        help="keep every n-th step of each chain")
     return parser
 
 

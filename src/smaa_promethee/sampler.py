@@ -7,6 +7,11 @@ chain walks a full-dimensional reduced polytope; points map back through
 the affine offset. The strict-preference margin is fixed to
 ``delta_strict`` before reduction: with the default 0 the chain samples
 the closure, whose boundary has measure zero.
+
+``hit_and_run`` runs C independent chains from the same interior start,
+each with its own burn-in, and steps them together (see
+``_kernels.chain_steps``). C is derived from the configuration so that
+burn-in work never exceeds sampling work.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ __all__ = [
 _NULLSPACE_TOL = 1e-10
 _OUTPUT_FEAS_TOL = 1e-9
 _RETRY_BUDGET = 100
+_MAX_CHAINS = 64
 # fixed refill size: the draw order (directions then uniforms per refill)
 # is part of the deterministic stream for a given seed
-_RAND_CHUNK = 8192
+_RAND_ROWS = 128
 
 
 class InfeasibleSystemError(RuntimeError):
@@ -68,6 +74,8 @@ class SamplerConfig:
             raise ValueError("thinning must be at least 1")
         if self.burn_in < 0:
             raise ValueError("burn_in cannot be negative")
+        if self.seed < 0:
+            raise ValueError("seed cannot be negative")
         if self.delta_strict < 0:
             raise ValueError("delta_strict cannot be negative")
 
@@ -247,23 +255,41 @@ def _sidecar_path(path: str) -> str:
     return root + ".json"
 
 
+def _chain_count(config: SamplerConfig) -> int:
+    """Chains stepped together: 1 to 64, at most one per sample, and no
+    more than fit C * burn_in within the sampling work, sample_count *
+    thinning (a single chain may exceed it)."""
+    work = config.sample_count * config.thinning
+    return min(_MAX_CHAINS, config.sample_count,
+               max(1, work // max(config.burn_in, 1)))
+
+
 def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
-    """Run one sequential chain and return feasibility-checked samples."""
+    """Run ``_chain_count(config)`` chains and return feasibility-checked samples.
+
+    Every chain starts at ``polytope.start`` and discards its own
+    ``burn_in`` steps. Chain c keeps ``sample_count // C`` samples, one
+    more for the first ``sample_count % C`` chains, and the rows come out
+    chain-major: all of chain 0's samples, then chain 1's, and so on.
+    """
     k = polytope.dimension
     if k == 0:
         raise ValueError("polytope has no free dimensions to sample")
+    chains = _chain_count(config)
+    quota = np.full(chains, config.sample_count // chains, dtype=np.int64)
+    quota[: config.sample_count % chains] += 1
     rng = np.random.default_rng(config.seed)
     out = np.empty((config.sample_count, k))
-    y = np.array(polytope.start, dtype=np.float64, copy=True)
-    state = np.zeros(3, dtype=np.int64)
-    At = np.ascontiguousarray(polytope.A, dtype=np.float64)
-    bt = np.ascontiguousarray(polytope.b, dtype=np.float64)
-    while state[1] < config.sample_count:
-        dirs = rng.standard_normal((_RAND_CHUNK, k))
-        uniforms = rng.random(_RAND_CHUNK)
+    Y = np.tile(np.asarray(polytope.start, dtype=np.float64), (chains, 1))
+    state = np.zeros((3, chains), dtype=np.int64)
+    A = np.ascontiguousarray(polytope.A, dtype=np.float64)
+    b = np.ascontiguousarray(polytope.b, dtype=np.float64)
+    while np.any(state[1] < quota):
+        dirs = rng.standard_normal((_RAND_ROWS, chains, k))
+        uniforms = rng.random((_RAND_ROWS, chains))
         status, _ = chain_steps(
-            At, bt, y, dirs, uniforms,
-            config.burn_in, config.thinning, _RETRY_BUDGET, state, out,
+            A, b, Y, dirs, uniforms, config.burn_in, config.thinning,
+            _RETRY_BUDGET, state, quota, out,
         )
         if status == CHAIN_STUCK:
             raise RuntimeError(
@@ -273,7 +299,8 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
         if status == CHAIN_UNBOUNDED:
             raise RuntimeError("reduced polytope is unbounded along a chord")
 
-    theta = out @ polytope.basis.T + polytope.offset[None, :]
+    theta = out @ polytope.basis.T
+    theta += polytope.offset
 
     # hard output contract, not a diagnostic
     if polytope.full_eq_A.shape[0]:
@@ -281,7 +308,9 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
         if eq_err.size and eq_err.max() > _OUTPUT_FEAS_TOL:
             raise RuntimeError("sample violates an equality row beyond 1e-9")
     if polytope.full_ub_A.shape[0]:
-        ub_err = theta @ polytope.full_ub_A.T - polytope.full_ub_b[None, :]
+        # in place, so one (samples, rows) array is alive at a time, not two
+        ub_err = theta @ polytope.full_ub_A.T
+        ub_err -= polytope.full_ub_b
         if ub_err.size and ub_err.max() > _OUTPUT_FEAS_TOL:
             raise RuntimeError("sample violates an inequality row beyond 1e-9")
 

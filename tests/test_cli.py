@@ -129,7 +129,7 @@ def test_unknown_format_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("arg", [
-    "--samples=0", "--thin=0", "--burn-in=-1", "--delta-strict=-0.5",
+    "--samples=0", "--thin=0", "--burn-in=-1", "--delta-strict=-0.5", "--seed=-1",
 ])
 def test_bad_sampler_argument_exits_1_before_any_output(tmp_path, capsys, arg):
     assert run_cli(tmp_path, arg) == 1

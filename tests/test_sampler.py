@@ -16,6 +16,7 @@ from smaa_promethee.sampler import (
     InfeasibleSystemError,
     SampleBatch,
     SamplerConfig,
+    _chain_count,
     build_polytope,
     hit_and_run,
 )
@@ -135,6 +136,57 @@ def test_burn_in_and_thinning_change_stream(students):
     np.testing.assert_array_equal(thinned.data, dense.data[2::3])
 
 
+def test_thinning_keeps_every_third_step_of_each_chain(students):
+    system = restrict_classical(compile_statements(students, []))
+    polytope = build_polytope(system)
+    thin_cfg = SamplerConfig(sample_count=6_400, burn_in=100, thinning=3, seed=7)
+    dense_cfg = SamplerConfig(sample_count=19_200, burn_in=100, seed=7)
+    assert _chain_count(thin_cfg) == _chain_count(dense_cfg) == 64
+    thinned = hit_and_run(polytope, thin_cfg).data.reshape(64, 100, -1)
+    dense = hit_and_run(polytope, dense_cfg).data.reshape(64, 300, -1)
+    # chain-major rows: block c is chain c's walk in both runs
+    np.testing.assert_array_equal(thinned, dense[:, 2::3])
+
+
+def test_chain_count_rule_at_the_edges(students):
+    def count(**kw):
+        return _chain_count(SamplerConfig(seed=0, **kw))
+
+    # burn-in work never exceeds sampling work, and no chain goes empty
+    assert count(sample_count=100_000, burn_in=1_000) == 64
+    assert count(sample_count=5_000, burn_in=1_000) == 5
+    assert count(sample_count=500, burn_in=1_000) == 1
+    assert count(sample_count=1, burn_in=0) == 1
+    assert count(sample_count=10, burn_in=0) == 10
+    assert count(sample_count=1_000, burn_in=0) == 64
+    assert count(sample_count=3, burn_in=1_000, thinning=1_000) == 3
+    assert count(sample_count=200, burn_in=1_000, thinning=1_000) == 64
+
+    # with no burn-in, chain c's first sample is one step from the start,
+    # driven by row 0, chain c of the first refill: (128, C, k) normals,
+    # then (128, C) uniforms. 130 samples on 64 chains give the first two
+    # chains 3 samples and the rest 2, in chain-major blocks.
+    system = restrict_classical(compile_statements(students, []))
+    polytope = build_polytope(system)
+    A, b, start = polytope.A, polytope.b, polytope.start
+    for sample_count, quota in ((10, [1] * 10), (130, [3, 3] + [2] * 62)):
+        chains = len(quota)
+        batch = hit_and_run(polytope, SamplerConfig(
+            sample_count=sample_count, burn_in=0, seed=4))
+        rng = np.random.default_rng(4)
+        d = rng.standard_normal((128, chains, 2))[0]
+        u = rng.random((128, chains))[0]
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        coef = d @ A.T
+        ratio = (b - A @ start) / coef
+        t_hi = np.where(coef > 0, ratio, np.inf).min(axis=1)
+        t_lo = np.where(coef < 0, ratio, -np.inf).max(axis=1)
+        expected = start + (t_lo + u * (t_hi - t_lo))[:, None] * d
+        first = np.cumsum(quota) - quota
+        z = (batch.data[first] - polytope.offset) @ polytope.basis
+        np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
+
+
 def test_irreducibility_smoke(students):
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
@@ -238,3 +290,5 @@ def test_config_validation():
         SamplerConfig(burn_in=-1)
     with pytest.raises(ValueError):
         SamplerConfig(delta_strict=-0.1)
+    with pytest.raises(ValueError, match="seed cannot be negative"):
+        SamplerConfig(seed=-1)
