@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 # Monotonicity validation enumerates all disjoint subset pairs, 3^(n-1) per
-# criterion, so the criterion count is capped unless callers raise it.
+# criterion (compilation needs only the 2^(n-1) covering splits), so the
+# criterion count is capped unless callers raise it.
 ENUMERATION_CAP = 8
 
 
@@ -72,6 +73,20 @@ def _check_cap(n: int, max_criteria: int) -> None:
 def _disjoint_pairs(items: tuple[int, ...]):
     """Yield every (C, D) with C, D disjoint subsets of ``items``."""
     for assignment in itertools.product((0, 1, 2), repeat=len(items)):
+        c = tuple(i for i, s in zip(items, assignment) if s == 1)
+        d = tuple(i for i, s in zip(items, assignment) if s == 2)
+        yield c, d
+
+
+def _covering_pairs(items: tuple[int, ...]):
+    """Yield every (C, D) that splits ``items``: disjoint, with C | D = items.
+
+    These are the splits that can bind in the monotonicity of a two-additive
+    bicapacity. With every opposing power nonpositive, the row for a pair
+    that leaves k out of both C and D is implied by the row that puts k in D.
+    The order is that of ``_disjoint_pairs`` restricted to these splits.
+    """
+    for assignment in itertools.product((1, 2), repeat=len(items)):
         c = tuple(i for i, s in zip(items, assignment) if s == 1)
         d = tuple(i for i, s in zip(items, assignment) if s == 2)
         yield c, d

@@ -120,9 +120,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {label} binding: {origin}", file=sys.stderr)
         return 2
 
-    system = classical_system if chosen == "classical" else full_system
+    system, fit = ((classical_system, classical_fit) if chosen == "classical"
+                   else (full_system, bipolar_fit))
     try:
-        polytope = build_polytope(system, args.delta_strict)
+        polytope = build_polytope(system, args.delta_strict, margin=fit)
         batch = hit_and_run(polytope, config)
     except (RuntimeError, ValueError) as exc:  # InfeasibleSystemError included
         print(f"error: sampling failed: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .bipolar import (
     ENUMERATION_CAP,
     ParameterLayout,
     _check_cap,
-    _disjoint_pairs,
+    _covering_pairs,
     bipolar_preference_tensor,
     choquet_coefficients,
     flow_coefficients,
@@ -365,10 +365,12 @@ def compile_statements(
     """Translate statements plus structural conditions into a linear system.
 
     Row order is deterministic: statement rows in input order, then the
-    normalisation equality, sign conditions and the exhaustive monotonicity
-    family. Monotonicity of the negative part coincides with that of the
-    positive part once the shared parameters are substituted, so one
-    enumeration covers both.
+    normalisation equality, sign conditions and the monotonicity family.
+    Monotonicity of the negative part coincides with that of the positive
+    part once the shared parameters are substituted, so one enumeration
+    covers both. Of the 3^(n-1) disjoint (C, D) splits per criterion only
+    the 2^(n-1) with C | D holding every other criterion are written: with
+    the opposing powers nonpositive, they imply the rest.
     """
     n = table.n_criteria
     _check_cap(n, max_criteria)
@@ -511,7 +513,7 @@ def compile_statements(
         rb.add(row, "<=", 0.0, f"opposing opp_{j + 1}|{k + 1} <= 0")
     others = lambda j: tuple(i for i in range(n) if i != j)
     for j in range(n):
-        for c, d in _disjoint_pairs(others(j)):
+        for c, d in _covering_pairs(others(j)):
             row = rb.blank()
             row[layout.a_col(j)] = 1.0
             for k in c:

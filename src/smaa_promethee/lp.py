@@ -77,9 +77,10 @@ class _SimplexResult(NamedTuple):
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    # eliminate col from every other row in one rank-1 update
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
     basis[row] = col
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import CHAIN_STUCK, CHAIN_UNBOUNDED, chain_steps
 from .elicitation import ConstraintSystem
-from .lp import FEASIBILITY_TOL, _recombine, _solve_lp, max_epsilon
+from .lp import FEASIBILITY_TOL, LpOutcome, _recombine, _solve_lp, max_epsilon
 
 __all__ = [
     "SamplerConfig",
@@ -45,12 +45,16 @@ _RAND_ROWS = 128
 
 
 class InfeasibleSystemError(RuntimeError):
-    """Raised when no parameter vector attains the requested margin."""
+    """Raised when no parameter vector attains the requested margin, or
+    when no start point strictly inside the polytope is found."""
 
-    def __init__(self, eps_star: float | None, binding: tuple[str, ...]):
+    def __init__(self, eps_star: float | None, binding: tuple[str, ...],
+                 reason: str | None = None):
         self.eps_star = eps_star
         self.binding = binding
-        if eps_star is None:
+        if reason is not None:
+            msg = reason
+        elif eps_star is None:
             msg = "constraint system is infeasible at any margin"
         else:
             msg = f"best attainable margin {eps_star:.6g} is below the requested one"
@@ -134,22 +138,30 @@ def _chebyshev_centre(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float] 
     return x[:k], float(x[k])
 
 
-def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polytope:
+def build_polytope(
+    system: ConstraintSystem,
+    delta_strict: float = 0.0,
+    margin: LpOutcome | None = None,
+) -> Polytope:
     """Fix the margin, eliminate equalities, and pick an interior start.
 
     The start point averages the max-margin vertex with the deepest point
     of the reduced polytope re-solved with the margin pinned halfway back
     toward ``delta_strict``; a bare vertex start leaves the chain with
-    empty chords, so the centring solve is what makes sampling move.
+    empty chords, so the centring solve is what makes sampling move. A
+    start that is not strictly inside every row raises
+    ``InfeasibleSystemError`` naming the row it sits on. ``margin`` is
+    ``max_epsilon(system)`` when the caller has already solved it; without
+    it the margin LP is solved here.
     """
-    outcome = max_epsilon(system)
+    outcome = max_epsilon(system) if margin is None else margin
     if not outcome.feasible or outcome.eps_star < delta_strict - FEASIBILITY_TOL:
         raise InfeasibleSystemError(outcome.eps_star, outcome.binding)
     eps_star = outcome.eps_star
     size = system.layout.size
     ecol = system.eps_col
 
-    A_eq, b_eq, _, A_ub, b_ub, _ = system.split()
+    A_eq, b_eq, _, A_ub, b_ub, ub_origins = system.split()
     eq_A = A_eq[:, :size]
     eq_b = b_eq - A_eq[:, ecol] * delta_strict
     ub_A = A_ub[:, :size]
@@ -185,6 +197,15 @@ def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polyt
         if centred is not None and centred[1] > 1e-12:
             start = (z1 + centred[0]) / 2.0
             break
+    if R.shape[0]:
+        slack = r - R @ start
+        worst = int(np.argmin(slack))
+        if not slack[worst] > 0.0:
+            origin = [o for o, k in zip(ub_origins, keep) if k][worst]
+            raise InfeasibleSystemError(
+                eps_star, (origin,),
+                reason=f"no interior start point: minimum slack {slack[worst]:.3g}",
+            )
 
     return Polytope(
         A=R, b=r, basis=basis, offset=offset, start=start,

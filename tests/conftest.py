@@ -9,7 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smaa_promethee.bipolar import BicapacityParams, ParameterLayout
+from smaa_promethee.bipolar import (
+    BicapacityParams,
+    ParameterLayout,
+    _disjoint_pairs,
+    bipolar_flows,
+)
+from smaa_promethee.elicitation import (
+    ConstraintRow,
+    ConstraintSystem,
+    GlobalP2,
+    InteractionSign,
+    OpposingPower,
+)
 from smaa_promethee.model import Criterion, PerformanceTable, load_problem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -100,3 +112,42 @@ def random_table(
 
 def pack_layout(params: BicapacityParams) -> np.ndarray:
     return ParameterLayout(params.n).pack(params)
+
+
+def bicapacity_problem(rng: np.random.Generator, m: int, n: int):
+    """Ramp table plus statements that a hidden valid bicapacity satisfies.
+
+    Three net-flow statements follow the hidden ranking; a negative
+    interaction and an opposing-power comparison push parameters against
+    the monotonicity rows, so those rows shape the margin.
+    """
+    table = random_table(rng, m, n, q=0.0, p=4.0)
+    net = bipolar_flows(table, random_valid_params(rng, n)).net
+    order = np.argsort(-net)
+    labels = table.alternatives
+    statements = [
+        GlobalP2(a=labels[order[i]], b=labels[order[i + 1]]) for i in (0, 2, 4)
+    ]
+    j, k, h = (int(c) + 1 for c in rng.choice(n, size=3, replace=False))
+    statements.append(InteractionSign(j=j, k=k, sign="-"))
+    statements.append(OpposingPower(variant="a", fixed=j, stronger=k, weaker=h))
+    return table, statements
+
+
+def full_monotonicity_system(system: ConstraintSystem) -> ConstraintSystem:
+    """The system with its monotonicity rows replaced by all 3^(n-1) per
+    criterion, one per disjoint (C, D) split of the other criteria."""
+    layout = system.layout
+    n = layout.n
+    rows = [r for r in system.rows if not r.origin.startswith("monotonicity")]
+    for j in range(n):
+        others = tuple(i for i in range(n) if i != j)
+        for c, d in _disjoint_pairs(others):
+            coefs = np.zeros(layout.size + 1)
+            coefs[layout.a_col(j)] = 1.0
+            for k in c:
+                coefs[layout.pair_col(j, k)] += 1.0
+            for k in d:
+                coefs[layout.opp_col(j, k)] += 1.0
+            rows.append(ConstraintRow(coefs, ">=", 0.0, f"full monotonicity {j} {c} {d}"))
+    return ConstraintSystem(layout=layout, rows=tuple(rows))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from smaa_promethee import cli
+from smaa_promethee import cli, lp, sampler
 from smaa_promethee.cli import main
 
 from conftest import FIXTURES
@@ -67,6 +67,25 @@ def test_ramp_scenario2_auto_escalates_to_bipolar(tmp_path):
     assert feas["bipolar_margin"] == pytest.approx(1.0 / 18.0, abs=1e-7)
     report = read_json(tmp_path / "smaa_report.json")
     assert report["mode"] == "bipolar"
+
+
+@pytest.mark.parametrize("problem,statements,mode", [
+    ("students.json", "scenario1.jsonl", "classical"),
+    ("students_ramp.json", "scenario2.jsonl", "bipolar"),
+])
+def test_each_margin_lp_is_solved_once(tmp_path, monkeypatch, problem, statements, mode):
+    solved = []
+
+    def counting(system):
+        solved.append(len(system.rows))
+        return lp.max_epsilon(system)
+
+    monkeypatch.setattr(cli, "max_epsilon", counting)
+    monkeypatch.setattr(sampler, "max_epsilon", counting)
+    assert run_cli(tmp_path, problem=problem, statements=statements) == 0
+    assert read_json(tmp_path / "feasibility.json")["mode"] == mode
+    # the classical and the bipolar margin; build_polytope reuses the chosen one
+    assert len(solved) == 2
 
 
 def test_sharp_thresholds_scenario2_exits_2(tmp_path, capsys):

@@ -26,7 +26,12 @@ from smaa_promethee.elicitation import (
 )
 from smaa_promethee.promethee import preference_tensor
 
-from conftest import FIXTURES, random_table, random_valid_params
+from conftest import (
+    FIXTURES,
+    full_monotonicity_system,
+    random_table,
+    random_valid_params,
+)
 
 
 def statement_rows(system: ConstraintSystem):
@@ -105,17 +110,42 @@ def test_empty_compile_structure(students):
     assert system.n_cols == 13
     assert system.eps_col == 12
     assert system.variable_names[-1] == "eps"
-    # closure: normalisation + 3 sign rows + 6 opposing rows + 27 monotonicity
-    assert len(system.rows) == 37
+    # closure: normalisation + 3 sign rows + 6 opposing rows + 12 monotonicity
+    # (n * 2^(n-1) covering splits; the other 15 of the 3^(n-1) per
+    # criterion are implied, see test_monotonicity_rows_are_the_covering_splits)
+    assert len(system.rows) == 22
     origins = [r.origin for r in system.rows]
     assert origins.count("normalisation") == 1
     assert sum(o.startswith("power") for o in origins) == 3
     assert sum(o.startswith("opposing") for o in origins) == 6
-    assert sum(o.startswith("monotonicity") for o in origins) == 27
+    assert sum(o.startswith("monotonicity") for o in origins) == 12
     norm = system.rows[0]
     assert norm.rel == "=" and norm.rhs == 1.0
     assert norm.coefs[:3].tolist() == [1.0] * 3
     assert norm.coefs[12] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_monotonicity_rows_are_the_covering_splits(n):
+    system = compile_statements(random_table(np.random.default_rng(n), 3, n), [])
+    layout = system.layout
+    mono = [r for r in system.rows if r.origin.startswith("monotonicity")]
+    assert len(mono) == n * 2 ** (n - 1)
+    full = {
+        r.coefs.tobytes()
+        for r in full_monotonicity_system(system).rows
+        if r.origin.startswith("full monotonicity")
+    }
+    assert len(full) == n * 3 ** (n - 1)
+    assert len({r.coefs.tobytes() for r in mono}) == len(mono)
+    for row in mono:
+        assert row.coefs.tobytes() in full
+        assert row.rel == ">=" and row.rhs == 0.0
+        # the split names every other criterion once, as supporter or opponent
+        j = int(np.flatnonzero(row.coefs[:n])[0])
+        touched = {k for k in range(n) if k != j and (
+            row.coefs[layout.pair_col(j, k)] or row.coefs[layout.opp_col(j, k)])}
+        assert touched == set(range(n)) - {j}
 
 
 def test_criterion_importance_row(students):

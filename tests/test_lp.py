@@ -14,9 +14,14 @@ from smaa_promethee.elicitation import (
     parse_statements,
     restrict_classical,
 )
-from smaa_promethee.lp import EPS_CAP, exact_ror_pair, max_epsilon
+from smaa_promethee.lp import EPS_CAP, _pivot, exact_ror_pair, max_epsilon
 
-from conftest import FIXTURES, random_table
+from conftest import (
+    FIXTURES,
+    bicapacity_problem,
+    full_monotonicity_system,
+    random_table,
+)
 
 
 def scipy_max_epsilon(system: ConstraintSystem, eps_cap: float = EPS_CAP):
@@ -185,6 +190,56 @@ def test_margins_match_scipy_on_random_systems():
         assert mine.eps_star == pytest.approx(ref, abs=1e-7)
         checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_pruned_margin_matches_scipy_on_full_monotonicity(n):
+    # the compiled system keeps n * 2^(n-1) monotonicity rows; the full
+    # 3^(n-1)-per-criterion family, solved by an independent LP code, must
+    # give the same margin, and our optimum must satisfy all of it
+    rng = np.random.default_rng(100 + n)
+    for _ in range(2):
+        table, statements = bicapacity_problem(rng, 8, n)
+        system = compile_statements(table, statements)
+        full = full_monotonicity_system(system)
+        mine = max_epsilon(system)
+        ref = scipy_max_epsilon(full)
+        assert mine.status == "optimal" and ref is not None
+        assert mine.eps_star == pytest.approx(ref, abs=1e-9)
+        _, _, _, a_ub, b_ub, _ = full.split()
+        assert np.max(a_ub @ mine.solution - b_ub) <= 1e-9
+
+
+def loop_pivot(T, basis, row, col):
+    """Row-by-row Gauss-Jordan elimination, the reference for ``_pivot``."""
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
+
+
+def test_rank1_pivot_matches_row_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        rows, cols = (int(v) for v in rng.integers(2, 30, size=2))
+        # half the entries zero, so rows with nothing to eliminate occur
+        T = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        ref = T.copy()
+        basis = np.zeros(rows - 1, dtype=int)
+        ref_basis = basis.copy()
+        # a sequence of pivots, so rounding carries from one to the next
+        for _ in range(5):
+            row = int(rng.integers(rows - 1))
+            col = int(rng.integers(cols - 1))
+            if T[row, col] == 0.0:
+                T[row, col] = ref[row, col] = rng.uniform(0.5, 2.0)
+            _pivot(T, basis, row, col)
+            loop_pivot(ref, ref_basis, row, col)
+            assert np.array_equal(T, ref), trial
+            assert np.array_equal(basis, ref_basis)
+            assert T[row, col] == 1.0
+            assert np.count_nonzero(T[:, col]) == 1
 
 
 def test_optimal_solution_satisfies_every_row(students):

@@ -12,6 +12,8 @@ from smaa_promethee.elicitation import (
     parse_statements,
     restrict_classical,
 )
+from smaa_promethee.lp import LpOutcome, max_epsilon
+from smaa_promethee import sampler
 from smaa_promethee.sampler import (
     InfeasibleSystemError,
     SampleBatch,
@@ -21,7 +23,7 @@ from smaa_promethee.sampler import (
     hit_and_run,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, bicapacity_problem, full_monotonicity_system
 
 
 def handmade_system(extra_rows=(), free=("a_1",)):
@@ -252,6 +254,86 @@ def test_start_point_strictly_inside(students, students_ramp):
         polytope = build_polytope(system)
         slack = polytope.b - polytope.A @ polytope.start
         assert slack.min() > 1e-12
+
+
+def test_start_on_the_boundary_is_rejected():
+    # a_1 <= 0.5 and a_1 >= 0.5 leave a segment of length zero: every start
+    # sits on both rows, and the chain would find every chord empty
+    row = np.zeros(ParameterLayout(2).size + 1)
+    row[0] = 1.0
+    system = handmade_system([
+        ConstraintRow(row, "<=", 0.5, "a_1 <= 0.5"),
+        ConstraintRow(row, ">=", 0.5, "a_1 >= 0.5"),
+    ])
+    with pytest.raises(InfeasibleSystemError, match="no interior start point") as err:
+        build_polytope(system)
+    assert err.value.binding in (("a_1 <= 0.5",), ("a_1 >= 0.5",))
+    assert err.value.eps_star == pytest.approx(1.0)
+
+
+def test_start_outside_is_rejected_with_provenance():
+    # a margin vertex that has drifted outside pulls the averaged start out
+    system = handmade_system(free=("a_1", "a_2"))
+    honest = max_epsilon(system)
+    drifted = honest.solution.copy()
+    drifted[0] = -1.0
+    bad = LpOutcome("optimal", honest.eps_star, drifted, honest.binding)
+    with pytest.raises(InfeasibleSystemError, match="minimum slack -0.25") as err:
+        build_polytope(system, margin=bad)
+    assert err.value.binding == ("a_1 >= 0",)
+
+
+def test_caller_margin_is_not_solved_again(students_ramp, monkeypatch):
+    system = compile_statements(
+        students_ramp, parse_statements(FIXTURES / "scenario2.jsonl")
+    )
+    solved = build_polytope(system)
+    outcome = max_epsilon(system)
+
+    def unexpected(_system):
+        raise AssertionError("margin LP solved again")
+
+    monkeypatch.setattr(sampler, "max_epsilon", unexpected)
+    reused = build_polytope(system, margin=outcome)
+    for field in ("A", "b", "basis", "offset", "start"):
+        assert np.array_equal(getattr(reused, field), getattr(solved, field)), field
+    assert reused.eps_star == solved.eps_star
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_samples_satisfy_full_monotonicity(n):
+    rng = np.random.default_rng(200 + n)
+    table, statements = bicapacity_problem(rng, 8, n)
+    system = compile_statements(table, statements)
+    batch = hit_and_run(
+        build_polytope(system), SamplerConfig(sample_count=2_000, burn_in=200, seed=n)
+    )
+    full = full_monotonicity_system(system)
+    _, _, _, a_ub, b_ub, origins = full.split()
+    mono = np.array([o.startswith("full monotonicity") for o in origins])
+    assert mono.sum() == n * 3 ** (n - 1)
+    slack = b_ub[mono] - batch.data @ a_ub[mono, :-1].T
+    assert slack.min() >= -1e-9
+
+
+def test_seven_criteria_end_to_end():
+    # compile, both margins, polytope and sampling at n = 7; no wall time
+    # is asserted
+    table, statements = bicapacity_problem(np.random.default_rng(7), 8, 7)
+    system = compile_statements(table, statements)
+    assert len(system.rows) == len(statements) + 1 + 7 + 42 + 7 * 2 ** 6
+    classical = max_epsilon(restrict_classical(system))
+    bipolar = max_epsilon(system)
+    assert classical.status == "optimal" and classical.eps_star <= 1e-9
+    assert bipolar.status == "optimal" and bipolar.eps_star > 1e-9
+    polytope = build_polytope(system, margin=bipolar)
+    assert polytope.dimension == system.layout.size - 1
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=2_000, seed=1))
+    data = np.hstack([batch.data, np.zeros((batch.sample_count, 1))])
+    for checked in (system, full_monotonicity_system(system)):
+        a_eq, b_eq, _, a_ub, b_ub, _ = checked.split()
+        assert np.max(np.abs(data @ a_eq.T - b_eq)) <= 1e-9
+        assert np.max(data @ a_ub.T - b_ub) <= 1e-9
 
 
 def test_batch_save_load_roundtrip(tmp_path, students):
