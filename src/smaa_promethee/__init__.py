@@ -29,7 +29,7 @@ from .elicitation import (
     parse_statements,
     restrict_classical,
 )
-from .lp import EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, LpOutcome, RorPair, exact_ror_pair, max_epsilon
+from .lp import EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, LpOutcome, LpSolution, max_epsilon, maximise
 from .model import Criterion, PerformanceTable, load_evaluations_csv, load_problem
 from .promethee import (
     FLOW_TIE_TOL,
@@ -51,7 +51,7 @@ from .sampler import (
     build_polytope,
     hit_and_run,
 )
-from .smaa import SmaaResults, aggregate, flow_matrices, validate_against_exact_ror
+from .smaa import SmaaResults, aggregate, exact_ror_matrices, flow_matrices, validate_against_exact_ror
 
 __version__ = "0.1.0"
 
@@ -92,9 +92,9 @@ __all__ = [
     "FEASIBILITY_TOL",
     "ROR_EPS_MIN",
     "LpOutcome",
-    "RorPair",
+    "LpSolution",
     "max_epsilon",
-    "exact_ror_pair",
+    "maximise",
     "SamplerConfig",
     "Polytope",
     "SampleBatch",
@@ -103,6 +103,7 @@ __all__ = [
     "hit_and_run",
     "SmaaResults",
     "aggregate",
+    "exact_ror_matrices",
     "flow_matrices",
     "validate_against_exact_ror",
 ]

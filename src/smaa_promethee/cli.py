@@ -3,7 +3,8 @@
 Model escalation follows the simplest-first rule: in auto mode the
 weights-only model is tried first and the bipolar one only when the
 classical margin is not strictly positive. Exit codes: 0 success, 1 bad
-input, 2 no compatible model at the requested margin or sampling failed.
+input, 2 no compatible model at the requested margin, or an LP or the
+sampling failed.
 """
 
 from __future__ import annotations
@@ -87,8 +88,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     classical_system = restrict_classical(full_system)
 
-    classical_fit = max_epsilon(classical_system)
-    bipolar_fit = max_epsilon(full_system)
+    try:
+        classical_fit = max_epsilon(classical_system)
+        bipolar_fit = max_epsilon(full_system)
+    except RuntimeError as exc:
+        print(f"error: margin LP failed: {exc}", file=sys.stderr)
+        return 2
     compat1 = classical_fit.feasible and classical_fit.eps_star > COMPATIBILITY_TOL
     compat2 = bipolar_fit.feasible and bipolar_fit.eps_star > COMPATIBILITY_TOL
     if args.mode == "classical":
@@ -143,7 +148,11 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(render_csv(report))
 
     if args.exact_ror:
-        ror = validate_against_exact_ror(results, system, table, strict=False)
+        try:
+            ror = validate_against_exact_ror(results, system, table, strict=False)
+        except RuntimeError as exc:
+            print(f"error: exact ROR failed: {exc}", file=sys.stderr)
+            return 2
         ror["alternatives"] = list(table.alternatives)
         _write_json(os.path.join(args.out, "ror_report.json"), ror)
 

@@ -1,34 +1,38 @@
-"""Feasibility and margin analysis of constraint systems.
+"""Linear programs over constraint systems: one dense two-phase simplex.
 
-A small dense two-phase simplex. All model variables are treated as free
-(interactions may be negative, and the strict-preference margin eps must
-be allowed below zero so an incompatible system reports how incompatible
-it is), so every variable is split into a nonnegative difference. Pivoting
-uses the largest-coefficient rule and falls back to Bland's rule after an
-iteration budget to rule out cycling. The margin variable is boxed above
-so the maximisation is never unbounded.
+``maximise`` is the only solver. All variables are free (interactions may
+be negative, and the strict-preference margin eps must be allowed below
+zero so an incompatible system reports how incompatible it is), so every
+variable is split into a nonnegative difference. Phase 1 runs once; phase
+2 then maximises each row of the objective matrix in turn, each starting
+from the previous optimal basis, which stays primal feasible because only
+the objective changes. Pivoting uses the largest-coefficient rule and
+falls back to Bland's rule after an iteration budget to rule out cycling.
+A phase 1 that ends below zero, or an optimum that breaks one of the
+original rows, raises instead of being returned.
+
+``max_epsilon`` maximises the margin, boxed above so it is never
+unbounded. The exact outranking programs (``smaa.exact_ror_matrices``)
+and the sampler's centring program call ``maximise`` directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bipolar import flow_coefficients
 from .elicitation import ConstraintRow, ConstraintSystem
-from .model import PerformanceTable
 
 __all__ = [
     "EPS_CAP",
     "FEASIBILITY_TOL",
     "ROR_EPS_MIN",
     "LpOutcome",
-    "RorPair",
+    "LpSolution",
+    "maximise",
     "max_epsilon",
-    "exact_ror_pair",
 ]
 
 # Upper box bound on the strict-preference margin.
@@ -62,17 +66,22 @@ class LpOutcome:
         return self.status == "optimal"
 
 
-class RorPair(NamedTuple):
-    """Exact outranking verdict for one ordered pair."""
+class LpSolution(NamedTuple):
+    """Result of ``maximise``.
 
-    possible: bool
-    necessary: bool
+    When ``status`` is "optimal", row i of ``points`` attains the maximum
+    of objective row i and ``values[i]`` is that maximum. When it is
+    "infeasible", ``points`` holds one row, the least-infeasible point
+    phase 1 reached, and ``values`` is empty.
+    """
 
+    status: str
+    points: np.ndarray
+    values: np.ndarray
 
-class _SimplexResult(NamedTuple):
-    status: str            # optimal | infeasible | unbounded
-    x: np.ndarray | None   # values of the standard-form variables
-    objective: float
+    @property
+    def feasible(self) -> bool:
+        return self.status == "optimal"
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -122,114 +131,97 @@ def _run_phase(
     raise RuntimeError("simplex did not terminate within the iteration budget")
 
 
-def _solve_lp(
+def maximise(
     A_eq: np.ndarray,
     b_eq: np.ndarray,
     A_ub: np.ndarray,
     b_ub: np.ndarray,
-    c: np.ndarray,
-) -> _SimplexResult:
-    """Maximise c.x over free x with A_eq x = b_eq and A_ub x <= b_ub."""
-    n_vars = c.shape[0]
+    objectives: np.ndarray,
+) -> LpSolution:
+    """Maximise each row c of ``objectives`` as c.x over free x with
+    A_eq x = b_eq and A_ub x <= b_ub.
+
+    Raises ``RuntimeError`` when an objective is unbounded, when phase 1
+    ends with a negative sum of artificials, or when an optimum breaks an
+    original row by more than ``FEASIBILITY_TOL``: all three mean the
+    tableau cannot be trusted.
+    """
+    objectives = np.atleast_2d(objectives)
+    n_vars = objectives.shape[1]
     A = np.vstack([A_eq, A_ub]) if A_eq.size or A_ub.size else np.zeros((0, n_vars))
-    n_eq = A_eq.shape[0]
-    n_rows = A.shape[0]
     rhs = np.concatenate([b_eq, b_ub])
-
-    # split free variables, add slacks on inequality rows
+    n_eq, n_rows = A_eq.shape[0], A.shape[0]
     n_split = 2 * n_vars
-    n_slack = n_rows - n_eq
-    full = np.zeros((n_rows, n_split + n_slack))
-    full[:, 0:n_split:2] = A
-    full[:, 1:n_split:2] = -A
-    for i in range(n_slack):
-        full[n_eq + i, n_split + i] = 1.0
+    n_struct = n_split + n_rows - n_eq
+    # rows with a negative rhs are negated so the starting basis is
+    # feasible; an inequality row whose slack keeps coefficient +1 starts
+    # with that slack basic, every other row gets an artificial
+    neg = np.flatnonzero(rhs < 0.0)
+    slack_basic = np.arange(n_rows) >= n_eq
+    slack_basic[neg] = False
+    art_rows = np.flatnonzero(~slack_basic)
+    basis = np.empty(n_rows, dtype=int)
+    basis[slack_basic] = n_split + np.flatnonzero(slack_basic) - n_eq
+    basis[art_rows] = n_struct + np.arange(art_rows.size)
 
-    # nonnegative rhs so the artificial basis is feasible
-    rhs = rhs.copy()
-    neg = rhs < 0.0
-    full[neg] *= -1.0
-    rhs[neg] *= -1.0
-
-    # slack columns can start basic where their coefficient stayed +1
-    n_struct = n_split + n_slack
-    basis = np.full(n_rows, -1, dtype=int)
-    art_cols: list[int] = []
-    extra = []
-    for r in range(n_rows):
-        slack_col = n_split + (r - n_eq) if r >= n_eq else -1
-        if slack_col >= 0 and full[r, slack_col] == 1.0:
-            basis[r] = slack_col
-        else:
-            col = n_struct + len(art_cols)
-            art_cols.append(col)
-            e = np.zeros(n_rows)
-            e[r] = 1.0
-            extra.append(e)
-            basis[r] = col
-    if extra:
-        full = np.hstack([full, np.column_stack(extra)])
-    n_cols = full.shape[1]
-
-    T = np.zeros((n_rows + 1, n_cols + 1))
-    T[:n_rows, :n_cols] = full
+    # split free variables, add slacks on inequality rows, then artificials
+    T = np.zeros((n_rows + 1, n_struct + art_rows.size + 1))
+    T[:n_rows, 0:n_split:2] = A
+    T[:n_rows, 1:n_split:2] = -A
+    T[n_eq:n_rows, n_split:n_struct] = np.eye(n_rows - n_eq)
     T[:n_rows, -1] = rhs
+    T[neg, :n_struct] *= -1.0
+    T[neg, -1] *= -1.0
+    T[art_rows, basis[art_rows]] = 1.0
 
-    allowed = np.ones(n_cols, dtype=bool)
-    if art_cols:
+    allowed = np.ones(T.shape[1] - 1, dtype=bool)
+    if art_rows.size:
         # phase 1: drive the artificials to zero
-        T[-1, :] = 0.0
-        T[-1, art_cols] = 1.0
+        T[-1, n_struct:-1] = 1.0
         _price_out(T, basis)
-        status = _run_phase(T, basis, allowed)
-        if status != "optimal":
+        if _run_phase(T, basis, allowed) != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
-        if -T[-1, -1] > FEASIBILITY_TOL:
-            return _SimplexResult("infeasible", _extract(T, basis, n_struct), -T[-1, -1])
+        infeasibility = -T[-1, -1]
+        if infeasibility < -FEASIBILITY_TOL:
+            raise RuntimeError(
+                f"phase 1 ended at a negative sum of artificials ({infeasibility:.3g})"
+            )
+        if infeasibility > FEASIBILITY_TOL:
+            return LpSolution("infeasible", _point(T, basis, n_vars)[None, :], np.zeros(0))
         # pivot leftover artificials out of the basis, drop redundant rows
-        art_set = set(art_cols)
-        keep_rows = []
-        for r in range(n_rows):
-            if basis[r] in art_set:
-                options = np.flatnonzero(
-                    (np.abs(T[r, :n_struct]) > _PIVOT_TOL)
-                )
-                if options.size:
-                    _pivot(T, basis, r, options[0])
-                    keep_rows.append(r)
-                # else: redundant row, dropped below
+        keep = np.ones(T.shape[0], dtype=bool)
+        for r in np.flatnonzero(basis >= n_struct):
+            options = np.flatnonzero(np.abs(T[r, :n_struct]) > _PIVOT_TOL)
+            if options.size:
+                _pivot(T, basis, r, options[0])
             else:
-                keep_rows.append(r)
-        if len(keep_rows) < n_rows:
-            T = np.vstack([T[keep_rows], T[-1:]])
-            basis = basis[keep_rows]
-            n_rows = len(keep_rows)
-        allowed[art_cols] = False
+                keep[r] = False
+        T, basis = T[keep], basis[keep[:-1]]
+        allowed[n_struct:] = False
 
-    # phase 2: maximise the real objective
-    c_split = np.zeros(n_cols)
-    c_split[0:n_split:2] = c
-    c_split[1:n_split:2] = -c
-    T[-1, :] = 0.0
-    T[-1, :n_cols] = -c_split
-    _price_out(T, basis)
-    status = _run_phase(T, basis, allowed)
-    if status == "unbounded":
-        return _SimplexResult("unbounded", None, math.inf)
-    return _SimplexResult("optimal", _extract(T, basis, n_struct), T[-1, -1])
-
-
-def _extract(T: np.ndarray, basis: np.ndarray, n_struct: int) -> np.ndarray:
-    vals = np.zeros(n_struct)
-    n_rows = T.shape[0] - 1
-    for r in range(n_rows):
-        if basis[r] < n_struct:
-            vals[basis[r]] = T[r, -1]
-    return vals
+    # phase 2, once per objective, each from the previous optimal basis
+    points = np.empty(objectives.shape)
+    for i, c in enumerate(objectives):
+        T[-1, :] = 0.0
+        T[-1, 0:n_split:2] = -c
+        T[-1, 1:n_split:2] = c
+        _price_out(T, basis)
+        if _run_phase(T, basis, allowed) == "unbounded":
+            raise RuntimeError(f"objective {i} is unbounded")
+        points[i] = _point(T, basis, n_vars)
+    worst = max(np.abs(points @ A_eq.T - b_eq).max(initial=0.0),
+                (points @ A_ub.T - b_ub).max(initial=0.0))
+    if worst > FEASIBILITY_TOL:
+        raise RuntimeError(f"optimal point breaks a constraint row by {worst:.3g}")
+    return LpSolution("optimal", points, np.einsum("ij,ij->i", objectives, points))
 
 
-def _recombine(x_split: np.ndarray, n_vars: int) -> np.ndarray:
-    return x_split[0 : 2 * n_vars : 2] - x_split[1 : 2 * n_vars : 2]
+def _point(T: np.ndarray, basis: np.ndarray, n_vars: int) -> np.ndarray:
+    """Free-variable values at the current basis (nonbasic split parts 0)."""
+    split = np.zeros(2 * n_vars)
+    basic = basis < 2 * n_vars
+    split[basis[basic]] = T[:-1, -1][basic]
+    return split[0::2] - split[1::2]
 
 
 def _binding_origins(
@@ -265,13 +257,9 @@ def max_epsilon(system: ConstraintSystem, eps_cap: float = EPS_CAP) -> LpOutcome
     )
     capped = system.with_rows([cap_row])
     A_eq, b_eq, _, A_ub, b_ub, _ = capped.split()
-    c = np.zeros(system.n_cols)
-    c[system.eps_col] = 1.0
-    res = _solve_lp(A_eq, b_eq, A_ub, b_ub, c)
-    if res.status == "unbounded":
-        raise RuntimeError("margin maximisation cannot be unbounded under the cap")
-    x = _recombine(res.x, system.n_cols)
-    if res.status == "infeasible":
+    res = maximise(A_eq, b_eq, A_ub, b_ub, np.eye(system.n_cols)[system.eps_col])
+    x = res.points[0]
+    if not res.feasible:
         return LpOutcome(
             status="infeasible",
             eps_star=None,
@@ -284,36 +272,3 @@ def max_epsilon(system: ConstraintSystem, eps_cap: float = EPS_CAP) -> LpOutcome
         solution=x,
         binding=_binding_origins(system.rows, x, feasible=True),
     )
-
-
-def exact_ror_pair(
-    system: ConstraintSystem,
-    table: PerformanceTable,
-    a: str,
-    b: str,
-    eps_min: float = ROR_EPS_MIN,
-) -> RorPair:
-    """Exact possible/necessary outranking of ``a`` over ``b``.
-
-    A parameter set counts as compatible when it satisfies the system with
-    margin at least ``eps_min``. ``a`` possibly outranks ``b`` when some
-    compatible set gives a at least b's net flow; it necessarily outranks
-    b when no compatible set puts b strictly (by eps_min) above a.
-    """
-    floor = ConstraintRow(
-        coefs=np.eye(system.n_cols)[system.eps_col], rel=">=", rhs=eps_min,
-        origin="margin floor",
-    )
-    flow_pos, flow_neg = flow_coefficients(table, system.layout)
-    net = flow_pos - flow_neg
-    diff = np.zeros(system.n_cols)
-    diff[: system.layout.size] = (
-        net[table.alternative_index(a)] - net[table.alternative_index(b)]
-    )
-    pos_row = ConstraintRow(coefs=diff, rel=">=", rhs=0.0, origin=f"test {a} >= {b}")
-    possible = max_epsilon(system.with_rows([floor, pos_row])).feasible
-    neg_row = ConstraintRow(
-        coefs=-diff, rel=">=", rhs=eps_min, origin=f"test {b} > {a}"
-    )
-    necessary = not max_epsilon(system.with_rows([floor, neg_row])).feasible
-    return RorPair(possible=possible, necessary=necessary)

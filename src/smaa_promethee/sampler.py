@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import CHAIN_STUCK, CHAIN_UNBOUNDED, chain_steps
 from .elicitation import ConstraintSystem
-from .lp import FEASIBILITY_TOL, LpOutcome, _recombine, _solve_lp, max_epsilon
+from .lp import FEASIBILITY_TOL, LpOutcome, max_epsilon, maximise
 
 __all__ = [
     "SamplerConfig",
@@ -131,10 +131,10 @@ def _chebyshev_centre(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float] 
     b_ub = np.concatenate([r, [1e6]])
     c = np.zeros(k + 1)
     c[k] = 1.0
-    res = _solve_lp(np.zeros((0, k + 1)), np.zeros(0), A_ub, b_ub, c)
-    if res.status != "optimal":
+    res = maximise(np.zeros((0, k + 1)), np.zeros(0), A_ub, b_ub, c)
+    if not res.feasible:
         return None
-    x = _recombine(res.x, k + 1)
+    x = res.points[0]
     return x[:k], float(x[k])
 
 

@@ -9,6 +9,11 @@ batches (interaction columns pinned to zero) run through the same
 pipeline: with zero interactions the bipolar aggregation reduces exactly
 to the weighted preference sum, which keeps the two modes consistent to
 the bit.
+
+The exact verdicts the estimates are checked against take one LP per
+ordered pair (a, b), all solved in one ``maximise`` call: the largest
+F_a - F_b at margin >= ``ROR_EPS_MIN`` decides both "a possibly outranks
+b" and "b necessarily outranks a".
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import numpy as np
 
 from ._kernels import count_relations
 from .bipolar import ParameterLayout, flow_coefficients
-from .elicitation import ConstraintSystem
-from .lp import exact_ror_pair
+from .elicitation import ConstraintRow, ConstraintSystem
+from .lp import EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, maximise
 from .model import PerformanceTable
 from .promethee import FLOW_TIE_TOL
 from .sampler import Polytope, SampleBatch
@@ -28,6 +33,7 @@ from .sampler import Polytope, SampleBatch
 __all__ = [
     "SmaaResults",
     "aggregate",
+    "exact_ror_matrices",
     "flow_matrices",
     "validate_against_exact_ror",
 ]
@@ -201,6 +207,42 @@ def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:
                     raise AssertionError("mean parameter vector leaves the polytope")
 
 
+def exact_ror_matrices(
+    system: ConstraintSystem,
+    table: PerformanceTable,
+    eps_min: float = ROR_EPS_MIN,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (possible, necessary) outranking matrices, [a, b] for a over b.
+
+    Compatible parameter sets satisfy the system at margin >= ``eps_min``.
+    With t the largest F_a - F_b over them, a possibly outranks b when
+    t >= 0, and b necessarily outranks a when t < eps_min (no compatible
+    set puts a strictly above b). With no compatible set, off-diagonal
+    entries are False (possible) and True (necessary); the diagonal is
+    always True.
+    """
+    eps_row = np.eye(system.n_cols)[system.eps_col]
+    bounded = system.with_rows([
+        ConstraintRow(coefs=eps_row, rel=">=", rhs=eps_min, origin="margin floor"),
+        ConstraintRow(coefs=eps_row, rel="<=", rhs=EPS_CAP, origin="margin cap"),
+    ])
+    A_eq, b_eq, _, A_ub, b_ub, _ = bounded.split()
+    flow_pos, flow_neg = flow_coefficients(table, system.layout)
+    net = flow_pos - flow_neg
+    m = len(table.alternatives)
+    first, second = np.nonzero(~np.eye(m, dtype=bool))
+    objectives = np.zeros((first.size, system.n_cols))
+    objectives[:, : system.layout.size] = net[first] - net[second]
+
+    possible = np.eye(m, dtype=bool)
+    necessary = np.ones((m, m), dtype=bool)
+    best = maximise(A_eq, b_eq, A_ub, b_ub, objectives)
+    if best.feasible:
+        possible[first, second] = best.values >= -FEASIBILITY_TOL
+        necessary[second, first] = best.values < eps_min - FEASIBILITY_TOL
+    return possible, necessary
+
+
 def validate_against_exact_ror(
     results: SmaaResults,
     system: ConstraintSystem,
@@ -214,38 +256,23 @@ def validate_against_exact_ror(
     reports, without failing, pairs where the converse directions do not
     hold. The diagonal is trivially consistent and skipped.
     """
-    m = len(table.alternatives)
     names = table.alternatives
-    necessary = np.eye(m, dtype=bool)
-    possible = np.eye(m, dtype=bool)
-    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    possible, necessary = exact_ror_matrices(system, table)
+    off = ~np.eye(len(names), dtype=bool)
+    approx_necessary = np.abs(results.p2_pref + results.p2_indiff - 1.0) <= _PARTITION_TOL
+    approx_possible = results.p2_pref > 0
 
-    for i, j in pairs:
-        verdict = exact_ror_pair(system, table, names[i], names[j])
-        possible[i, j] = verdict.possible
-        necessary[i, j] = verdict.necessary
+    def named(mask: np.ndarray) -> list[list[str]]:
+        return [[names[i], names[j]] for i, j in np.argwhere(mask & off)]
 
-    freq_sum = results.p2_pref + results.p2_indiff
     report = {
         "possible_exact": possible.tolist(),
         "necessary_exact": necessary.tolist(),
-        "violations_necessary": [],
-        "violations_possible": [],
-        "converse_necessary": [],
-        "converse_possible": [],
+        "violations_necessary": named(necessary & ~approx_necessary),
+        "violations_possible": named(approx_possible & ~possible),
+        "converse_necessary": named(approx_necessary & ~necessary),
+        "converse_possible": named(possible & ~approx_possible),
     }
-    for i, j in pairs:
-        name_pair = [names[i], names[j]]
-        approx_necessary = abs(freq_sum[i, j] - 1.0) <= _PARTITION_TOL
-        approx_possible = results.p2_pref[i, j] > 0
-        if necessary[i, j] and not approx_necessary:
-            report["violations_necessary"].append(name_pair)
-        if approx_possible and not possible[i, j]:
-            report["violations_possible"].append(name_pair)
-        if approx_necessary and not necessary[i, j]:
-            report["converse_necessary"].append(name_pair)
-        if possible[i, j] and not approx_possible:
-            report["converse_possible"].append(name_pair)
     if strict and (report["violations_necessary"] or report["violations_possible"]):
         raise AssertionError(
             "sampled outranking estimates contradict the exact verdicts: "

@@ -4,6 +4,7 @@ The reference functions here are written as plain loops on purpose: they
 must not share code paths with the vectorised implementations under test.
 """
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,12 @@ from smaa_promethee.elicitation import (
     GlobalP2,
     InteractionSign,
     OpposingPower,
+    parse_statements,
 )
 from smaa_promethee.model import Criterion, PerformanceTable, load_problem
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 # Equal-weight net flows for the students fixture (q = p = 0), worked out
 # by hand from pairwise win/loss counts: the per-criterion net score of an
@@ -151,3 +154,28 @@ def full_monotonicity_system(system: ConstraintSystem) -> ConstraintSystem:
                 coefs[layout.opp_col(j, k)] += 1.0
             rows.append(ConstraintRow(coefs, ">=", 0.0, f"full monotonicity {j} {c} {d}"))
     return ConstraintSystem(layout=layout, rows=tuple(rows))
+
+
+def ror_trials(count: int):
+    """The first ``count`` seeded problems of the exact-ROR oracle set:
+    m from 6 to 9 alternatives, n from 3 to 5 criteria."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(6, 10))
+        n = int(rng.integers(3, 6))
+        out.append(bicapacity_problem(rng, m, n))
+    return out
+
+
+def benchmark_instance(directory: Path, seed: int, **synthetic):
+    """A synthetic table and statements of the pipeline benchmark
+    (``perfbench/inputs.py``), written to ``directory`` and read back
+    through the CLI's loaders."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    problem, statements = inputs.write(
+        str(directory), *inputs.synthetic(seed, **synthetic))
+    return load_problem(problem), parse_statements(statements)

@@ -18,6 +18,7 @@ from smaa_promethee.bipolar import (
     bipolar_choquet_2additive,
     bipolar_choquet_general,
     bipolar_flows,
+    flow_coefficients,
 )
 from smaa_promethee.cli import main as cli_main
 from smaa_promethee.elicitation import (
@@ -29,9 +30,9 @@ from smaa_promethee.elicitation import (
     restrict_classical,
 )
 from smaa_promethee.bipolar import ParameterLayout
-from smaa_promethee.lp import max_epsilon
+from smaa_promethee.lp import max_epsilon, maximise
 from smaa_promethee.model import load_problem
-from smaa_promethee.promethee import classical_flows
+from smaa_promethee.promethee import FLOW_TIE_TOL, classical_flows
 from smaa_promethee.sampler import SamplerConfig, build_polytope, hit_and_run
 from smaa_promethee.smaa import aggregate, validate_against_exact_ror
 
@@ -269,9 +270,9 @@ def test_criterion_07_scenario1_reference_claims():
     report(7, "PASS", "rank-1 set, s7 concentration and row leadership all hold")
 
 
-def test_criterion_08_ror_consistency():
-    start = time.perf_counter()
-    checked = 0
+def ror_instances():
+    """Criterion 08's random instances: table, system and the aggregated
+    results of 20k samples each, nearly tied draws skipped."""
     for seed in (101, 202, 303):
         rng = np.random.default_rng(seed)
         table = random_table(rng, 4, 3)
@@ -296,6 +297,13 @@ def test_criterion_08_ror_consistency():
             delta_strict=0.0,
         ))
         results = aggregate(table, batch, mode="bipolar", polytope=polytope)
+        yield table, system, results
+
+
+def test_criterion_08_ror_consistency():
+    start = time.perf_counter()
+    checked = 0
+    for table, system, results in ror_instances():
         rep = validate_against_exact_ror(results, system, table, strict=True)
         assert rep["violations_necessary"] == []
         assert rep["violations_possible"] == []
@@ -307,6 +315,48 @@ def test_criterion_08_ror_consistency():
         f"{checked} random instances, 20k samples each, zero implication "
         f"violations, {elapsed:.1f}s"
     ))
+
+
+def exact_rank1_leads(system, table, delta_strict: float = 0.0) -> np.ndarray:
+    """Per alternative a, the largest t with F_a - F_b >= t for every b,
+    over the parameter sets the sampler draws from (margin pinned to
+    ``delta_strict``). One LP per alternative, with t as an extra column."""
+    layout = system.layout
+    flow_pos, flow_neg = flow_coefficients(table, layout)
+    net = flow_pos - flow_neg
+    a_eq, b_eq, _, a_ub, b_ub, _ = system.split()
+    pad = lambda rows: np.hstack([rows, np.zeros((rows.shape[0], 1))])
+    pin = np.zeros((1, system.n_cols + 1))
+    pin[0, system.eps_col] = 1.0
+    eq_A = np.vstack([pad(a_eq), pin])
+    eq_b = np.append(b_eq, delta_strict)
+    lead = np.zeros(system.n_cols + 1)
+    lead[-1] = 1.0
+    m = len(table.alternatives)
+    out = np.empty(m)
+    for a in range(m):
+        # t - (F_a - F_b) <= 0 for every other b
+        rivals = np.zeros((m - 1, system.n_cols + 1))
+        rivals[:, : layout.size] = np.delete(net, a, axis=0) - net[a]
+        rivals[:, -1] = 1.0
+        res = maximise(eq_A, eq_b, np.vstack([pad(a_ub), rivals]),
+                       np.concatenate([b_ub, np.zeros(m - 1)]), lead)
+        assert res.feasible
+        out[a] = res.values[0]
+    return out
+
+
+def test_sampled_rank1_attainers_can_lead_exactly():
+    # one-way: a sample that puts a first is a parameter set under which
+    # a trails nobody by more than the tie tolerance
+    checked = 0
+    for table, system, results in ror_instances():
+        leads = exact_rank1_leads(system, table)
+        attains = results.rank_acceptability[:, 0] > 0.0
+        assert attains.any()
+        assert np.all(leads[attains] >= -FLOW_TIE_TOL), (leads, attains)
+        checked += 1
+    assert checked >= 2
 
 
 def test_criterion_09_structural_invariants():

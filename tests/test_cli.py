@@ -168,6 +168,30 @@ def test_stuck_chain_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "smaa_report.json").exists()
 
 
+def test_failed_margin_lp_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    def drifted(system):
+        raise RuntimeError("phase 1 ended at a negative sum of artificials (-3)")
+
+    monkeypatch.setattr(cli, "max_epsilon", drifted)
+    assert run_cli(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "error: margin LP failed: phase 1 ended" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "feasibility.json").exists()
+
+
+def test_failed_exact_ror_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    def drifted(results, system, table, strict):
+        raise RuntimeError("optimal point breaks a constraint row by 3.2e+04")
+
+    monkeypatch.setattr(cli, "validate_against_exact_ror", drifted)
+    assert run_cli(tmp_path, "--exact-ror") == 2
+    err = capsys.readouterr().err
+    assert "error: exact ROR failed: optimal point breaks" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ror_report.json").exists()
+
+
 @pytest.mark.parametrize("ref", [[1], 2.0, {"j": 1}])
 def test_invalid_criterion_reference_exits_1(tmp_path, capsys, ref):
     bad = tmp_path / "bad.jsonl"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from smaa_promethee.bipolar import ParameterLayout
+from smaa_promethee.bipolar import ParameterLayout, flow_coefficients
 from smaa_promethee.elicitation import (
     ConstraintRow,
     ConstraintSystem,
@@ -14,13 +14,24 @@ from smaa_promethee.elicitation import (
     parse_statements,
     restrict_classical,
 )
-from smaa_promethee.lp import EPS_CAP, _pivot, exact_ror_pair, max_epsilon
+from smaa_promethee import lp
+from smaa_promethee.lp import (
+    EPS_CAP,
+    FEASIBILITY_TOL,
+    ROR_EPS_MIN,
+    _pivot,
+    max_epsilon,
+    maximise,
+)
+from smaa_promethee.smaa import exact_ror_matrices
 
 from conftest import (
     FIXTURES,
+    benchmark_instance,
     bicapacity_problem,
     full_monotonicity_system,
     random_table,
+    ror_trials,
 )
 
 
@@ -274,8 +285,8 @@ def test_determinism(students):
 
 def test_exact_ror_reflexive_and_dominance(students):
     system = compile_statements(students, [])
-    verdict = exact_ror_pair(system, students, "s1", "s1")
-    assert verdict.possible and verdict.necessary
+    possible, necessary = exact_ror_matrices(system, students)
+    assert np.all(np.diag(possible)) and np.all(np.diag(necessary))
 
     # no student dominates another outright, so build a dominance pair
     rng = np.random.default_rng(1)
@@ -283,11 +294,18 @@ def test_exact_ror_reflexive_and_dominance(students):
     evals = table.evaluations.copy()
     evals[0] = evals[1] + 3.0
     dom = type(table)(table.alternatives, table.criteria, evals)
-    dom_system = compile_statements(dom, [])
-    verdict = exact_ror_pair(dom_system, dom, "x1", "x2")
-    assert verdict.necessary and verdict.possible
-    reverse = exact_ror_pair(dom_system, dom, "x2", "x1")
-    assert not reverse.necessary
+    possible, necessary = exact_ror_matrices(compile_statements(dom, []), dom)
+    assert necessary[0, 1] and possible[0, 1]
+    assert not necessary[1, 0]
+
+    # identical alternatives tie under every parameter set: the optimum of
+    # F_a - F_b is exactly 0, so each possibly and necessarily outranks
+    # the other
+    evals[2] = evals[1]
+    twins = type(table)(table.alternatives, table.criteria, evals)
+    possible, necessary = exact_ror_matrices(compile_statements(twins, []), twins)
+    assert possible[1, 2] and possible[2, 1]
+    assert necessary[1, 2] and necessary[2, 1]
 
 
 def test_exact_ror_necessary_implies_possible(students):
@@ -295,11 +313,149 @@ def test_exact_ror_necessary_implies_possible(students):
         students, parse_statements(FIXTURES / "scenario1.jsonl")
     )
     classical = restrict_classical(system)
-    for a in ("s3", "s7", "s2"):
-        for b in ("s3", "s7", "s2"):
-            verdict = exact_ror_pair(classical, students, a, b)
-            if verdict.necessary:
-                assert verdict.possible
+    possible, necessary = exact_ror_matrices(classical, students)
+    assert necessary.any() and not necessary.all()
+    assert np.all(possible[necessary])
+
+
+def test_exact_ror_without_compatible_set_keeps_vacuous_verdicts():
+    layout = ParameterLayout(2)
+    # both strict rows hold only at margin 0, below ROR_EPS_MIN
+    system = two_weight_system(
+        [strict_row(layout, 0, 1), strict_row(layout, 1, 0)]
+    )
+    table = random_table(np.random.default_rng(3), 3, 2, q=0.0, p=2.0)
+    possible, necessary = exact_ror_matrices(system, table)
+    off = ~np.eye(3, dtype=bool)
+    assert not possible[off].any() and necessary[off].all()
+    assert possible.diagonal().all() and necessary.diagonal().all()
+
+
+def scipy_ror_matrices(system: ConstraintSystem, table):
+    """Possible/necessary matrices from one scipy LP per ordered pair."""
+    a_eq, b_eq, _, a_ub, b_ub, _ = system.split()
+    flow_pos, flow_neg = flow_coefficients(table, system.layout)
+    net = flow_pos - flow_neg
+    m = len(table.alternatives)
+    possible = np.eye(m, dtype=bool)
+    necessary = np.ones((m, m), dtype=bool)
+    bounds = [(None, None)] * system.layout.size + [(ROR_EPS_MIN, EPS_CAP)]
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            c = np.zeros(system.n_cols)
+            c[: system.layout.size] = net[b] - net[a]
+            res = linprog(
+                c,
+                A_ub=a_ub if a_ub.size else None,
+                b_ub=b_ub if b_ub.size else None,
+                A_eq=a_eq if a_eq.size else None,
+                b_eq=b_eq if b_eq.size else None,
+                bounds=bounds,
+                method="highs",
+            )
+            if res.status == 2:
+                possible[a, b] = False
+                continue
+            assert res.status == 0, res.message
+            best = -res.fun  # max of F_a - F_b
+            possible[a, b] = best >= -FEASIBILITY_TOL
+            necessary[b, a] = best < ROR_EPS_MIN - FEASIBILITY_TOL
+    return possible, necessary
+
+
+def ror_oracle_cases(tmp_path):
+    # trial 3 crashed the two-LPs-per-pair sweep and trial 23 gave a false
+    # possible verdict, as did the benchmark's n = 5 synthetic instance
+    trials = ror_trials(24)
+    cases = [(f"trial {t}", *trials[t]) for t in (0, 1, 2, 3, 23)]
+    table, statements = benchmark_instance(
+        tmp_path, 1, m=8, n=5, p=4.0, interactions=True, statement_count=4)
+    cases.append(("synthetic n5", table, statements))
+    return cases
+
+
+def test_exact_ror_matches_scipy(tmp_path):
+    for name, table, statements in ror_oracle_cases(tmp_path):
+        full = compile_statements(table, statements)
+        for form, system in (("bipolar", full), ("classical", restrict_classical(full))):
+            mine = exact_ror_matrices(system, table)
+            ref = scipy_ror_matrices(system, table)
+            assert np.array_equal(mine[0], ref[0]), (name, form, "possible")
+            assert np.array_equal(mine[1], ref[1]), (name, form, "necessary")
+
+
+def test_drifted_tableau_raises_instead_of_answering():
+    # the pair LP "x8 possibly outranks x6" on trial 23: the tableau drifts
+    # until phase 1 reports a negative sum of artificials, and the point it
+    # would return breaks the normalisation
+    table, statements = ror_trials(24)[23]
+    system = compile_statements(table, statements)
+    flow_pos, flow_neg = flow_coefficients(table, system.layout)
+    net = flow_pos - flow_neg
+    diff = np.zeros(system.n_cols)
+    diff[: system.layout.size] = (
+        net[table.alternative_index("x8")] - net[table.alternative_index("x6")]
+    )
+    eps = np.eye(system.n_cols)[system.eps_col]
+    pair_lp = system.with_rows([
+        ConstraintRow(eps, ">=", ROR_EPS_MIN, "margin floor"),
+        ConstraintRow(diff, ">=", 0.0, "test x8 >= x6"),
+    ])
+    with pytest.raises(RuntimeError, match="negative sum of artificials"):
+        max_epsilon(pair_lp)
+
+
+def test_optimum_off_the_rows_raises(students, monkeypatch):
+    system = compile_statements(
+        students, parse_statements(FIXTURES / "scenario1.jsonl")
+    )
+    real_point = lp._point
+
+    def drifted(T, basis, n_vars):
+        return real_point(T, basis, n_vars) + 1e-6
+
+    monkeypatch.setattr(lp, "_point", drifted)
+    with pytest.raises(RuntimeError, match="breaks a constraint row"):
+        max_epsilon(system)
+
+
+def test_warm_started_objectives_match_cold_solves_and_scipy():
+    rng = np.random.default_rng(19)
+    table, statements = bicapacity_problem(rng, 7, 4)
+    system = compile_statements(table, statements)
+    eps = np.eye(system.n_cols)[system.eps_col]
+    bounded = system.with_rows([
+        ConstraintRow(eps, ">=", ROR_EPS_MIN, "margin floor"),
+        ConstraintRow(eps, "<=", EPS_CAP, "margin cap"),
+    ])
+    a_eq, b_eq, _, a_ub, b_ub, _ = bounded.split()
+    objectives = np.vstack([eps, rng.normal(size=(6, system.n_cols))])
+    warm = maximise(a_eq, b_eq, a_ub, b_ub, objectives)
+    assert warm.feasible and warm.points.shape == objectives.shape
+    for c, value, point in zip(objectives, warm.values, warm.points):
+        cold = maximise(a_eq, b_eq, a_ub, b_ub, c)
+        assert cold.values.shape == (1,)
+        ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=[(None, None)] * system.n_cols, method="highs")
+        assert ref.status == 0, ref.message
+        assert value == pytest.approx(cold.values[0], abs=1e-9)
+        assert value == pytest.approx(-ref.fun, abs=1e-9)
+        assert float(c @ point) == pytest.approx(value, abs=1e-12)
+
+
+def test_single_objective_reproduces_margin_solution(students_ramp):
+    system = compile_statements(
+        students_ramp, parse_statements(FIXTURES / "scenario2.jsonl")
+    )
+    out = max_epsilon(system)
+    eps = np.eye(system.n_cols)[system.eps_col]
+    capped = system.with_rows([ConstraintRow(eps, "<=", EPS_CAP, "margin cap")])
+    a_eq, b_eq, _, a_ub, b_ub, _ = capped.split()
+    res = maximise(a_eq, b_eq, a_ub, b_ub, eps)
+    assert np.array_equal(res.points[0], out.solution)
+    assert res.values[0] == out.eps_star
 
 
 def test_binding_origins_meaningful(students):
