@@ -5,7 +5,8 @@ refill of pre-drawn directions and uniforms moves every chain up to R
 steps, with one GEMM for all chord coefficients of the refill and every
 step vectorised over the chains, so a seed gives bit-identical samples on
 a given numpy build. Relation counting tallies vectorised comparisons
-over one unordered pair of alternatives at a time.
+over one unordered pair of alternatives at a time and counts each
+comparison mask by popcount, 8 samples per 64-bit word.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, retry_budget,
     return status, consumed
 
 
+def _row_counts(mask):
+    """True entries per row of a (rows, 8k) bool array: one popcount per
+    8-byte word, since each True byte holds a single set bit."""
+    return np.bitwise_count(mask.view(np.uint64)).sum(axis=1, dtype=np.int64)
+
+
 def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
                     p2_pref, p2_ind, first_mask):
     """Accumulate relation counts for one block of per-sample flows.
@@ -104,38 +111,53 @@ def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
     at a time, so working memory stays O(samples * m). The reverse
     direction reuses the same differences: IEEE subtraction is exactly
     antisymmetric (``b - a == -(a - b)``), so ``x_k - x_i > tau`` is
-    ``x_i - x_k < -tau`` bit for bit.
+    ``x_i - x_k < -tau`` bit for bit. Comparison masks are counted by
+    popcount over 8 samples at a time.
     """
     if not tau >= 0.0:
         raise ValueError(f"tie tolerance must be non-negative, got {tau!r}")
     n_samples, m = pos.shape
-    # alternative-major copies, so each alternative's samples are contiguous
-    pos_t = np.ascontiguousarray(pos.T)
-    neg_t = np.ascontiguousarray(neg.T)
+    # alternative-major copies, so each alternative's samples are contiguous,
+    # zero-padded to whole 8-byte words of mask: a padding sample has equal
+    # flows everywhere, so with tau >= 0 no strict comparison marks it
+    width = -(-n_samples // 8) * 8
+    pos_t = np.zeros((m, width))
+    neg_t = np.zeros((m, width))
+    pos_t[:, :n_samples] = pos.T
+    neg_t[:, :n_samples] = neg.T
     net_t = pos_t - neg_t
-    # above[i, s]: alternatives whose net flow beats i's by more than tau
-    above = np.zeros((m, n_samples), dtype=np.int64)
-    diff_buf = np.empty((m - 1, n_samples))
-    gt_buf = np.empty((m - 1, n_samples), dtype=bool)
+    # above[i, s]: alternatives whose net flow beats i's by more than tau.
+    # Each pass adds at most 1 per entry of gained, so it tallies in uint8
+    # and empties into above every 255 passes.
+    above = np.zeros((m, width), dtype=np.int32)
+    gained = np.zeros((m, width), dtype=np.uint8)
+    diff_buf = np.empty((m - 1, width))
+    gt_buf = np.empty((m - 1, width), dtype=bool)
     lt_buf = np.empty_like(gt_buf)
+    tmp_buf = np.empty_like(gt_buf)
     for i in range(m - 1):
         rest = slice(i + 1, m)
         r = m - 1 - i
-        diff, gt, lt = diff_buf[:r], gt_buf[:r], lt_buf[:r]
+        diff, gt, lt, tmp = diff_buf[:r], gt_buf[:r], lt_buf[:r], tmp_buf[:r]
 
         # P2 on net flows: gt is i P k, lt is k P i, the rest is I
         np.subtract(net_t[i], net_t[rest], out=diff)
         np.greater(diff, tau, out=gt)
         np.less(diff, -tau, out=lt)
-        n_gt = np.count_nonzero(gt, axis=1)
-        n_lt = np.count_nonzero(lt, axis=1)
+        n_gt = _row_counts(gt)
+        n_lt = _row_counts(lt)
         p2_pref[i, rest] += n_gt
         p2_pref[rest, i] += n_lt
         tie = n_samples - n_gt - n_lt
         p2_ind[i, rest] += tie
         p2_ind[rest, i] += tie
-        above[i] += np.count_nonzero(lt, axis=0)
-        above[rest] += gt
+        # column sums in uint8 cannot overflow in blocks of 255 rows
+        for lo in range(0, r, 255):
+            above[i] += lt[lo:lo + 255].view(np.uint8).sum(axis=0, dtype=np.uint8)
+        np.add(gained[rest], gt.view(np.uint8), out=gained[rest])
+        if i % 255 == 254:
+            above += gained
+            gained.fill(0)
 
         # P1: ahead marks i ahead on some flow, behind marks k ahead on one;
         # one-sided is a preference, neither is I, both is R
@@ -144,11 +166,11 @@ def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
         np.greater(diff, tau, out=ahead)
         np.less(diff, -tau, out=behind)
         np.subtract(neg_t[i], neg_t[rest], out=diff)
-        ahead |= diff < -tau
-        behind |= diff > tau
-        n_ahead = np.count_nonzero(ahead, axis=1)
-        n_behind = np.count_nonzero(behind, axis=1)
-        n_both = np.count_nonzero(ahead & behind, axis=1)
+        ahead |= np.less(diff, -tau, out=tmp)
+        behind |= np.greater(diff, tau, out=tmp)
+        n_ahead = _row_counts(ahead)
+        n_behind = _row_counts(behind)
+        n_both = _row_counts(np.bitwise_and(ahead, behind, out=tmp))
         p1_pref[i, rest] += n_ahead - n_both
         p1_pref[rest, i] += n_behind - n_both
         p1_inc[i, rest] += n_both
@@ -157,6 +179,8 @@ def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
         p1_ind[i, rest] += ind
         p1_ind[rest, i] += ind
 
+    above += gained
+    above = above[:, :n_samples]
     for i in range(m):
         rank_counts[i] += np.bincount(above[i], minlength=m)
     first_mask[:] = (above == 0).T

@@ -10,14 +10,13 @@ sampling failed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .elicitation import compile_statements, parse_statements, restrict_classical
 from .lp import max_epsilon
 from .model import load_problem
-from .reports import render_csv, render_text, results_to_dict
+from .reports import render_csv, render_text, results_to_dict, to_json
 from .sampler import SamplerConfig, build_polytope, hit_and_run
 from .smaa import aggregate, validate_against_exact_ror
 
@@ -63,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(to_json(payload) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

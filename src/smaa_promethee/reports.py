@@ -5,33 +5,59 @@ rounded value is what every format carries: a number printed in the text
 or CSV table re-parses to exactly the number stored in the JSON report.
 Parameter vectors round to 6 decimals under the same contract. Nothing
 here depends on time, locale or dict iteration order.
+
+Each matrix is rounded in one numpy pass that reproduces Python's
+``round`` (only cells next to a decimal tie go through ``round`` itself),
+and each format is built with one join per matrix or list rather than one
+call per cell. ``to_json`` is the one JSON writer of the command line: it
+gives exactly the text of ``json.dump(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+from itertools import chain
 
 import numpy as np
 
 from .smaa import SmaaResults
 
-__all__ = ["results_to_dict", "render_text", "render_csv"]
+__all__ = ["results_to_dict", "render_text", "render_csv", "to_json"]
 
 PCT_DECIMALS = 3
 PARAM_DECIMALS = 6
 
+# a scaled value this close to k + 0.5 may round either way in floating
+# point, so it goes through Python's correctly rounded ``round``
+_TIE_BAND = 1e-6
+# below this magnitude the scaled product errs by under 1.2e-7 < _TIE_BAND;
+# larger and non-finite values go through ``round`` as well
+_SCALED_LIMIT = 2.0**30
 
-def _pct(fraction: float) -> float:
-    return round(float(fraction) * 100.0, PCT_DECIMALS)
 
+def _rounded(values, decimals: int) -> list:
+    """``round(float(v), decimals)`` for every entry, as nested lists.
 
-def _param(value: float) -> float:
-    return round(float(value), PARAM_DECIMALS)
+    ``rint(v * 10**decimals) / 10**decimals`` picks the same integer as
+    Python's correctly rounded ``round`` unless the product sits next to a
+    .5 tie (or is too large to tell), and dividing that integer gives the
+    nearest double to the decimal, which is what ``round`` returns.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    scale = 10.0**decimals
+    scaled = values * scale
+    out = np.rint(scaled) / scale
+    with np.errstate(invalid="ignore"):
+        near_tie = np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_BAND
+        exact = near_tie | ~(np.abs(scaled) < _SCALED_LIMIT)
+    out[exact] = [round(v, decimals) for v in values[exact].tolist()]
+    return out.tolist()
 
 
 def _pct_matrix(mat: np.ndarray) -> list[list[float]]:
-    return [[_pct(v) for v in row] for row in mat]
+    return _rounded(np.asarray(mat, dtype=np.float64) * 100.0, PCT_DECIMALS)
 
 
 def results_to_dict(results: SmaaResults) -> dict:
@@ -39,7 +65,7 @@ def results_to_dict(results: SmaaResults) -> dict:
     central = {}
     for name in alts:
         if name in results.central_weights:
-            central[name] = [_param(v) for v in results.central_weights[name]]
+            central[name] = _rounded(results.central_weights[name], PARAM_DECIMALS)
     return {
         "mode": results.mode,
         "sample_count": results.sample_count,
@@ -52,7 +78,7 @@ def results_to_dict(results: SmaaResults) -> dict:
         "p1_indifference_pct": _pct_matrix(results.p1_indiff),
         "p1_incomparability_pct": _pct_matrix(results.p1_incomp),
         "central_weights": central,
-        "barycenter": [_param(v) for v in results.barycenter],
+        "barycenter": _rounded(results.barycenter, PARAM_DECIMALS),
         "ror_possible_approx": results.ror_possible_approx.tolist(),
         "ror_necessary_approx": results.ror_necessary_approx.tolist(),
     }
@@ -62,11 +88,12 @@ def _matrix_block(title: str, row_labels: list[str], col_labels: list[str],
                   rows: list[list[float]], decimals: int) -> list[str]:
     width = max(10, max(len(c) for c in col_labels) + 2)
     label_w = max(len(r) for r in row_labels) + 2
+    # printf-style "%-Ns" and "%N.Df" lay out exactly as the format specs
+    # "<N" and ">N.Df" do, and apply faster
+    fmt = f"%-{label_w}s" + f"%{width}.{decimals}f" * len(col_labels)
     lines = [title]
     lines.append(" " * label_w + "".join(f"{c:>{width}}" for c in col_labels))
-    for label, row in zip(row_labels, rows):
-        cells = "".join(f"{v:>{width}.{decimals}f}" for v in row)
-        lines.append(f"{label:<{label_w}}" + cells)
+    lines += [fmt % (label, *row) for label, row in zip(row_labels, rows)]
     lines.append("")
     return lines
 
@@ -83,26 +110,14 @@ def render_text(report: dict) -> str:
         "Rank acceptability (%)", alts, ranks,
         report["rank_acceptability_pct"], PCT_DECIMALS,
     )
-    lines += _matrix_block(
-        "Complete-ranking preference frequency (%)", alts, alts,
-        report["p2_preference_pct"], PCT_DECIMALS,
-    )
-    lines += _matrix_block(
-        "Complete-ranking indifference frequency (%)", alts, alts,
-        report["p2_indifference_pct"], PCT_DECIMALS,
-    )
-    lines += _matrix_block(
-        "Partial-order preference frequency (%)", alts, alts,
-        report["p1_preference_pct"], PCT_DECIMALS,
-    )
-    lines += _matrix_block(
-        "Partial-order indifference frequency (%)", alts, alts,
-        report["p1_indifference_pct"], PCT_DECIMALS,
-    )
-    lines += _matrix_block(
-        "Partial-order incomparability frequency (%)", alts, alts,
-        report["p1_incomparability_pct"], PCT_DECIMALS,
-    )
+    for title, key in (
+        ("Complete-ranking preference frequency (%)", "p2_preference_pct"),
+        ("Complete-ranking indifference frequency (%)", "p2_indifference_pct"),
+        ("Partial-order preference frequency (%)", "p1_preference_pct"),
+        ("Partial-order indifference frequency (%)", "p1_indifference_pct"),
+        ("Partial-order incomparability frequency (%)", "p1_incomparability_pct"),
+    ):
+        lines += _matrix_block(title, alts, alts, report[key], PCT_DECIMALS)
     central_rows = [report["central_weights"][a] for a in alts
                     if a in report["central_weights"]]
     central_labels = [a for a in alts if a in report["central_weights"]]
@@ -119,10 +134,10 @@ def render_text(report: dict) -> str:
     def grid(title: str, matrix: list[list[bool]]) -> list[str]:
         width = max(6, max(len(c) for c in alts) + 2)
         label_w = max(len(r) for r in alts) + 2
+        cell = (".".rjust(width), "X".rjust(width))
         out = [title, " " * label_w + "".join(f"{c:>{width}}" for c in alts)]
-        for label, row in zip(alts, matrix):
-            cells = "".join(f"{'X' if v else '.':>{width}}" for v in row)
-            out.append(f"{label:<{label_w}}" + cells)
+        out += [f"{label:<{label_w}}" + "".join(map(cell.__getitem__, row))
+                for label, row in zip(alts, matrix)]
         out.append("")
         return out
 
@@ -133,28 +148,79 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def render_csv(report: dict) -> str:
-    """Long-format CSV: section, row label, column label, value."""
-    alts = report["alternatives"]
-    params = report["parameters"]
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row (QUOTE_MINIMAL)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "row", "col", "value"])
+    # a second field, so an empty label is not quoted as a lone empty row
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
-    def emit(section: str, row_labels, col_labels, rows) -> None:
-        for label, row in zip(row_labels, rows):
-            for col, v in zip(col_labels, row):
-                writer.writerow([section, label, col, v])
 
+def render_csv(report: dict) -> str:
+    """Long-format CSV: section, row label, column label, value.
+
+    Values are numbers or booleans, which ``csv.writer`` never quotes and
+    writes as ``str(value)``; labels are quoted once each.
+    """
+    alts = list(map(_csv_field, report["alternatives"]))
+    params = list(map(_csv_field, report["parameters"]))
     ranks = [f"r{r}" for r in range(1, len(alts) + 1)]
-    emit("rank_acceptability_pct", alts, ranks, report["rank_acceptability_pct"])
+    out = ["section,row,col,value\n"]
+
+    def keys(row_labels, col_labels) -> list[str]:
+        return [f"{row},{col}," for row in row_labels for col in col_labels]
+
+    def emit(section: str, cell_keys: list[str], rows) -> None:
+        if cell_keys:
+            lead = f"{_csv_field(section)},"
+            cells = map(str.__add__, cell_keys, map(str, chain.from_iterable(rows)))
+            out.append(lead + f"\n{lead}".join(cells) + "\n")
+
+    pairs = keys(alts, alts)
+    emit("rank_acceptability_pct", keys(alts, ranks), report["rank_acceptability_pct"])
     for key in ("p2_preference_pct", "p2_indifference_pct", "p1_preference_pct",
                 "p1_indifference_pct", "p1_incomparability_pct"):
-        emit(key, alts, alts, report[key])
-    for name in alts:
-        if name in report["central_weights"]:
-            emit("central_weights", [name], params, [report["central_weights"][name]])
-    emit("barycenter", ["all"], params, [report["barycenter"]])
+        emit(key, pairs, report[key])
+    central = [(label, report["central_weights"][name])
+               for name, label in zip(report["alternatives"], alts)
+               if name in report["central_weights"]]
+    emit("central_weights", keys([label for label, _ in central], params),
+         [vec for _, vec in central])
+    emit("barycenter", keys(["all"], params), [report["barycenter"]])
     for key in ("ror_possible_approx", "ror_necessary_approx"):
-        emit(key, alts, alts, report[key])
-    return buf.getvalue()
+        emit(key, pairs, report[key])
+    return "".join(out)
+
+
+def _json_text(value, newline: str) -> str:
+    """One value of ``to_json`` whose lines continue with ``newline``."""
+    inner = newline + "  "
+    sep = "," + inner
+    if type(value) is list and value:
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            text = sep.join(map(float.__repr__, value))
+            # NaN and infinities are the only reprs with an "n"; JSON spells
+            # them differently, so such a list takes the general path below
+            if "n" not in text:
+                return "[" + inner + text + newline + "]"
+        if kinds == {bool}:
+            cells = map(("false", "true").__getitem__, value)
+        else:
+            cells = (_json_text(v, inner) for v in value)
+        return "[" + inner + sep.join(cells) + newline + "]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        cells = (json.dumps(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items()))
+        return "{" + inner + sep.join(cells) + newline + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def to_json(payload) -> str:
+    """Exactly the text of ``json.dump(payload, indent=2, sort_keys=True)``.
+
+    Lists of plain floats or of bools are written with one join each;
+    everything else, strings, ``None`` and non-finite floats included, is
+    written by ``json.dumps`` itself.
+    """
+    return _json_text(payload, "\n")

@@ -247,7 +247,7 @@ class SampleBatch:
         """Row-major little-endian float64 dump plus a JSON sidecar."""
         payload = np.ascontiguousarray(self.data, dtype="<f8")
         with open(path, "wb") as fh:
-            fh.write(payload.tobytes())
+            fh.write(memoryview(payload))
         sidecar = {
             "variable_index": {name: i for i, name in enumerate(self.columns)},
             "columns": list(self.columns),

@@ -269,6 +269,37 @@ def test_count_relations_matches_plain_python():
     assert np.array_equal(first, ref_first)
 
 
+def test_count_relations_padding_stays_out_of_every_count():
+    # masks are counted 8 samples at a time: sample counts that are not a
+    # multiple of 8 leave padding, which must count as no relation at all
+    tau = 0.25
+    for n_samples in (1, 7, 9, 150):
+        for m in (2, 6):
+            rng = np.random.default_rng([n_samples, m])
+            pos = rng.integers(0, 4, size=(n_samples, m)) * 0.25
+            neg = rng.integers(0, 4, size=(n_samples, m)) * 0.25
+            ref, ref_first = plain_python_counts(pos, neg, tau)
+            acc, first = run_counts(pos, neg, tau)
+            for key in ref:
+                assert np.array_equal(acc[key], ref[key]), (n_samples, m, key)
+            assert np.array_equal(first, ref_first), (n_samples, m)
+            assert np.all(acc["rank_counts"].sum(axis=1) == n_samples)
+
+
+def test_count_relations_beyond_255_alternatives():
+    # rank tallies gather in uint8 between flushes and column sums run in
+    # blocks of 255 rows: at m = 300 ranks reach 299, past a uint8
+    rng = np.random.default_rng(300)
+    pos = rng.random((3, 300))
+    neg = rng.random((3, 300))
+    ref, ref_first = plain_python_counts(pos, neg, 1e-9)
+    assert np.nonzero(ref["rank_counts"])[1].max() > 255
+    acc, first = run_counts(pos, neg, 1e-9)
+    for key in ref:
+        assert np.array_equal(acc[key], ref[key]), key
+    assert np.array_equal(first, ref_first)
+
+
 def test_count_relations_rejects_negative_tolerance():
     pos, neg = random_flow_block(5, n_samples=10, m=4)
     with pytest.raises(ValueError, match="non-negative"):
