@@ -221,6 +221,12 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise ValueError(f"{where}: {msg}")
 
 
+def _two(value, where: str, msg: str) -> list:
+    """``value`` when it is a JSON list of two entries; ``msg`` otherwise."""
+    _require(isinstance(value, list) and len(value) == 2, where, msg)
+    return value
+
+
 def parse_statement(obj: dict, where: str = "statement") -> Statement:
     """Build a statement from one decoded JSON object."""
     _require(isinstance(obj, dict), where, "expected a JSON object")
@@ -235,7 +241,8 @@ def parse_statement(obj: dict, where: str = "statement") -> Statement:
         "opposing_power": OpposingPower,
     }
     stype = obj.get("type")
-    _require(stype in kind_map, where, f"unknown statement type {stype!r}")
+    _require(isinstance(stype, str) and stype in kind_map, where,
+             f"unknown statement type {stype!r}")
     try:
         if stype in ("local_pair", "global_p1", "global_p2"):
             st = kind_map[stype](
@@ -244,8 +251,8 @@ def parse_statement(obj: dict, where: str = "statement") -> Statement:
             _require(st.kind in ("P", "I"), where, f"kind must be P or I, got {st.kind!r}")
             _require(st.a != st.b, where, "the two alternatives must differ")
         elif stype == "intensity":
-            p1, p2 = obj["pair1"], obj["pair2"]
-            _require(len(p1) == 2 and len(p2) == 2, where, "pairs must have two labels")
+            p1, p2 = (_two(obj[key], where, "pairs must have two labels")
+                      for key in ("pair1", "pair2"))
             st = Intensity(
                 pair1=(str(p1[0]), str(p1[1])),
                 pair2=(str(p2[0]), str(p2[1])),
@@ -261,10 +268,9 @@ def parse_statement(obj: dict, where: str = "statement") -> Statement:
             st = InteractionSign(j=obj["j"], k=obj["k"], sign=str(obj.get("sign", "+")))
             _require(st.sign in ("+", "-", "0"), where, f"bad sign {st.sign!r}")
         elif stype == "interaction_magnitude":
-            p1, p2 = obj["pair1"], obj["pair2"]
-            signs = obj.get("signs", ["+", "+"])
-            _require(len(p1) == 2 and len(p2) == 2, where, "pairs must have two criteria")
-            _require(len(signs) == 2, where, "signs must have two entries")
+            p1, p2 = (_two(obj[key], where, "pairs must have two criteria")
+                      for key in ("pair1", "pair2"))
+            signs = _two(obj.get("signs", ["+", "+"]), where, "signs must have two entries")
             st = InteractionMagnitude(
                 pair1=(p1[0], p1[1]),
                 pair2=(p2[0], p2[1]),
@@ -538,16 +544,10 @@ def restrict_classical(system: ConstraintSystem) -> ConstraintSystem:
     """
     layout = system.layout
     extra = []
-    for j, k in layout.pair_keys:
+    for col in range(layout.n, layout.size):
         row = np.zeros(layout.size + 1)
-        row[layout.pair_col(j, k)] = 1.0
+        row[col] = 1.0
         extra.append(
-            ConstraintRow(row, "=", 0.0, f"classical restriction pair_{j + 1},{k + 1}")
-        )
-    for j, k in layout.opp_keys:
-        row = np.zeros(layout.size + 1)
-        row[layout.opp_col(j, k)] = 1.0
-        extra.append(
-            ConstraintRow(row, "=", 0.0, f"classical restriction opp_{j + 1}|{k + 1}")
+            ConstraintRow(row, "=", 0.0, "classical restriction " + layout.names[col])
         )
     return system.with_rows(extra)

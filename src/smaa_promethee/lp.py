@@ -43,6 +43,10 @@ FEASIBILITY_TOL = 1e-8
 ROR_EPS_MIN = 1e-6
 
 _PIVOT_TOL = 1e-10
+# largest-coefficient pivots before Bland's rule takes over, and the cap
+# on pivots per phase
+_BLAND_AFTER = 5000
+_MAX_PIVOTS = 200000
 
 
 @dataclass(frozen=True)
@@ -100,21 +104,15 @@ def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
             obj -= obj[col] * T[r]
 
 
-def _run_phase(
-    T: np.ndarray,
-    basis: np.ndarray,
-    allowed: np.ndarray,
-    bland_after: int = 5000,
-    max_iter: int = 200000,
-) -> str:
+def _run_phase(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
     """Pivot the tableau to optimality. Objective row is last, rhs last col."""
     n_rows = T.shape[0] - 1
-    for it in range(max_iter):
+    for it in range(_MAX_PIVOTS):
         obj = T[-1, :-1]
         candidates = np.flatnonzero(allowed & (obj < -_PIVOT_TOL))
         if candidates.size == 0:
             return "optimal"
-        if it < bland_after:
+        if it < _BLAND_AFTER:
             col = candidates[np.argmin(obj[candidates])]
         else:
             col = candidates[0]  # Bland: smallest index, no cycling
@@ -244,7 +242,7 @@ def _binding_origins(
     return tuple(out)
 
 
-def max_epsilon(system: ConstraintSystem, eps_cap: float = EPS_CAP) -> LpOutcome:
+def max_epsilon(system: ConstraintSystem) -> LpOutcome:
     """Maximise the strict-preference margin over the constraint system.
 
     The margin is a free variable, so an over-constrained but consistent
@@ -252,7 +250,7 @@ def max_epsilon(system: ConstraintSystem, eps_cap: float = EPS_CAP) -> LpOutcome
     "infeasible" is reserved for systems with no solution at any margin.
     """
     cap_row = ConstraintRow(
-        coefs=np.eye(system.n_cols)[system.eps_col], rel="<=", rhs=eps_cap,
+        coefs=np.eye(system.n_cols)[system.eps_col], rel="<=", rhs=EPS_CAP,
         origin="margin cap",
     )
     capped = system.with_rows([cap_row])

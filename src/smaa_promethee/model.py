@@ -132,16 +132,27 @@ class PerformanceTable:
         return (self.evaluations[:, None, :] - self.evaluations[None, :, :]) * dirs
 
 
-def _parse_criterion(obj: dict) -> Criterion:
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _parse_criterion(obj, where: str) -> Criterion:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {obj!r}")
+    if "name" not in obj:
+        raise ValueError(f"{where}: missing key 'name'")
     try:
         direction = _DIRECTIONS[obj.get("direction", "max")]
-    except KeyError:
-        raise ValueError(f"bad direction {obj.get('direction')!r}") from None
+    except (KeyError, TypeError):
+        raise ValueError(f"{where}: bad direction {obj.get('direction')!r}") from None
     return Criterion(
         name=str(obj["name"]),
         direction=direction,
-        q=float(obj.get("q", 0.0)),
-        p=float(obj.get("p", 0.0)),
+        q=_number(obj.get("q", 0.0), f"{where}: q"),
+        p=_number(obj.get("p", 0.0), f"{where}: p"),
     )
 
 
@@ -153,19 +164,33 @@ def load_problem(path: str | Path) -> PerformanceTable:
         {"criteria": [{"name": ..., "direction": ..., "q": ..., "p": ...}, ...],
          "alternatives": ["s1", ...],
          "evaluations": [[...], ...]}
+
+    Any malformed content raises ``ValueError`` prefixed with the path.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    for key in ("criteria", "alternatives", "evaluations"):
-        if key not in data:
-            raise ValueError(f"{path}: missing key {key!r}")
-    criteria = tuple(_parse_criterion(c) for c in data["criteria"])
-    alternatives = tuple(str(a) for a in data["alternatives"])
-    evals = np.asarray(data["evaluations"], dtype=float)
-    return PerformanceTable(alternatives, criteria, evals)
+    try:
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {data!r}")
+        for key in ("criteria", "alternatives", "evaluations"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+            if not isinstance(data[key], list):
+                raise ValueError(f"{key!r} must be a list, got {data[key]!r}")
+        criteria = tuple(_parse_criterion(c, f"criterion {i}")
+                         for i, c in enumerate(data["criteria"], start=1))
+        alternatives = tuple(str(a) for a in data["alternatives"])
+        try:
+            evals = np.asarray(data["evaluations"], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("'evaluations' must be a rectangular table of "
+                             "numbers, one row per alternative") from None
+        return PerformanceTable(alternatives, criteria, evals)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_evaluations_csv(

@@ -9,9 +9,12 @@ the affine offset. The strict-preference margin is fixed to
 the closure, whose boundary has measure zero.
 
 ``hit_and_run`` runs C independent chains from the same interior start,
-each with its own burn-in, and steps them together (see
-``_kernels.chain_steps``). C is derived from the configuration so that
-burn-in work never exceeds sampling work.
+each with its own burn-in, and ``chain_steps`` steps them together in
+numpy: one refill of pre-drawn directions and uniforms moves every chain
+up to R steps, with one GEMM for all chord coefficients of the refill and
+every step vectorised over the chains, so a seed gives bit-identical
+samples on a given numpy build. C is derived from the configuration so
+that burn-in work never exceeds sampling work.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import CHAIN_STUCK, CHAIN_UNBOUNDED, chain_steps
 from .elicitation import ConstraintSystem
 from .lp import FEASIBILITY_TOL, LpOutcome, max_epsilon, maximise
 
@@ -38,6 +40,9 @@ __all__ = [
 _NULLSPACE_TOL = 1e-10
 _OUTPUT_FEAS_TOL = 1e-9
 _RETRY_BUDGET = 100
+# a chord narrower than this is treated as numerically empty
+_CHORD_TOL = 1e-12
+_DOT_TOL = 1e-14
 _MAX_CHAINS = 64
 # fixed refill size: the draw order (directions then uniforms per refill)
 # is part of the deterministic stream for a given seed
@@ -285,6 +290,72 @@ def _chain_count(config: SamplerConfig) -> int:
                max(1, work // max(config.burn_in, 1)))
 
 
+def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out):
+    """Advance C chains on ``A @ y <= b`` through one refill of draws.
+
+    ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
+    steps done, samples kept and consecutive empty-chord retries of each
+    chain; both are updated in place. Row r of ``dirs`` (R, C, k, not
+    normalised) and ``uniforms`` (R, C) drives step attempt r of every
+    chain. An empty chord leaves its chain in place and counts as a retry,
+    not a step. Chain c keeps ``quota[c]`` thinned post-burn-in points,
+    written chain-major into ``out``: its block starts after the quotas of
+    the chains before it.
+
+    Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
+    consecutive empty chords, or when a chain that still has steps to do
+    draws a direction along which the chord is unbounded; ``state``,
+    ``Y`` and ``out`` then hold every step made before the chain stopped.
+    """
+    steps, kept, retries = state
+    total = burn_in + quota * thinning
+    first = np.cumsum(quota) - quota
+    # next output row of each chain, and the step count that fills it
+    slot = first + kept
+    due = burn_in + (kept + 1) * thinning
+    n_rows, chains, k = dirs.shape
+    dn = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
+    coef = (dn.reshape(-1, k) @ A.T).reshape(n_rows, chains, -1)
+    upper = coef > _DOT_TOL
+    lower = coef < -_DOT_TOL
+    # a direction with no bounding row on one side leaves the chord open
+    open_chord = ~(upper.any(axis=2) & lower.any(axis=2))
+    any_open = open_chord.any(axis=1).tolist()
+    # computed once per refill, then moved along with the points
+    slack = b - Y @ A.T
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r in range(n_rows):
+                active = steps < total
+                if not active.any():
+                    return
+                if any_open[r] and (active & open_chord[r]).any():
+                    raise RuntimeError("reduced polytope is unbounded along a chord")
+                ratio = slack / coef[r]
+                t_hi = np.where(upper[r], ratio, np.inf).min(axis=1)
+                t_lo = np.where(lower[r], ratio, -np.inf).max(axis=1)
+                width = t_hi - t_lo
+                move = active & (width >= _CHORD_TOL)
+                retries += active
+                retries *= ~move
+                if retries.max() > _RETRY_BUDGET:
+                    raise RuntimeError(
+                        "hit-and-run made no progress: every chord within the "
+                        "retry budget was numerically empty (is the interior empty?)"
+                    )
+                t = np.where(move, t_lo + uniforms[r] * width, 0.0)
+                Y += t[:, None] * dn[r]
+                slack -= t[:, None] * coef[r]
+                steps += move
+                emit = np.flatnonzero(move & (steps == due))
+                if emit.size:
+                    out[slot[emit]] = Y[emit]
+                    slot[emit] += 1
+                    due[emit] += thinning
+    finally:
+        kept[:] = slot - first
+
+
 def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     """Run ``_chain_count(config)`` chains and return feasibility-checked samples.
 
@@ -303,22 +374,11 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     out = np.empty((config.sample_count, k))
     Y = np.tile(np.asarray(polytope.start, dtype=np.float64), (chains, 1))
     state = np.zeros((3, chains), dtype=np.int64)
-    A = np.ascontiguousarray(polytope.A, dtype=np.float64)
-    b = np.ascontiguousarray(polytope.b, dtype=np.float64)
     while np.any(state[1] < quota):
         dirs = rng.standard_normal((_RAND_ROWS, chains, k))
         uniforms = rng.random((_RAND_ROWS, chains))
-        status, _ = chain_steps(
-            A, b, Y, dirs, uniforms, config.burn_in, config.thinning,
-            _RETRY_BUDGET, state, quota, out,
-        )
-        if status == CHAIN_STUCK:
-            raise RuntimeError(
-                "hit-and-run made no progress: every chord within the retry "
-                "budget was numerically empty (is the interior empty?)"
-            )
-        if status == CHAIN_UNBOUNDED:
-            raise RuntimeError("reduced polytope is unbounded along a chord")
+        chain_steps(polytope.A, polytope.b, Y, dirs, uniforms, config.burn_in,
+                    config.thinning, state, quota, out)
 
     theta = out @ polytope.basis.T
     theta += polytope.offset

@@ -3,8 +3,9 @@
 Flows are linear in the packed parameters, so each alternative's positive
 and negative flow is one precomputed coefficient row. The per-sample work
 is two (s x size) . (size x m) GEMMs over those per-alternative rows, plus
-integer relation counting, which compares each unordered pair of
-alternatives once across a chunk of samples in O(s x m) memory. Classical
+integer relation counting (``count_relations``), which compares each
+unordered pair of alternatives once across a chunk of samples in
+O(s x m) memory and counts the comparison masks by popcount. Classical
 batches (interaction columns pinned to zero) run through the same
 pipeline: with zero interactions the bipolar aggregation reduces exactly
 to the weighted preference sum, which keeps the two modes consistent to
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import count_relations
 from .bipolar import ParameterLayout, flow_coefficients
 from .elicitation import ConstraintRow, ConstraintSystem
 from .lp import EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, maximise
@@ -85,9 +85,7 @@ def aggregate(
     table: PerformanceTable,
     batch: SampleBatch,
     mode: str = "bipolar",
-    tau: float = FLOW_TIE_TOL,
     polytope: Polytope | None = None,
-    chunk: int = _COUNT_CHUNK,
 ) -> SmaaResults:
     """Accumulate all relation frequencies over the batch.
 
@@ -126,16 +124,16 @@ def aggregate(
     data = batch.data
     total = data.shape[0]
     worst_imbalance = 0.0
-    for lo in range(0, total, chunk):
-        z = data[lo : lo + chunk]
+    for lo in range(0, total, _COUNT_CHUNK):
+        z = data[lo : lo + _COUNT_CHUNK]
         s = z.shape[0]
         pos = z @ flow_pos.T
         neg = z @ flow_neg.T
         imbalance = np.abs((pos - neg).sum(axis=1)).max()
         worst_imbalance = max(worst_imbalance, float(imbalance))
         first_mask = np.zeros((s, m), dtype=np.uint8)
-        count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
-                        p2_pref, p2_ind, first_mask)
+        count_relations(pos, neg, FLOW_TIE_TOL, rank_counts, p1_pref, p1_ind,
+                        p1_inc, p2_pref, p2_ind, first_mask)
         cw_sum += first_mask.astype(np.float64).T @ z
     if worst_imbalance > _FLOW_BALANCE_TOL:
         raise AssertionError(
@@ -174,6 +172,100 @@ def aggregate(
     return results
 
 
+def _row_counts(mask):
+    """True entries per row of a (rows, 8k) bool array: one popcount per
+    8-byte word, since each True byte holds a single set bit."""
+    return np.bitwise_count(mask.view(np.uint64)).sum(axis=1, dtype=np.int64)
+
+
+def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
+                    p2_pref, p2_ind, first_mask):
+    """Accumulate relation counts for one block of per-sample flows.
+
+    ``pos`` and ``neg`` are finite (samples, m) flow arrays, the count
+    matrices are int64 and updated in place, and ``first_mask``
+    (samples, m, uint8) flags rank-1 hits for the central weight
+    accumulation. ``tau`` must be non-negative.
+
+    Each unordered pair (i, k), k > i, is compared once, over all samples
+    at a time, so working memory stays O(samples * m). The reverse
+    direction reuses the same differences: IEEE subtraction is exactly
+    antisymmetric (``b - a == -(a - b)``), so ``x_k - x_i > tau`` is
+    ``x_i - x_k < -tau`` bit for bit. Comparison masks are counted by
+    popcount over 8 samples at a time.
+    """
+    if not tau >= 0.0:
+        raise ValueError(f"tie tolerance must be non-negative, got {tau!r}")
+    n_samples, m = pos.shape
+    # alternative-major copies, so each alternative's samples are contiguous,
+    # zero-padded to whole 8-byte words of mask: a padding sample has equal
+    # flows everywhere, so with tau >= 0 no strict comparison marks it
+    width = -(-n_samples // 8) * 8
+    pos_t = np.zeros((m, width))
+    neg_t = np.zeros((m, width))
+    pos_t[:, :n_samples] = pos.T
+    neg_t[:, :n_samples] = neg.T
+    net_t = pos_t - neg_t
+    # above[i, s]: alternatives whose net flow beats i's by more than tau.
+    # Each pass adds at most 1 per entry of gained, so it tallies in uint8
+    # and empties into above every 255 passes.
+    above = np.zeros((m, width), dtype=np.int32)
+    gained = np.zeros((m, width), dtype=np.uint8)
+    diff_buf = np.empty((m - 1, width))
+    gt_buf = np.empty((m - 1, width), dtype=bool)
+    lt_buf = np.empty_like(gt_buf)
+    tmp_buf = np.empty_like(gt_buf)
+    for i in range(m - 1):
+        rest = slice(i + 1, m)
+        r = m - 1 - i
+        diff, gt, lt, tmp = diff_buf[:r], gt_buf[:r], lt_buf[:r], tmp_buf[:r]
+
+        # P2 on net flows: gt is i P k, lt is k P i, the rest is I
+        np.subtract(net_t[i], net_t[rest], out=diff)
+        np.greater(diff, tau, out=gt)
+        np.less(diff, -tau, out=lt)
+        n_gt = _row_counts(gt)
+        n_lt = _row_counts(lt)
+        p2_pref[i, rest] += n_gt
+        p2_pref[rest, i] += n_lt
+        tie = n_samples - n_gt - n_lt
+        p2_ind[i, rest] += tie
+        p2_ind[rest, i] += tie
+        # column sums in uint8 cannot overflow in blocks of 255 rows
+        for lo in range(0, r, 255):
+            above[i] += lt[lo:lo + 255].view(np.uint8).sum(axis=0, dtype=np.uint8)
+        np.add(gained[rest], gt.view(np.uint8), out=gained[rest])
+        if i % 255 == 254:
+            above += gained
+            gained.fill(0)
+
+        # P1: ahead marks i ahead on some flow, behind marks k ahead on one;
+        # one-sided is a preference, neither is I, both is R
+        ahead, behind = gt, lt
+        np.subtract(pos_t[i], pos_t[rest], out=diff)
+        np.greater(diff, tau, out=ahead)
+        np.less(diff, -tau, out=behind)
+        np.subtract(neg_t[i], neg_t[rest], out=diff)
+        ahead |= np.less(diff, -tau, out=tmp)
+        behind |= np.greater(diff, tau, out=tmp)
+        n_ahead = _row_counts(ahead)
+        n_behind = _row_counts(behind)
+        n_both = _row_counts(np.bitwise_and(ahead, behind, out=tmp))
+        p1_pref[i, rest] += n_ahead - n_both
+        p1_pref[rest, i] += n_behind - n_both
+        p1_inc[i, rest] += n_both
+        p1_inc[rest, i] += n_both
+        ind = n_samples - n_ahead - n_behind + n_both
+        p1_ind[i, rest] += ind
+        p1_ind[rest, i] += ind
+
+    above += gained
+    above = above[:, :n_samples]
+    for i in range(m):
+        rank_counts[i] += np.bincount(above[i], minlength=m)
+    first_mask[:] = (above == 0).T
+
+
 def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:
     m = len(results.alternatives)
     b = results.rank_acceptability
@@ -208,22 +300,20 @@ def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:
 
 
 def exact_ror_matrices(
-    system: ConstraintSystem,
-    table: PerformanceTable,
-    eps_min: float = ROR_EPS_MIN,
+    system: ConstraintSystem, table: PerformanceTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact (possible, necessary) outranking matrices, [a, b] for a over b.
 
-    Compatible parameter sets satisfy the system at margin >= ``eps_min``.
+    Compatible parameter sets satisfy the system at margin >= ``ROR_EPS_MIN``.
     With t the largest F_a - F_b over them, a possibly outranks b when
-    t >= 0, and b necessarily outranks a when t < eps_min (no compatible
+    t >= 0, and b necessarily outranks a when t < ROR_EPS_MIN (no compatible
     set puts a strictly above b). With no compatible set, off-diagonal
     entries are False (possible) and True (necessary); the diagonal is
     always True.
     """
     eps_row = np.eye(system.n_cols)[system.eps_col]
     bounded = system.with_rows([
-        ConstraintRow(coefs=eps_row, rel=">=", rhs=eps_min, origin="margin floor"),
+        ConstraintRow(coefs=eps_row, rel=">=", rhs=ROR_EPS_MIN, origin="margin floor"),
         ConstraintRow(coefs=eps_row, rel="<=", rhs=EPS_CAP, origin="margin cap"),
     ])
     A_eq, b_eq, _, A_ub, b_ub, _ = bounded.split()
@@ -239,7 +329,7 @@ def exact_ror_matrices(
     best = maximise(A_eq, b_eq, A_ub, b_ub, objectives)
     if best.feasible:
         possible[first, second] = best.values >= -FEASIBILITY_TOL
-        necessary[second, first] = best.values < eps_min - FEASIBILITY_TOL
+        necessary[second, first] = best.values < ROR_EPS_MIN - FEASIBILITY_TOL
     return possible, necessary
 
 

@@ -141,6 +141,76 @@ def test_malformed_statement_exits_1(tmp_path, capsys):
     assert "error:" in err and "bad.jsonl:1" in err
 
 
+def students_with(change):
+    """The students problem as a JSON document, after ``change`` edits it."""
+    doc = read_json(FIXTURES / "students.json")
+    change(doc)
+    return doc
+
+
+MALFORMED_PROBLEMS = {
+    "top_level_number": lambda: 5,
+    "top_level_null": lambda: None,
+    "alternatives_number": lambda: students_with(
+        lambda d: d.update(alternatives=5)),
+    "criterion_string": lambda: students_with(
+        lambda d: d["criteria"].__setitem__(1, "Physics")),
+    "threshold_null": lambda: students_with(
+        lambda d: d["criteria"][0].update(q=None)),
+    "ragged_evaluations": lambda: students_with(
+        lambda d: d["evaluations"][2].pop()),
+    "criterion_without_name": lambda: students_with(
+        lambda d: d["criteria"][0].pop("name")),
+    "direction_list": lambda: students_with(
+        lambda d: d["criteria"][0].update(direction=["max"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
+def test_malformed_problem_exits_1_with_its_path(tmp_path, capsys, case):
+    bad = tmp_path / f"{case}.json"
+    bad.write_text(json.dumps(MALFORMED_PROBLEMS[case]()), encoding="utf-8")
+    code = main([
+        "--problem", str(bad),
+        "--statements", str(FIXTURES / "scenario1.jsonl"),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+MALFORMED_STATEMENTS = {
+    "intensity_pair_number": {
+        "type": "intensity", "pair1": 5, "pair2": ["s3", "s4"]},
+    "magnitude_pair_number": {
+        "type": "interaction_magnitude", "pair1": 5, "pair2": [1, 3]},
+    "magnitude_signs_number": {
+        "type": "interaction_magnitude", "pair1": [1, 2], "pair2": [1, 3],
+        "signs": 5},
+    "type_list": {"type": ["intensity"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STATEMENTS))
+def test_malformed_statement_field_exits_1_with_its_line(tmp_path, capsys, case):
+    bad = tmp_path / f"{case}.jsonl"
+    lines = [{"type": "global_p2", "a": "s3", "b": "s6"}, MALFORMED_STATEMENTS[case]]
+    bad.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    code = main([
+        "--problem", str(FIXTURES / "students.json"),
+        "--statements", str(bad),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}:2: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_format_exits_1(tmp_path, capsys):
     code = run_cli(tmp_path, "--format", "json,xml")
     assert code == 1

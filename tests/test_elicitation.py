@@ -365,6 +365,17 @@ def test_restrict_classical(students):
         )
 
 
+def test_restrict_classical_origins_name_each_pinned_column(students):
+    system = compile_statements(students, [])
+    extra = restrict_classical(system).rows[len(system.rows):]
+    assert [r.origin for r in extra] == [
+        "classical restriction " + name
+        for name in ("pair_1,2", "pair_1,3", "pair_2,3", "opp_1|2", "opp_1|3",
+                     "opp_2|1", "opp_2|3", "opp_3|1", "opp_3|2")
+    ]
+    assert [int(np.flatnonzero(r.coefs)[0]) for r in extra] == list(range(3, 12))
+
+
 def test_compile_error_provenance(students):
     with pytest.raises(ValueError, match=r"statement 1.*s9"):
         compile_statements(students, [LocalPair(a="s9", b="s2")])

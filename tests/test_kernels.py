@@ -3,13 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smaa_promethee._kernels import (
-    CHAIN_OK,
-    CHAIN_STUCK,
-    CHAIN_UNBOUNDED,
-    chain_steps,
-    count_relations,
-)
+from smaa_promethee.sampler import chain_steps
+from smaa_promethee.smaa import count_relations
+
+STUCK = "made no progress"
+UNBOUNDED = "unbounded along a chord"
 
 
 def square_problem():
@@ -31,22 +29,21 @@ def run_square(dirs, uniforms, quota, burn_in, thinning, starts=None):
     state = np.zeros((3, chains), dtype=np.int64)
     quota = np.asarray(quota, dtype=np.int64)
     out = np.full((int(quota.sum()), 2), np.nan)
-    status, consumed = chain_steps(
-        A, b, Y, dirs, uniforms, burn_in, thinning, 100, state, quota, out
-    )
-    return status, consumed, state, out, Y
+    assert chain_steps(
+        A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out
+    ) is None
+    return state, out, Y
 
 
 def test_numpy_chain_stays_inside():
     # three chains with unequal quotas: chain-major blocks of 200, 199, 199
     quota = [200, 199, 199]
     dirs, uniforms = square_draws(123, 50 + 200 * 2 + 64, 3)
-    status, consumed, state, out, Y = run_square(dirs, uniforms, quota, 50, 2)
-    assert status == CHAIN_OK
+    # no chord in the open square is empty, so every draw row is a step and
+    # 50 + 200 * 2 rows finish the longest chain
+    state, out, Y = run_square(dirs[:450], uniforms[:450], quota, 50, 2)
     assert state[1].tolist() == quota
     assert state[0].tolist() == [50 + q * 2 for q in quota]
-    # no chord in the open square is empty, so every draw row is a step
-    assert consumed == 50 + 200 * 2
     assert np.all(out >= -1e-12) and np.all(out <= 1.0 + 1e-12)
     # points move: no two consecutive kept points of one chain coincide
     for block in np.split(out, np.cumsum(quota)[:-1]):
@@ -58,9 +55,9 @@ def test_numpy_chain_stays_inside():
 
 def test_chains_read_only_their_own_draws():
     dirs, uniforms = square_draws(8, 300, 4)
-    _, _, _, out, Y = run_square(dirs, uniforms, [60] * 4, 30, 3)
+    _, out, Y = run_square(dirs, uniforms, [60] * 4, 30, 3)
     for c in range(4):
-        _, _, _, alone, y = run_square(
+        _, alone, y = run_square(
             dirs[:, c:c + 1], uniforms[:, c:c + 1], [60], 30, 3
         )
         # one GEMM over all chains may round differently from one per chain
@@ -71,8 +68,7 @@ def test_chains_read_only_their_own_draws():
 def test_chain_resumes_across_bursts():
     dirs, uniforms = square_draws(5, 1000, 2)
     quota, burn_in, thinning = [100, 100], 20, 1
-    status, consumed, state, out, y = run_square(dirs, uniforms, quota, burn_in, thinning)
-    assert status == CHAIN_OK and consumed == 120
+    state, out, y = run_square(dirs[:120], uniforms[:120], quota, burn_in, thinning)
 
     # same stream split into two bursts lands on the same points
     A, b = square_problem()
@@ -80,15 +76,13 @@ def test_chain_resumes_across_bursts():
     state2 = np.zeros((3, 2), dtype=np.int64)
     out2 = np.full((200, 2), np.nan)
     quota = np.array(quota)
-    s1, c1 = chain_steps(
-        A, b, y2, dirs[:70], uniforms[:70], burn_in, thinning, 100, state2, quota, out2
+    chain_steps(
+        A, b, y2, dirs[:70], uniforms[:70], burn_in, thinning, state2, quota, out2
     )
-    assert s1 == CHAIN_OK and c1 == 70
     assert state2[1].tolist() == [50, 50]
-    s2, c2 = chain_steps(
-        A, b, y2, dirs[70:], uniforms[70:], burn_in, thinning, 100, state2, quota, out2
+    chain_steps(
+        A, b, y2, dirs[70:], uniforms[70:], burn_in, thinning, state2, quota, out2
     )
-    assert s2 == CHAIN_OK and c2 == 50
     assert np.array_equal(state, state2)
     # the slack is recomputed from the points at every burst, so the split
     # run agrees to rounding rather than bit for bit
@@ -105,11 +99,8 @@ def test_degenerate_interval_reports_stuck():
     Y = np.full((2, 1), 0.5)
     state = np.zeros((3, 2), dtype=np.int64)
     out = np.zeros((20, 1))
-    status, consumed = chain_steps(
-        A, b, Y, dirs, uniforms, 0, 1, 100, state, np.array([10, 10]), out
-    )
-    assert status == CHAIN_STUCK
-    assert consumed == 101
+    with pytest.raises(RuntimeError, match=STUCK):
+        chain_steps(A, b, Y, dirs, uniforms, 0, 1, state, np.array([10, 10]), out)
     assert state[0].tolist() == [0, 0] and state[1].tolist() == [0, 0]
     assert state[2].tolist() == [101, 101]
 
@@ -120,9 +111,12 @@ def test_one_degenerate_chain_reports_stuck():
     dirs, uniforms = square_draws(2, 300, 3)
     dirs[:, 1] = [1.0, 1.0]
     starts = [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]
-    status, consumed, state, out, Y = run_square(dirs, uniforms, [50] * 3, 99, 1, starts)
-    assert status == CHAIN_STUCK
-    assert consumed == 101
+    A, b = square_problem()
+    Y = np.array(starts)
+    state = np.zeros((3, 3), dtype=np.int64)
+    out = np.full((150, 2), np.nan)
+    with pytest.raises(RuntimeError, match=STUCK):
+        chain_steps(A, b, Y, dirs, uniforms, 99, 1, state, np.array([50] * 3), out)
     # the other chains stepped on every row before the one that ran out of
     # retries; the corner chain never did
     assert state[0].tolist() == [100, 0, 100]
@@ -132,8 +126,7 @@ def test_one_degenerate_chain_reports_stuck():
     assert Y[1].tolist() == [1.0, 0.0]
 
     # a chain with nothing left to do is not counted as stuck
-    status, _, state, _, _ = run_square(dirs, uniforms, [50, 0, 50], 0, 1, starts)
-    assert status == CHAIN_OK
+    state, _, _ = run_square(dirs, uniforms, [50, 0, 50], 0, 1, starts)
     assert state[1].tolist() == [50, 0, 50] and state[2].tolist() == [0, 0, 0]
 
 
@@ -146,11 +139,8 @@ def test_open_region_reports_unbounded():
     Y = np.ones((3, 1))
     state = np.zeros((3, 3), dtype=np.int64)
     out = np.zeros((30, 1))
-    status, consumed = chain_steps(
-        A, b, Y, dirs, uniforms, 0, 1, 100, state, np.array([10, 10, 10]), out
-    )
-    assert status == CHAIN_UNBOUNDED
-    assert consumed == 1
+    with pytest.raises(RuntimeError, match=UNBOUNDED):
+        chain_steps(A, b, Y, dirs, uniforms, 0, 1, state, np.array([10, 10, 10]), out)
     assert state[0].tolist() == [0, 0, 0]
 
 

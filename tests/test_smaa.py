@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smaa_promethee import smaa
 from smaa_promethee.bipolar import ParameterLayout, bipolar_flows
 from smaa_promethee.elicitation import (
     GlobalP2,
@@ -143,13 +144,14 @@ def test_aggregate_rejects_non_finite_samples(students, bad):
         aggregate(students, broken, mode="classical")
 
 
-def test_aggregate_frequencies_do_not_depend_on_chunk(students):
+def test_aggregate_frequencies_do_not_depend_on_chunk(students, monkeypatch):
     system = compile_statements(
         students, parse_statements(FIXTURES / "scenario1.jsonl")
     )
     polytope, batch = sample_system(system, count=500, seed=9)
     whole = aggregate(students, batch, polytope=polytope)
-    chunked = aggregate(students, batch, polytope=polytope, chunk=7)
+    monkeypatch.setattr(smaa, "_COUNT_CHUNK", 7)
+    chunked = aggregate(students, batch, polytope=polytope)
     for name in ("rank_acceptability", "p2_pref", "p2_indiff", "p1_pref",
                  "p1_indiff", "p1_incomp", "ror_possible_approx",
                  "ror_necessary_approx"):
