@@ -11,10 +11,16 @@ the closure, whose boundary has measure zero.
 ``hit_and_run`` runs C independent chains from the same interior start,
 each with its own burn-in, and ``chain_steps`` steps them together in
 numpy: one refill of pre-drawn directions and uniforms moves every chain
-up to R steps, with one GEMM for all chord coefficients of the refill and
-every step vectorised over the chains, so a seed gives bit-identical
-samples on a given numpy build. C is derived from the configuration so
-that burn-in work never exceeds sampling work.
+up to R steps, with one GEMM for all chord coefficients of the refill.
+Side pads (0 where a row bounds that end of the chord, +inf where it
+does not) and safe denominators stand in for a mask per entry, so a step
+finds both chord ends of every chain with one divide, one add and one
+``min``, reduced along the longer of chains and rows. A step records
+only its move flags and the points it reaches; kept samples, step counts
+and empty-chord retries are settled once per refill. The arithmetic is
+that of a per-row loop, so a seed gives bit-identical samples on a given
+numpy build. C is derived from the configuration so that burn-in work
+never exceeds sampling work.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ _MAX_CHAINS = 64
 # fixed refill size: the draw order (directions then uniforms per refill)
 # is part of the deterministic stream for a given seed
 _RAND_ROWS = 128
+# rows of a refill whose side pads and denominators are built at a time
+_BLOCK_ROWS = 16
 
 
 class InfeasibleSystemError(RuntimeError):
@@ -269,10 +277,15 @@ class SampleBatch:
     def load(cls, path: str) -> "SampleBatch":
         with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        raw = np.fromfile(path, dtype="<f8")
         rows = int(sidecar["rows"])
         cols = tuple(sidecar["columns"])
-        data = raw.reshape(rows, len(cols)).astype(np.float64)
+        size = os.path.getsize(path)
+        if size != 8 * rows * len(cols):
+            raise ValueError(
+                f"{path}: {size} bytes, but its sidecar describes {rows} rows "
+                f"x {len(cols)} columns of 8-byte floats"
+            )
+        data = np.fromfile(path, dtype="<f8").reshape(rows, len(cols))
         return cls(columns=cols, data=data, seed=sidecar.get("seed"))
 
 
@@ -290,7 +303,65 @@ def _chain_count(config: SamplerConfig) -> int:
                max(1, work // max(config.burn_in, 1)))
 
 
-def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out):
+class _ChainWorkspace:
+    """Buffers that every refill of one ``hit_and_run`` call reuses.
+
+    The per-row (chains, rows) arrays are laid out chains-last, as (rows,
+    chains), when there are at least as many chains as rows, so that
+    numpy's inner loop runs along the longer axis; ``axis`` is the rows
+    axis of a (2, ·, ·) row array and of a (block, ·, ·) block. The side
+    pads and safe denominators are built ``_BLOCK_ROWS`` rows at a time:
+    for row j of a block, ``den[j, 0]`` is the chord coefficient where
+    the row bounds the direction on either side and coefficient + 1 where
+    it bounds neither, ``den[j, 1] = -den[j, 0]``, and ``pad[j, s]`` is 0
+    where the row bounds side s (0 upper, 1 lower) and +inf where it
+    does not.
+    """
+
+    def __init__(self, n_rows: int, chains: int, rows: int, k: int):
+        self.chains_last = chains >= rows
+        self.axis = 1 if self.chains_last else 2
+        inner = (rows, chains) if self.chains_last else (chains, rows)
+        block = min(n_rows, _BLOCK_ROWS)
+        self.dn = np.empty((n_rows, chains, k))
+        self.coef = np.empty((n_rows * chains, rows))
+        self.coef_t = np.empty((block,) + inner) if self.chains_last else None
+        self.den = np.empty((block, 2) + inner)
+        self.pad = np.empty((block, 2) + inner)
+        self.side = np.empty((block, 2) + inner, dtype=bool)
+        self.q = np.empty((2,) + inner)
+        self.ends = np.empty((2, chains))
+        self.widths = np.empty((n_rows, chains))
+        self.moved = np.empty((n_rows, chains), dtype=bool)
+        self.points = np.empty((n_rows * chains, k))
+
+    def build(self, coef: np.ndarray) -> np.ndarray:
+        """Fill the block buffers from ``coef`` (block rows, chains, rows)
+        and return the chord coefficients in the workspace layout."""
+        n = coef.shape[0]
+        if self.chains_last:
+            src = self.coef_t[:n]
+            np.copyto(src, coef.transpose(0, 2, 1))
+        else:
+            src = coef
+        den, pad, side = self.den[:n], self.pad[:n], self.side[:n]
+        np.copyto(den[:, 0], src)
+        np.negative(src, out=den[:, 1])
+        # side[:, 0] marks rows bounding the upper end, side[:, 1] the lower
+        np.greater(den, _DOT_TOL, out=side)
+        # 1 / True - 1 = 0 and 1 / False - 1 = inf, without a branch per entry
+        np.divide(1.0, side, out=pad)
+        pad -= 1.0
+        neither = ~(side[:, 0] | side[:, 1])
+        if neither.any():
+            # keeps slack / den finite where both pads are inf
+            den[:, 0][neither] += 1.0
+            np.negative(den[:, 0], out=den[:, 1])
+        return src
+
+
+def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
+                work=None):
     """Advance C chains on ``A @ y <= b`` through one refill of draws.
 
     ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
@@ -300,60 +371,127 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out):
     chain. An empty chord leaves its chain in place and counts as a retry,
     not a step. Chain c keeps ``quota[c]`` thinned post-burn-in points,
     written chain-major into ``out``: its block starts after the quotas of
-    the chains before it.
+    the chains before it. ``work`` is a ``_ChainWorkspace`` for these
+    shapes, reused across refills; without one a fresh one is made.
+
+    One GEMM gives the chord coefficient of every row, chain and
+    constraint. Each row then makes one divide of the slacks by the safe
+    denominators, one add of the side pads and one ``min`` that yields
+    the upper chord end and the negated lower end of every chain, with no
+    mask per entry. The rows run in spans over which the set of chains
+    with steps left cannot change, and each step records only its move
+    flag and the point it reaches. Emission, ``kept`` and the retry
+    counters are settled once per refill, vectorised over (R, C).
 
     Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
     consecutive empty chords, or when a chain that still has steps to do
     draws a direction along which the chord is unbounded; ``state``,
-    ``Y`` and ``out`` then hold every step made before the chain stopped.
+    ``Y`` and ``out`` then hold every step made before the row at which
+    the chain stopped, and the retry counters also count that row.
     """
-    steps, kept, retries = state
-    total = burn_in + quota * thinning
-    first = np.cumsum(quota) - quota
-    # next output row of each chain, and the step count that fills it
-    slot = first + kept
-    due = burn_in + (kept + 1) * thinning
     n_rows, chains, k = dirs.shape
-    dn = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
-    coef = (dn.reshape(-1, k) @ A.T).reshape(n_rows, chains, -1)
-    upper = coef > _DOT_TOL
-    lower = coef < -_DOT_TOL
-    # a direction with no bounding row on one side leaves the chord open
-    open_chord = ~(upper.any(axis=2) & lower.any(axis=2))
-    any_open = open_chord.any(axis=1).tolist()
+    if work is None:
+        work = _ChainWorkspace(n_rows, chains, A.shape[0], k)
+    steps = state[0]
+    total = burn_in + quota * thinning
+    # np.linalg.norm's arithmetic, with its squares in the workspace
+    dn = np.multiply(dirs, dirs, out=work.dn)
+    dn = np.divide(dirs, np.sqrt(dn.sum(axis=2, keepdims=True)), out=dn)
+    coef = np.matmul(dn.reshape(-1, k), A.T, out=work.coef).reshape(n_rows, chains, -1)
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for r in range(n_rows):
-                active = steps < total
-                if not active.any():
-                    return
-                if any_open[r] and (active & open_chord[r]).any():
-                    raise RuntimeError("reduced polytope is unbounded along a chord")
-                ratio = slack / coef[r]
-                t_hi = np.where(upper[r], ratio, np.inf).min(axis=1)
-                t_lo = np.where(lower[r], ratio, -np.inf).max(axis=1)
-                width = t_hi - t_lo
-                move = active & (width >= _CHORD_TOL)
-                retries += active
-                retries *= ~move
-                if retries.max() > _RETRY_BUDGET:
-                    raise RuntimeError(
-                        "hit-and-run made no progress: every chord within the "
-                        "retry budget was numerically empty (is the interior empty?)"
-                    )
-                t = np.where(move, t_lo + uniforms[r] * width, 0.0)
-                Y += t[:, None] * dn[r]
-                slack -= t[:, None] * coef[r]
-                steps += move
-                emit = np.flatnonzero(move & (steps == due))
-                if emit.size:
-                    out[slot[emit]] = Y[emit]
-                    slot[emit] += 1
-                    due[emit] += thinning
-    finally:
-        kept[:] = slot - first
+    if work.chains_last:
+        slack = np.ascontiguousarray(slack.T)
+    den, pad, q, ends = work.den, work.pad, work.q, work.ends
+    widths, moved, axis = work.widths, work.moved, work.axis
+    chains_last = work.chains_last
+    # the point before the current row: dn[r] is overwritten with the point
+    # that row r reaches, so dn[:r] is the refill's path
+    y = Y
+    done = steps.copy()
+    r = built = 0
+    # an open chord gives an infinite width; its chain's path turns to
+    # inf or nan from that row on, which _settle cuts off
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while r < n_rows:
+            active = done < total
+            if not active.any():
+                break
+            if r == built:
+                base, built = r, min(n_rows, r + _BLOCK_ROWS)
+                crows = work.build(coef[base:built])
+            # a chain takes at most one step per row, so the active set
+            # cannot change before the fewest steps left have passed
+            end = min(built, r + int((total - done)[active].min()))
+            for i in range(r, end):
+                j = i - base
+                np.divide(slack, den[j], out=q)
+                q += pad[j]
+                # the upper chord end, and the lower end negated
+                np.minimum.reduce(q, axis=axis, out=ends)
+                width = np.add(ends[0], ends[1], out=widths[i])
+                move = np.greater_equal(width, _CHORD_TOL, out=moved[i])
+                move &= active
+                t = np.where(move, uniforms[i] * width - ends[1], 0.0)
+                point = dn[i]
+                point *= t[:, None]
+                point += y
+                y = point
+                slack -= (t if chains_last else t[:, None]) * crows[j]
+            done += moved[r:end].sum(axis=0)
+            r = end
+    _settle(r, widths, moved, dn, Y, state, total, burn_in, thinning,
+            np.cumsum(quota) - quota, out, work.points)
+
+
+def _settle(stop, widths, moved, path, Y, state, total, burn_in, thinning,
+            first, out, points):
+    """Apply the first ``stop`` rows of a refill to ``Y``, ``state`` and
+    ``out``; stop short and raise at the first row where a chain with
+    steps left drew an open chord or ran out of retries."""
+    steps, kept, retries = state
+    m = moved[:stop]
+    rows = np.arange(stop)[:, None]
+    done = np.cumsum(m, axis=0)  # steps after each row
+    done += steps
+    active = done - m < total
+    # the last move at or before each row, where -1 - retries stands for
+    # the empty chords carried in: rows - last counts consecutive ones
+    last = np.maximum.accumulate(np.where(m, rows, -1 - retries), axis=0)
+    run = rows - last
+    unbounded = np.flatnonzero((active & (widths[:stop] == np.inf)).any(axis=1))
+    # an open chord is seen before that row's retries are counted
+    seen = int(unbounded[0]) if unbounded.size else stop
+    over = np.flatnonzero((active[:seen] & (run[:seen] > _RETRY_BUDGET)).any(axis=1))
+    # rows applied to the points, and rows whose retries count
+    cut = int(over[0]) if over.size else seen
+    counted = cut + 1 if over.size else seen
+    if counted:
+        at = counted - 1
+        # a chain that is done keeps its count: 0 if it finished here
+        retries[:] = np.where(active[at], run[at],
+                              np.where(last[at] >= 0, 0, retries))
+    due = burn_in + (kept + 1) * thinning
+    emitted = done[:cut] - due
+    emit = m[:cut] & (emitted >= 0) & (emitted % thinning == 0)
+    row, chain = np.nonzero(emit)
+    _, chains, k = path.shape
+    # gathered into the workspace, not a fresh array per refill; every
+    # index is in range, and "clip" lets np.take write to out unbuffered
+    points = np.take(path.reshape(-1, k), row * chains + chain, axis=0,
+                     out=points[:row.size], mode="clip")
+    out[first[chain] + kept[chain] + emitted[row, chain] // thinning] = points
+    kept += emit.sum(axis=0)
+    if cut:
+        steps[:] = done[cut - 1]
+        Y[...] = path[cut - 1]
+    if over.size:
+        raise RuntimeError(
+            "hit-and-run made no progress: every chord within the "
+            "retry budget was numerically empty (is the interior empty?)"
+        )
+    if unbounded.size:
+        raise RuntimeError("reduced polytope is unbounded along a chord")
 
 
 def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
@@ -374,19 +512,25 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     out = np.empty((config.sample_count, k))
     Y = np.tile(np.asarray(polytope.start, dtype=np.float64), (chains, 1))
     state = np.zeros((3, chains), dtype=np.int64)
+    work = _ChainWorkspace(_RAND_ROWS, chains, polytope.A.shape[0], k)
+    dirs = np.empty((_RAND_ROWS, chains, k))
+    uniforms = np.empty((_RAND_ROWS, chains))
     while np.any(state[1] < quota):
-        dirs = rng.standard_normal((_RAND_ROWS, chains, k))
-        uniforms = rng.random((_RAND_ROWS, chains))
+        rng.standard_normal(out=dirs)
+        rng.random(out=uniforms)
         chain_steps(polytope.A, polytope.b, Y, dirs, uniforms, config.burn_in,
-                    config.thinning, state, quota, out)
+                    config.thinning, state, quota, out, work=work)
+    # the chain's buffers go before the (samples, rows) feasibility check
+    del work, dirs, uniforms
 
     theta = out @ polytope.basis.T
     theta += polytope.offset
 
     # hard output contract, not a diagnostic
     if polytope.full_eq_A.shape[0]:
-        eq_err = np.abs(theta @ polytope.full_eq_A.T - polytope.full_eq_b[None, :])
-        if eq_err.size and eq_err.max() > _OUTPUT_FEAS_TOL:
+        # not kept alive through the inequality check
+        eq_err = np.abs(theta @ polytope.full_eq_A.T - polytope.full_eq_b).max()
+        if eq_err > _OUTPUT_FEAS_TOL:
             raise RuntimeError("sample violates an equality row beyond 1e-9")
     if polytope.full_ub_A.shape[0]:
         # in place, so one (samples, rows) array is alive at a time, not two

@@ -3,8 +3,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smaa_promethee.sampler import chain_steps
+import reference_chain
+from smaa_promethee import sampler
+from smaa_promethee.elicitation import (
+    compile_statements,
+    parse_statements,
+    restrict_classical,
+)
+from smaa_promethee.lp import max_epsilon
+from smaa_promethee.model import load_problem
+from smaa_promethee.sampler import (
+    SamplerConfig,
+    _ChainWorkspace,
+    build_polytope,
+    chain_steps,
+    hit_and_run,
+)
 from smaa_promethee.smaa import count_relations
+
+from conftest import FIXTURES, benchmark_instance
 
 STUCK = "made no progress"
 UNBOUNDED = "unbounded along a chord"
@@ -142,6 +159,190 @@ def test_open_region_reports_unbounded():
     with pytest.raises(RuntimeError, match=UNBOUNDED):
         chain_steps(A, b, Y, dirs, uniforms, 0, 1, state, np.array([10, 10, 10]), out)
     assert state[0].tolist() == [0, 0, 0]
+
+
+def run_refills(step, A, b, starts, dirs, uniforms, burn_in, thinning, quota,
+                rows_per_refill=128, retries=None):
+    """Feed the draws to ``step`` one refill at a time, as ``hit_and_run``
+    does; return ``Y``, ``state``, ``out`` and the error message, if any."""
+    Y = np.array(starts, dtype=float)
+    chains = Y.shape[0]
+    state = np.zeros((3, chains), dtype=np.int64)
+    if retries is not None:
+        state[2] = retries
+    quota = np.asarray(quota, dtype=np.int64)
+    out = np.full((int(quota.sum()), Y.shape[1]), np.nan)
+    error = None
+    try:
+        for r in range(0, dirs.shape[0], rows_per_refill):
+            step(A, b, Y, dirs[r:r + rows_per_refill],
+                 uniforms[r:r + rows_per_refill], burn_in, thinning, state, quota, out)
+    except RuntimeError as exc:
+        error = str(exc)
+    return Y, state, out, error
+
+
+def assert_chain_matches_reference(A, b, starts, dirs, uniforms, burn_in,
+                                   thinning, quota, **options):
+    """The chain leaves Y, state and out bit for bit as the per-row loop of
+    ``reference_chain`` does, and raises the same error at the same row."""
+    chains, rows, k = dirs.shape[1], A.shape[0], A.shape[1]
+    refill = options.get("rows_per_refill", 128)
+    work = _ChainWorkspace(min(refill, dirs.shape[0]), chains, rows, k)
+
+    def step(*args):
+        # one workspace for every refill, as hit_and_run keeps one per call;
+        # a shorter last refill gets a fresh one
+        shared = work if args[3].shape == work.dn.shape else None
+        chain_steps(*args, work=shared)
+
+    got = run_refills(step, A, b, starts, dirs, uniforms, burn_in, thinning,
+                      quota, **options)
+    want = run_refills(reference_chain.chain_steps, A, b, starts, dirs, uniforms,
+                       burn_in, thinning, quota, **options)
+    assert got[3] == want[3]
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1]), (got[1], want[1])
+    assert got[2].tobytes() == want[2].tobytes()
+    return want
+
+
+def random_polytope(seed, rows, k):
+    """Rows around a random interior point, with one row that has no
+    coefficients, so some chord coefficients bound neither side."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, k))
+    A[rows // 2] = 0.0
+    centre = rng.standard_normal(k) * 0.1
+    b = A @ centre + 0.2 + rng.random(rows)
+    return A, b, centre
+
+
+@pytest.mark.parametrize("chains,rows", [(40, 12), (3, 30)])
+def test_chain_matches_per_row_reference_in_both_layouts(chains, rows):
+    A, b, centre = random_polytope(rows, rows, 4)
+    assert _ChainWorkspace(128, chains, rows, 4).chains_last == (chains >= rows)
+    rng = np.random.default_rng(chains)
+    dirs = rng.standard_normal((600, chains, 4))
+    uniforms = rng.random((600, chains))
+    # burn-in ends mid-refill; unequal quotas finish in different rows
+    quota = rng.integers(20, 60, chains)
+    quota[1] = 0
+    Y, state, out, error = assert_chain_matches_reference(
+        A, b, np.tile(centre, (chains, 1)), dirs, uniforms, 70, 1, quota)
+    assert error is None and state[1].tolist() == quota.tolist()
+    assert state[0, 1] == 70 and np.isfinite(out).all()
+
+
+def test_chain_matches_reference_with_thinning_and_mid_refill_quotas():
+    A, b = square_problem()
+    rng = np.random.default_rng(31)
+    dirs = rng.standard_normal((700, 5, 2))
+    uniforms = rng.random((700, 5))
+    # a zero quota, and quotas whose last step falls mid-refill
+    quota = [40, 0, 37, 13, 41]
+    _, state, out, error = assert_chain_matches_reference(
+        A, b, np.full((5, 2), 0.5), dirs, uniforms, 145, 3, quota)
+    assert error is None
+    assert state[0].tolist() == [145 + 3 * q for q in quota]
+    # the same draws in refills of 40 rows move the ends of burn-in and of
+    # every quota to other rows within a refill
+    assert_chain_matches_reference(A, b, np.full((5, 2), 0.5), dirs, uniforms,
+                                   145, 3, quota, rows_per_refill=40)
+
+
+def test_chain_matches_reference_when_a_chain_gets_stuck_mid_refill():
+    # a slab 1e-13 wide in x: a chord is empty unless the direction is
+    # almost along y, where the x rows bound neither side
+    A, b = square_problem()
+    b = np.array([0.5 + 1e-13, -0.5, 1.0, 0.0])
+    rng = np.random.default_rng(4)
+    dirs = rng.standard_normal((400, 3, 2))
+    dirs[..., 0] = 1e-16
+    uniforms = rng.random((400, 3))
+    # chain 1 draws general directions from row 60 on: 101 empty chords
+    # later, at row 160 of the second refill, it runs out of retries
+    dirs[60:, 1, 0] = 1.0
+    Y, state, out, error = assert_chain_matches_reference(
+        A, b, np.tile([0.5, 0.5], (3, 1)), dirs, uniforms, 20, 1, [200, 200, 200])
+    assert STUCK in error
+    assert state[0].tolist() == [160, 60, 160] and state[2].tolist() == [0, 101, 0]
+    # 50 retries carried in: chain 1, stuck from row 0, runs out at row 50
+    dirs[:60, 1, 0] = 1.0
+    _, state, _, error = assert_chain_matches_reference(
+        A, b, np.tile([0.5, 0.5], (3, 1)), dirs, uniforms, 20, 1, [200, 200, 200],
+        retries=[0, 50, 0])
+    assert STUCK in error
+    assert state[0].tolist() == [50, 0, 50] and state[2].tolist() == [0, 101, 0]
+
+
+def test_chain_matches_reference_when_a_chord_opens_mid_refill():
+    # 0 <= x <= 1 and y >= 0: a chord along +y or -y is open on one side
+    A, b = square_problem()
+    A, b = A[[0, 1, 3]], b[[0, 1, 3]]
+    rng = np.random.default_rng(9)
+    dirs = rng.standard_normal((300, 3, 2))
+    uniforms = rng.random((300, 3))
+    # chain 0 is done after 30 steps, so its open chords from row 40 on do
+    # not count; chain 2's open chord at row 170 stops the run
+    dirs[40:, 0] = [0.0, 1.0]
+    dirs[170, 2] = [0.0, -1.0]
+    Y, state, out, error = assert_chain_matches_reference(
+        A, b, np.full((3, 2), 0.5), dirs, uniforms, 10, 1, [20, 500, 500])
+    assert UNBOUNDED in error
+    assert state[0].tolist() == [30, 170, 170]
+    assert np.isfinite(Y).all()
+
+
+def workload_polytopes(directory):
+    """The three benchmark workloads' polytopes and sample counts."""
+    table = load_problem(FIXTURES / "students_ramp.json")
+    system = compile_statements(table, parse_statements(FIXTURES / "scenario2.jsonl"))
+    yield "fixture-bipolar", system, 100_000
+    table, statements = benchmark_instance(
+        directory / "wide", 1, m=100, n=3, p=0.0, interactions=False,
+        statement_count=4)
+    yield "wide-m100", restrict_classical(compile_statements(table, statements)), 5_000
+    table, statements = benchmark_instance(
+        directory / "n6", 1, m=8, n=6, p=4.0, interactions=True, statement_count=4)
+    yield "criteria-n6", compile_statements(table, statements), 5_000
+
+
+def test_hit_and_run_matches_reference_chain_on_the_workloads(tmp_path, monkeypatch):
+    for name, system, samples in workload_polytopes(tmp_path):
+        polytope = build_polytope(system, margin=max_epsilon(system))
+        config = SamplerConfig(sample_count=samples, seed=1)
+        got = hit_and_run(polytope, config).data
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "chain_steps",
+                          lambda *args, work: reference_chain.chain_steps(*args))
+            want = hit_and_run(polytope, config).data
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_chain_workspace_is_freed_before_the_feasibility_check():
+    table = load_problem(FIXTURES / "students_ramp.json")
+    system = compile_statements(table, parse_statements(FIXTURES / "scenario2.jsonl"))
+    polytope = build_polytope(system, margin=max_epsilon(system))
+    config = SamplerConfig(sample_count=20_000, burn_in=300, seed=1)
+    chains = sampler._chain_count(config)
+    rows, k = polytope.A.shape
+    coef_bytes = sampler._RAND_ROWS * chains * rows * 8
+    out_bytes = config.sample_count * k * 8
+    theta_bytes = config.sample_count * polytope.basis.shape[0] * 8
+    check_bytes = config.sample_count * polytope.full_ub_A.shape[0] * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch = hit_and_run(polytope, config)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chains == 64 and batch.data.nbytes == theta_bytes
+    beyond = peak - before - out_bytes - theta_bytes - check_bytes
+    assert beyond < coef_bytes, f"{beyond / 2**20:.2f} MiB beyond the outputs"
+    # only the returned samples outlive the call
+    assert after - before - theta_bytes < 64 * 1024
 
 
 def random_flow_block(seed, n_samples=400, m=5, ties=True):

@@ -352,6 +352,20 @@ def test_batch_save_load_roundtrip(tmp_path, students):
     assert again.seed == batch.seed
 
 
+def test_batch_load_rejects_a_file_its_sidecar_does_not_describe(tmp_path):
+    batch = SampleBatch(columns=("a", "b"), data=np.arange(6.0).reshape(3, 2))
+    path = tmp_path / "samples.bin"
+    batch.save(str(path))
+    payload = path.read_bytes()
+    # cut inside the last value, cut a whole value, and one value too many
+    for body in (payload[:-3], payload[:-8], payload + payload[:8]):
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=r"^.*samples\.bin: \d+ bytes.*3 rows x 2"):
+            SampleBatch.load(str(path))
+    path.write_bytes(payload)
+    assert np.array_equal(SampleBatch.load(str(path)).data, batch.data)
+
+
 def test_batch_concat(students):
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
