@@ -13,7 +13,9 @@ original rows, raises instead of being returned.
 
 ``max_epsilon`` maximises the margin, boxed above so it is never
 unbounded. The exact outranking programs (``smaa.exact_ror_matrices``)
-and the sampler's centring program call ``maximise`` directly.
+call ``maximise`` directly. Both need vertices: binding rows and sign
+verdicts at 0. The sampler's start point needs none and is found by a
+barrier method in ``sampler``.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elicitation import ConstraintSystem
-from .lp import FEASIBILITY_TOL, LpOutcome, max_epsilon, maximise
+from .lp import FEASIBILITY_TOL, LpOutcome, max_epsilon
 
 __all__ = [
     "SamplerConfig",
@@ -55,6 +55,10 @@ _MAX_CHAINS = 64
 _RAND_ROWS = 128
 # rows of a refill whose side pads and denominators are built at a time
 _BLOCK_ROWS = 16
+# damped Newton stops once the Newton decrement is below this, or after
+# this many steps
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 100
 
 
 class InfeasibleSystemError(RuntimeError):
@@ -133,22 +137,72 @@ def _null_space(A: np.ndarray, n: int) -> np.ndarray:
     return vt[rank:].T
 
 
-def _chebyshev_centre(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Deepest point of {z : R z <= r} and its inradius (capped)."""
+def _barrier_newton(G: np.ndarray, h: np.ndarray, x: np.ndarray,
+                    c: np.ndarray) -> np.ndarray:
+    """Minimise ``c @ x - sum(log(h - G @ x))`` from a strictly feasible x.
+
+    Damped Newton with Armijo backtracking; every iterate stays strictly
+    inside. The change in the barrier is summed through ``log1p`` so the
+    sufficient-decrease test still resolves it once the steps are tiny.
+    """
+    s = h - G @ x
+    for _ in range(_NEWTON_STEPS):
+        w = 1.0 / s
+        grad = c + G.T @ w
+        gw = G * w[:, None]
+        try:
+            step = np.linalg.solve(gw.T @ gw, -grad)
+        except np.linalg.LinAlgError:
+            # slacks near 0 on a flat polytope: x is as deep as it gets
+            break
+        # the Newton decrement, squared
+        decrement = -(grad @ step)
+        if not decrement > _NEWTON_TOL ** 2:
+            break
+        ratio = (G @ step) / s
+        t = 1.0
+        # backtrack into the interior, then to a quarter of the predicted
+        # decrease; 2^-60 of a Newton step would leave x as it is
+        for _ in range(60):
+            if np.all(t * ratio < 1.0):
+                change = t * (c @ step) - np.log1p(-t * ratio).sum()
+                if change <= -0.25 * t * decrement:
+                    break
+            t *= 0.5
+        else:
+            break
+        x = x + t * step
+        s = h - G @ x
+    return x
+
+
+def _analytic_centre(R: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Analytic centre of {z : R z <= r}, or the deepest point found.
+
+    Phase 1 follows the log-barrier path of min t subject to
+    R z - t * |R_i| <= r from z = 0 and a t at which every row holds,
+    multiplying the barrier weight by 10 per round and stopping after
+    the first round that ends with t < 0, that is with z strictly inside.
+    If the duality gap rows / weight falls below 1e-9 first, the polytope
+    is taken to have no interior and the phase-1 point is returned for
+    the caller's slack check to reject. Damped Newton then centres z on -sum(log(r - R z)).
+    (Boyd & Vandenberghe, Convex Optimization, 8.5.3 and 11.4.)
+    """
     rows, k = R.shape
+    zero = np.zeros(k)
+    if rows == 0:
+        return zero
     norms = np.sqrt((R * R).sum(axis=1))
-    body = np.hstack([R, norms[:, None]])
-    cap = np.zeros((1, k + 1))
-    cap[0, k] = 1.0
-    A_ub = np.vstack([body, cap])
-    b_ub = np.concatenate([r, [1e6]])
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    res = maximise(np.zeros((0, k + 1)), np.zeros(0), A_ub, b_ub, c)
-    if not res.feasible:
-        return None
-    x = res.points[0]
-    return x[:k], float(x[k])
+    G = np.hstack([R, -norms[:, None]])
+    x = np.append(zero, max(0.0, float(np.max(-r / norms))) + 1.0)
+    weight = 1.0
+    while True:
+        x = _barrier_newton(G, r, x, np.append(zero, weight))
+        if x[k] < 0.0:
+            return _barrier_newton(R, r, x[:k], zero)
+        if rows / weight < 1e-9:
+            return x[:k]
+        weight *= 10.0
 
 
 def build_polytope(
@@ -158,11 +212,12 @@ def build_polytope(
 ) -> Polytope:
     """Fix the margin, eliminate equalities, and pick an interior start.
 
-    The start point averages the max-margin vertex with the deepest point
-    of the reduced polytope re-solved with the margin pinned halfway back
-    toward ``delta_strict``; a bare vertex start leaves the chain with
-    empty chords, so the centring solve is what makes sampling move. A
-    start that is not strictly inside every row raises
+    The start point is the analytic centre of the reduced polytope, the
+    minimiser of -sum(log(slack)) over its rows, found by Newton's method
+    from a phase-1 barrier point (``_analytic_centre``). It needs no LP
+    vertex, and it sits away from every row, where a vertex start would
+    leave the chain with empty chords. A start that is not strictly
+    inside every row, as on a polytope with no interior, raises
     ``InfeasibleSystemError`` naming the row it sits on. ``margin`` is
     ``max_epsilon(system)`` when the caller has already solved it; without
     it the margin LP is solved here.
@@ -197,19 +252,7 @@ def build_polytope(
     R = np.ascontiguousarray(R[keep])
     r = np.ascontiguousarray(r[keep])
 
-    v1 = outcome.solution[:size]
-    if eq_A.shape[0] and np.max(np.abs(eq_A @ v1 - eq_b)) > FEASIBILITY_TOL:
-        raise InfeasibleSystemError(eps_star, ("margin vertex violates the equalities",))
-    z1 = basis.T @ (v1 - offset)
-
-    halfway = delta_strict + (eps_star - delta_strict) / 2.0
-    r_mid = (b_ub - A_ub[:, ecol] * halfway) - ub_A @ offset
-    start = z1
-    for rhs in (r_mid[keep], r):
-        centred = _chebyshev_centre(R, rhs)
-        if centred is not None and centred[1] > 1e-12:
-            start = (z1 + centred[0]) / 2.0
-            break
+    start = _analytic_centre(R, r)
     if R.shape[0]:
         slack = r - R @ start
         worst = int(np.argmin(slack))
@@ -245,16 +288,6 @@ class SampleBatch:
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
-
-    @classmethod
-    def concat(cls, batches: "list[SampleBatch]") -> "SampleBatch":
-        if not batches:
-            raise ValueError("nothing to concatenate")
-        cols = batches[0].columns
-        for b in batches[1:]:
-            if b.columns != cols:
-                raise ValueError("batches have different column layouts")
-        return cls(columns=cols, data=np.vstack([b.data for b in batches]))
 
     def save(self, path: str) -> None:
         """Row-major little-endian float64 dump plus a JSON sidecar."""

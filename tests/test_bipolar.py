@@ -277,21 +277,6 @@ def test_enumeration_cap():
     params.validate(max_criteria=9)
 
 
-def test_json_round_trip(tmp_path):
-    rng = np.random.default_rng(23)
-    params = random_valid_params(rng, 3)
-    doc = params.to_json_dict()
-    assert set(doc) == {"a", "a_pair", "a_opp_plus"}
-    again = BicapacityParams.from_json_dict(doc)
-    assert np.array_equal(again.a, params.a)
-    assert np.array_equal(again.pair, params.pair)
-    assert np.array_equal(again.opp, params.opp)
-    path = tmp_path / "params.json"
-    params.save(path)
-    loaded = BicapacityParams.load(path)
-    assert np.array_equal(loaded.a, params.a)
-
-
 def test_bipolar_flows_identities(students):
     rng = np.random.default_rng(37)
     for _ in range(15):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
+from scipy.optimize import linprog
 from scipy.stats import ks_2samp
 
 from smaa_promethee.bipolar import ParameterLayout
@@ -12,7 +14,7 @@ from smaa_promethee.elicitation import (
     parse_statements,
     restrict_classical,
 )
-from smaa_promethee.lp import LpOutcome, max_epsilon
+from smaa_promethee.lp import max_epsilon
 from smaa_promethee import sampler
 from smaa_promethee.sampler import (
     InfeasibleSystemError,
@@ -271,18 +273,6 @@ def test_start_on_the_boundary_is_rejected():
     assert err.value.eps_star == pytest.approx(1.0)
 
 
-def test_start_outside_is_rejected_with_provenance():
-    # a margin vertex that has drifted outside pulls the averaged start out
-    system = handmade_system(free=("a_1", "a_2"))
-    honest = max_epsilon(system)
-    drifted = honest.solution.copy()
-    drifted[0] = -1.0
-    bad = LpOutcome("optimal", honest.eps_star, drifted, honest.binding)
-    with pytest.raises(InfeasibleSystemError, match="minimum slack -0.25") as err:
-        build_polytope(system, margin=bad)
-    assert err.value.binding == ("a_1 >= 0",)
-
-
 def test_caller_margin_is_not_solved_again(students_ramp, monkeypatch):
     system = compile_statements(
         students_ramp, parse_statements(FIXTURES / "scenario2.jsonl")
@@ -316,12 +306,13 @@ def test_samples_satisfy_full_monotonicity(n):
     assert slack.min() >= -1e-9
 
 
-def test_seven_criteria_end_to_end():
-    # compile, both margins, polytope and sampling at n = 7; no wall time
-    # is asserted
-    table, statements = bicapacity_problem(np.random.default_rng(7), 8, 7)
+def criteria_end_to_end(n):
+    """Compile, both margins, polytope and 2k samples at n criteria, every
+    sample checked against the compiled and the full monotonicity rows;
+    no wall time is asserted."""
+    table, statements = bicapacity_problem(np.random.default_rng(n), 8, n)
     system = compile_statements(table, statements)
-    assert len(system.rows) == len(statements) + 1 + 7 + 42 + 7 * 2 ** 6
+    assert len(system.rows) == len(statements) + 1 + n * n + n * 2 ** (n - 1)
     classical = max_epsilon(restrict_classical(system))
     bipolar = max_epsilon(system)
     assert classical.status == "optimal" and classical.eps_star <= 1e-9
@@ -333,7 +324,71 @@ def test_seven_criteria_end_to_end():
     for checked in (system, full_monotonicity_system(system)):
         a_eq, b_eq, _, a_ub, b_ub, _ = checked.split()
         assert np.max(np.abs(data @ a_eq.T - b_eq)) <= 1e-9
-        assert np.max(data @ a_ub.T - b_ub) <= 1e-9
+        # in blocks of samples: n = 8 has 17,496 full monotonicity rows
+        for block in np.array_split(data, 10):
+            assert np.max(block @ a_ub.T - b_ub) <= 1e-9
+
+
+def test_seven_criteria_end_to_end():
+    criteria_end_to_end(7)
+
+
+def test_eight_criteria_end_to_end():
+    # the enumeration cap: n = 8 must run end to end
+    criteria_end_to_end(8)
+
+
+def scipy_inradius(system, delta_strict):
+    """Radius of the largest ball in the reduced polytope at the margin
+    ``delta_strict``, by HiGHS over scipy's null-space basis of the
+    equality rows (every compiled system has the normalisation row)."""
+    a_eq, b_eq, _, a_ub, b_ub, _ = system.split()
+    size, ecol = system.layout.size, system.eps_col
+    eq_b = b_eq - a_eq[:, ecol] * delta_strict
+    basis = null_space(a_eq[:, :size])
+    offset = np.linalg.lstsq(a_eq[:, :size], eq_b, rcond=None)[0]
+    R = a_ub[:, :size] @ basis
+    r = b_ub - a_ub[:, ecol] * delta_strict - a_ub[:, :size] @ offset
+    norms = np.linalg.norm(R, axis=1)
+    keep = norms > 1e-12
+    k = basis.shape[1]
+    res = linprog(-np.eye(k + 1)[k], A_ub=np.hstack([R, norms[:, None]])[keep],
+                  b_ub=r[keep], bounds=[(None, None)] * k + [(None, 1.0)],
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.x[k]
+
+
+def test_analytic_centre_matches_scipy_inradius(students, students_ramp):
+    scenario1 = parse_statements(FIXTURES / "scenario1.jsonl")
+    systems = [
+        restrict_classical(compile_statements(students, scenario1)),
+        compile_statements(students, scenario1),
+        compile_statements(
+            students_ramp, parse_statements(FIXTURES / "scenario2.jsonl")
+        ),
+    ]
+    for n in range(3, 9):
+        table, statements = bicapacity_problem(np.random.default_rng(n), 8, n)
+        systems.append(compile_statements(table, statements))
+    for system in systems:
+        fit = max_epsilon(system)
+        # 1e-4 below the full margin the polytope is a thin slab; at the
+        # full margin a statement row binds everywhere: no interior
+        for delta in (0.0, fit.eps_star / 2, fit.eps_star - 1e-4, fit.eps_star):
+            radius = scipy_inradius(system, delta)
+            # clear of the solvers' tolerances either way
+            assert radius < 1e-7 or radius > 1e-6, radius
+            if radius < 1e-7:
+                with pytest.raises(InfeasibleSystemError, match="no interior start point"):
+                    build_polytope(system, delta, margin=fit)
+                continue
+            polytope = build_polytope(system, delta, margin=fit)
+            slack = polytope.b - polytope.A @ polytope.start
+            assert slack.min() > 0.0
+            # the barrier gradient vanishes at the analytic centre
+            inverse = 1.0 / slack
+            assert np.linalg.norm(polytope.A.T @ inverse) / inverse.max() <= 1e-8
 
 
 def test_batch_save_load_roundtrip(tmp_path, students):
@@ -364,17 +419,6 @@ def test_batch_load_rejects_a_file_its_sidecar_does_not_describe(tmp_path):
             SampleBatch.load(str(path))
     path.write_bytes(payload)
     assert np.array_equal(SampleBatch.load(str(path)).data, batch.data)
-
-
-def test_batch_concat(students):
-    system = restrict_classical(compile_statements(students, []))
-    polytope = build_polytope(system)
-    one = hit_and_run(polytope, SamplerConfig(sample_count=100, seed=1))
-    two = hit_and_run(polytope, SamplerConfig(sample_count=150, seed=2))
-    both = SampleBatch.concat([one, two])
-    assert both.sample_count == 250
-    assert np.array_equal(both.data[:100], one.data)
-    assert np.array_equal(both.data[100:], two.data)
 
 
 def test_config_validation():
