@@ -11,13 +11,10 @@ acceptability statistics computed from the samples.
 from .bipolar import (
     BicapacityParams,
     ChoquetTriple,
-    GeneralBicapacity,
     ParameterLayout,
     bipolar_choquet_2additive,
-    bipolar_choquet_general,
     bipolar_flows,
     bipolar_preference_tensor,
-    bipolar_preference_vector,
     choquet_coefficients,
     flow_coefficients,
 )
@@ -73,12 +70,9 @@ __all__ = [
     "promethee2_ranking",
     "BicapacityParams",
     "ChoquetTriple",
-    "GeneralBicapacity",
     "ParameterLayout",
-    "bipolar_preference_vector",
     "bipolar_preference_tensor",
     "bipolar_choquet_2additive",
-    "bipolar_choquet_general",
     "choquet_coefficients",
     "flow_coefficients",
     "bipolar_flows",

@@ -33,7 +33,6 @@ __all__ = [
     "ParameterLayout",
     "BicapacityParams",
     "GeneralBicapacity",
-    "bipolar_preference_vector",
     "bipolar_preference_tensor",
     "bipolar_choquet_general",
     "bipolar_choquet_2additive",
@@ -318,17 +317,6 @@ class GeneralBicapacity:
                     raise ValueError("negative part must grow with the opposing side")
                 if self.minus[cj] > self.minus[key] + tol:
                     raise ValueError("negative part must shrink with the support side")
-
-
-def bipolar_preference_vector(table: PerformanceTable, a: str, b: str) -> np.ndarray:
-    """Signed per-criterion preference of ``a`` over ``b``.
-
-    Componentwise: the preference degree of a over b when positive,
-    otherwise minus the degree of b over a. At most one of the two degrees
-    is nonzero for any criterion.
-    """
-    tensor = bipolar_preference_tensor(table)
-    return tensor[table.alternative_index(a), table.alternative_index(b)]
 
 
 def bipolar_preference_tensor(table: PerformanceTable) -> np.ndarray:

@@ -2,9 +2,15 @@
 
 The compiled constraint system mixes equalities (normalisation, classical
 restrictions, stated indifferences) with inequalities. Equalities are
-eliminated through an orthonormal null-space basis so the hit-and-run
-chain walks a full-dimensional reduced polytope; points map back through
-the affine offset. The strict-preference margin is fixed to
+eliminated through an orthonormal null-space basis, which leaves a
+full-dimensional reduced polytope {z : R z <= r}. That polytope is then
+rounded: with c its analytic centre, s = r - R c the slacks there and
+H = (R / s)^T (R / s) = U^T U the barrier Hessian, U the triangle of a QR
+of R / s, the chain walks y = U (z - c), in which the Dikin ellipsoid at
+c is the unit ball at the origin. Hit-and-run mixes slowly along the long
+axes of an anisotropic polytope, and rounding shortens them (Lovász &
+Vempala 2006). Points map back through the affine offset and the scaled
+basis, which is not orthonormal. The strict-preference margin is fixed to
 ``delta_strict`` before reduction: with the default 0 the chain samples
 the closure, whose boundary has measure zero.
 
@@ -50,8 +56,9 @@ _RETRY_BUDGET = 100
 _CHORD_TOL = 1e-12
 _DOT_TOL = 1e-14
 _MAX_CHAINS = 64
-# fixed refill size: the draw order (directions then uniforms per refill)
-# is part of the deterministic stream for a given seed
+# refill size, cut down to the steps the furthest chain still needs: the
+# draw order (directions then uniforms per refill) is part of the
+# deterministic stream for a given seed
 _RAND_ROWS = 128
 # rows of a refill whose side pads and denominators are built at a time
 _BLOCK_ROWS = 16
@@ -103,11 +110,15 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Inequalities in reduced coordinates plus the affine map back.
+    """Inequalities in rounded coordinates plus the affine map back.
 
-    A full point is ``offset + basis @ z``; ``A @ z <= b`` describes the
-    reduced polytope. The original (margin-substituted) rows are kept so
-    emitted samples can be checked against what was actually compiled.
+    A full point is ``offset + basis @ y``; ``A @ y <= b`` describes the
+    rounded polytope, whose Dikin ellipsoid at the analytic centre is the
+    unit ball: ``start`` is the origin, ``b`` holds the slacks there and
+    every row has ``|A_i| <= b_i``. ``basis`` spans the null space of the
+    equality rows but is not orthonormal. The original (margin-substituted)
+    rows are kept so emitted samples can be checked against what was
+    actually compiled.
     """
 
     A: np.ndarray
@@ -210,7 +221,7 @@ def build_polytope(
     delta_strict: float = 0.0,
     margin: LpOutcome | None = None,
 ) -> Polytope:
-    """Fix the margin, eliminate equalities, and pick an interior start.
+    """Fix the margin, eliminate equalities, pick an interior start and round.
 
     The start point is the analytic centre of the reduced polytope, the
     minimiser of -sum(log(slack)) over its rows, found by Newton's method
@@ -218,7 +229,11 @@ def build_polytope(
     vertex, and it sits away from every row, where a vertex start would
     leave the chain with empty chords. A start that is not strictly
     inside every row, as on a polytope with no interior, raises
-    ``InfeasibleSystemError`` naming the row it sits on. ``margin`` is
+    ``InfeasibleSystemError`` naming the row it sits on. The polytope is
+    then rounded so that the Dikin ellipsoid at the centre becomes the
+    unit ball at the origin (see the module docstring); a singular
+    barrier Hessian, a line that no row bounds, raises ``RuntimeError``
+    before any sampling. ``margin`` is
     ``max_epsilon(system)`` when the caller has already solved it; without
     it the margin LP is solved here.
     """
@@ -252,9 +267,9 @@ def build_polytope(
     R = np.ascontiguousarray(R[keep])
     r = np.ascontiguousarray(r[keep])
 
-    start = _analytic_centre(R, r)
+    centre = _analytic_centre(R, r)
+    slack = r - R @ centre
     if R.shape[0]:
-        slack = r - R @ start
         worst = int(np.argmin(slack))
         if not slack[worst] > 0.0:
             origin = [o for o, k in zip(ub_origins, keep) if k][worst]
@@ -263,8 +278,34 @@ def build_polytope(
                 reason=f"no interior start point: minimum slack {slack[worst]:.3g}",
             )
 
+    k = basis.shape[1]
+    if k:
+        # any T with T T^T = H^-1 maps the unit ball at the origin onto the
+        # Dikin ellipsoid at the centre, {z : |(R / s)(z - c)| <= 1}. With
+        # U the triangle of a QR of R / s, H = U^T U and T = U^-1; unlike a
+        # factor of H itself, U keeps the condition number of R / s.
+        scaled = R / slack[:, None]
+        U = np.linalg.qr(scaled, mode="r")
+        try:
+            T = np.linalg.solve(U, np.eye(k))
+            # |U| |T| (Frobenius) lies between cond(U) and k cond(U); at
+            # numpy's matrix_rank cut-off, to within that factor k (or at
+            # inf or nan), U is singular
+            singular = not (np.linalg.norm(U) * np.linalg.norm(T)
+                            * max(scaled.shape) * np.finfo(float).eps < 1.0)
+        except np.linalg.LinAlgError:
+            # fewer rows than dimensions, or an exactly singular U
+            singular = True
+        if singular:
+            # a line that no row bounds
+            raise RuntimeError("reduced polytope is unbounded along a chord")
+        offset = offset + basis @ centre
+        basis = basis @ T
+        R = R @ T
+        r = slack
+
     return Polytope(
-        A=R, b=r, basis=basis, offset=offset, start=start,
+        A=R, b=r, basis=basis, offset=offset, start=np.zeros(k),
         names=system.layout.names, full_eq_A=eq_A, full_eq_b=eq_b,
         full_ub_A=ub_A, full_ub_b=ub_b, eps_star=eps_star,
     )
@@ -405,7 +446,8 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     not a step. Chain c keeps ``quota[c]`` thinned post-burn-in points,
     written chain-major into ``out``: its block starts after the quotas of
     the chains before it. ``work`` is a ``_ChainWorkspace`` for these
-    shapes, reused across refills; without one a fresh one is made.
+    shapes, or for more rows, reused across refills; without one a fresh
+    one is made.
 
     One GEMM gives the chord coefficient of every row, chain and
     constraint. Each row then makes one divide of the slacks by the safe
@@ -428,9 +470,10 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     steps = state[0]
     total = burn_in + quota * thinning
     # np.linalg.norm's arithmetic, with its squares in the workspace
-    dn = np.multiply(dirs, dirs, out=work.dn)
+    dn = np.multiply(dirs, dirs, out=work.dn[:n_rows])
     dn = np.divide(dirs, np.sqrt(dn.sum(axis=2, keepdims=True)), out=dn)
-    coef = np.matmul(dn.reshape(-1, k), A.T, out=work.coef).reshape(n_rows, chains, -1)
+    coef = np.matmul(dn.reshape(-1, k), A.T,
+                     out=work.coef[:n_rows * chains]).reshape(n_rows, chains, -1)
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
     if work.chains_last:
@@ -534,6 +577,8 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     ``burn_in`` steps. Chain c keeps ``sample_count // C`` samples, one
     more for the first ``sample_count % C`` chains, and the rows come out
     chain-major: all of chain 0's samples, then chain 1's, and so on.
+    Each refill draws ``_RAND_ROWS`` rows of directions, then of uniforms,
+    or fewer when no chain needs that many more steps.
     """
     k = polytope.dimension
     if k == 0:
@@ -548,11 +593,15 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     work = _ChainWorkspace(_RAND_ROWS, chains, polytope.A.shape[0], k)
     dirs = np.empty((_RAND_ROWS, chains, k))
     uniforms = np.empty((_RAND_ROWS, chains))
+    total = config.burn_in + quota * config.thinning
     while np.any(state[1] < quota):
-        rng.standard_normal(out=dirs)
-        rng.random(out=uniforms)
-        chain_steps(polytope.A, polytope.b, Y, dirs, uniforms, config.burn_in,
-                    config.thinning, state, quota, out, work=work)
+        # no more rows than the furthest chain still needs; retries that
+        # leave it short get a further refill
+        rows = min(_RAND_ROWS, int((total - state[0]).max()))
+        rng.standard_normal(out=dirs[:rows])
+        rng.random(out=uniforms[:rows])
+        chain_steps(polytope.A, polytope.b, Y, dirs[:rows], uniforms[:rows],
+                    config.burn_in, config.thinning, state, quota, out, work=work)
     # the chain's buffers go before the (samples, rows) feasibility check
     del work, dirs, uniforms
 

@@ -10,13 +10,13 @@ from smaa_promethee.bipolar import (
     bipolar_choquet_general,
     bipolar_flows,
     bipolar_preference_tensor,
-    bipolar_preference_vector,
     choquet_coefficients,
     flow_coefficients,
 )
 from smaa_promethee.promethee import Relation, classical_flows, promethee1_relation, promethee2_ranking
 
 from conftest import random_table, random_valid_params
+from reference_bipolar import bipolar_preference_vector
 
 
 def definitional_reference(x, bicap: GeneralBicapacity):
@@ -69,6 +69,9 @@ def test_preference_tensor_antisymmetric(students, students_ramp):
         tensor = bipolar_preference_tensor(table)
         assert np.array_equal(tensor, -tensor.transpose(1, 0, 2))
         assert np.all(np.abs(tensor) <= 1.0)
+        for i, a in enumerate(table.alternatives):
+            for k, b in enumerate(table.alternatives):
+                assert np.array_equal(tensor[i, k], bipolar_preference_vector(table, a, b))
 
 
 def test_choquet_trivial_cases():

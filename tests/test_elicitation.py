@@ -6,7 +6,6 @@ from smaa_promethee.bipolar import (
     ParameterLayout,
     bipolar_choquet_2additive,
     bipolar_flows,
-    bipolar_preference_vector,
 )
 from smaa_promethee.elicitation import (
     ConstraintRow,
@@ -32,6 +31,7 @@ from conftest import (
     random_table,
     random_valid_params,
 )
+from reference_bipolar import bipolar_preference_vector
 
 
 def statement_rows(system: ConstraintSystem):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 from scipy.stats import ks_2samp
 
 from smaa_promethee.bipolar import ParameterLayout
@@ -15,6 +16,7 @@ from smaa_promethee.elicitation import (
     restrict_classical,
 )
 from smaa_promethee.lp import max_epsilon
+from smaa_promethee.promethee import classical_flows
 from smaa_promethee import sampler
 from smaa_promethee.sampler import (
     InfeasibleSystemError,
@@ -24,6 +26,7 @@ from smaa_promethee.sampler import (
     build_polytope,
     hit_and_run,
 )
+from smaa_promethee.smaa import aggregate
 
 from conftest import FIXTURES, bicapacity_problem, full_monotonicity_system
 
@@ -167,9 +170,10 @@ def test_chain_count_rule_at_the_edges(students):
     assert count(sample_count=200, burn_in=1_000, thinning=1_000) == 64
 
     # with no burn-in, chain c's first sample is one step from the start,
-    # driven by row 0, chain c of the first refill: (128, C, k) normals,
-    # then (128, C) uniforms. 130 samples on 64 chains give the first two
-    # chains 3 samples and the rest 2, in chain-major blocks.
+    # driven by row 0, chain c of the only refill: (R, C, k) normals, then
+    # (R, C) uniforms, where R = max(quota) is the most steps any chain
+    # needs. 130 samples on 64 chains give the first two chains 3 samples
+    # and the rest 2, in chain-major blocks.
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
     A, b, start = polytope.A, polytope.b, polytope.start
@@ -178,8 +182,8 @@ def test_chain_count_rule_at_the_edges(students):
         batch = hit_and_run(polytope, SamplerConfig(
             sample_count=sample_count, burn_in=0, seed=4))
         rng = np.random.default_rng(4)
-        d = rng.standard_normal((128, chains, 2))[0]
-        u = rng.random((128, chains))[0]
+        d = rng.standard_normal((max(quota), chains, 2))[0]
+        u = rng.random((max(quota), chains))[0]
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         coef = d @ A.T
         ratio = (b - A @ start) / coef
@@ -187,7 +191,9 @@ def test_chain_count_rule_at_the_edges(students):
         t_lo = np.where(coef < 0, ratio, -np.inf).max(axis=1)
         expected = start + (t_lo + u * (t_hi - t_lo))[:, None] * d
         first = np.cumsum(quota) - quota
-        z = (batch.data[first] - polytope.offset) @ polytope.basis
+        # the basis is not orthonormal: solve for the walk's coordinates
+        z = np.linalg.lstsq(polytope.basis,
+                            (batch.data[first] - polytope.offset).T, rcond=None)[0].T
         np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
 
 
@@ -389,6 +395,117 @@ def test_analytic_centre_matches_scipy_inradius(students, students_ramp):
             # the barrier gradient vanishes at the analytic centre
             inverse = 1.0 / slack
             assert np.linalg.norm(polytope.A.T @ inverse) / inverse.max() <= 1e-8
+
+
+def test_dikin_rounding(students, students_ramp):
+    scenario1 = parse_statements(FIXTURES / "scenario1.jsonl")
+    systems = [
+        restrict_classical(compile_statements(students, scenario1)),
+        compile_statements(students, scenario1),
+        compile_statements(
+            students_ramp, parse_statements(FIXTURES / "scenario2.jsonl")
+        ),
+    ]
+    for n in range(3, 9):
+        table, statements = bicapacity_problem(np.random.default_rng(n), 8, n)
+        systems.append(compile_statements(table, statements))
+    rng = np.random.default_rng(5)
+    for system in systems:
+        polytope = build_polytope(system)
+        A, b, k = polytope.A, polytope.b, polytope.dimension
+        assert not polytope.start.any()
+        # each |A_i| / b_i is a leverage score of the scaled rows at the
+        # centre: at most 1, and they sum to the dimension
+        leverage = (A * A).sum(axis=1) / (b * b)
+        assert leverage.max() <= 1.0 + 1e-12
+        assert abs(leverage.sum() - k) <= 1e-9
+        # the unit ball, its sphere included, maps inside every compiled row
+        y = rng.standard_normal((400, k))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        y[200:] *= rng.random((200, 1)) ** (1.0 / k)
+        theta = polytope.offset + y @ polytope.basis.T
+        assert np.abs(theta @ polytope.full_eq_A.T - polytope.full_eq_b).max() <= 1e-9
+        assert (theta @ polytope.full_ub_A.T - polytope.full_ub_b).max() <= 1e-9
+
+
+def test_slab_thinner_than_the_square_root_of_eps_is_rounded(students_ramp):
+    # 1e-9 below the largest margin the polytope is a slab whose barrier
+    # Hessian has a condition number near 1e17: factoring H itself fails
+    # in floating point, the triangle of a QR of the scaled rows does not
+    system = compile_statements(
+        students_ramp, parse_statements(FIXTURES / "scenario2.jsonl"))
+    fit = max_epsilon(system)
+    for gap in (1e-9, 1e-10):
+        polytope = build_polytope(system, fit.eps_star - gap, margin=fit)
+        assert np.linalg.cond(polytope.basis) > 1e8
+        # every sample passes the output check inside hit_and_run
+        hit_and_run(polytope, SamplerConfig(sample_count=2_000, seed=1))
+
+
+def test_line_no_row_bounds_is_rejected_before_sampling():
+    layout = ParameterLayout(2)
+
+    def row(name, sense, rhs):
+        coefs = np.zeros(layout.size + 1)
+        coefs[layout.names.index(name)] = 1.0
+        return ConstraintRow(coefs, sense, rhs, f"{name} {sense} {rhs}")
+
+    pins = [row(name, "=", 0.0) for name in layout.names if name not in ("a_1", "a_2")]
+    # a_2 is free in both: with a_1 bounded, and with no inequality at all
+    for bounds in ([row("a_1", ">=", -1.0), row("a_1", "<=", 1.0)], []):
+        system = ConstraintSystem(layout=layout, rows=tuple(pins + bounds))
+        # the barrier Hessian is singular: raise before any divide by zero
+        with np.errstate(all="raise"):
+            with pytest.raises(RuntimeError, match="unbounded along a chord"):
+                build_polytope(system)
+
+
+def polygon_area(G, h):
+    """Area of {y : G y <= h} in the plane, 0 if it has no interior; rows
+    without coefficients must hold and are dropped."""
+    norms = np.linalg.norm(G, axis=1)
+    keep = norms > 1e-12
+    assert (h[~keep] >= -1e-12).all()
+    G, h, norms = G[keep], h[keep], norms[keep]
+    # the deepest point, as the feasible point qhull needs
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.hstack([G, norms[:, None]]), b_ub=h,
+                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
+    # status 2: no point at all
+    assert res.status in (0, 2), res.message
+    if res.status == 2 or res.x[2] < 1e-9:
+        return 0.0
+    corners = HalfspaceIntersection(np.hstack([G, -h[:, None]]), res.x[:2])
+    return ConvexHull(corners.intersections).volume
+
+
+def test_rank1_acceptability_matches_exact_areas(students):
+    # classical scenario 1 samples a triangle cut by two rows (dim 2): the
+    # exact rank-1 acceptability of s_i is the area where its net flow is
+    # highest over the polytope's area
+    system = restrict_classical(
+        compile_statements(students, parse_statements(FIXTURES / "scenario1.jsonl")))
+    polytope = build_polytope(system)
+    assert polytope.dimension == 2
+    G = polytope.full_ub_A @ polytope.basis
+    h = polytope.full_ub_b - polytope.full_ub_A @ polytope.offset
+    n, m = len(students.criteria), len(students.alternatives)
+    # net flows are linear in the weights, the first n columns
+    unit = np.stack([classical_flows(students, w).net for w in np.eye(n)], axis=1)
+    slope = unit @ polytope.basis[:n]
+    level = unit @ polytope.offset[:n]
+    exact = np.array([
+        polygon_area(np.vstack([G, np.delete(slope - slope[i], i, axis=0)]),
+                     np.concatenate([h, np.delete(level[i] - level, i)]))
+        for i in range(m)
+    ]) / polygon_area(G, h)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-9)
+    runs = np.array([
+        aggregate(students, hit_and_run(polytope, SamplerConfig(sample_count=20_000, seed=seed)),
+                  mode="classical").rank_acceptability[:, 0]
+        for seed in range(1, 9)
+    ])
+    se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
+    assert (np.abs(runs.mean(axis=0) - exact) <= 4.0 * se).all(), (runs.mean(axis=0), exact, se)
 
 
 def test_batch_save_load_roundtrip(tmp_path, students):
