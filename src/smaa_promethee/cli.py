@@ -4,7 +4,8 @@ Model escalation follows the simplest-first rule: in auto mode the
 weights-only model is tried first and the bipolar one only when the
 classical margin is not strictly positive. Exit codes: 0 success, 1 bad
 input, 2 no compatible model at the requested margin, or an LP or the
-sampling failed.
+sampling failed (a sample array that cannot be allocated included). An
+output directory that cannot be written is bad input.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # the inputs are read by now, so an OSError is a write under --out
+    try:
+        return _run(args, formats, config, table, full_system)
+    except OSError as exc:
+        print(f"error: cannot write output to {args.out}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args, formats, config, table, full_system) -> int:
+    """Choose the model, sample, aggregate and write the reports."""
     classical_system = restrict_classical(full_system)
 
     try:
@@ -128,7 +139,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         polytope = build_polytope(system, args.delta_strict, margin=fit)
         batch = hit_and_run(polytope, config)
-    except (RuntimeError, ValueError) as exc:  # InfeasibleSystemError included
+    # InfeasibleSystemError included; MemoryError when the samples cannot
+    # be allocated, which hit_and_run tries before the first step
+    except (RuntimeError, ValueError, MemoryError) as exc:
         print(f"error: sampling failed: {exc}", file=sys.stderr)
         return 2
 

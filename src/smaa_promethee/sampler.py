@@ -27,6 +27,13 @@ and empty-chord retries are settled once per refill. The arithmetic is
 that of a per-row loop, so a seed gives bit-identical samples on a given
 numpy build. C is derived from the configuration so that burn-in work
 never exceeds sampling work.
+
+The (samples, parameters) result is the one array that grows with the
+sample count. It is allocated before the first step; the chain writes
+its rounded points into its first k columns, and each block of rows is
+then mapped to full parameter vectors in place and checked against the
+compiled rows. So the working memory beyond the samples is one refill's
+buffers, then one check block, whatever the number of samples.
 """
 
 from __future__ import annotations
@@ -62,6 +69,9 @@ _MAX_CHAINS = 64
 _RAND_ROWS = 128
 # rows of a refill whose side pads and denominators are built at a time
 _BLOCK_ROWS = 16
+# numbers (rows x mapped columns and residuals) of one block of the output
+# map and check
+_CHECK_ENTRIES = 2 ** 17
 # damped Newton stops once the Newton decrement is below this, or after
 # this many steps
 _NEWTON_TOL = 1e-12
@@ -442,7 +452,8 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     steps done, samples kept and consecutive empty-chord retries of each
     chain; both are updated in place. Row r of ``dirs`` (R, C, k, not
     normalised) and ``uniforms`` (R, C) drives step attempt r of every
-    chain. An empty chord leaves its chain in place and counts as a retry,
+    chain; ``dirs`` may be ``work.dn[:R]``, which is then normalised in place.
+    An empty chord leaves its chain in place and counts as a retry,
     not a step. Chain c keeps ``quota[c]`` thinned post-burn-in points,
     written chain-major into ``out``: its block starts after the quotas of
     the chains before it. ``work`` is a ``_ChainWorkspace`` for these
@@ -469,9 +480,11 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
         work = _ChainWorkspace(n_rows, chains, A.shape[0], k)
     steps = state[0]
     total = burn_in + quota * thinning
-    # np.linalg.norm's arithmetic, with its squares in the workspace
-    dn = np.multiply(dirs, dirs, out=work.dn[:n_rows])
-    dn = np.divide(dirs, np.sqrt(dn.sum(axis=2, keepdims=True)), out=dn)
+    # np.linalg.norm's arithmetic, with its squares in the gather buffer,
+    # which _settle only needs later
+    sq = work.points[:n_rows * chains].reshape(dirs.shape)
+    sq = np.multiply(dirs, dirs, out=sq)
+    dn = np.divide(dirs, np.sqrt(sq.sum(axis=2, keepdims=True)), out=work.dn[:n_rows])
     coef = np.matmul(dn.reshape(-1, k), A.T,
                      out=work.coef[:n_rows * chains]).reshape(n_rows, chains, -1)
     # computed once per refill, then moved along with the points
@@ -579,19 +592,27 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     chain-major: all of chain 0's samples, then chain 1's, and so on.
     Each refill draws ``_RAND_ROWS`` rows of directions, then of uniforms,
     or fewer when no chain needs that many more steps.
+
+    The (samples, parameters) result is allocated before the first step,
+    so a count that cannot be held raises ``MemoryError`` at once, and it
+    is the only array that grows with the sample count: the chain writes
+    its rounded points into the first k columns, and ``_map_and_check``
+    then maps and checks them in place, a block of rows at a time.
     """
     k = polytope.dimension
     if k == 0:
         raise ValueError("polytope has no free dimensions to sample")
+    theta = np.empty((config.sample_count, polytope.basis.shape[0]))
     chains = _chain_count(config)
     quota = np.full(chains, config.sample_count // chains, dtype=np.int64)
     quota[: config.sample_count % chains] += 1
     rng = np.random.default_rng(config.seed)
-    out = np.empty((config.sample_count, k))
+    out = theta[:, :k]
     Y = np.tile(np.asarray(polytope.start, dtype=np.float64), (chains, 1))
     state = np.zeros((3, chains), dtype=np.int64)
     work = _ChainWorkspace(_RAND_ROWS, chains, polytope.A.shape[0], k)
-    dirs = np.empty((_RAND_ROWS, chains, k))
+    # drawn straight into the workspace, which normalises them in place
+    dirs = work.dn
     uniforms = np.empty((_RAND_ROWS, chains))
     total = config.burn_in + quota * config.thinning
     while np.any(state[1] < quota):
@@ -602,23 +623,44 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
         rng.random(out=uniforms[:rows])
         chain_steps(polytope.A, polytope.b, Y, dirs[:rows], uniforms[:rows],
                     config.burn_in, config.thinning, state, quota, out, work=work)
-    # the chain's buffers go before the (samples, rows) feasibility check
+    # the chain's buffers go before the map and check
     del work, dirs, uniforms
-
-    theta = out @ polytope.basis.T
-    theta += polytope.offset
-
-    # hard output contract, not a diagnostic
-    if polytope.full_eq_A.shape[0]:
-        # not kept alive through the inequality check
-        eq_err = np.abs(theta @ polytope.full_eq_A.T - polytope.full_eq_b).max()
-        if eq_err > _OUTPUT_FEAS_TOL:
-            raise RuntimeError("sample violates an equality row beyond 1e-9")
-    if polytope.full_ub_A.shape[0]:
-        # in place, so one (samples, rows) array is alive at a time, not two
-        ub_err = theta @ polytope.full_ub_A.T
-        ub_err -= polytope.full_ub_b
-        if ub_err.size and ub_err.max() > _OUTPUT_FEAS_TOL:
-            raise RuntimeError("sample violates an inequality row beyond 1e-9")
-
+    _map_and_check(polytope, theta)
     return SampleBatch(columns=polytope.names, data=theta, seed=config.seed)
+
+
+def _map_and_check(polytope: Polytope, theta: np.ndarray) -> None:
+    """Map rounded points to parameter vectors in place and check them.
+
+    Row i of ``theta`` holds a point y in its first k columns and becomes
+    ``offset + basis @ y``. This is the hard output contract, not a
+    diagnostic: every vector must meet the compiled equality and
+    inequality rows to ``_OUTPUT_FEAS_TOL``. The rows run in blocks whose
+    mapped vectors and row residuals together hold ``_CHECK_ENTRIES``
+    numbers, so the check's memory does not grow with the sample count.
+    """
+    k = polytope.dimension
+    eq_A, eq_b = polytope.full_eq_A, polytope.full_eq_b
+    ub_A, ub_b = polytope.full_ub_A, polytope.full_ub_b
+    size = theta.shape[1]
+    step = max(1, _CHECK_ENTRIES // (size + eq_A.shape[0] + ub_A.shape[0]))
+    step = min(step, theta.shape[0])
+    mapped = np.empty((step, size))
+    eq_err = np.empty((step, eq_A.shape[0]))
+    ub_err = np.empty((step, ub_A.shape[0]))
+    for lo in range(0, theta.shape[0], step):
+        block = theta[lo:lo + step]
+        n = block.shape[0]
+        full = np.matmul(block[:, :k], polytope.basis.T, out=mapped[:n])
+        full += polytope.offset
+        if eq_A.shape[0]:
+            err = np.matmul(full, eq_A.T, out=eq_err[:n])
+            err -= eq_b
+            if np.abs(err, out=err).max() > _OUTPUT_FEAS_TOL:
+                raise RuntimeError("sample violates an equality row beyond 1e-9")
+        if ub_A.shape[0]:
+            err = np.matmul(full, ub_A.T, out=ub_err[:n])
+            err -= ub_b
+            if err.max() > _OUTPUT_FEAS_TOL:
+                raise RuntimeError("sample violates an inequality row beyond 1e-9")
+        block[...] = full

@@ -38,7 +38,12 @@ __all__ = [
     "validate_against_exact_ror",
 ]
 
-_COUNT_CHUNK = 65536
+# samples per aggregation chunk: the per-chunk arrays are (chunk, m), so
+# this bounds aggregation's working memory. It is no smaller because the
+# per-chunk and per-pair calls then cost more than the smaller arrays save
+# (5,000 samples x 100 alternatives aggregate in 54 ms as one chunk and
+# in 64-69 ms as chunks of 655)
+_COUNT_CHUNK = 8192
 _PARTITION_TOL = 1e-12
 _CONVEXITY_TOL = 1e-9
 _FLOW_BALANCE_TOL = 1e-9
@@ -89,28 +94,23 @@ def aggregate(
 ) -> SmaaResults:
     """Accumulate all relation frequencies over the batch.
 
-    When ``polytope`` is given, the barycenter and every central weight
-    vector are checked against its rows (they are convex combinations of
+    The samples run in chunks of ``_COUNT_CHUNK``, and each chunk is
+    checked for non-finite values (and, in classical mode, for nonzero
+    interaction columns) before it is counted, so the working memory is
+    a fixed number of (chunk, m) arrays, whatever the sample count. When
+    ``polytope`` is given, the barycenter and every central weight vector
+    are checked against its rows (they are convex combinations of
     feasible samples, so this guards the pipeline, not the math).
     """
     if batch.sample_count == 0:
         raise ValueError("sample batch is empty")
-    if not np.isfinite(batch.data).all():
-        raise ValueError("sample batch holds non-finite values")
     m = len(table.alternatives)
     if m < 2:
         raise ValueError("need at least two alternatives")
     layout = ParameterLayout(len(table.criteria))
     if batch.columns != layout.names:
         raise ValueError("batch columns do not match the parameter layout")
-    if mode == "classical":
-        inter = batch.data[:, layout.n:]
-        if inter.size and np.abs(inter).max() > _CLASSICAL_COLUMN_TOL:
-            raise ValueError(
-                "classical mode requires interaction and opposing-power "
-                "columns pinned to zero"
-            )
-    elif mode != "bipolar":
+    if mode not in ("classical", "bipolar"):
         raise ValueError(f"unknown mode {mode!r}")
 
     flow_pos, flow_neg = flow_coefficients(table, layout)
@@ -127,6 +127,16 @@ def aggregate(
     for lo in range(0, total, _COUNT_CHUNK):
         z = data[lo : lo + _COUNT_CHUNK]
         s = z.shape[0]
+        if not np.isfinite(z).all():
+            raise ValueError("sample batch holds non-finite values")
+        if mode == "classical":
+            inter = z[:, layout.n:]
+            if inter.size and (inter.max() > _CLASSICAL_COLUMN_TOL
+                               or inter.min() < -_CLASSICAL_COLUMN_TOL):
+                raise ValueError(
+                    "classical mode requires interaction and opposing-power "
+                    "columns pinned to zero"
+                )
         pos = z @ flow_pos.T
         neg = z @ flow_neg.T
         imbalance = np.abs((pos - neg).sum(axis=1)).max()

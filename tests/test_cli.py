@@ -238,6 +238,29 @@ def test_stuck_chain_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "smaa_report.json").exists()
 
 
+def test_unallocatable_sample_array_exits_2_without_traceback(tmp_path, capsys):
+    # 10^15 rows of 8-byte floats lie beyond the address space, so the
+    # allocation fails at once instead of being overcommitted
+    assert run_cli(tmp_path, samples=10**15) == 2
+    err = capsys.readouterr().err
+    assert "error: sampling failed:" in err
+    assert "(1000000000000000," in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "samples.bin").exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_unwritable_out_exits_1_with_its_path(tmp_path, capsys, under):
+    # an existing file, or a directory that would have to be made under one
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = taken / "out" if under else taken
+    assert run_cli(out) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write output to {out}" in err
+    assert "Traceback" not in err
+
+
 def test_failed_margin_lp_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     def drifted(system):
         raise RuntimeError("phase 1 ended at a negative sum of artificials (-3)")

@@ -320,17 +320,15 @@ def test_hit_and_run_matches_reference_chain_on_the_workloads(tmp_path, monkeypa
         assert got.tobytes() == want.tobytes(), name
 
 
-def test_chain_workspace_is_freed_before_the_feasibility_check():
+def scenario2_polytope():
     table = load_problem(FIXTURES / "students_ramp.json")
     system = compile_statements(table, parse_statements(FIXTURES / "scenario2.jsonl"))
-    polytope = build_polytope(system, margin=max_epsilon(system))
-    config = SamplerConfig(sample_count=20_000, burn_in=300, seed=1)
-    chains = sampler._chain_count(config)
-    rows, k = polytope.A.shape
-    coef_bytes = sampler._RAND_ROWS * chains * rows * 8
-    out_bytes = config.sample_count * k * 8
-    theta_bytes = config.sample_count * polytope.basis.shape[0] * 8
-    check_bytes = config.sample_count * polytope.full_ub_A.shape[0] * 8
+    return build_polytope(system, margin=max_epsilon(system))
+
+
+def traced_beyond_samples(polytope, config):
+    """Traced peak of one ``hit_and_run`` call beyond its returned samples,
+    and what is left allocated beyond them after it returns."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -338,11 +336,84 @@ def test_chain_workspace_is_freed_before_the_feasibility_check():
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert chains == 64 and batch.data.nbytes == theta_bytes
-    beyond = peak - before - out_bytes - theta_bytes - check_bytes
-    assert beyond < coef_bytes, f"{beyond / 2**20:.2f} MiB beyond the outputs"
+    samples = batch.data.nbytes
+    assert samples == config.sample_count * polytope.basis.shape[0] * 8
+    return peak - before - samples, after - before - samples
+
+
+def refill_bytes(polytope, config):
+    """One refill's buffers in ``hit_and_run``: the chord coefficients
+    ``coef`` and their chains-last block copy, the normalised directions
+    ``dn``, the gather buffer ``points``, the block's denominators, side
+    pads and side flags, and the uniforms."""
+    R = sampler._RAND_ROWS
+    C = sampler._chain_count(config)
+    rows, k = polytope.A.shape
+    block = min(R, sampler._BLOCK_ROWS)
+    coef = R * C * rows * 8
+    coef_t = block * rows * C * 8 if C >= rows else 0
+    dn = points = R * C * k * 8
+    den = pad = block * 2 * rows * C * 8
+    side = block * 2 * rows * C
+    uniforms = R * C * 8
+    return coef + coef_t + dn + points + den + pad + side + uniforms
+
+
+# the mapped vectors and residuals of one block of the output check
+CHECK_BLOCK_BYTES = sampler._CHECK_ENTRIES * 8
+
+
+def test_chain_workspace_is_freed_before_the_feasibility_check(monkeypatch):
+    polytope = scenario2_polytope()
+    config = SamplerConfig(sample_count=20_000, burn_in=300, seed=1)
+    # numpy's first-call caches are not the sampler's
+    traced_beyond_samples(polytope, config)
+    beyond, left = traced_beyond_samples(polytope, config)
+    # the chain holds no (samples, k) output besides the samples. The check
+    # block is not live during the chain, so in the allowance it stands for
+    # the chain's per-refill temporaries (_settle's index arrays, about
+    # 0.6 MiB here)
+    allowance = refill_bytes(polytope, config) + CHECK_BLOCK_BYTES
+    assert beyond < allowance, (
+        f"{beyond / 2**20:.2f} MiB beyond the samples, "
+        f"allowance {allowance / 2**20:.2f} MiB")
     # only the returned samples outlive the call
-    assert after - before - theta_bytes < 64 * 1024
+    assert left < 64 * 1024
+
+    check = {}
+
+    def traced_check(polytope, theta):
+        check["entry"] = tracemalloc.get_traced_memory()[0] - theta.nbytes
+        tracemalloc.reset_peak()
+        map_and_check(polytope, theta)
+        check["peak"] = tracemalloc.get_traced_memory()[1] - theta.nbytes
+
+    map_and_check = sampler._map_and_check
+    monkeypatch.setattr(sampler, "_map_and_check", traced_check)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hit_and_run(polytope, config)
+    finally:
+        tracemalloc.stop()
+    # the chain's buffers are gone when the check starts, and the check
+    # holds one block: no (samples, rows) residuals, which are 3.5 MiB here
+    assert check["entry"] - base < 64 * 1024
+    # plus numpy's 64 KiB buffer for a broadcast in-place operation
+    assert check["peak"] - check["entry"] < CHECK_BLOCK_BYTES + 128 * 1024
+
+
+def test_sampler_working_memory_does_not_grow_with_the_sample_count():
+    polytope = scenario2_polytope()
+    small = SamplerConfig(sample_count=20_000, burn_in=300, seed=1)
+    large = SamplerConfig(sample_count=200_000, burn_in=300, seed=1)
+    traced_beyond_samples(polytope, small)
+    beyond_small, _ = traced_beyond_samples(polytope, small)
+    beyond_large, _ = traced_beyond_samples(polytope, large)
+    # at 200k samples one (samples, rows) residual array is 35 MiB
+    assert abs(beyond_large - beyond_small) < CHECK_BLOCK_BYTES, (
+        f"{beyond_small / 2**20:.2f} MiB at 20k samples, "
+        f"{beyond_large / 2**20:.2f} MiB at 200k")
 
 
 def random_flow_block(seed, n_samples=400, m=5, ties=True):

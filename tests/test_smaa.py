@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from smaa_promethee.elicitation import (
     parse_statements,
     restrict_classical,
 )
-from smaa_promethee.model import Criterion, PerformanceTable
+from smaa_promethee.model import Criterion, PerformanceTable, load_problem
 from smaa_promethee.promethee import classical_flows
 from smaa_promethee.sampler import SampleBatch, SamplerConfig, build_polytope, hit_and_run
 from smaa_promethee.smaa import aggregate, flow_matrices, validate_against_exact_ror
@@ -159,6 +161,34 @@ def test_aggregate_frequencies_do_not_depend_on_chunk(students, monkeypatch):
     assert whole.central_weights.keys() == chunked.central_weights.keys()
     for name, vec in whole.central_weights.items():
         np.testing.assert_allclose(chunked.central_weights[name], vec, atol=1e-12)
+
+
+@pytest.mark.parametrize("problem,statements,mode", [
+    ("students.json", "scenario1.jsonl", "classical"),
+    ("students_ramp.json", "scenario2.jsonl", "bipolar"),
+])
+def test_aggregate_memory_does_not_grow_with_the_sample_count(problem, statements, mode):
+    table = load_problem(FIXTURES / problem)
+    system = compile_statements(table, parse_statements(FIXTURES / statements))
+    if mode == "classical":
+        system = restrict_classical(system)
+    _, batch = sample_system(system, count=4000, seed=3)
+    peaks = []
+    for copies in (1, 25, 100):
+        big = SampleBatch(columns=batch.columns, data=np.tile(batch.data, (copies, 1)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            aggregate(table, big, mode=mode)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    # 100k and 400k samples; the first run fills numpy's first-call caches.
+    # A (samples, columns) temporary would add 3.6 MB or more.
+    assert peaks[2] - peaks[1] < 64 * 1024, [p / 2**20 for p in peaks]
+    # the counter's O(samples x m) arrays, for one chunk at a time
+    m = len(table.alternatives)
+    assert peaks[2] < 8 * smaa._COUNT_CHUNK * m * 8, peaks[2] / 2**20
 
 
 def test_dominant_alternative_identity_pattern():
