@@ -75,9 +75,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown report formats {bad or args.format!r}", file=sys.stderr)
         return 1
     try:
+        if not args.delta_strict >= 0.0:
+            raise ValueError("--delta-strict cannot be negative")
         config = SamplerConfig(
             sample_count=args.samples, burn_in=args.burn_in,
-            thinning=args.thin, seed=args.seed, delta_strict=args.delta_strict,
+            thinning=args.thin, seed=args.seed,
         )
         table = load_problem(args.problem)
         statements = parse_statements(args.statements)

@@ -103,7 +103,6 @@ class SamplerConfig:
     burn_in: int = 1_000
     thinning: int = 1
     seed: int = 0
-    delta_strict: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sample_count < 1:
@@ -114,8 +113,6 @@ class SamplerConfig:
             raise ValueError("burn_in cannot be negative")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
-        if self.delta_strict < 0:
-            raise ValueError("delta_strict cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -245,8 +242,11 @@ def build_polytope(
     barrier Hessian, a line that no row bounds, raises ``RuntimeError``
     before any sampling. ``margin`` is
     ``max_epsilon(system)`` when the caller has already solved it; without
-    it the margin LP is solved here.
+    it the margin LP is solved here. A negative ``delta_strict`` would
+    relax every strict row, so it raises ``ValueError``.
     """
+    if not delta_strict >= 0.0:
+        raise ValueError(f"delta_strict must be non-negative, got {delta_strict!r}")
     outcome = max_epsilon(system) if margin is None else margin
     if not outcome.feasible or outcome.eps_star < delta_strict - FEASIBILITY_TOL:
         raise InfeasibleSystemError(outcome.eps_star, outcome.binding)
@@ -399,7 +399,10 @@ class _ChainWorkspace:
     the row bounds the direction on either side and coefficient + 1 where
     it bounds neither, ``den[j, 1] = -den[j, 0]``, and ``pad[j, s]`` is 0
     where the row bounds side s (0 upper, 1 lower) and +inf where it
-    does not.
+    does not. ``coef`` and ``points`` are prefix views of one buffer: the
+    squared directions held in ``points`` are dead before the GEMM writes
+    ``coef``, and ``coef`` is dead before ``_settle`` gathers into
+    ``points``.
     """
 
     def __init__(self, n_rows: int, chains: int, rows: int, k: int):
@@ -408,7 +411,9 @@ class _ChainWorkspace:
         inner = (rows, chains) if self.chains_last else (chains, rows)
         block = min(n_rows, _BLOCK_ROWS)
         self.dn = np.empty((n_rows, chains, k))
-        self.coef = np.empty((n_rows * chains, rows))
+        shared = np.empty(n_rows * chains * max(rows, k))
+        self.coef = shared[:n_rows * chains * rows].reshape(n_rows * chains, rows)
+        self.points = shared[:n_rows * chains * k].reshape(n_rows * chains, k)
         self.coef_t = np.empty((block,) + inner) if self.chains_last else None
         self.den = np.empty((block, 2) + inner)
         self.pad = np.empty((block, 2) + inner)
@@ -417,7 +422,6 @@ class _ChainWorkspace:
         self.ends = np.empty((2, chains))
         self.widths = np.empty((n_rows, chains))
         self.moved = np.empty((n_rows, chains), dtype=bool)
-        self.points = np.empty((n_rows * chains, k))
 
     def build(self, coef: np.ndarray) -> np.ndarray:
         """Fill the block buffers from ``coef`` (block rows, chains, rows)
@@ -481,7 +485,7 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     steps = state[0]
     total = burn_in + quota * thinning
     # np.linalg.norm's arithmetic, with its squares in the gather buffer,
-    # which _settle only needs later
+    # which the GEMM then overwrites with the chord coefficients
     sq = work.points[:n_rows * chains].reshape(dirs.shape)
     sq = np.multiply(dirs, dirs, out=sq)
     dn = np.divide(dirs, np.sqrt(sq.sum(axis=2, keepdims=True)), out=work.dn[:n_rows])

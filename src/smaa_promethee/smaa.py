@@ -2,10 +2,11 @@
 
 Flows are linear in the packed parameters, so each alternative's positive
 and negative flow is one precomputed coefficient row. The per-sample work
-is two (s x size) . (size x m) GEMMs over those per-alternative rows, plus
-integer relation counting (``count_relations``), which compares each
-unordered pair of alternatives once across a chunk of samples in
-O(s x m) memory and counts the comparison masks by popcount. Classical
+is one (2m x size) . (size x s) GEMM per chunk of s samples, which writes
+both flows of every alternative into one alternative-major block, plus
+integer relation counting (``count_relations``) straight off that block,
+which compares each unordered pair of alternatives once across the chunk
+in O(s x m) memory and counts the comparison masks by popcount. Classical
 batches (interaction columns pinned to zero) run through the same
 pipeline: with zero interactions the bipolar aggregation reduces exactly
 to the weighted preference sum, which keeps the two modes consistent to
@@ -38,7 +39,7 @@ __all__ = [
     "validate_against_exact_ror",
 ]
 
-# samples per aggregation chunk: the per-chunk arrays are (chunk, m), so
+# samples per aggregation chunk: the per-chunk arrays are (m, chunk), so
 # this bounds aggregation's working memory. It is no smaller because the
 # per-chunk and per-pair calls then cost more than the smaller arrays save
 # (5,000 samples x 100 alternatives aggregate in 54 ms as one chunk and
@@ -96,8 +97,12 @@ def aggregate(
 
     The samples run in chunks of ``_COUNT_CHUNK``, and each chunk is
     checked for non-finite values (and, in classical mode, for nonzero
-    interaction columns) before it is counted, so the working memory is
-    a fixed number of (chunk, m) arrays, whatever the sample count. When
+    interaction columns) before it is counted. One GEMM per chunk writes
+    the positive and negative flows into one (2m, chunk) alternative-major
+    block, which ``count_relations`` reads in place; the rank-1 mask it
+    returns selects the samples summed into the central weights. So the
+    working memory is a fixed number of (m, chunk) arrays, whatever the
+    sample count. When
     ``polytope`` is given, the barycenter and every central weight vector
     are checked against its rows (they are convex combinations of
     feasible samples, so this guards the pipeline, not the math).
@@ -113,13 +118,9 @@ def aggregate(
     if mode not in ("classical", "bipolar"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    flow_pos, flow_neg = flow_coefficients(table, layout)
-    rank_counts = np.zeros((m, m), dtype=np.int64)
-    p1_pref = np.zeros((m, m), dtype=np.int64)
-    p1_ind = np.zeros((m, m), dtype=np.int64)
-    p1_inc = np.zeros((m, m), dtype=np.int64)
-    p2_pref = np.zeros((m, m), dtype=np.int64)
-    p2_ind = np.zeros((m, m), dtype=np.int64)
+    flows = np.vstack(flow_coefficients(table, layout))
+    # rank, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind, as count_relations
+    counts = np.zeros((6, m, m), dtype=np.int64)
     cw_sum = np.zeros((m, layout.size))
     data = batch.data
     total = data.shape[0]
@@ -137,19 +138,24 @@ def aggregate(
                     "classical mode requires interaction and opposing-power "
                     "columns pinned to zero"
                 )
-        pos = z @ flow_pos.T
-        neg = z @ flow_neg.T
-        imbalance = np.abs((pos - neg).sum(axis=1)).max()
+        # both flows of every alternative, zero-padded to whole 8-byte words
+        # of mask, which count_relations leaves out of every count
+        block = np.zeros((2 * m, -(-s // 8) * 8))
+        np.matmul(flows, z.T, out=block[:, :s])
+        pos_t, neg_t = block[:m], block[m:]
+        net_t = pos_t - neg_t
+        imbalance = np.abs(net_t.sum(axis=0)).max()
         worst_imbalance = max(worst_imbalance, float(imbalance))
-        first_mask = np.zeros((s, m), dtype=np.uint8)
-        count_relations(pos, neg, FLOW_TIE_TOL, rank_counts, p1_pref, p1_ind,
-                        p1_inc, p2_pref, p2_ind, first_mask)
-        cw_sum += first_mask.astype(np.float64).T @ z
+        first = count_relations(pos_t, neg_t, net_t, s, FLOW_TIE_TOL, counts)
+        # the product's operands keep the layout of a (samples, m) mask's
+        # transpose, which fixes the central weights to the last bit
+        cw_sum += np.ascontiguousarray(first.T, dtype=np.float64).T @ z
     if worst_imbalance > _FLOW_BALANCE_TOL:
         raise AssertionError(
             f"net flows do not sum to zero (worst {worst_imbalance:.3e})"
         )
 
+    rank_counts, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind = counts
     frac = 1.0 / total
     b = rank_counts * frac
     p2_pref_f = p2_pref * frac
@@ -188,14 +194,19 @@ def _row_counts(mask):
     return np.bitwise_count(mask.view(np.uint64)).sum(axis=1, dtype=np.int64)
 
 
-def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
-                    p2_pref, p2_ind, first_mask):
-    """Accumulate relation counts for one block of per-sample flows.
+def count_relations(pos_t, neg_t, net_t, n_samples, tau, counts):
+    """Count the relations of one block of flows; return the rank-1 mask.
 
-    ``pos`` and ``neg`` are finite (samples, m) flow arrays, the count
-    matrices are int64 and updated in place, and ``first_mask``
-    (samples, m, uint8) flags rank-1 hits for the central weight
-    accumulation. ``tau`` must be non-negative.
+    ``pos_t``, ``neg_t`` and ``net_t`` are finite (m, width) arrays, one
+    row of positive, negative and net flows per alternative. The first
+    ``n_samples`` columns are samples; the rest, up to a ``width`` that is
+    a multiple of 8, hold equal flows for every alternative (zeros), so
+    with ``tau`` >= 0 no strict comparison marks them. ``counts`` is a
+    (6, m, m) int64 array of rank counts, P1 preferences,
+    indifferences and incomparabilities, and P2 preferences and
+    indifferences, in that order, updated in place. The returned (m,
+    n_samples) bool mask flags the samples that put each alternative at
+    rank 1.
 
     Each unordered pair (i, k), k > i, is compared once, over all samples
     at a time, so working memory stays O(samples * m). The reverse
@@ -206,16 +217,8 @@ def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
     """
     if not tau >= 0.0:
         raise ValueError(f"tie tolerance must be non-negative, got {tau!r}")
-    n_samples, m = pos.shape
-    # alternative-major copies, so each alternative's samples are contiguous,
-    # zero-padded to whole 8-byte words of mask: a padding sample has equal
-    # flows everywhere, so with tau >= 0 no strict comparison marks it
-    width = -(-n_samples // 8) * 8
-    pos_t = np.zeros((m, width))
-    neg_t = np.zeros((m, width))
-    pos_t[:, :n_samples] = pos.T
-    neg_t[:, :n_samples] = neg.T
-    net_t = pos_t - neg_t
+    rank_counts, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind = counts
+    m, width = net_t.shape
     # above[i, s]: alternatives whose net flow beats i's by more than tau.
     # Each pass adds at most 1 per entry of gained, so it tallies in uint8
     # and empties into above every 255 passes.
@@ -273,7 +276,7 @@ def count_relations(pos, neg, tau, rank_counts, p1_pref, p1_ind, p1_inc,
     above = above[:, :n_samples]
     for i in range(m):
         rank_counts[i] += np.bincount(above[i], minlength=m)
-    first_mask[:] = (above == 0).T
+    return above == 0
 
 
 def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:

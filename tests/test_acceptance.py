@@ -63,7 +63,6 @@ def sampled_run(problem: str, statements: str, mode: str, count: int,
     polytope = build_polytope(system, 0.0)
     batch = hit_and_run(polytope, SamplerConfig(
         sample_count=count, burn_in=burn_in, thinning=1, seed=seed,
-        delta_strict=0.0,
     ))
     return table, system, polytope, batch
 
@@ -159,7 +158,7 @@ def test_criterion_05_sampler_uniformity():
     polytope = build_polytope(system, 0.0)
     start = time.perf_counter()
     batch = hit_and_run(polytope, SamplerConfig(
-        sample_count=100_000, burn_in=1000, thinning=1, seed=55, delta_strict=0.0,
+        sample_count=100_000, burn_in=1000, thinning=1, seed=55,
     ))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"sampling took {elapsed:.2f}s"
@@ -179,7 +178,7 @@ def test_criterion_05_sampler_uniformity():
 
     square = build_polytope(unit_square_system(), 0.0)
     sq = hit_and_run(square, SamplerConfig(
-        sample_count=6000, burn_in=500, thinning=1, seed=56, delta_strict=0.0,
+        sample_count=6000, burn_in=500, thinning=1, seed=56,
     ))
     rng = np.random.default_rng(57)
     pvals = []
@@ -294,7 +293,6 @@ def ror_instances():
         polytope = build_polytope(system, 0.0)
         batch = hit_and_run(polytope, SamplerConfig(
             sample_count=20_000, burn_in=2000, thinning=1, seed=seed,
-            delta_strict=0.0,
         ))
         results = aggregate(table, batch, mode="bipolar", polytope=polytope)
         yield table, system, results

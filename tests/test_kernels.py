@@ -343,20 +343,20 @@ def traced_beyond_samples(polytope, config):
 
 def refill_bytes(polytope, config):
     """One refill's buffers in ``hit_and_run``: the chord coefficients
-    ``coef`` and their chains-last block copy, the normalised directions
-    ``dn``, the gather buffer ``points``, the block's denominators, side
+    ``coef``, which the gathered points reuse, and their chains-last block
+    copy, the normalised directions ``dn``, the block's denominators, side
     pads and side flags, and the uniforms."""
     R = sampler._RAND_ROWS
     C = sampler._chain_count(config)
     rows, k = polytope.A.shape
     block = min(R, sampler._BLOCK_ROWS)
-    coef = R * C * rows * 8
+    coef = R * C * max(rows, k) * 8
     coef_t = block * rows * C * 8 if C >= rows else 0
-    dn = points = R * C * k * 8
+    dn = R * C * k * 8
     den = pad = block * 2 * rows * C * 8
     side = block * 2 * rows * C
     uniforms = R * C * 8
-    return coef + coef_t + dn + points + den + pad + side + uniforms
+    return coef + coef_t + dn + den + pad + side + uniforms
 
 
 # the mapped vectors and residuals of one block of the output check
@@ -428,25 +428,26 @@ def random_flow_block(seed, n_samples=400, m=5, ties=True):
     return pos, neg
 
 
+# the order of count_relations' (6, m, m) counts
+COUNT_KEYS = ("rank_counts", "p1_pref", "p1_ind", "p1_inc", "p2_pref", "p2_ind")
+
+
 def empty_counts(m):
-    return dict(
-        rank_counts=np.zeros((m, m), dtype=np.int64),
-        p1_pref=np.zeros((m, m), dtype=np.int64),
-        p1_ind=np.zeros((m, m), dtype=np.int64),
-        p1_inc=np.zeros((m, m), dtype=np.int64),
-        p2_pref=np.zeros((m, m), dtype=np.int64),
-        p2_ind=np.zeros((m, m), dtype=np.int64),
-    )
+    return {key: np.zeros((m, m), dtype=np.int64) for key in COUNT_KEYS}
 
 
 def run_counts(pos, neg, tau):
-    acc = empty_counts(pos.shape[1])
-    first = np.zeros(pos.shape, dtype=np.uint8)
-    count_relations(
-        pos, neg, tau, acc["rank_counts"], acc["p1_pref"], acc["p1_ind"],
-        acc["p1_inc"], acc["p2_pref"], acc["p2_ind"], first,
-    )
-    return acc, first
+    """``count_relations`` on (samples, m) flows laid out as ``aggregate``
+    lays them out: one alternative-major block of both flows, zero-padded
+    to a multiple of 8 samples. The rank-1 mask comes back (samples, m)."""
+    n_samples, m = pos.shape
+    block = np.zeros((2 * m, -(-n_samples // 8) * 8))
+    block[:m, :n_samples] = pos.T
+    block[m:, :n_samples] = neg.T
+    pos_t, neg_t = block[:m], block[m:]
+    counts = np.zeros((6, m, m), dtype=np.int64)
+    first = count_relations(pos_t, neg_t, pos_t - neg_t, n_samples, tau, counts)
+    return dict(zip(COUNT_KEYS, counts)), first.T
 
 
 def test_count_relations_partitions():
@@ -463,7 +464,7 @@ def test_count_relations_partitions():
     assert np.array_equal(acc["p1_ind"], acc["p1_ind"].T)
     assert np.array_equal(acc["p1_inc"], acc["p1_inc"].T)
     assert np.array_equal(acc["p2_ind"], acc["p2_ind"].T)
-    # first_mask flags exactly the rank-1 hits
+    # the returned mask flags exactly the rank-1 hits
     assert first.sum(axis=0).tolist() == acc["rank_counts"][:, 0].tolist()
 
 

@@ -545,7 +545,15 @@ def test_config_validation():
         SamplerConfig(thinning=0)
     with pytest.raises(ValueError):
         SamplerConfig(burn_in=-1)
-    with pytest.raises(ValueError):
-        SamplerConfig(delta_strict=-0.1)
     with pytest.raises(ValueError, match="seed cannot be negative"):
         SamplerConfig(seed=-1)
+
+
+@pytest.mark.parametrize("delta_strict", [-0.1, float("nan")])
+def test_build_polytope_rejects_an_invalid_strict_margin(students, delta_strict):
+    # a negative margin would let samples break a stated strict preference,
+    # and nan would fix no margin at all
+    system = restrict_classical(compile_statements(
+        students, parse_statements(FIXTURES / "scenario1.jsonl")))
+    with pytest.raises(ValueError, match="delta_strict must be non-negative"):
+        build_polytope(system, delta_strict=delta_strict)

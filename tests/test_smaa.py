@@ -191,6 +191,29 @@ def test_aggregate_memory_does_not_grow_with_the_sample_count(problem, statement
     assert peaks[2] < 8 * smaa._COUNT_CHUNK * m * 8, peaks[2] / 2**20
 
 
+def test_aggregate_memory_at_one_hundred_alternatives():
+    # one chunk of 5,000 classical samples over m = 100: the flows live in
+    # one alternative-major block, with no sample-major copy beside it
+    rng = np.random.default_rng(100)
+    m, n, samples = 100, 3, 5_000
+    table = random_table(rng, m, n)
+    layout = ParameterLayout(n)
+    data = np.zeros((samples, layout.size))
+    data[:, :n] = rng.dirichlet(np.ones(n), samples)
+    batch = SampleBatch(columns=layout.names, data=data)
+    assert samples <= smaa._COUNT_CHUNK
+    aggregate(table, batch, mode="classical")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        aggregate(table, batch, mode="classical")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    flow_array = samples * m * 8
+    assert peak < 6 * flow_array, f"{peak / flow_array:.2f} (samples, m) arrays"
+
+
 def test_dominant_alternative_identity_pattern():
     table = PerformanceTable(
         ("top", "low"),
