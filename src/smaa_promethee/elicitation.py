@@ -1,12 +1,15 @@
 """Preference statements and their translation into linear constraints.
 
 A decision maker expresses preferences as statements over alternatives,
-criteria or interactions. Each statement becomes one or more linear rows
-over the packed bicapacity parameters plus one extra column for the strict
-preference margin ``eps``: strict statements get ``expr - eps >= 0`` rows,
-indifference statements get equalities. Structural rows (normalisation,
-sign conditions, monotonicity) close the system so that any feasible point
-is a valid parameter set.
+criteria or interactions, one JSON object per line. Each statement type is
+a dataclass; one table gives its JSON name, the origin text its rows carry
+and the allowed values of its word fields, and the parser reads the
+remaining fields and their defaults off the dataclass. Each statement
+becomes one or more linear rows over the packed bicapacity parameters plus
+one extra column for the strict preference margin ``eps``: a kind or sign
+of I, = or 0 gives ``expr = 0``, any other ``expr - eps >= 0``. Structural
+rows (normalisation, sign conditions, monotonicity) close the system so
+that any feasible point is a valid parameter set.
 
 Sign conventions for interaction and opposing-power statements follow the
 itemized statement catalogue; where the summary constraint block differs
@@ -15,7 +18,9 @@ from that list, the list wins.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
@@ -216,93 +221,104 @@ class ConstraintSystem:
         return (*pack(eqs), *pack(ubs))
 
 
+# JSON type name -> (dataclass, origin text over its fields, allowed values of
+# its word fields); every other field is an alternative label when typed str
+# and a criterion reference (name or 1-based position) otherwise
+_PI, _GE = ("P", "I"), (">", "=")
+_TYPES = {
+    "local_pair": (LocalPair, "local_pair {a} {kind} {b}", {"kind": _PI}),
+    "global_p1": (GlobalP1, "global_p1 {a} {kind} {b}", {"kind": _PI}),
+    "global_p2": (GlobalP2, "global_p2 {a} {kind} {b}", {"kind": _PI}),
+    "intensity": (
+        Intensity,
+        "intensity ({pair1[0]},{pair1[1]}) {kind} ({pair2[0]},{pair2[1]})",
+        {"kind": _PI},
+    ),
+    "criterion_importance": (
+        CriterionImportance, "importance {j} {kind} {k}", {"kind": _GE},
+    ),
+    "interaction_sign": (
+        InteractionSign, "interaction_sign {j},{k} {sign}", {"sign": ("+", "-", "0")},
+    ),
+    "interaction_magnitude": (
+        InteractionMagnitude,
+        "interaction_magnitude ({pair1[0]},{pair1[1]}){signs[0]} {kind} "
+        "({pair2[0]},{pair2[1]}){signs[1]}",
+        {"signs": ("+", "-"), "kind": _GE},
+    ),
+    "opposing_power": (
+        OpposingPower,
+        "opposing_power[{variant}] {fixed}: {stronger} {kind} {weaker}",
+        {"variant": ("a", "b"), "kind": _GE},
+    ),
+}
+_ORIGINS = {cls: origin for cls, origin, _ in _TYPES.values()}
+# kinds and signs that tie a statement's expression to zero; any other
+# holds it above zero by the margin eps
+_EQUAL = ("I", "=", "0")
+
+
 def _require(cond: bool, where: str, msg: str) -> None:
     if not cond:
         raise ValueError(f"{where}: {msg}")
 
 
-def _two(value, where: str, msg: str) -> list:
-    """``value`` when it is a JSON list of two entries; ``msg`` otherwise."""
-    _require(isinstance(value, list) and len(value) == 2, where, msg)
-    return value
+def _read(value, hint, where: str, name: str):
+    """``value`` as ``hint`` reads it: a label as str, a criterion reference
+    as given, a pair as a tuple of two."""
+    if typing.get_origin(hint) is tuple:
+        _require(isinstance(value, list) and len(value) == 2, where,
+                 f"{name} must be a list of two entries, got {value!r}")
+        return tuple(_read(v, h, where, name) for v, h in zip(value, typing.get_args(hint)))
+    return str(value) if hint is str else value
 
 
 def parse_statement(obj: dict, where: str = "statement") -> Statement:
-    """Build a statement from one decoded JSON object."""
+    """Build a statement from one decoded JSON object.
+
+    The keys are ``type`` and the fields of that type's dataclass; a field
+    with a default may be left out, and any other key is an error.
+    """
     _require(isinstance(obj, dict), where, "expected a JSON object")
-    kind_map = {
-        "local_pair": LocalPair,
-        "global_p1": GlobalP1,
-        "global_p2": GlobalP2,
-        "intensity": Intensity,
-        "criterion_importance": CriterionImportance,
-        "interaction_sign": InteractionSign,
-        "interaction_magnitude": InteractionMagnitude,
-        "opposing_power": OpposingPower,
-    }
     stype = obj.get("type")
-    _require(isinstance(stype, str) and stype in kind_map, where,
+    _require(isinstance(stype, str) and stype in _TYPES, where,
              f"unknown statement type {stype!r}")
-    try:
-        if stype in ("local_pair", "global_p1", "global_p2"):
-            st = kind_map[stype](
-                a=str(obj["a"]), b=str(obj["b"]), kind=str(obj.get("kind", "P"))
-            )
-            _require(st.kind in ("P", "I"), where, f"kind must be P or I, got {st.kind!r}")
-            _require(st.a != st.b, where, "the two alternatives must differ")
-        elif stype == "intensity":
-            p1, p2 = (_two(obj[key], where, "pairs must have two labels")
-                      for key in ("pair1", "pair2"))
-            st = Intensity(
-                pair1=(str(p1[0]), str(p1[1])),
-                pair2=(str(p2[0]), str(p2[1])),
-                kind=str(obj.get("kind", "P")),
-            )
-            _require(st.kind in ("P", "I"), where, f"kind must be P or I, got {st.kind!r}")
-        elif stype == "criterion_importance":
-            st = CriterionImportance(
-                j=obj["j"], k=obj["k"], kind=str(obj.get("kind", ">"))
-            )
-            _require(st.kind in (">", "="), where, f"kind must be > or =, got {st.kind!r}")
-        elif stype == "interaction_sign":
-            st = InteractionSign(j=obj["j"], k=obj["k"], sign=str(obj.get("sign", "+")))
-            _require(st.sign in ("+", "-", "0"), where, f"bad sign {st.sign!r}")
-        elif stype == "interaction_magnitude":
-            p1, p2 = (_two(obj[key], where, "pairs must have two criteria")
-                      for key in ("pair1", "pair2"))
-            signs = _two(obj.get("signs", ["+", "+"]), where, "signs must have two entries")
-            st = InteractionMagnitude(
-                pair1=(p1[0], p1[1]),
-                pair2=(p2[0], p2[1]),
-                signs=(str(signs[0]), str(signs[1])),
-                kind=str(obj.get("kind", ">")),
-            )
-            _require(
-                st.signs[0] in ("+", "-") and st.signs[1] in ("+", "-"),
-                where,
-                f"signs must be + or -, got {st.signs!r}",
-            )
-            _require(st.kind in (">", "="), where, f"kind must be > or =, got {st.kind!r}")
-        else:
-            st = OpposingPower(
-                variant=str(obj["variant"]),
-                fixed=obj["fixed"],
-                stronger=obj["stronger"],
-                weaker=obj["weaker"],
-                kind=str(obj.get("kind", ">")),
-            )
-            _require(st.variant in ("a", "b"), where, f"bad variant {st.variant!r}")
-            _require(st.kind in (">", "="), where, f"kind must be > or =, got {st.kind!r}")
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing field {exc.args[0]!r}") from None
+    cls, _, allowed = _TYPES[stype]
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {"type"} - {f.name for f in fields})
+    _require(not unknown, where, f"unknown key {', '.join(map(repr, unknown))}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        if f.name not in obj:
+            _require(f.default is not dataclasses.MISSING, where,
+                     f"missing field {f.name!r}")
+            continue
+        values[f.name] = _read(obj[f.name], hints[f.name], where, f.name)
+    st = cls(**values)
+    for name, choices in allowed.items():
+        value = getattr(st, name)
+        words = value if isinstance(value, tuple) else (value,)
+        _require(all(w in choices for w in words), where,
+                 f"{name} must be {' or '.join(choices)}, got {value!r}")
+    pairs = ([st.pair1, st.pair2] if isinstance(st, Intensity)
+             else [(st.a, st.b)] if isinstance(st, (LocalPair, GlobalP1, GlobalP2))
+             else [])
+    _require(all(a != b for a, b in pairs), where, "the two alternatives must differ")
     return st
 
 
 def parse_statements(source: Union[str, Path, Iterable[str]]) -> list[Statement]:
-    """Parse statements from a JSON-lines file or an iterable of lines."""
+    """Parse statements from a UTF-8 JSON-lines file or an iterable of lines.
+
+    Blank lines and lines starting with ``#`` are skipped.
+    """
     if isinstance(source, (str, Path)):
         name = str(source)
-        lines = Path(source).read_text().splitlines()
+        try:
+            lines = Path(source).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name}: not UTF-8 ({exc})") from None
     else:
         name = "<lines>"
         lines = list(source)
@@ -320,55 +336,19 @@ def parse_statements(source: Union[str, Path, Iterable[str]]) -> list[Statement]
     return out
 
 
-def _describe(st: Statement) -> str:
-    if isinstance(st, LocalPair):
-        return f"local_pair {st.a} {st.kind} {st.b}"
-    if isinstance(st, GlobalP1):
-        return f"global_p1 {st.a} {st.kind} {st.b}"
-    if isinstance(st, GlobalP2):
-        return f"global_p2 {st.a} {st.kind} {st.b}"
-    if isinstance(st, Intensity):
-        return (
-            f"intensity ({st.pair1[0]},{st.pair1[1]}) {st.kind} "
-            f"({st.pair2[0]},{st.pair2[1]})"
-        )
-    if isinstance(st, CriterionImportance):
-        return f"importance {st.j} {st.kind} {st.k}"
-    if isinstance(st, InteractionSign):
-        return f"interaction_sign {st.j},{st.k} {st.sign}"
-    if isinstance(st, InteractionMagnitude):
-        return (
-            f"interaction_magnitude ({st.pair1[0]},{st.pair1[1]}){st.signs[0]} "
-            f"{st.kind} ({st.pair2[0]},{st.pair2[1]}){st.signs[1]}"
-        )
-    return f"opposing_power[{st.variant}] {st.fixed}: {st.stronger} {st.kind} {st.weaker}"
-
-
-class _RowBuilder:
-    """Accumulates rows; keeps the eps bookkeeping in one place."""
-
-    def __init__(self, layout: ParameterLayout):
-        self.layout = layout
-        self.rows: list[ConstraintRow] = []
-
-    def blank(self) -> np.ndarray:
-        return np.zeros(self.layout.size + 1)
-
-    def add(self, coefs: np.ndarray, rel: str, rhs: float, origin: str,
-            strict: bool = False) -> None:
-        if strict:
-            # strict statements hold with margin eps: expr - eps >= rhs
-            coefs = coefs.copy()
-            coefs[self.layout.size] -= 1.0
-        self.rows.append(ConstraintRow(coefs=coefs, rel=rel, rhs=rhs, origin=origin))
-
-
 def compile_statements(
     table: PerformanceTable,
     statements: Iterable[Statement],
     max_criteria: int = ENUMERATION_CAP,
 ) -> ConstraintSystem:
     """Translate statements plus structural conditions into a linear system.
+
+    Each statement gives a linear expression over the parameters. A kind or
+    sign of I, = or 0 writes ``expr = 0``; any other writes
+    ``expr - eps >= 0``. A P1 statement also writes its two flow gaps,
+    ``>= 0`` under P and ``= 0`` under I, where they imply its net-flow row,
+    which is then left out. Every origin names the statement's position and
+    its origin text.
 
     Row order is deterministic: statement rows in input order, then the
     normalisation equality, sign conditions and the monotonicity family.
@@ -381,10 +361,26 @@ def compile_statements(
     n = table.n_criteria
     _check_cap(n, max_criteria)
     layout = ParameterLayout(n)
-    rb = _RowBuilder(layout)
+    size = layout.size
     tensor = bipolar_preference_tensor(table)
-    flow_pos, flow_neg = flow_coefficients(table, layout)
+    # expressions are full rows whose eps column stays zero until add
+    flow_pos, flow_neg = (
+        np.pad(f, ((0, 0), (0, 1))) for f in flow_coefficients(table, layout))
     flow_net = flow_pos - flow_neg
+    rows: list[ConstraintRow] = []
+
+    def add(expr: np.ndarray, rel: str, origin: str, rhs: float = 0.0,
+            strict: bool = False) -> None:
+        if strict:
+            # strict statements hold with margin eps: expr - eps >= rhs
+            expr[size] = -1.0
+        rows.append(ConstraintRow(coefs=expr, rel=rel, rhs=rhs, origin=origin))
+
+    def ones(*cols: int) -> np.ndarray:
+        expr = np.zeros(size + 1)
+        for col in cols:
+            expr[col] = 1.0
+        return expr
 
     def alt(label: str, where: str) -> int:
         try:
@@ -392,147 +388,86 @@ def compile_statements(
         except KeyError as exc:
             raise ValueError(f"{where}: {exc.args[0]}") from None
 
-    def pair_x(a: str, b: str, where: str) -> np.ndarray:
-        return tensor[alt(a, where), alt(b, where)]
-
     def crit(ref, where: str) -> int:
         try:
             return table.criterion_index(ref)
         except KeyError as exc:
             raise ValueError(f"{where}: {exc.args[0]}") from None
 
-    size = layout.size
+    def pair_gap(a: str, b: str, where: str) -> np.ndarray:
+        cp, cn = choquet_coefficients(tensor[alt(a, where), alt(b, where)], layout)
+        return np.append(cp - cn, 0.0)
+
     for pos_idx, st in enumerate(statements, start=1):
-        where = f"statement {pos_idx} ({_describe(st)})"
+        origin = _ORIGINS.get(type(st))
+        if origin is None:
+            raise TypeError(f"unsupported statement {st!r}")
+        where = f"statement {pos_idx} ({origin.format(**vars(st))})"
+        gaps, tag = (), ""
         if isinstance(st, LocalPair):
-            cp, cn = choquet_coefficients(pair_x(st.a, st.b, where), layout)
-            row = rb.blank()
-            row[:size] = cp - cn
-            if st.kind == "P":
-                rb.add(row, ">=", 0.0, where, strict=True)
-            else:
-                rb.add(row, "=", 0.0, where)
+            expr = pair_gap(st.a, st.b, where)
         elif isinstance(st, GlobalP1):
             ia, ib = alt(st.a, where), alt(st.b, where)
-            pos_row, neg_row, net_row = rb.blank(), rb.blank(), rb.blank()
-            pos_row[:size] = flow_pos[ia] - flow_pos[ib]
-            neg_row[:size] = flow_neg[ib] - flow_neg[ia]
-            net_row[:size] = flow_net[ia] - flow_net[ib]
-            if st.kind == "P":
-                rb.add(pos_row, ">=", 0.0, where + " [positive flows]")
-                rb.add(neg_row, ">=", 0.0, where + " [negative flows]")
-                rb.add(net_row, ">=", 0.0, where + " [net flows]", strict=True)
-            else:
-                rb.add(pos_row, "=", 0.0, where + " [positive flows]")
-                rb.add(neg_row, "=", 0.0, where + " [negative flows]")
+            gaps = ((flow_pos[ia] - flow_pos[ib], " [positive flows]"),
+                    (flow_neg[ib] - flow_neg[ia], " [negative flows]"))
+            expr, tag = flow_net[ia] - flow_net[ib], " [net flows]"
         elif isinstance(st, GlobalP2):
-            ia, ib = alt(st.a, where), alt(st.b, where)
-            row = rb.blank()
-            row[:size] = flow_net[ia] - flow_net[ib]
-            if st.kind == "P":
-                rb.add(row, ">=", 0.0, where, strict=True)
-            else:
-                rb.add(row, "=", 0.0, where)
+            expr = flow_net[alt(st.a, where)] - flow_net[alt(st.b, where)]
         elif isinstance(st, Intensity):
-            cp1, cn1 = choquet_coefficients(pair_x(*st.pair1, where), layout)
-            cp2, cn2 = choquet_coefficients(pair_x(*st.pair2, where), layout)
-            row = rb.blank()
-            row[:size] = (cp1 - cn1) - (cp2 - cn2)
-            if st.kind == "P":
-                rb.add(row, ">=", 0.0, where, strict=True)
-            else:
-                rb.add(row, "=", 0.0, where)
+            expr = pair_gap(*st.pair1, where) - pair_gap(*st.pair2, where)
         elif isinstance(st, CriterionImportance):
             j, k = crit(st.j, where), crit(st.k, where)
             _require(j != k, where, "criteria must differ")
-            row = rb.blank()
-            row[layout.a_col(j)] = 1.0
-            row[layout.a_col(k)] = -1.0
-            if st.kind == ">":
-                rb.add(row, ">=", 0.0, where, strict=True)
-            else:
-                rb.add(row, "=", 0.0, where)
+            expr = ones(layout.a_col(j)) - ones(layout.a_col(k))
         elif isinstance(st, InteractionSign):
             j, k = crit(st.j, where), crit(st.k, where)
             _require(j != k, where, "criteria must differ")
-            row = rb.blank()
-            row[layout.pair_col(j, k)] = 1.0
-            if st.sign == "+":
-                rb.add(row, ">=", 0.0, where, strict=True)
-            elif st.sign == "-":
-                rb.add(-row, ">=", 0.0, where, strict=True)
-            else:
-                rb.add(row, "=", 0.0, where)
+            expr = ones(layout.pair_col(j, k))
+            if st.sign == "-":
+                expr = -expr
         elif isinstance(st, InteractionMagnitude):
             j1, k1 = crit(st.pair1[0], where), crit(st.pair1[1], where)
             j2, k2 = crit(st.pair2[0], where), crit(st.pair2[1], where)
             _require(j1 != k1 and j2 != k2, where, "criteria within a pair must differ")
-            s1 = 1.0 if st.signs[0] == "+" else -1.0
-            s2 = 1.0 if st.signs[1] == "+" else -1.0
-            row = rb.blank()
             # compare magnitudes through the believed signs
-            row[layout.pair_col(j1, k1)] += s1
-            row[layout.pair_col(j2, k2)] -= s2
-            if st.kind == ">":
-                rb.add(row, ">=", 0.0, where, strict=True)
-            else:
-                rb.add(row, "=", 0.0, where)
-        elif isinstance(st, OpposingPower):
-            if st.variant == "a":
-                j = crit(st.fixed, where)
-                k = crit(st.stronger, where)
-                h = crit(st.weaker, where)
-                _require(len({j, k, h}) == 3, where, "criteria must be distinct")
-                strong_col = layout.opp_col(j, k)
-                weak_col = layout.opp_col(j, h)
-            else:
-                k = crit(st.fixed, where)
-                j = crit(st.stronger, where)
-                h = crit(st.weaker, where)
-                _require(len({j, k, h}) == 3, where, "criteria must be distinct")
-                strong_col = layout.opp_col(j, k)
-                weak_col = layout.opp_col(h, k)
-            row = rb.blank()
-            # stronger opposing power means a more negative parameter
-            row[weak_col] = 1.0
-            row[strong_col] = -1.0
-            if st.kind == ">":
-                rb.add(row, ">=", 0.0, where, strict=True)
-            else:
-                rb.add(row, "=", 0.0, where)
+            expr = np.zeros(size + 1)
+            expr[layout.pair_col(j1, k1)] += 1.0 if st.signs[0] == "+" else -1.0
+            expr[layout.pair_col(j2, k2)] -= 1.0 if st.signs[1] == "+" else -1.0
         else:
-            raise TypeError(f"unsupported statement {st!r}")
+            fixed, stronger, weaker = (
+                crit(ref, where) for ref in (st.fixed, st.stronger, st.weaker))
+            _require(len({fixed, stronger, weaker}) == 3, where, "criteria must be distinct")
+            # variant a fixes the supporter, variant b the opponent; a
+            # stronger opposing power means a more negative parameter
+            if st.variant == "a":
+                expr = ones(layout.opp_col(fixed, weaker)) - ones(layout.opp_col(fixed, stronger))
+            else:
+                expr = ones(layout.opp_col(weaker, fixed)) - ones(layout.opp_col(stronger, fixed))
+        if (st.sign if isinstance(st, InteractionSign) else st.kind) in _EQUAL:
+            # a P1 statement's flow gaps, tied to zero, imply its net-flow row
+            for gap, gap_tag in gaps or ((expr, tag),):
+                add(gap, "=", where + gap_tag)
+        else:
+            for gap, gap_tag in gaps:
+                add(gap, ">=", where + gap_tag)
+            add(expr, ">=", where + tag, strict=True)
 
     # structural closure
-    row = rb.blank()
-    row[:n] = 1.0
-    for idx in range(len(layout.pair_keys)):
-        row[n + idx] = 1.0
-    rb.add(row, "=", 1.0, "normalisation")
+    add(ones(*range(n + len(layout.pair_keys))), "=", "normalisation", rhs=1.0)
     for j in range(n):
-        row = rb.blank()
-        row[layout.a_col(j)] = 1.0
-        rb.add(row, ">=", 0.0, f"power a_{j + 1} >= 0")
+        add(ones(layout.a_col(j)), ">=", f"power a_{j + 1} >= 0")
     for j, k in layout.opp_keys:
-        row = rb.blank()
-        row[layout.opp_col(j, k)] = 1.0
-        rb.add(row, "<=", 0.0, f"opposing opp_{j + 1}|{k + 1} <= 0")
-    others = lambda j: tuple(i for i in range(n) if i != j)
+        add(ones(layout.opp_col(j, k)), "<=", f"opposing opp_{j + 1}|{k + 1} <= 0")
     for j in range(n):
-        for c, d in _covering_pairs(others(j)):
-            row = rb.blank()
-            row[layout.a_col(j)] = 1.0
-            for k in c:
-                row[layout.pair_col(j, k)] += 1.0
-            for k in d:
-                row[layout.opp_col(j, k)] += 1.0
+        for c, d in _covering_pairs(tuple(i for i in range(n) if i != j)):
+            cols = [layout.pair_col(j, k) for k in c] + [layout.opp_col(j, k) for k in d]
             origin = (
                 f"monotonicity a_{j + 1}"
                 f" with={','.join(str(k + 1) for k in c) or '-'}"
                 f" against={','.join(str(k + 1) for k in d) or '-'}"
             )
-            rb.add(row, ">=", 0.0, origin)
-    return ConstraintSystem(layout=layout, rows=tuple(rb.rows))
+            add(ones(layout.a_col(j), *cols), ">=", origin)
+    return ConstraintSystem(layout=layout, rows=tuple(rows))
 
 
 def restrict_classical(system: ConstraintSystem) -> ConstraintSystem:

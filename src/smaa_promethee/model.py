@@ -157,7 +157,7 @@ def _parse_criterion(obj, where: str) -> Criterion:
 
 
 def load_problem(path: str | Path) -> PerformanceTable:
-    """Load a problem description from JSON.
+    """Load a problem description from a UTF-8 JSON file.
 
     Expected shape::
 
@@ -169,7 +169,9 @@ def load_problem(path: str | Path) -> PerformanceTable:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     try:
@@ -196,15 +198,18 @@ def load_problem(path: str | Path) -> PerformanceTable:
 def load_evaluations_csv(
     path: str | Path, criteria: Sequence[Criterion] | None = None
 ) -> PerformanceTable:
-    """Load an evaluation matrix from CSV.
+    """Load an evaluation matrix from a UTF-8 CSV file.
 
     Header row holds criterion names, first column holds alternative labels.
     When ``criteria`` is not given, every column defaults to a gain criterion
     with q = p = 0.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
     header = rows[0]

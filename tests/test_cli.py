@@ -8,10 +8,14 @@ sample -> aggregate -> report path.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import smaa_promethee
 from smaa_promethee import cli, lp, sampler
 from smaa_promethee.cli import main
 
@@ -208,6 +212,72 @@ def test_malformed_statement_field_exits_1_with_its_line(tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert f"error: {bad}:2: " in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_misspelt_statement_key_exits_1_before_any_output(tmp_path, capsys):
+    # "kind" for "sign" used to fall back to the default sign "+"
+    bad = tmp_path / "misspelt.jsonl"
+    lines = [{"type": "global_p2", "a": "s3", "b": "s6"},
+             {"type": "interaction_sign", "j": 1, "k": 2, "kind": "-"}]
+    bad.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    code = main([
+        "--problem", str(FIXTURES / "students.json"),
+        "--statements", str(bad),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}:2: unknown key 'kind'" in err
+    assert not (tmp_path / "out" / "feasibility.json").exists()
+
+
+def non_ascii_inputs(directory: Path, encoding: str) -> tuple[Path, Path]:
+    """The students problem with an accented criterion, and a statement on it."""
+    doc = students_with(lambda d: d["criteria"][0].update(name="Mathématiques"))
+    problem = directory / f"problem-{encoding}.json"
+    problem.write_text(json.dumps(doc, ensure_ascii=False), encoding=encoding)
+    statements = directory / f"statements-{encoding}.jsonl"
+    statements.write_text(
+        "# Mathématiques avant Physique\n"
+        '{"type": "criterion_importance", "j": "Mathématiques", "k": "Physics"}\n',
+        encoding=encoding,
+    )
+    return problem, statements
+
+
+def test_utf8_inputs_run_under_the_c_locale(tmp_path):
+    problem, statements = non_ascii_inputs(tmp_path, "utf-8")
+    src = str(Path(smaa_promethee.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from smaa_promethee.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "--problem", str(problem), "--statements", str(statements),
+         "--samples", "200", "--burn-in", "100", "--seed", "1",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
+    feas = read_json(tmp_path / "out" / "feasibility.json")
+    assert "statement 1 (importance Mathématiques > Physics)" in json.dumps(
+        feas, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("which", ["problem", "statements"])
+def test_non_utf8_input_exits_1_with_its_path(tmp_path, capsys, which):
+    latin1 = dict(zip(("problem", "statements"), non_ascii_inputs(tmp_path, "latin-1")))
+    inputs = {"problem": FIXTURES / "students.json",
+              "statements": FIXTURES / "scenario1.jsonl", which: latin1[which]}
+    code = main([
+        "--problem", str(inputs["problem"]),
+        "--statements", str(inputs["statements"]),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {latin1[which]}: not UTF-8" in err
     assert not (tmp_path / "out").exists()
 
 

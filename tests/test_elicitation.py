@@ -39,41 +39,110 @@ def statement_rows(system: ConstraintSystem):
     return [r for r in system.rows if r.origin.startswith("statement")]
 
 
+# per JSON type: the required keys, the statement they give (every other
+# field at its default), every key, and the statement that gives; labels
+# become strings, criterion references stay as given
+PARSE_CASES = {
+    "local_pair": (
+        {"a": "s7", "b": "s2"}, LocalPair("s7", "s2", "P"),
+        {"a": 7, "b": "s2", "kind": "I"}, LocalPair("7", "s2", "I"),
+    ),
+    "global_p1": (
+        {"a": "s1", "b": "s2"}, GlobalP1("s1", "s2", "P"),
+        {"a": "s1", "b": 2, "kind": "I"}, GlobalP1("s1", "2", "I"),
+    ),
+    "global_p2": (
+        {"a": "s1", "b": "s2"}, GlobalP2("s1", "s2", "P"),
+        {"a": "s3", "b": "s6", "kind": "I"}, GlobalP2("s3", "s6", "I"),
+    ),
+    "intensity": (
+        {"pair1": ["s1", "s2"], "pair2": ["s3", "s4"]},
+        Intensity(("s1", "s2"), ("s3", "s4"), "P"),
+        {"pair1": [1, "s2"], "pair2": ["s3", 4], "kind": "I"},
+        Intensity(("1", "s2"), ("s3", "4"), "I"),
+    ),
+    "criterion_importance": (
+        {"j": 1, "k": "Physics"}, CriterionImportance(1, "Physics", ">"),
+        {"j": "3", "k": 2, "kind": "="}, CriterionImportance("3", 2, "="),
+    ),
+    "interaction_sign": (
+        {"j": 1, "k": 2}, InteractionSign(1, 2, "+"),
+        {"j": 1, "k": "Physics", "sign": "0"}, InteractionSign(1, "Physics", "0"),
+    ),
+    "interaction_magnitude": (
+        {"pair1": [1, 2], "pair2": [1, 3]},
+        InteractionMagnitude((1, 2), (1, 3), ("+", "+"), ">"),
+        {"pair1": [1, "Physics"], "pair2": [2, 3], "signs": ["-", "+"], "kind": "="},
+        InteractionMagnitude((1, "Physics"), (2, 3), ("-", "+"), "="),
+    ),
+    "opposing_power": (
+        {"variant": "a", "fixed": 1, "stronger": 2, "weaker": 3},
+        OpposingPower("a", 1, 2, 3, ">"),
+        {"variant": "b", "fixed": "Physics", "stronger": 1, "weaker": 3, "kind": "="},
+        OpposingPower("b", "Physics", 1, 3, "="),
+    ),
+}
+
+
 def test_parse_all_types():
-    cases = [
-        ({"type": "local_pair", "a": "s7", "b": "s2", "kind": "P"}, LocalPair),
-        ({"type": "global_p1", "a": "s1", "b": "s2", "kind": "I"}, GlobalP1),
-        ({"type": "global_p2", "a": "s1", "b": "s2"}, GlobalP2),
-        (
-            {"type": "intensity", "pair1": ["s1", "s2"], "pair2": ["s3", "s4"]},
-            Intensity,
-        ),
-        ({"type": "criterion_importance", "j": 1, "k": 2, "kind": ">"},
-         CriterionImportance),
-        ({"type": "interaction_sign", "j": 1, "k": 2, "sign": "-"}, InteractionSign),
-        (
-            {
-                "type": "interaction_magnitude",
-                "pair1": [1, 2],
-                "pair2": [1, 3],
-                "signs": ["+", "-"],
-                "kind": ">",
-            },
-            InteractionMagnitude,
-        ),
-        (
-            {
-                "type": "opposing_power",
-                "variant": "a",
-                "fixed": 1,
-                "stronger": 2,
-                "weaker": 3,
-            },
-            OpposingPower,
-        ),
+    for stype, (required, defaults, full, expected) in PARSE_CASES.items():
+        assert parse_statement({"type": stype, **required}) == defaults
+        parsed = parse_statement({"type": stype, **full})
+        assert parsed == expected
+        assert [type(v) for v in vars(parsed).values()] == [
+            type(v) for v in vars(expected).values()]
+
+
+def test_statement_origins(students):
+    statements = [
+        LocalPair("s7", "s2"),
+        GlobalP1("s1", "s2", "I"),
+        GlobalP1("s3", "s4"),
+        GlobalP2("s3", "s6"),
+        Intensity(("s1", "s2"), ("s3", "s4"), "I"),
+        CriterionImportance("Physics", 1),
+        InteractionSign(1, 2, "-"),
+        InteractionMagnitude((1, 2), (1, "Literature"), ("+", "-"), "="),
+        OpposingPower("a", 3, 1, 2),
+        OpposingPower("b", 1, 2, 3),
     ]
-    for obj, cls in cases:
-        assert isinstance(parse_statement(obj), cls)
+    origins = [r.origin for r in statement_rows(compile_statements(students, statements))]
+    assert origins == [
+        "statement 1 (local_pair s7 P s2)",
+        "statement 2 (global_p1 s1 I s2) [positive flows]",
+        "statement 2 (global_p1 s1 I s2) [negative flows]",
+        "statement 3 (global_p1 s3 P s4) [positive flows]",
+        "statement 3 (global_p1 s3 P s4) [negative flows]",
+        "statement 3 (global_p1 s3 P s4) [net flows]",
+        "statement 4 (global_p2 s3 P s6)",
+        "statement 5 (intensity (s1,s2) I (s3,s4))",
+        "statement 6 (importance Physics > 1)",
+        "statement 7 (interaction_sign 1,2 -)",
+        "statement 8 (interaction_magnitude (1,2)+ = (1,Literature)-)",
+        "statement 9 (opposing_power[a] 3: 1 > 2)",
+        "statement 10 (opposing_power[b] 1: 2 > 3)",
+    ]
+
+
+def test_parse_rejects_unknown_keys():
+    misspelt = {"type": "interaction_sign", "j": 1, "k": 2, "kind": "-"}
+    with pytest.raises(ValueError, match=r"^file:2: unknown key 'kind'$"):
+        parse_statement(misspelt, "file:2")
+    with pytest.raises(ValueError, match="unknown key 'better', 'worse'"):
+        parse_statement({"type": "local_pair", "better": "s1", "worse": "s2"})
+
+
+@pytest.mark.parametrize("pairs", [(["s1", "s1"], ["s3", "s4"]),
+                                   (["s1", "s2"], ["s4", "s4"])])
+def test_parse_rejects_intensity_self_pairs(pairs):
+    obj = {"type": "intensity", "pair1": pairs[0], "pair2": pairs[1]}
+    with pytest.raises(ValueError, match="the two alternatives must differ"):
+        parse_statement(obj)
+
+
+def test_compile_rejects_an_object_that_is_no_statement(students):
+    with pytest.raises(TypeError, match="unsupported statement"):
+        compile_statements(students, [object()])
 
 
 def test_parse_rejects_malformed():

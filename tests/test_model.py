@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_json_round_trip(tmp_path, students):
         "evaluations": students.evaluations.tolist(),
     }
     path = tmp_path / "round.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     again = load_problem(path)
     assert again.alternatives == students.alternatives
     assert again.criteria == students.criteria
@@ -113,18 +114,27 @@ def test_csv_import(tmp_path, students):
         row = ",".join(str(v) for v in students.evaluations[i])
         lines.append(f"{label},{row}")
     path = tmp_path / "evals.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     table = load_evaluations_csv(path, students.criteria)
     assert table.alternatives == students.alternatives
     assert np.array_equal(table.evaluations, students.evaluations)
 
 
+def test_csv_import_reads_utf8_and_names_a_file_that_is_not(tmp_path):
+    path = tmp_path / "evals.csv"
+    path.write_text("alt,Mathématiques,Physics\ns1,1,2\ns2,3,4\n", encoding="utf-8")
+    assert load_evaluations_csv(path).criteria[0].name == "Mathématiques"
+    path.write_text("alt,Mathématiques,Physics\ns1,1,2\ns2,3,4\n", encoding="latin-1")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8"):
+        load_evaluations_csv(path)
+
+
 def test_load_problem_errors(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError):
         load_problem(bad)
     missing = tmp_path / "missing.json"
-    missing.write_text(json.dumps({"criteria": []}))
+    missing.write_text(json.dumps({"criteria": []}), encoding="utf-8")
     with pytest.raises(ValueError):
         load_problem(missing)

@@ -514,7 +514,7 @@ def test_batch_save_load_roundtrip(tmp_path, students):
     batch = hit_and_run(polytope, SamplerConfig(sample_count=200, seed=2))
     path = tmp_path / "samples.bin"
     batch.save(str(path))
-    sidecar = json.loads((tmp_path / "samples.json").read_text())
+    sidecar = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
     assert sidecar["rows"] == 200
     assert sidecar["dtype"] == "<f8"
     assert sidecar["columns"] == list(batch.columns)
