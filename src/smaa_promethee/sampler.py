@@ -18,15 +18,18 @@ the closure, whose boundary has measure zero.
 each with its own burn-in, and ``chain_steps`` steps them together in
 numpy: one refill of pre-drawn directions and uniforms moves every chain
 up to R steps, with one GEMM for all chord coefficients of the refill.
-Side pads (0 where a row bounds that end of the chord, +inf where it
-does not) and safe denominators stand in for a mask per entry, so a step
-finds both chord ends of every chain with one divide, one add and one
-``min``, reduced along the longer of chains and rows. A step records
-only its move flags and the points it reaches; kept samples, step counts
-and empty-chord retries are settled once per refill. The arithmetic is
-that of a per-row loop, so a seed gives bit-identical samples on a given
-numpy build. C is derived from the configuration so that burn-in work
-never exceeds sampling work.
+From a point strictly inside, with slacks s > 0, the chord along a unit
+direction d with coefficients c = A d is [1 / min(c / s), 1 / max(c / s)]:
+a row with c > 0 bounds the upper end at s / c, one with c < 0 the lower
+end, and a row with c = 0 neither. So a step finds both chord ends of
+every chain with one divide, one ``max`` and one ``min`` along the rows
+and one reciprocal, with no mask for the side each row bounds. A step
+records only its chord extremes, whether each chain moved and how far;
+the points, kept samples, step counts, empty-chord retries and open
+chords are settled once per refill. The arithmetic is that of a per-row
+loop, so a seed gives bit-identical samples on a given numpy build. C is
+derived from the configuration so that burn-in work never exceeds
+sampling work.
 
 The (samples, parameters) result is the one array that grows with the
 sample count. It is allocated before the first step; the chain writes
@@ -61,14 +64,11 @@ _OUTPUT_FEAS_TOL = 1e-9
 _RETRY_BUDGET = 100
 # a chord narrower than this is treated as numerically empty
 _CHORD_TOL = 1e-12
-_DOT_TOL = 1e-14
 _MAX_CHAINS = 64
 # refill size, cut down to the steps the furthest chain still needs: the
 # draw order (directions then uniforms per refill) is part of the
 # deterministic stream for a given seed
 _RAND_ROWS = 128
-# rows of a refill whose side pads and denominators are built at a time
-_BLOCK_ROWS = 16
 # numbers (rows x mapped columns and residuals) of one block of the output
 # map and check
 _CHECK_ENTRIES = 2 ** 17
@@ -323,15 +323,25 @@ def build_polytope(
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Sampled parameter vectors, one per row, columns named by the layout."""
+    """Sampled parameter vectors, one per row, columns named by the layout.
+
+    ``chain_quotas``, when known, gives the rows of each chain: the rows
+    are chain-major, so chain c's block starts after the quotas of the
+    chains before it.
+    """
 
     columns: tuple[str, ...]
     data: np.ndarray
     seed: int | None = None
+    chain_quotas: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("data shape does not match the column names")
+        quotas = self.chain_quotas
+        if quotas is not None and sum(quotas) != self.data.shape[0]:
+            raise ValueError(f"chain quotas sum to {sum(quotas)}, "
+                             f"not to the {self.data.shape[0]} rows")
 
     @property
     def sample_count(self) -> int:
@@ -352,6 +362,8 @@ class SampleBatch:
             "dtype": "<f8",
             "order": "C",
             "seed": self.seed,
+            "chain_quotas": (None if self.chain_quotas is None
+                             else list(self.chain_quotas)),
         }
         with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -370,7 +382,9 @@ class SampleBatch:
                 f"x {len(cols)} columns of 8-byte floats"
             )
         data = np.fromfile(path, dtype="<f8").reshape(rows, len(cols))
-        return cls(columns=cols, data=data, seed=sidecar.get("seed"))
+        quotas = sidecar.get("chain_quotas")
+        return cls(columns=cols, data=data, seed=sidecar.get("seed"),
+                   chain_quotas=None if quotas is None else tuple(quotas))
 
 
 def _sidecar_path(path: str) -> str:
@@ -392,60 +406,30 @@ class _ChainWorkspace:
 
     The per-row (chains, rows) arrays are laid out chains-last, as (rows,
     chains), when there are at least as many chains as rows, so that
-    numpy's inner loop runs along the longer axis; ``axis`` is the rows
-    axis of a (2, ·, ·) row array and of a (block, ·, ·) block. The side
-    pads and safe denominators are built ``_BLOCK_ROWS`` rows at a time:
-    for row j of a block, ``den[j, 0]`` is the chord coefficient where
-    the row bounds the direction on either side and coefficient + 1 where
-    it bounds neither, ``den[j, 1] = -den[j, 0]``, and ``pad[j, s]`` is 0
-    where the row bounds side s (0 upper, 1 lower) and +inf where it
-    does not. ``coef`` and ``points`` are prefix views of one buffer: the
-    squared directions held in ``points`` are dead before the GEMM writes
-    ``coef``, and ``coef`` is dead before ``_settle`` gathers into
-    ``points``.
+    numpy's inner loop runs along the longer axis; ``axis`` is their rows
+    axis. The refill's one GEMM writes the chord coefficients straight
+    into that layout: ``A @ D^T``, (rows, R * C), chains-last, whose row i
+    is the strided (rows, C) view ``[:, i]`` of its (rows, R, C) reshape,
+    and ``D @ A^T``, (R * C, rows), otherwise, so no row is copied or
+    transposed. ``points`` is a prefix view of the coefficients' buffer,
+    which is dead when ``_settle`` gathers into it. ``ext`` keeps each
+    row's largest and smallest c / s per chain, and ``t`` each row's step
+    lengths, 0 where a chain does not move.
     """
 
     def __init__(self, n_rows: int, chains: int, rows: int, k: int):
         self.chains_last = chains >= rows
-        self.axis = 1 if self.chains_last else 2
-        inner = (rows, chains) if self.chains_last else (chains, rows)
-        block = min(n_rows, _BLOCK_ROWS)
+        self.axis = 0 if self.chains_last else 1
         self.dn = np.empty((n_rows, chains, k))
         shared = np.empty(n_rows * chains * max(rows, k))
-        self.coef = shared[:n_rows * chains * rows].reshape(n_rows * chains, rows)
+        self.coef = shared[:n_rows * chains * rows]
         self.points = shared[:n_rows * chains * k].reshape(n_rows * chains, k)
-        self.coef_t = np.empty((block,) + inner) if self.chains_last else None
-        self.den = np.empty((block, 2) + inner)
-        self.pad = np.empty((block, 2) + inner)
-        self.side = np.empty((block, 2) + inner, dtype=bool)
-        self.q = np.empty((2,) + inner)
+        self.q = np.empty((rows, chains) if self.chains_last else (chains, rows))
+        self.ext = np.empty((n_rows, 2, chains))
         self.ends = np.empty((2, chains))
-        self.widths = np.empty((n_rows, chains))
+        self.width = np.empty(chains)
+        self.t = np.empty((n_rows, chains))
         self.moved = np.empty((n_rows, chains), dtype=bool)
-
-    def build(self, coef: np.ndarray) -> np.ndarray:
-        """Fill the block buffers from ``coef`` (block rows, chains, rows)
-        and return the chord coefficients in the workspace layout."""
-        n = coef.shape[0]
-        if self.chains_last:
-            src = self.coef_t[:n]
-            np.copyto(src, coef.transpose(0, 2, 1))
-        else:
-            src = coef
-        den, pad, side = self.den[:n], self.pad[:n], self.side[:n]
-        np.copyto(den[:, 0], src)
-        np.negative(src, out=den[:, 1])
-        # side[:, 0] marks rows bounding the upper end, side[:, 1] the lower
-        np.greater(den, _DOT_TOL, out=side)
-        # 1 / True - 1 = 0 and 1 / False - 1 = inf, without a branch per entry
-        np.divide(1.0, side, out=pad)
-        pad -= 1.0
-        neither = ~(side[:, 0] | side[:, 1])
-        if neither.any():
-            # keeps slack / den finite where both pads are inf
-            den[:, 0][neither] += 1.0
-            np.negative(den[:, 0], out=den[:, 1])
-        return src
 
 
 def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
@@ -464,14 +448,19 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     shapes, or for more rows, reused across refills; without one a fresh
     one is made.
 
-    One GEMM gives the chord coefficient of every row, chain and
-    constraint. Each row then makes one divide of the slacks by the safe
-    denominators, one add of the side pads and one ``min`` that yields
-    the upper chord end and the negated lower end of every chain, with no
-    mask per entry. The rows run in spans over which the set of chains
-    with steps left cannot change, and each step records only its move
-    flag and the point it reaches. Emission, ``kept`` and the retry
-    counters are settled once per refill, vectorised over (R, C).
+    One GEMM gives the chord coefficient c = A d of every row, chain and
+    constraint. While every slack s is positive, the chord along d is
+    [1 / min(c / s), 1 / max(c / s)], so each row makes one divide of c
+    by s, one ``max`` and one ``min`` along the rows axis and one
+    reciprocal of the two extremes, with no mask for the side each
+    constraint bounds. A zero slack gives c / 0 = +-inf, which closes
+    that end of the chord at 0, or 0 / 0 = nan, which ``max`` and ``min``
+    pass on; a nan or narrower than ``_CHORD_TOL`` chord is empty. The
+    rows run in spans over which the set of chains with steps left cannot
+    change, and each step records only its extremes, its move flag and
+    its length. The points, emission, ``kept``, the retry counters and
+    the open-chord check (max(c / s) <= 0 or min(c / s) >= 0) are settled
+    once per refill, vectorised over (R, C).
 
     Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
     consecutive empty chords, or when a chain that still has steps to do
@@ -480,105 +469,132 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     the chain stopped, and the retry counters also count that row.
     """
     n_rows, chains, k = dirs.shape
+    rows = A.shape[0]
     if work is None:
-        work = _ChainWorkspace(n_rows, chains, A.shape[0], k)
+        work = _ChainWorkspace(n_rows, chains, rows, k)
     steps = state[0]
     total = burn_in + quota * thinning
-    # np.linalg.norm's arithmetic, with its squares in the gather buffer,
-    # which the GEMM then overwrites with the chord coefficients
-    sq = work.points[:n_rows * chains].reshape(dirs.shape)
-    sq = np.multiply(dirs, dirs, out=sq)
-    dn = np.divide(dirs, np.sqrt(sq.sum(axis=2, keepdims=True)), out=work.dn[:n_rows])
-    coef = np.matmul(dn.reshape(-1, k), A.T,
-                     out=work.coef[:n_rows * chains]).reshape(n_rows, chains, -1)
+    # einsum sums the squares in one pass; a sum along the short last axis
+    # of their (R, C, k) array takes about three times as long
+    norms = np.sqrt(np.einsum("rck,rck->rc", dirs, dirs))
+    dn = np.divide(dirs, norms[:, :, None], out=work.dn[:n_rows])
+    flat = dn.reshape(-1, k)
+    coef = work.coef[:n_rows * chains * rows]
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
     if work.chains_last:
+        coef = np.matmul(A, flat.T, out=coef.reshape(rows, -1))
+        # row i's coefficients, (rows, C), are coef[i] of this view
+        coef = coef.reshape(rows, n_rows, chains).transpose(1, 0, 2)
         slack = np.ascontiguousarray(slack.T)
-    den, pad, q, ends = work.den, work.pad, work.q, work.ends
-    widths, moved, axis = work.widths, work.moved, work.axis
-    chains_last = work.chains_last
-    # the point before the current row: dn[r] is overwritten with the point
-    # that row r reaches, so dn[:r] is the refill's path
-    y = Y
+        # step lengths broadcast against a row's coefficients
+        lengths = work.t[:n_rows]
+    else:
+        coef = np.matmul(flat, A.T, out=coef.reshape(-1, rows))
+        coef = coef.reshape(n_rows, chains, rows)
+        lengths = work.t[:n_rows, :, None]
+    q, ext, axis, ends = work.q, work.ext, work.axis, work.ends
+    t_hi, t_lo = ends
+    width, moved, t = work.width, work.moved, work.t
+    # the masked step below leaves 0 where a chain does not move
+    t[:n_rows] = 0.0
     done = steps.copy()
-    r = built = 0
-    # an open chord gives an infinite width; its chain's path turns to
-    # inf or nan from that row on, which _settle cuts off
-    with np.errstate(divide="ignore", invalid="ignore"):
+    r = 0
+    # an open chord's reciprocal ends are meaningless; _settle stops at
+    # the first row where a chain with steps left drew one
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while r < n_rows:
             active = done < total
             if not active.any():
                 break
-            if r == built:
-                base, built = r, min(n_rows, r + _BLOCK_ROWS)
-                crows = work.build(coef[base:built])
+            # a nan bound fails every >=, so chains that are done never move
+            bound = np.where(active, _CHORD_TOL, np.nan)
             # a chain takes at most one step per row, so the active set
             # cannot change before the fewest steps left have passed
-            end = min(built, r + int((total - done)[active].min()))
-            for i in range(r, end):
-                j = i - base
-                np.divide(slack, den[j], out=q)
-                q += pad[j]
-                # the upper chord end, and the lower end negated
-                np.minimum.reduce(q, axis=axis, out=ends)
-                width = np.add(ends[0], ends[1], out=widths[i])
-                move = np.greater_equal(width, _CHORD_TOL, out=moved[i])
-                move &= active
-                t = np.where(move, uniforms[i] * width - ends[1], 0.0)
-                point = dn[i]
-                point *= t[:, None]
-                point += y
-                y = point
-                slack -= (t if chains_last else t[:, None]) * crows[j]
-            done += moved[r:end].sum(axis=0)
+            end = min(n_rows, r + int((total - done)[active].min()))
+            span = slice(r, end)
+            for c, e, move, step, u, length in zip(
+                    coef[span], ext[span], moved[span], t[span], uniforms[span],
+                    lengths[span]):
+                np.divide(c, slack, out=q)
+                np.maximum.reduce(q, axis=axis, out=e[0])
+                np.minimum.reduce(q, axis=axis, out=e[1])
+                np.divide(1.0, e, out=ends)
+                np.subtract(t_hi, t_lo, out=width)
+                np.greater_equal(width, bound, out=move)
+                np.multiply(u, width, out=step, where=move)
+                np.add(step, t_lo, out=step, where=move)
+                slack -= np.multiply(c, length, out=q)
+            done += moved[span].sum(axis=0)
             r = end
-    _settle(r, widths, moved, dn, Y, state, total, burn_in, thinning,
+    _settle(r, ext, moved, t, dn, Y, state, total, burn_in, thinning,
             np.cumsum(quota) - quota, out, work.points)
 
 
-def _settle(stop, widths, moved, path, Y, state, total, burn_in, thinning,
+def _settle(stop, ext, moved, lengths, path, Y, state, total, burn_in, thinning,
             first, out, points):
     """Apply the first ``stop`` rows of a refill to ``Y``, ``state`` and
     ``out``; stop short and raise at the first row where a chain with
-    steps left drew an open chord or ran out of retries."""
+    steps left drew an open chord or ran out of retries. ``path`` holds
+    the refill's unit directions and ``lengths`` the steps along them; the
+    points each row reaches overwrite ``path``."""
     steps, kept, retries = state
     m = moved[:stop]
-    rows = np.arange(stop)[:, None]
     done = np.cumsum(m, axis=0)  # steps after each row
     done += steps
     active = done - m < total
-    # the last move at or before each row, where -1 - retries stands for
-    # the empty chords carried in: rows - last counts consecutive ones
-    last = np.maximum.accumulate(np.where(m, rows, -1 - retries), axis=0)
-    run = rows - last
-    unbounded = np.flatnonzero((active & (widths[:stop] == np.inf)).any(axis=1))
+    e = ext[:stop]
+    open_chord = (e[:, 0] <= 0.0) | (e[:, 1] >= 0.0)
+    unbounded = np.flatnonzero((active & open_chord).any(axis=1))
     # an open chord is seen before that row's retries are counted
     seen = int(unbounded[0]) if unbounded.size else stop
-    over = np.flatnonzero((active[:seen] & (run[:seen] > _RETRY_BUDGET)).any(axis=1))
-    # rows applied to the points, and rows whose retries count
-    cut = int(over[0]) if over.size else seen
-    counted = cut + 1 if over.size else seen
-    if counted:
+    # rows applied to the points, and rows whose retries count: one more
+    # if a chain ran out of retries
+    cut = counted = seen
+    stays = active[:seen] & ~m[:seen]
+    if stays.any():
+        rows = np.arange(stop)[:, None]
+        # the last move at or before each row, where -1 - retries stands
+        # for the empty chords carried in: rows - last counts consecutive ones
+        last = np.maximum.accumulate(np.where(m, rows, -1 - retries), axis=0)
+        run = rows - last
+        over = np.flatnonzero((stays & (run[:seen] > _RETRY_BUDGET)).any(axis=1))
+        if over.size:
+            cut = int(over[0])
+            counted = cut + 1
         at = counted - 1
         # a chain that is done keeps its count: 0 if it finished here
         retries[:] = np.where(active[at], run[at],
                               np.where(last[at] >= 0, 0, retries))
+    else:
+        # no empty chord: a chain's count is 0 once it has moved
+        retries[m[:seen].any(axis=0)] = 0
+    # the points, summed in row order as a per-row loop would add them
+    path = path[:cut]
+    np.multiply(path, lengths[:cut, :, None], out=path)
+    if cut:
+        path[0] += Y
+    points_at = list(path)
+    for before, point in zip(points_at, points_at[1:]):
+        np.add(before, point, out=point)
     due = burn_in + (kept + 1) * thinning
     emitted = done[:cut] - due
     emit = m[:cut] & (emitted >= 0) & (emitted % thinning == 0)
-    row, chain = np.nonzero(emit)
-    _, chains, k = path.shape
+    # a step's row and chain as one index into the (R * C, k) path
+    flat = np.flatnonzero(emit)
+    emitted //= thinning
+    emitted += first + kept
+    k = path.shape[2]
     # gathered into the workspace, not a fresh array per refill; every
     # index is in range, and "clip" lets np.take write to out unbuffered
-    points = np.take(path.reshape(-1, k), row * chains + chain, axis=0,
-                     out=points[:row.size], mode="clip")
-    out[first[chain] + kept[chain] + emitted[row, chain] // thinning] = points
+    points = np.take(path.reshape(-1, k), flat, axis=0, out=points[:flat.size],
+                     mode="clip")
+    out[emitted.reshape(-1)[flat]] = points
     kept += emit.sum(axis=0)
     if cut:
         steps[:] = done[cut - 1]
         Y[...] = path[cut - 1]
-    if over.size:
+    if counted > cut:
         raise RuntimeError(
             "hit-and-run made no progress: every chord within the "
             "retry budget was numerically empty (is the interior empty?)"
@@ -593,9 +609,10 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     Every chain starts at ``polytope.start`` and discards its own
     ``burn_in`` steps. Chain c keeps ``sample_count // C`` samples, one
     more for the first ``sample_count % C`` chains, and the rows come out
-    chain-major: all of chain 0's samples, then chain 1's, and so on.
-    Each refill draws ``_RAND_ROWS`` rows of directions, then of uniforms,
-    or fewer when no chain needs that many more steps.
+    chain-major: all of chain 0's samples, then chain 1's, and so on;
+    the batch's ``chain_quotas`` records the counts. Each refill draws
+    ``_RAND_ROWS`` rows of directions, then of uniforms, or fewer when no
+    chain needs that many more steps.
 
     The (samples, parameters) result is allocated before the first step,
     so a count that cannot be held raises ``MemoryError`` at once, and it
@@ -630,7 +647,8 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     # the chain's buffers go before the map and check
     del work, dirs, uniforms
     _map_and_check(polytope, theta)
-    return SampleBatch(columns=polytope.names, data=theta, seed=config.seed)
+    return SampleBatch(columns=polytope.names, data=theta, seed=config.seed,
+                       chain_quotas=tuple(quota.tolist()))
 
 
 def _map_and_check(polytope: Polytope, theta: np.ndarray) -> None:

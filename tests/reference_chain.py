@@ -1,15 +1,17 @@
 """Per-row reference for the hit-and-run chain's bit-identity tests.
 
 This is ``sampler.chain_steps`` as it was before the chain settled its
-bookkeeping once per refill: every row masks the chord ratios with
-``np.where``, updates the retry counters, checks the budget and writes the
-samples it emits. The package's chain must leave ``Y``, ``state`` and
-``out`` exactly as this loop does, also when it raises.
+bookkeeping once per refill: every row finds its chord, checks it for an
+open end, updates the retry counters, checks the budget and writes the
+samples it emits. The chord ends are the reciprocal ones, 1 / max(c / s)
+and 1 / min(c / s); ``test_kernels`` checks them against the masked
+minimum and maximum of s / c. The package's chain must leave ``Y``,
+``state`` and ``out`` exactly as this loop does, also when it raises.
 """
 
 import numpy as np
 
-from smaa_promethee.sampler import _CHORD_TOL, _DOT_TOL, _RETRY_BUDGET
+from smaa_promethee.sampler import _CHORD_TOL, _RETRY_BUDGET
 
 
 def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out):
@@ -36,26 +38,31 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out):
     slot = first + kept
     due = burn_in + (kept + 1) * thinning
     n_rows, chains, k = dirs.shape
-    dn = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
-    coef = (dn.reshape(-1, k) @ A.T).reshape(n_rows, chains, -1)
-    upper = coef > _DOT_TOL
-    lower = coef < -_DOT_TOL
-    # a direction with no bounding row on one side leaves the chord open
-    open_chord = ~(upper.any(axis=2) & lower.any(axis=2))
-    any_open = open_chord.any(axis=1).tolist()
+    # the chain's normalisation: einsum may round the sum of squares
+    # differently from np.linalg.norm
+    dn = dirs / np.sqrt(np.einsum("rck,rck->rc", dirs, dirs))[:, :, None]
+    flat = dn.reshape(-1, k)
+    # the product the chain takes: OpenBLAS can round A @ D^T and D @ A^T
+    # differently in the last bit
+    coef = (A @ flat.T).T if chains >= A.shape[0] else flat @ A.T
+    coef = coef.reshape(n_rows, chains, -1)
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
     try:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for r in range(n_rows):
                 active = steps < total
                 if not active.any():
                     return
-                if any_open[r] and (active & open_chord[r]).any():
+                ratio = coef[r] / slack
+                hi = ratio.max(axis=1)
+                lo = ratio.min(axis=1)
+                # a direction that no row bounds on one side
+                if (active & ((hi <= 0.0) | (lo >= 0.0))).any():
                     raise RuntimeError("reduced polytope is unbounded along a chord")
-                ratio = slack / coef[r]
-                t_hi = np.where(upper[r], ratio, np.inf).min(axis=1)
-                t_lo = np.where(lower[r], ratio, -np.inf).max(axis=1)
+                t_hi = 1.0 / hi
+                t_lo = 1.0 / lo
+                # nan where a zero slack met a zero coefficient: empty
                 width = t_hi - t_lo
                 move = active & (width >= _CHORD_TOL)
                 retries += active

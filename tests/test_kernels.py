@@ -253,7 +253,7 @@ def test_chain_matches_reference_with_thinning_and_mid_refill_quotas():
 
 def test_chain_matches_reference_when_a_chain_gets_stuck_mid_refill():
     # a slab 1e-13 wide in x: a chord is empty unless the direction is
-    # almost along y, where the x rows bound neither side
+    # almost along y, where the y rows bound it long before the x rows
     A, b = square_problem()
     b = np.array([0.5 + 1e-13, -0.5, 1.0, 0.0])
     rng = np.random.default_rng(4)
@@ -294,6 +294,61 @@ def test_chain_matches_reference_when_a_chord_opens_mid_refill():
     assert np.isfinite(Y).all()
 
 
+def test_zero_slack_chords_are_retried_until_a_direction_opens():
+    # chain 0 sits on the corner (1, 0), where the slacks of x <= 1 and
+    # y >= 0 are exactly 0; chain 1 stays inside
+    A, b = square_problem()
+    dirs, uniforms = square_draws(6, 40, 2)
+    # outwards on both rows: c / 0 gives +inf and -inf, a chord [0, -0]
+    dirs[0, 0] = [1.0, 1.0]
+    # along a zero-slack row: 0 / 0 gives nan
+    dirs[1, 0] = [0.0, 1.0]
+    dirs[2, 0] = [1.0, 0.0]
+    # into the square: the chord opens
+    dirs[3, 0] = [-1.0, 1.0]
+    starts = [[1.0, 0.0], [0.5, 0.5]]
+    Y = np.array(starts)
+    state = np.zeros((3, 2), dtype=np.int64)
+    quota = np.array([30, 30])
+    out = np.full((60, 2), np.nan)
+    # three empty chords in the first refill, carried into the second
+    chain_steps(A, b, Y, dirs[:3].copy(), uniforms[:3], 0, 1, state, quota, out)
+    assert state.tolist() == [[0, 3], [0, 3], [3, 0]]
+    assert Y[0].tolist() == [1.0, 0.0]
+    chain_steps(A, b, Y, dirs[3:].copy(), uniforms[3:], 0, 1, state, quota, out)
+    # the first direction that opens moves the chain and clears its count
+    assert state.tolist() == [[30, 30], [30, 30], [0, 0]]
+    assert not np.isnan(out).any()
+    assert np.all(out >= 0.0) and np.all(out <= 1.0)
+    assert out[0, 0] < 1.0 and out[0, 1] > 0.0
+    assert_chain_matches_reference(A, b, starts, dirs, uniforms, 0, 1, quota,
+                                   rows_per_refill=3)
+
+
+def test_a_direction_no_row_bounds_on_one_side_raises_after_the_steps_before_it():
+    # 0 <= x <= 1 and y >= 0; chain 1 draws +y at row 37, along which
+    # both x rows have coefficient 0 and y >= 0 bounds only the lower end
+    A, b = square_problem()
+    A, b = A[[0, 1, 3]], b[[0, 1, 3]]
+    dirs, uniforms = square_draws(12, 60, 2)
+    dirs[37, 1] = [0.0, 1.0]
+    quota = np.array([40, 40])
+    state = np.zeros((3, 2), dtype=np.int64)
+    Y = np.full((2, 2), 0.5)
+    out = np.full((80, 2), np.nan)
+    with pytest.raises(RuntimeError, match=UNBOUNDED):
+        chain_steps(A, b, Y, dirs.copy(), uniforms, 10, 1, state, quota, out)
+    # the same draws up to that row, run alone, leave the same state
+    state_before = np.zeros((3, 2), dtype=np.int64)
+    Y_before = np.full((2, 2), 0.5)
+    out_before = np.full((80, 2), np.nan)
+    chain_steps(A, b, Y_before, dirs[:37].copy(), uniforms[:37], 10, 1,
+                state_before, quota, out_before)
+    assert state.tolist() == state_before.tolist() == [[37, 37], [27, 27], [0, 0]]
+    assert Y.tobytes() == Y_before.tobytes()
+    assert out.tobytes() == out_before.tobytes()
+
+
 def workload_polytopes(directory):
     """The three benchmark workloads' polytopes and sample counts."""
     table = load_problem(FIXTURES / "students_ramp.json")
@@ -320,6 +375,35 @@ def test_hit_and_run_matches_reference_chain_on_the_workloads(tmp_path, monkeypa
         assert got.tobytes() == want.tobytes(), name
 
 
+def test_reciprocal_chord_ends_match_the_masked_ones(tmp_path):
+    """On the workload polytopes, at random interior points and unit
+    directions, 1 / max(c / s) and 1 / min(c / s) are the masked
+    min over c > 0 and max over c < 0 of s / c, within a few ulps."""
+    rng = np.random.default_rng(17)
+    for name, system, _ in workload_polytopes(tmp_path):
+        polytope = build_polytope(system, margin=max_epsilon(system))
+        A, b = polytope.A, polytope.b
+        k = A.shape[1]
+        # inside the unit ball, which is the Dikin ellipsoid at the centre
+        # and so lies inside the polytope
+        y = rng.standard_normal((2_000, k))
+        y *= (0.95 * rng.random((2_000, 1)) ** (1 / k)
+              / np.linalg.norm(y, axis=1, keepdims=True))
+        d = rng.standard_normal((2_000, k))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        slack = b - y @ A.T
+        assert (slack > 0).all(), name
+        c = d @ A.T
+        ratio = c / slack
+        t_hi, t_lo = 1.0 / ratio.max(axis=1), 1.0 / ratio.min(axis=1)
+        masked = slack / c
+        want_hi = np.where(c > 0, masked, np.inf).min(axis=1)
+        want_lo = np.where(c < 0, masked, -np.inf).max(axis=1)
+        assert np.isfinite(want_hi).all() and np.isfinite(want_lo).all(), name
+        assert (np.abs(t_hi - want_hi) <= 4 * np.spacing(want_hi)).all(), name
+        assert (np.abs(t_lo - want_lo) <= 4 * np.spacing(-want_lo)).all(), name
+
+
 def scenario2_polytope():
     table = load_problem(FIXTURES / "students_ramp.json")
     system = compile_statements(table, parse_statements(FIXTURES / "scenario2.jsonl"))
@@ -343,20 +427,16 @@ def traced_beyond_samples(polytope, config):
 
 def refill_bytes(polytope, config):
     """One refill's buffers in ``hit_and_run``: the chord coefficients
-    ``coef``, which the gathered points reuse, and their chains-last block
-    copy, the normalised directions ``dn``, the block's denominators, side
-    pads and side flags, and the uniforms."""
+    ``coef``, which the gathered points reuse, the normalised directions
+    ``dn``, the extremes of c / s, the step lengths and the uniforms."""
     R = sampler._RAND_ROWS
     C = sampler._chain_count(config)
     rows, k = polytope.A.shape
-    block = min(R, sampler._BLOCK_ROWS)
     coef = R * C * max(rows, k) * 8
-    coef_t = block * rows * C * 8 if C >= rows else 0
     dn = R * C * k * 8
-    den = pad = block * 2 * rows * C * 8
-    side = block * 2 * rows * C
-    uniforms = R * C * 8
-    return coef + coef_t + dn + den + pad + side + uniforms
+    ext = R * 2 * C * 8
+    lengths = uniforms = R * C * 8
+    return coef + dn + ext + lengths + uniforms
 
 
 # the mapped vectors and residuals of one block of the output check

@@ -522,6 +522,28 @@ def test_batch_save_load_roundtrip(tmp_path, students):
     assert np.array_equal(again.data, batch.data)
     assert again.columns == batch.columns
     assert again.seed == batch.seed
+    # 200 samples, burn-in 1,000: one chain per 1,000 steps of sampling work
+    # is below one, so a single chain holds every row
+    assert sidecar["chain_quotas"] == [200]
+    assert again.chain_quotas == batch.chain_quotas == (200,)
+
+
+def test_sidecar_records_the_chain_quotas(tmp_path, students):
+    system = restrict_classical(compile_statements(students, []))
+    polytope = build_polytope(system)
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=1_003, burn_in=10, seed=3))
+    path = tmp_path / "samples.bin"
+    batch.save(str(path))
+    again = SampleBatch.load(str(path))
+    # 64 chains: 1,003 = 64 * 15 + 43, so the first 43 chains keep one more
+    assert again.chain_quotas == (16,) * 43 + (15,) * 21
+    assert sum(again.chain_quotas) == again.sample_count == 1_003
+    # a sidecar whose quotas do not add up to its rows is rejected
+    sidecar = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
+    sidecar["chain_quotas"][0] += 1
+    (tmp_path / "samples.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    with pytest.raises(ValueError, match="chain quotas sum to 1004, not to the 1003 rows"):
+        SampleBatch.load(str(path))
 
 
 def test_batch_load_rejects_a_file_its_sidecar_does_not_describe(tmp_path):
