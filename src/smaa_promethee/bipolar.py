@@ -10,6 +10,12 @@ symmetric pair interactions ``a_jk`` and nonpositive opposing powers
 The mirrored negative-part parameters are never stored; they are read
 through the symmetry a-_j = a_j, a-_jk = a_jk, a-_{j|k} = a+_{k|j}.
 
+For a fixed signed vector both parts of the integral are linear in the
+packed parameters. ``choquet_coefficients`` gives those linear rows and
+``flow_coefficients`` their per-alternative averages; the closed form
+``bipolar_choquet_2additive`` and ``bipolar_flows`` are these rows times
+the packed parameters, the same operator the sampling pipeline runs.
+
 General (not necessarily two-additive) bicapacities are supported only as
 lookup tables so the sorted level-set form of the integral can be checked
 against the closed form; the sampling pipeline never touches them.
@@ -368,33 +374,16 @@ def bipolar_choquet_2additive(x, params: BicapacityParams) -> ChoquetTriple:
     Supporting criteria contribute their power times their degree, pairs of
     supporters the interaction times the weaker degree, and each
     supporter/opponent pair the opposing power times the weaker magnitude.
-    The negative part mirrors this on the opponents.
+    The negative part mirrors this on the opponents. Evaluated as the
+    ``choquet_coefficients`` rows of ``x`` times the packed parameters.
     """
     x = np.asarray(x, dtype=float)
-    n = params.n
-    if x.shape != (n,):
-        raise ValueError(f"expected vector of length {n}, got {x.shape}")
-    pos = 0.0
-    neg = 0.0
-    for j in range(n):
-        if x[j] > 0.0:
-            pos += params.a[j] * x[j]
-        elif x[j] < 0.0:
-            neg -= params.a[j] * x[j]
-    for j in range(n):
-        for k in range(j + 1, n):
-            if x[j] > 0.0 and x[k] > 0.0:
-                pos += params.pair[j, k] * min(x[j], x[k])
-            elif x[j] < 0.0 and x[k] < 0.0:
-                neg -= params.pair[j, k] * max(x[j], x[k])
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            if x[j] > 0.0 > x[k]:
-                pos += params.opp[j, k] * min(x[j], -x[k])
-                # the mirrored a-_{j|k} = a+_{k|j} enters the negative part
-                neg -= params.opp[k, j] * max(-x[j], x[k])
+    if x.shape != (params.n,):
+        raise ValueError(f"expected vector of length {params.n}, got {x.shape}")
+    layout = ParameterLayout(params.n)
+    cp, cn = choquet_coefficients(x, layout)
+    theta = layout.pack(params)
+    pos, neg = float(cp @ theta), float(cn @ theta)
     return ChoquetTriple(positive=pos, negative=neg, net=pos - neg)
 
 
@@ -438,18 +427,10 @@ def flow_coefficients(
 
 
 def bipolar_flows(table: PerformanceTable, params: BicapacityParams) -> Flows:
-    """Bipolar flows: per-alternative averages of the integral's parts."""
-    tensor = bipolar_preference_tensor(table)
-    m = table.n_alternatives
-    pos = np.zeros(m)
-    neg = np.zeros(m)
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            val = bipolar_choquet_2additive(tensor[a, b], params)
-            pos[a] += val.positive
-            neg[a] += val.negative
-    pos /= m - 1
-    neg /= m - 1
+    """Bipolar flows: per-alternative averages of the integral's parts,
+    the ``flow_coefficients`` rows times the packed parameters."""
+    layout = ParameterLayout(params.n)
+    flow_pos, flow_neg = flow_coefficients(table, layout)
+    theta = layout.pack(params)
+    pos, neg = flow_pos @ theta, flow_neg @ theta
     return Flows(positive=pos, negative=neg, net=pos - neg)

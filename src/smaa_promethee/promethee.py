@@ -4,7 +4,14 @@ Preference degrees use the linear ramp with indifference threshold q and
 preference threshold p; q == p degenerates to a step. Flows are averaged
 over the m - 1 opponents. PROMETHEE I builds a partial order from the
 positive/negative flow pair, PROMETHEE II a complete preorder from the net
-flow. All flow comparisons share one absolute tie tolerance.
+flow.
+
+Flows are compared in one place only: ``count_relations`` counts the P1
+and P2 verdicts and the ranks of a block of sampled flows under one
+absolute tie tolerance (the Monte-Carlo aggregation in ``smaa`` runs it
+once per chunk of samples). ``promethee1_relation`` and
+``promethee2_ranking`` are that counter run on a single sample, so the
+library's verdicts are the pipeline's own.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "classical_flows",
     "promethee1_relation",
     "promethee2_ranking",
+    "count_relations",
 ]
 
 # Absolute tolerance under which two flow values count as equal.
@@ -121,6 +129,111 @@ def classical_flows(table: PerformanceTable, weights) -> Flows:
     return flows_from_preference(aggregated_preference(table, weights))
 
 
+def _row_counts(mask):
+    """True entries per row of a (rows, 8k) bool array: one popcount per
+    8-byte word, since each True byte holds a single set bit."""
+    return np.bitwise_count(mask.view(np.uint64)).sum(axis=1, dtype=np.int64)
+
+
+def count_relations(pos_t, neg_t, net_t, n_samples, tau, counts):
+    """Count the relations of one block of flows; return the rank-1 mask.
+
+    ``pos_t``, ``neg_t`` and ``net_t`` are finite (m, width) arrays, one
+    row of positive, negative and net flows per alternative. The first
+    ``n_samples`` columns are samples; the rest, up to a ``width`` that is
+    a multiple of 8, hold equal flows for every alternative (zeros), so
+    with ``tau`` >= 0 no strict comparison marks them. ``counts`` is a
+    (6, m, m) int64 array of rank counts, P1 preferences,
+    indifferences and incomparabilities, and P2 preferences and
+    indifferences, in that order, updated in place. The returned (m,
+    n_samples) bool mask flags the samples that put each alternative at
+    rank 1.
+
+    Each unordered pair (i, k), k > i, is compared once, over all samples
+    at a time, so working memory stays O(samples * m). The reverse
+    direction reuses the same differences: IEEE subtraction is exactly
+    antisymmetric (``b - a == -(a - b)``), so ``x_k - x_i > tau`` is
+    ``x_i - x_k < -tau`` bit for bit. Comparison masks are counted by
+    popcount over 8 samples at a time.
+    """
+    if not tau >= 0.0:
+        raise ValueError(f"tie tolerance must be non-negative, got {tau!r}")
+    rank_counts, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind = counts
+    m, width = net_t.shape
+    # above[i, s]: alternatives whose net flow beats i's by more than tau.
+    # Each pass adds at most 1 per entry of gained, so it tallies in uint8
+    # and empties into above every 255 passes.
+    above = np.zeros((m, width), dtype=np.int32)
+    gained = np.zeros((m, width), dtype=np.uint8)
+    diff_buf = np.empty((m - 1, width))
+    gt_buf = np.empty((m - 1, width), dtype=bool)
+    lt_buf = np.empty_like(gt_buf)
+    tmp_buf = np.empty_like(gt_buf)
+    for i in range(m - 1):
+        rest = slice(i + 1, m)
+        r = m - 1 - i
+        diff, gt, lt, tmp = diff_buf[:r], gt_buf[:r], lt_buf[:r], tmp_buf[:r]
+
+        # P2 on net flows: gt is i P k, lt is k P i, the rest is I
+        np.subtract(net_t[i], net_t[rest], out=diff)
+        np.greater(diff, tau, out=gt)
+        np.less(diff, -tau, out=lt)
+        n_gt = _row_counts(gt)
+        n_lt = _row_counts(lt)
+        p2_pref[i, rest] += n_gt
+        p2_pref[rest, i] += n_lt
+        tie = n_samples - n_gt - n_lt
+        p2_ind[i, rest] += tie
+        p2_ind[rest, i] += tie
+        # column sums in uint8 cannot overflow in blocks of 255 rows
+        for lo in range(0, r, 255):
+            above[i] += lt[lo:lo + 255].view(np.uint8).sum(axis=0, dtype=np.uint8)
+        np.add(gained[rest], gt.view(np.uint8), out=gained[rest])
+        if i % 255 == 254:
+            above += gained
+            gained.fill(0)
+
+        # P1: ahead marks i ahead on some flow, behind marks k ahead on one;
+        # one-sided is a preference, neither is I, both is R
+        ahead, behind = gt, lt
+        np.subtract(pos_t[i], pos_t[rest], out=diff)
+        np.greater(diff, tau, out=ahead)
+        np.less(diff, -tau, out=behind)
+        np.subtract(neg_t[i], neg_t[rest], out=diff)
+        ahead |= np.less(diff, -tau, out=tmp)
+        behind |= np.greater(diff, tau, out=tmp)
+        n_ahead = _row_counts(ahead)
+        n_behind = _row_counts(behind)
+        n_both = _row_counts(np.bitwise_and(ahead, behind, out=tmp))
+        p1_pref[i, rest] += n_ahead - n_both
+        p1_pref[rest, i] += n_behind - n_both
+        p1_inc[i, rest] += n_both
+        p1_inc[rest, i] += n_both
+        ind = n_samples - n_ahead - n_behind + n_both
+        p1_ind[i, rest] += ind
+        p1_ind[rest, i] += ind
+
+    above += gained
+    above = above[:, :n_samples]
+    for i in range(m):
+        rank_counts[i] += np.bincount(above[i], minlength=m)
+    return above == 0
+
+
+def _one_sample_counts(positive, negative, net, tol):
+    """``count_relations``' (6, m, m) counts for a single set of flows,
+    written as the first column of a zero-padded (3, m, 8) block."""
+    net = np.asarray(net, dtype=float)
+    m = net.shape[0]
+    block = np.zeros((3, m, 8))
+    block[..., 0] = positive, negative, net
+    if not np.isfinite(block).all():
+        raise ValueError("flows must be finite")
+    counts = np.zeros((6, m, m), dtype=np.int64)
+    count_relations(*block, 1, tol, counts)
+    return counts
+
+
 def promethee1_relation(flows: Flows, tol: float = FLOW_TIE_TOL) -> np.ndarray:
     """Pairwise PROMETHEE I verdict matrix.
 
@@ -128,33 +241,23 @@ def promethee1_relation(flows: Flows, tol: float = FLOW_TIE_TOL) -> np.ndarray:
     positive and the negative flow and strictly better on at least one,
     INDIFFERENT when both flows tie, INCOMPARABLE when the two flows
     disagree; the mirror cell of a PREFERRED entry is OUTRANKED. Returned
-    as an int8 matrix of Relation codes.
+    as an int8 matrix of Relation codes, read off the counts of
+    ``count_relations`` for one sample, where exactly one verdict counts 1
+    in every off-diagonal cell and none on the diagonal (SELF, 0).
     """
-    pos, neg = flows.positive, flows.negative
-    m = pos.shape[0]
-    out = np.full((m, m), int(Relation.INCOMPARABLE), dtype=np.int8)
-    dpos = pos[:, None] - pos[None, :]
-    dneg = neg[:, None] - neg[None, :]
-    indiff = (np.abs(dpos) <= tol) & (np.abs(dneg) <= tol)
-    pref = (
-        (dpos >= -tol)
-        & (dneg <= tol)
-        & ((dpos > tol) | (dneg < -tol))
-    )
-    out[indiff] = int(Relation.INDIFFERENT)
-    # pref and pref.T are mutually exclusive under the banded comparisons,
-    # so the write order does not matter
-    out[pref.T] = int(Relation.OUTRANKED)
-    out[pref] = int(Relation.PREFERRED)
-    np.fill_diagonal(out, int(Relation.SELF))
-    return out
+    _, pref, ind, inc, _, _ = _one_sample_counts(
+        flows.positive, flows.negative, flows.net, tol)
+    codes = (Relation.PREFERRED * pref + Relation.OUTRANKED * pref.T
+             + Relation.INDIFFERENT * ind + Relation.INCOMPARABLE * inc)
+    return codes.astype(np.int8)
 
 
 def promethee2_ranking(net: np.ndarray, tol: float = FLOW_TIE_TOL) -> np.ndarray:
     """Complete-preorder ranks from net flows, ties sharing the better rank.
 
-    rank(i) = 1 + number of alternatives with a net flow larger than
-    net(i) + tol.
+    rank(i) = 1 + number of alternatives k with net(i) - net(k) < -tol,
+    the rule of ``count_relations`` for one sample.
     """
-    net = np.asarray(net, dtype=float)
-    return 1 + (net[None, :] > net[:, None] + tol).sum(axis=1)
+    zeros = np.zeros(np.shape(net))
+    rank_counts = _one_sample_counts(zeros, zeros, net, tol)[0]
+    return 1 + rank_counts.argmax(axis=1)

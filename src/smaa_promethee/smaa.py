@@ -4,9 +4,11 @@ Flows are linear in the packed parameters, so each alternative's positive
 and negative flow is one precomputed coefficient row. The per-sample work
 is one (2m x size) . (size x s) GEMM per chunk of s samples, which writes
 both flows of every alternative into one alternative-major block, plus
-integer relation counting (``count_relations``) straight off that block,
-which compares each unordered pair of alternatives once across the chunk
-in O(s x m) memory and counts the comparison masks by popcount. Classical
+integer relation counting straight off that block by
+``promethee.count_relations`` (re-exported here), which compares each
+unordered pair of alternatives once across the chunk in O(s x m) memory
+and counts the comparison masks by popcount. The same counter gives the
+library's one-vector PROMETHEE I and II verdicts. Classical
 batches (interaction columns pinned to zero) run through the same
 pipeline: with zero interactions the bipolar aggregation reduces exactly
 to the weighted preference sum, which keeps the two modes consistent to
@@ -28,7 +30,9 @@ from .bipolar import ParameterLayout, flow_coefficients
 from .elicitation import ConstraintRow, ConstraintSystem
 from .lp import EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, maximise
 from .model import PerformanceTable
-from .promethee import FLOW_TIE_TOL
+# aggregate reaches count_relations through this module's global, so a
+# wrapper set on smaa.count_relations sees every chunk
+from .promethee import FLOW_TIE_TOL, count_relations
 from .sampler import Polytope, SampleBatch
 
 __all__ = [
@@ -186,97 +190,6 @@ def aggregate(
     )
     _check_invariants(results, polytope)
     return results
-
-
-def _row_counts(mask):
-    """True entries per row of a (rows, 8k) bool array: one popcount per
-    8-byte word, since each True byte holds a single set bit."""
-    return np.bitwise_count(mask.view(np.uint64)).sum(axis=1, dtype=np.int64)
-
-
-def count_relations(pos_t, neg_t, net_t, n_samples, tau, counts):
-    """Count the relations of one block of flows; return the rank-1 mask.
-
-    ``pos_t``, ``neg_t`` and ``net_t`` are finite (m, width) arrays, one
-    row of positive, negative and net flows per alternative. The first
-    ``n_samples`` columns are samples; the rest, up to a ``width`` that is
-    a multiple of 8, hold equal flows for every alternative (zeros), so
-    with ``tau`` >= 0 no strict comparison marks them. ``counts`` is a
-    (6, m, m) int64 array of rank counts, P1 preferences,
-    indifferences and incomparabilities, and P2 preferences and
-    indifferences, in that order, updated in place. The returned (m,
-    n_samples) bool mask flags the samples that put each alternative at
-    rank 1.
-
-    Each unordered pair (i, k), k > i, is compared once, over all samples
-    at a time, so working memory stays O(samples * m). The reverse
-    direction reuses the same differences: IEEE subtraction is exactly
-    antisymmetric (``b - a == -(a - b)``), so ``x_k - x_i > tau`` is
-    ``x_i - x_k < -tau`` bit for bit. Comparison masks are counted by
-    popcount over 8 samples at a time.
-    """
-    if not tau >= 0.0:
-        raise ValueError(f"tie tolerance must be non-negative, got {tau!r}")
-    rank_counts, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind = counts
-    m, width = net_t.shape
-    # above[i, s]: alternatives whose net flow beats i's by more than tau.
-    # Each pass adds at most 1 per entry of gained, so it tallies in uint8
-    # and empties into above every 255 passes.
-    above = np.zeros((m, width), dtype=np.int32)
-    gained = np.zeros((m, width), dtype=np.uint8)
-    diff_buf = np.empty((m - 1, width))
-    gt_buf = np.empty((m - 1, width), dtype=bool)
-    lt_buf = np.empty_like(gt_buf)
-    tmp_buf = np.empty_like(gt_buf)
-    for i in range(m - 1):
-        rest = slice(i + 1, m)
-        r = m - 1 - i
-        diff, gt, lt, tmp = diff_buf[:r], gt_buf[:r], lt_buf[:r], tmp_buf[:r]
-
-        # P2 on net flows: gt is i P k, lt is k P i, the rest is I
-        np.subtract(net_t[i], net_t[rest], out=diff)
-        np.greater(diff, tau, out=gt)
-        np.less(diff, -tau, out=lt)
-        n_gt = _row_counts(gt)
-        n_lt = _row_counts(lt)
-        p2_pref[i, rest] += n_gt
-        p2_pref[rest, i] += n_lt
-        tie = n_samples - n_gt - n_lt
-        p2_ind[i, rest] += tie
-        p2_ind[rest, i] += tie
-        # column sums in uint8 cannot overflow in blocks of 255 rows
-        for lo in range(0, r, 255):
-            above[i] += lt[lo:lo + 255].view(np.uint8).sum(axis=0, dtype=np.uint8)
-        np.add(gained[rest], gt.view(np.uint8), out=gained[rest])
-        if i % 255 == 254:
-            above += gained
-            gained.fill(0)
-
-        # P1: ahead marks i ahead on some flow, behind marks k ahead on one;
-        # one-sided is a preference, neither is I, both is R
-        ahead, behind = gt, lt
-        np.subtract(pos_t[i], pos_t[rest], out=diff)
-        np.greater(diff, tau, out=ahead)
-        np.less(diff, -tau, out=behind)
-        np.subtract(neg_t[i], neg_t[rest], out=diff)
-        ahead |= np.less(diff, -tau, out=tmp)
-        behind |= np.greater(diff, tau, out=tmp)
-        n_ahead = _row_counts(ahead)
-        n_behind = _row_counts(behind)
-        n_both = _row_counts(np.bitwise_and(ahead, behind, out=tmp))
-        p1_pref[i, rest] += n_ahead - n_both
-        p1_pref[rest, i] += n_behind - n_both
-        p1_inc[i, rest] += n_both
-        p1_inc[rest, i] += n_both
-        ind = n_samples - n_ahead - n_behind + n_both
-        p1_ind[i, rest] += ind
-        p1_ind[rest, i] += ind
-
-    above += gained
-    above = above[:, :n_samples]
-    for i in range(m):
-        rank_counts[i] += np.bincount(above[i], minlength=m)
-    return above == 0
 
 
 def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:

@@ -16,7 +16,7 @@ from smaa_promethee.bipolar import (
 from smaa_promethee.promethee import Relation, classical_flows, promethee1_relation, promethee2_ranking
 
 from conftest import random_table, random_valid_params
-from reference_bipolar import bipolar_preference_vector
+from reference_bipolar import bipolar_preference_vector, definitional_flows
 
 
 def definitional_reference(x, bicap: GeneralBicapacity):
@@ -178,7 +178,7 @@ def test_coefficient_rows_match_direct_evaluation():
         theta = layout.pack(params)
         x = rng.uniform(-1.0, 1.0, size=n)
         cp, cn = choquet_coefficients(x, layout)
-        direct = bipolar_choquet_2additive(x, params)
+        direct = bipolar_choquet_general(x, GeneralBicapacity.from_params(params))
         assert float(cp @ theta) == pytest.approx(direct.positive, abs=1e-12)
         assert float(cn @ theta) == pytest.approx(direct.negative, abs=1e-12)
 
@@ -191,6 +191,7 @@ def test_flow_coefficients(students):
     rng = np.random.default_rng(2)
     params = random_valid_params(rng, 3)
     theta = layout.pack(params)
+    bicap = GeneralBicapacity.from_params(params)
     for a in range(8):
         assert np.all(cp[a, a] == 0.0) and np.all(cn[a, a] == 0.0)
         for b in range(8):
@@ -199,7 +200,7 @@ def test_flow_coefficients(students):
             assert np.array_equal(cn[a, b], one_n)
             if a == b:
                 continue
-            direct = bipolar_choquet_2additive(tensor[a, b], params)
+            direct = bipolar_choquet_general(tensor[a, b], bicap)
             assert float(cp[a, b] @ theta) == pytest.approx(direct.positive, abs=1e-12)
             assert float(cn[a, b] @ theta) == pytest.approx(direct.negative, abs=1e-12)
 
@@ -211,7 +212,7 @@ def test_flow_coefficients(students):
         theta = layout.pack(params)
         flow_pos, flow_neg = flow_coefficients(table, layout)
         assert flow_pos.shape == flow_neg.shape == (table.n_alternatives, layout.size)
-        loop = bipolar_flows(table, params)
+        loop = definitional_flows(table, params)
         assert np.allclose(flow_pos @ theta, loop.positive, rtol=0.0, atol=1e-12)
         assert np.allclose(flow_neg @ theta, loop.negative, rtol=0.0, atol=1e-12)
 

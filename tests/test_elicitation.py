@@ -4,8 +4,8 @@ import pytest
 from smaa_promethee.bipolar import (
     EnumerationCapError,
     ParameterLayout,
-    bipolar_choquet_2additive,
-    bipolar_flows,
+    GeneralBicapacity,
+    bipolar_choquet_general,
 )
 from smaa_promethee.elicitation import (
     ConstraintRow,
@@ -31,7 +31,7 @@ from conftest import (
     random_table,
     random_valid_params,
 )
-from reference_bipolar import bipolar_preference_vector
+from reference_bipolar import bipolar_preference_vector, definitional_flows
 
 
 def statement_rows(system: ConstraintSystem):
@@ -309,7 +309,7 @@ def test_local_pair_row_dual_route(students):
     for _ in range(10):
         params = random_valid_params(rng, 3)
         theta = layout.pack(params)
-        expect = bipolar_choquet_2additive(x, params).net
+        expect = bipolar_choquet_general(x, GeneralBicapacity.from_params(params)).net
         assert float(rows[0].coefs[: layout.size] @ theta) == pytest.approx(
             expect, abs=1e-12
         )
@@ -330,7 +330,7 @@ def test_global_p1_rows_dual_route(students):
     for _ in range(10):
         params = random_valid_params(rng, 3)
         theta = layout.pack(params)
-        flows = bipolar_flows(students, params)
+        flows = definitional_flows(students, params)
         assert float(rows[0].coefs[: layout.size] @ theta) == pytest.approx(
             flows.positive[ia] - flows.positive[ib], abs=1e-12
         )
@@ -353,9 +353,10 @@ def test_intensity_rows_dual_route(students):
     for _ in range(10):
         params = random_valid_params(rng, 3)
         theta = layout.pack(params)
+        bicap = GeneralBicapacity.from_params(params)
         expect = (
-            bipolar_choquet_2additive(x12, params).net
-            - bipolar_choquet_2additive(x34, params).net
+            bipolar_choquet_general(x12, bicap).net
+            - bipolar_choquet_general(x34, bicap).net
         )
         assert float(rows[0].coefs[: layout.size] @ theta) == pytest.approx(
             expect, abs=1e-12
@@ -378,12 +379,13 @@ def test_statement_linearity_finite_difference(students):
 
     def exprs(theta: np.ndarray) -> list[float]:
         params = layout.unpack(theta)
-        flows = bipolar_flows(students, params)
+        bicap = GeneralBicapacity.from_params(params)
+        flows = definitional_flows(students, params)
         return [
-            bipolar_choquet_2additive(x72, params).net,
+            bipolar_choquet_general(x72, bicap).net,
             flows.net[i3] - flows.net[i6],
-            bipolar_choquet_2additive(x12, params).net
-            - bipolar_choquet_2additive(x34, params).net,
+            bipolar_choquet_general(x12, bicap).net
+            - bipolar_choquet_general(x34, bicap).net,
         ]
 
     rng = np.random.default_rng(11)

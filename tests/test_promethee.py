@@ -8,6 +8,7 @@ from smaa_promethee.promethee import (
     Relation,
     aggregated_preference,
     classical_flows,
+    count_relations,
     flows_from_preference,
     preference_degree,
     preference_tensor,
@@ -189,6 +190,62 @@ def test_promethee2_examples():
     assert promethee2_ranking(np.zeros(4)).tolist() == [1, 1, 1, 1]
     # ties share the better rank and skip the next one
     assert promethee2_ranking(np.array([0.2, 0.2, -0.1])).tolist() == [1, 1, 3]
+
+
+def counted_verdicts(flows: Flows, tol: float = FLOW_TIE_TOL):
+    """The P1 matrix and P2 ranks that ``count_relations`` counts for one
+    sample, laid out as the first column of a zero-padded block."""
+    m = flows.net.shape[0]
+    block = np.zeros((3, m, 8))
+    block[0, :, 0] = flows.positive
+    block[1, :, 0] = flows.negative
+    block[2, :, 0] = flows.net
+    counts = np.zeros((6, m, m), dtype=np.int64)
+    count_relations(block[0], block[1], block[2], 1, tol, counts)
+    _, p1_pref, p1_ind, p1_inc, p2_pref, _ = counts
+    relation = np.select(
+        [np.eye(m, dtype=bool), p1_pref == 1, p1_pref.T == 1, p1_ind == 1, p1_inc == 1],
+        [Relation.SELF, Relation.PREFERRED, Relation.OUTRANKED,
+         Relation.INDIFFERENT, Relation.INCOMPARABLE],
+        default=-1,
+    )
+    # p2_pref[k, i] counts the samples where k beats i
+    return relation, 1 + p2_pref.sum(axis=0)
+
+
+def test_library_verdicts_equal_the_counted_ones():
+    # flows on a grid of eighths, jittered by up to one tie tolerance, so
+    # many differences land on either side of the tolerance band
+    rng = np.random.default_rng(17)
+    jitter = np.array([-1e-9, -5e-10, 0.0, 5e-10, 1e-9])
+    for _ in range(3000):
+        m = int(rng.integers(2, 9))
+        pos = rng.integers(0, 5, size=m) / 8 + rng.choice(jitter, size=m)
+        neg = rng.integers(0, 5, size=m) / 8 + rng.choice(jitter, size=m)
+        flows = Flows(pos, neg, pos - neg)
+        relation, ranks = counted_verdicts(flows)
+        assert np.array_equal(promethee1_relation(flows), relation)
+        assert np.array_equal(promethee2_ranking(flows.net), ranks)
+    # net(0) - net(1) is just below -tol, while net(1) > net(0) + tol is not
+    # true in floating point; the counted rule ranks alternative 1 first
+    assert promethee2_ranking(np.array([0.25, 0.250000001])).tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("tol", [-0.1, float("nan")])
+def test_negative_or_nan_tolerance_is_rejected(tol):
+    flows = Flows(np.array([0.3, 0.1]), np.array([0.1, 0.2]), np.array([0.2, -0.1]))
+    with pytest.raises(ValueError, match="tie tolerance"):
+        promethee1_relation(flows, tol)
+    with pytest.raises(ValueError, match="tie tolerance"):
+        promethee2_ranking(flows.net, tol)
+
+
+def test_non_finite_flows_are_rejected():
+    flows = Flows(np.array([0.3, np.nan]), np.array([0.1, 0.2]), np.array([0.2, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        promethee1_relation(flows)
+    with pytest.raises(ValueError, match="finite"):
+        promethee2_ranking(flows.net)
 
 
 def test_promethee2_table1(students):

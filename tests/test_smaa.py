@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smaa_promethee import smaa
-from smaa_promethee.bipolar import ParameterLayout, bipolar_flows
+from smaa_promethee.bipolar import ParameterLayout
 from smaa_promethee.elicitation import (
     GlobalP2,
     compile_statements,
@@ -17,6 +17,7 @@ from smaa_promethee.sampler import SampleBatch, SamplerConfig, build_polytope, h
 from smaa_promethee.smaa import aggregate, flow_matrices, validate_against_exact_ror
 
 from conftest import FIXTURES, random_table
+from reference_bipolar import definitional_flows
 
 
 def sample_system(system, count=4000, seed=0):
@@ -81,11 +82,28 @@ def test_flow_matrices_match_per_sample_flows(students):
     layout = ParameterLayout(3)
     for row in range(0, 50, 9):
         params = layout.unpack(batch.data[row])
-        flows = bipolar_flows(students, params)
+        flows = definitional_flows(students, params)
         np.testing.assert_allclose(pos[row], flows.positive, atol=1e-10)
         np.testing.assert_allclose(neg[row], flows.negative, atol=1e-10)
     # flow balance holds for every sample
     np.testing.assert_allclose((pos - neg).sum(axis=1), 0.0, atol=1e-9)
+
+
+def test_aggregate_counts_through_the_smaa_global(students, monkeypatch):
+    # the benchmark times relation counting by wrapping smaa.count_relations,
+    # so aggregate must reach the counter through that name, once per chunk
+    chunks = []
+    count = smaa.count_relations
+
+    def counted(pos_t, neg_t, net_t, n_samples, tau, counts):
+        chunks.append(n_samples)
+        return count(pos_t, neg_t, net_t, n_samples, tau, counts)
+
+    monkeypatch.setattr(smaa, "count_relations", counted)
+    system = restrict_classical(compile_statements(students, []))
+    _, batch = sample_system(system, count=8193, seed=3)
+    aggregate(students, batch, mode="classical")
+    assert chunks == [8192, 1]
 
 
 def test_classical_flow_matrices_match_promethee(students):
