@@ -26,7 +26,14 @@ __all__ = ["main"]
 # a margin this close to zero does not certify strict compatibility
 COMPATIBILITY_TOL = 1e-9
 
-_FORMATS = ("json", "text", "csv")
+# report format -> (file under --out, its text); the writers are looked up
+# in this module when a report is written, so wrappers put on these names
+# see every call
+_REPORTS = {
+    "json": ("smaa_report.json", lambda report: to_json(report) + "\n"),
+    "text": ("smaa_report.txt", lambda report: render_text(report) + "\n"),
+    "csv": ("smaa_report.csv", lambda report: render_csv(report)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--exact-ror", action="store_true",
                         help="also solve the exact outranking programs per pair")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default="json,text,csv",
-                        help="comma-separated report formats (json,text,csv)")
+    parser.add_argument("--format", default=",".join(_REPORTS),
+                        help=f"comma-separated report formats ({','.join(_REPORTS)})")
     parser.add_argument("--delta-strict", type=float, default=0.0,
                         help="margin enforced on strict rows while sampling")
     parser.add_argument("--burn-in", type=int, default=1_000,
@@ -61,16 +68,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: str, payload) -> None:
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(payload) + "\n")
+        fh.write(text)
+
+
+def _write_json(path: str, payload) -> None:
+    _write(path, to_json(payload) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-    bad = [f for f in formats if f not in _FORMATS]
+    bad = [f for f in formats if f not in _REPORTS]
     if bad or not formats:
         print(f"error: unknown report formats {bad or args.format!r}", file=sys.stderr)
         return 1
@@ -150,15 +161,9 @@ def _run(args, formats, config, table, full_system) -> int:
     batch.save(os.path.join(args.out, "samples.bin"))
     results = aggregate(table, batch, mode=chosen, polytope=polytope)
     report = results_to_dict(results)
-    if "json" in formats:
-        _write_json(os.path.join(args.out, "smaa_report.json"), report)
-    if "text" in formats:
-        with open(os.path.join(args.out, "smaa_report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(render_text(report))
-            fh.write("\n")
-    if "csv" in formats:
-        with open(os.path.join(args.out, "smaa_report.csv"), "w", encoding="utf-8") as fh:
-            fh.write(render_csv(report))
+    for fmt, (name, render) in _REPORTS.items():
+        if fmt in formats:
+            _write(os.path.join(args.out, name), render(report))
 
     if args.exact_ror:
         try:

@@ -6,6 +6,12 @@ or CSV table re-parses to exactly the number stored in the JSON report.
 Parameter vectors round to 6 decimals under the same contract. Nothing
 here depends on time, locale or dict iteration order.
 
+The sections are declared once, in ``_SECTIONS``: each entry gives a
+report key, the ``SmaaResults`` field it comes from, its text title, the
+kinds of its row and column labels and of its cells. ``results_to_dict``,
+``render_text`` and ``render_csv`` are each one loop over that table, so
+the JSON, text and CSV reports carry the same sections in the same order.
+
 Each matrix is rounded in one numpy pass that reproduces Python's
 ``round`` (only cells next to a decimal tie go through ``round`` itself),
 and each format is built with one join per matrix or list rather than one
@@ -16,6 +22,7 @@ gives exactly the text of ``json.dump(payload, indent=2, sort_keys=True)``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from itertools import chain
@@ -60,91 +67,87 @@ def _pct_matrix(mat: np.ndarray) -> list[list[float]]:
     return _rounded(np.asarray(mat, dtype=np.float64) * 100.0, PCT_DECIMALS)
 
 
+# key, SmaaResults field, text title, row labels, column labels, cells.
+# Labels: "alternatives", "ranks" (r1..rm), "parameters", "central" (the
+# alternatives that have a central vector) or "all" (one row). Cells:
+# "pct" and "param" numbers, or "flag" booleans.
+_SECTIONS = (
+    ("rank_acceptability_pct", "rank_acceptability", "Rank acceptability (%)",
+     "alternatives", "ranks", "pct"),
+    ("p2_preference_pct", "p2_pref", "Complete-ranking preference frequency (%)",
+     "alternatives", "alternatives", "pct"),
+    ("p2_indifference_pct", "p2_indiff", "Complete-ranking indifference frequency (%)",
+     "alternatives", "alternatives", "pct"),
+    ("p1_preference_pct", "p1_pref", "Partial-order preference frequency (%)",
+     "alternatives", "alternatives", "pct"),
+    ("p1_indifference_pct", "p1_indiff", "Partial-order indifference frequency (%)",
+     "alternatives", "alternatives", "pct"),
+    ("p1_incomparability_pct", "p1_incomp", "Partial-order incomparability frequency (%)",
+     "alternatives", "alternatives", "pct"),
+    ("central_weights", "central_weights",
+     "Central parameter vectors (means of rank-1 samples)", "central", "parameters", "param"),
+    ("barycenter", "barycenter", "Barycenter of the sampled polytope",
+     "all", "parameters", "param"),
+    ("ror_possible_approx", "ror_possible_approx", "Outranking possible (sampled estimate)",
+     "alternatives", "alternatives", "flag"),
+    ("ror_necessary_approx", "ror_necessary_approx", "Outranking necessary (sampled estimate)",
+     "alternatives", "alternatives", "flag"),
+)
+_DECIMALS = {"pct": PCT_DECIMALS, "param": PARAM_DECIMALS}
+
+
+def _cells(kind: str, value) -> list | dict:
+    """A result array, or a dict of them, as the nested lists the reports carry."""
+    if isinstance(value, dict):
+        return {name: _cells(kind, vector) for name, vector in value.items()}
+    if kind == "flag":
+        return value.tolist()
+    return _pct_matrix(value) if kind == "pct" else _rounded(value, PARAM_DECIMALS)
+
+
 def results_to_dict(results: SmaaResults) -> dict:
-    alts = list(results.alternatives)
-    central = {}
-    for name in alts:
-        if name in results.central_weights:
-            central[name] = _rounded(results.central_weights[name], PARAM_DECIMALS)
-    return {
-        "mode": results.mode,
-        "sample_count": results.sample_count,
-        "alternatives": alts,
-        "parameters": list(results.columns),
-        "rank_acceptability_pct": _pct_matrix(results.rank_acceptability),
-        "p2_preference_pct": _pct_matrix(results.p2_pref),
-        "p2_indifference_pct": _pct_matrix(results.p2_indiff),
-        "p1_preference_pct": _pct_matrix(results.p1_pref),
-        "p1_indifference_pct": _pct_matrix(results.p1_indiff),
-        "p1_incomparability_pct": _pct_matrix(results.p1_incomp),
-        "central_weights": central,
-        "barycenter": _rounded(results.barycenter, PARAM_DECIMALS),
-        "ror_possible_approx": results.ror_possible_approx.tolist(),
-        "ror_necessary_approx": results.ror_necessary_approx.tolist(),
-    }
+    return {"mode": results.mode, "sample_count": results.sample_count,
+            "alternatives": list(results.alternatives), "parameters": list(results.columns),
+            **{key: _cells(kind, getattr(results, field))
+               for key, field, _, _, _, kind in _SECTIONS}}
 
 
-def _matrix_block(title: str, row_labels: list[str], col_labels: list[str],
-                  rows: list[list[float]], decimals: int) -> list[str]:
-    width = max(10, max(len(c) for c in col_labels) + 2)
-    label_w = max(len(r) for r in row_labels) + 2
+def _tables(report: dict):
+    """Each section of ``report`` as (section, row labels, column labels, rows)."""
+    alts = report["alternatives"]
+    labels = {"alternatives": alts, "parameters": report["parameters"],
+              "ranks": [f"r{r}" for r in range(1, len(alts) + 1)], "all": ["all"]}
+    for section in _SECTIONS:
+        key, _, _, rows, cols, _ = section
+        value = report[key]
+        if rows == "central":
+            labels[rows] = [name for name in alts if name in value]
+            value = [value[name] for name in labels[rows]]
+        yield section, labels[rows], labels[cols], [value] if rows == "all" else value
+
+
+def _block(title: str, row_labels: list[str], col_labels: list[str], rows,
+           decimals: int | None) -> list[str]:
+    """A titled table of numbers with ``decimals`` places, or of booleans
+    as ``.``/``X`` when ``decimals`` is None."""
+    width = max(6 if decimals is None else 10, max(map(len, col_labels)) + 2)
+    label_w = max(map(len, row_labels)) + 2
     # printf-style "%-Ns" and "%N.Df" lay out exactly as the format specs
-    # "<N" and ">N.Df" do, and apply faster
-    fmt = f"%-{label_w}s" + f"%{width}.{decimals}f" * len(col_labels)
-    lines = [title]
-    lines.append(" " * label_w + "".join(f"{c:>{width}}" for c in col_labels))
-    lines += [fmt % (label, *row) for label, row in zip(row_labels, rows)]
-    lines.append("")
-    return lines
+    # "<N" and ">N.Df" do, and apply faster; booleans index padded cells
+    cell = "%s" if decimals is None else f"%{width}.{decimals}f"
+    if decimals is None:
+        padded = (".".rjust(width), "X".rjust(width))
+        rows = ([padded[v] for v in row] for row in rows)
+    fmt = f"%-{label_w}s" + cell * len(col_labels)
+    return [title, " " * label_w + "".join(f"{c:>{width}}" for c in col_labels),
+            *(fmt % (label, *row) for label, row in zip(row_labels, rows)), ""]
 
 
 def render_text(report: dict) -> str:
-    alts = report["alternatives"]
-    params = report["parameters"]
-    ranks = [f"r{r}" for r in range(1, len(alts) + 1)]
-    lines: list[str] = [
-        f"SMAA report  mode={report['mode']}  samples={report['sample_count']}",
-        "",
-    ]
-    lines += _matrix_block(
-        "Rank acceptability (%)", alts, ranks,
-        report["rank_acceptability_pct"], PCT_DECIMALS,
-    )
-    for title, key in (
-        ("Complete-ranking preference frequency (%)", "p2_preference_pct"),
-        ("Complete-ranking indifference frequency (%)", "p2_indifference_pct"),
-        ("Partial-order preference frequency (%)", "p1_preference_pct"),
-        ("Partial-order indifference frequency (%)", "p1_indifference_pct"),
-        ("Partial-order incomparability frequency (%)", "p1_incomparability_pct"),
-    ):
-        lines += _matrix_block(title, alts, alts, report[key], PCT_DECIMALS)
-    central_rows = [report["central_weights"][a] for a in alts
-                    if a in report["central_weights"]]
-    central_labels = [a for a in alts if a in report["central_weights"]]
-    if central_rows:
-        lines += _matrix_block(
-            "Central parameter vectors (means of rank-1 samples)",
-            central_labels, params, central_rows, PARAM_DECIMALS,
-        )
-    lines += _matrix_block(
-        "Barycenter of the sampled polytope", ["all"], params,
-        [report["barycenter"]], PARAM_DECIMALS,
-    )
-
-    def grid(title: str, matrix: list[list[bool]]) -> list[str]:
-        width = max(6, max(len(c) for c in alts) + 2)
-        label_w = max(len(r) for r in alts) + 2
-        cell = (".".rjust(width), "X".rjust(width))
-        out = [title, " " * label_w + "".join(f"{c:>{width}}" for c in alts)]
-        out += [f"{label:<{label_w}}" + "".join(map(cell.__getitem__, row))
-                for label, row in zip(alts, matrix)]
-        out.append("")
-        return out
-
-    lines += grid("Outranking possible (sampled estimate)",
-                  report["ror_possible_approx"])
-    lines += grid("Outranking necessary (sampled estimate)",
-                  report["ror_necessary_approx"])
+    lines = [f"SMAA report  mode={report['mode']}  samples={report['sample_count']}", ""]
+    for (_, _, title, _, _, kind), row_labels, col_labels, rows in _tables(report):
+        if row_labels:
+            lines += _block(title, row_labels, col_labels, rows, _DECIMALS.get(kind))
     return "\n".join(lines)
 
 
@@ -160,35 +163,20 @@ def render_csv(report: dict) -> str:
     """Long-format CSV: section, row label, column label, value.
 
     Values are numbers or booleans, which ``csv.writer`` never quotes and
-    writes as ``str(value)``; labels are quoted once each.
+    writes as ``str(value)``. Each label is quoted once, and the
+    "row,col," keys are built once per pair of label lists.
     """
-    alts = list(map(_csv_field, report["alternatives"]))
-    params = list(map(_csv_field, report["parameters"]))
-    ranks = [f"r{r}" for r in range(1, len(alts) + 1)]
+    quote = functools.cache(_csv_field)
+    keys: dict[tuple[str, str], list[str]] = {}
     out = ["section,row,col,value\n"]
-
-    def keys(row_labels, col_labels) -> list[str]:
-        return [f"{row},{col}," for row in row_labels for col in col_labels]
-
-    def emit(section: str, cell_keys: list[str], rows) -> None:
-        if cell_keys:
-            lead = f"{_csv_field(section)},"
-            cells = map(str.__add__, cell_keys, map(str, chain.from_iterable(rows)))
-            out.append(lead + f"\n{lead}".join(cells) + "\n")
-
-    pairs = keys(alts, alts)
-    emit("rank_acceptability_pct", keys(alts, ranks), report["rank_acceptability_pct"])
-    for key in ("p2_preference_pct", "p2_indifference_pct", "p1_preference_pct",
-                "p1_indifference_pct", "p1_incomparability_pct"):
-        emit(key, pairs, report[key])
-    central = [(label, report["central_weights"][name])
-               for name, label in zip(report["alternatives"], alts)
-               if name in report["central_weights"]]
-    emit("central_weights", keys([label for label, _ in central], params),
-         [vec for _, vec in central])
-    emit("barycenter", keys(["all"], params), [report["barycenter"]])
-    for key in ("ror_possible_approx", "ror_necessary_approx"):
-        emit(key, pairs, report[key])
+    for (key, _, _, rows, cols, _), row_labels, col_labels, cells in _tables(report):
+        if (rows, cols) not in keys:
+            quoted = list(map(quote, col_labels))
+            keys[rows, cols] = [f"{r},{c}," for r in map(quote, row_labels) for c in quoted]
+        if keys[rows, cols]:
+            lead = f"{_csv_field(key)},"
+            lines = map(str.__add__, keys[rows, cols], map(str, chain.from_iterable(cells)))
+            out.append(lead + f"\n{lead}".join(lines) + "\n")
     return "".join(out)
 
 

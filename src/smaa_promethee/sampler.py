@@ -327,7 +327,8 @@ class SampleBatch:
 
     ``chain_quotas``, when known, gives the rows of each chain: the rows
     are chain-major, so chain c's block starts after the quotas of the
-    chains before it.
+    chains before it. Quotas that are negative, not integers or do not
+    sum to the rows raise ``ValueError``.
     """
 
     columns: tuple[str, ...]
@@ -339,7 +340,11 @@ class SampleBatch:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("data shape does not match the column names")
         quotas = self.chain_quotas
-        if quotas is not None and sum(quotas) != self.data.shape[0]:
+        if quotas is None:
+            return
+        if not all(isinstance(q, (int, np.integer)) and q >= 0 for q in quotas):
+            raise ValueError(f"chain quotas must be non-negative integers, not {list(quotas)}")
+        if sum(quotas) != self.data.shape[0]:
             raise ValueError(f"chain quotas sum to {sum(quotas)}, "
                              f"not to the {self.data.shape[0]} rows")
 
@@ -373,6 +378,10 @@ class SampleBatch:
     def load(cls, path: str) -> "SampleBatch":
         with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
+        layout = (sidecar.get("dtype"), sidecar.get("order"))
+        if layout != ("<f8", "C"):
+            raise ValueError(f"{path}: its sidecar describes dtype {layout[0]!r} in "
+                             f"order {layout[1]!r}, not '<f8' in order 'C'")
         rows = int(sidecar["rows"])
         cols = tuple(sidecar["columns"])
         size = os.path.getsize(path)
@@ -383,8 +392,11 @@ class SampleBatch:
             )
         data = np.fromfile(path, dtype="<f8").reshape(rows, len(cols))
         quotas = sidecar.get("chain_quotas")
-        return cls(columns=cols, data=data, seed=sidecar.get("seed"),
-                   chain_quotas=None if quotas is None else tuple(quotas))
+        try:
+            return cls(columns=cols, data=data, seed=sidecar.get("seed"),
+                       chain_quotas=None if quotas is None else tuple(quotas))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _sidecar_path(path: str) -> str:
@@ -618,11 +630,11 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     so a count that cannot be held raises ``MemoryError`` at once, and it
     is the only array that grows with the sample count: the chain writes
     its rounded points into the first k columns, and ``_map_and_check``
-    then maps and checks them in place, a block of rows at a time.
+    then maps and checks them in place, a block of rows at a time. A
+    polytope of dimension 0 skips the chain, so every sample is
+    ``polytope.offset``, checked like any other.
     """
     k = polytope.dimension
-    if k == 0:
-        raise ValueError("polytope has no free dimensions to sample")
     theta = np.empty((config.sample_count, polytope.basis.shape[0]))
     chains = _chain_count(config)
     quota = np.full(chains, config.sample_count // chains, dtype=np.int64)
@@ -636,7 +648,8 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     dirs = work.dn
     uniforms = np.empty((_RAND_ROWS, chains))
     total = config.burn_in + quota * config.thinning
-    while np.any(state[1] < quota):
+    # a polytope of dimension 0 is one point: no chain, every row is offset
+    while k and np.any(state[1] < quota):
         # no more rows than the furthest chain still needs; retries that
         # leave it short get a further refill
         rows = min(_RAND_ROWS, int((total - state[0]).max()))

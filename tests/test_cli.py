@@ -92,6 +92,33 @@ def test_each_margin_lp_is_solved_once(tmp_path, monkeypatch, problem, statement
     assert len(solved) == 2
 
 
+def test_single_parameter_vector_is_sampled(tmp_path, capsys):
+    # two criteria of equal importance pin the classical weights to (1/2, 1/2):
+    # the system is compatible, its polytope has dimension 0, and every
+    # sample is that one vector
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "criteria": [{"name": "c1", "direction": "max", "q": 0.0, "p": 1.0},
+                     {"name": "c2", "direction": "max", "q": 0.0, "p": 1.0}],
+        "alternatives": ["a", "b", "c"],
+        "evaluations": [[1, 2], [2, 1], [1.5, 1.5]],
+    }), encoding="utf-8")
+    statements = tmp_path / "statements.jsonl"
+    statements.write_text(json.dumps(
+        {"type": "criterion_importance", "j": 1, "k": 2, "kind": "="}) + "\n",
+        encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["--problem", str(problem), "--statements", str(statements),
+                 "--samples", "300", "--seed", "1", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    feas = read_json(out / "feasibility.json")
+    assert feas["compatible"] is True and feas["mode"] == "classical"
+    report = read_json(out / "smaa_report.json")
+    # the three net flows tie at these weights, so all share rank 1
+    assert [row[0] for row in report["rank_acceptability_pct"]] == [100.0] * 3
+    assert report["barycenter"][:2] == [0.5, 0.5]
+
+
 def test_sharp_thresholds_scenario2_exits_2(tmp_path, capsys):
     code = run_cli(tmp_path, statements="scenario2.jsonl")
     assert code == 2
@@ -381,6 +408,28 @@ def test_format_subset_writes_only_requested(tmp_path):
     assert not (tmp_path / "tc" / "smaa_report.json").exists()
     assert (tmp_path / "tc" / "smaa_report.txt").exists()
     assert (tmp_path / "tc" / "smaa_report.csv").exists()
+
+
+def test_report_writers_are_called_through_the_cli_globals(tmp_path, monkeypatch):
+    # the writers are looked up in cli when a report is written, so a
+    # wrapper put on those names, as perfbench's tracer does, sees each call
+    calls = {name: 0 for name in ("results_to_dict", "render_text", "render_csv",
+                                  "to_json")}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    assert run_cli(tmp_path) == 0
+    # to_json writes feasibility.json and smaa_report.json
+    assert calls == {"results_to_dict": 1, "render_text": 1, "render_csv": 1,
+                     "to_json": 2}
 
 
 def test_empty_statements_run_ok(tmp_path):

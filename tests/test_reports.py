@@ -5,6 +5,9 @@ with one join per matrix; ``reference_reports`` keeps the per-cell
 writers, and every string must come out identical to theirs.
 """
 
+import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -12,10 +15,11 @@ import pytest
 
 from smaa_promethee import reports
 from smaa_promethee.cli import main
-from smaa_promethee.elicitation import compile_statements, restrict_classical
+from smaa_promethee.elicitation import compile_statements, parse_statements, restrict_classical
 from smaa_promethee.lp import max_epsilon
+from smaa_promethee.model import load_problem
 from smaa_promethee.sampler import SampleBatch, SamplerConfig, build_polytope, hit_and_run
-from smaa_promethee.smaa import aggregate
+from smaa_promethee.smaa import SmaaResults, aggregate
 
 import reference_reports as reference
 from conftest import FIXTURES, benchmark_instance
@@ -107,6 +111,33 @@ def test_wide_report_renders_identically(wide_results):
     assert_same_text(reports.to_json(report), reference.to_json(want))
     assert_same_text(reports.render_text(report), reference.render_text(want))
     assert_same_text(reports.render_csv(report), reference.render_csv(want))
+
+
+def test_every_result_array_is_one_section_of_every_format():
+    # a statistic added to SmaaResults must reach the JSON, text and CSV
+    # reports together, under one key and in one order
+    table = load_problem(FIXTURES / "students.json")
+    system = restrict_classical(compile_statements(
+        table, parse_statements(FIXTURES / "scenario1.jsonl")))
+    polytope = build_polytope(system)
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=2_000, seed=1))
+    results = aggregate(table, batch, mode="classical", polytope=polytope)
+    assert results.central_weights, "every section should be present"
+    arrays = [f.name for f in dataclasses.fields(SmaaResults)
+              if isinstance(getattr(results, f.name), (np.ndarray, dict))]
+    fields = [field for _, field, *_ in reports._SECTIONS]
+    assert sorted(fields) == sorted(arrays)
+    keys = [key for key, *_ in reports._SECTIONS]
+    titles = [title for _, _, title, *_ in reports._SECTIONS]
+    assert len(set(keys)) == len(keys) and len(set(titles)) == len(titles)
+
+    report = reports.results_to_dict(results)
+    assert list(report) == ["mode", "sample_count", "alternatives", "parameters", *keys]
+    rows = csv.DictReader(io.StringIO(reports.render_csv(report)))
+    assert list(dict.fromkeys(row["section"] for row in rows)) == keys
+    lines = reports.render_text(report).split("\n")
+    # every block is its title, a header, its rows and one blank line
+    assert [lines[i + 1] for i in range(len(lines) - 1) if lines[i] == ""] == titles
 
 
 def hand_built_report():

@@ -241,13 +241,21 @@ def test_infeasible_margin_carries_eps_star():
     assert err2.value.binding
 
 
-def test_zero_dimensional_polytope_rejected():
-    # a fully pinned system leaves nothing to sample
-    system = handmade_system(free=())
+def test_zero_dimensional_polytope_samples_its_one_point():
+    # pinning a_1 as well leaves one point: the chain is skipped, and every
+    # row is that point, checked against the rows like any other sample
+    row = np.zeros(ParameterLayout(2).size + 1)
+    row[0] = 1.0
+    system = handmade_system([ConstraintRow(row, "=", 0.25, "a_1 = 0.25")])
     polytope = build_polytope(system)
     assert polytope.dimension == 0
-    with pytest.raises(ValueError):
-        hit_and_run(polytope, SamplerConfig(sample_count=10, seed=0))
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=10, burn_in=1, seed=0))
+    unique = np.zeros(ParameterLayout(2).size)
+    unique[0] = 0.25
+    assert np.allclose(batch.data, unique, rtol=0.0, atol=1e-12)
+    assert (batch.data == polytope.offset).all()
+    assert len(batch.chain_quotas) == 10
+    assert sum(batch.chain_quotas) == batch.sample_count == 10
 
 
 def test_start_point_strictly_inside(students, students_ramp):
@@ -558,6 +566,36 @@ def test_batch_load_rejects_a_file_its_sidecar_does_not_describe(tmp_path):
             SampleBatch.load(str(path))
     path.write_bytes(payload)
     assert np.array_equal(SampleBatch.load(str(path)).data, batch.data)
+
+
+@pytest.mark.parametrize("quotas", [(-1, 4), (1.5, 1.5)])
+def test_batch_rejects_negative_or_fractional_chain_quotas(tmp_path, quotas):
+    # both sum to the 3 rows, so only the quota check itself can catch them
+    data = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValueError, match="chain quotas must be non-negative integers"):
+        SampleBatch(columns=("a", "b"), data=data, chain_quotas=quotas)
+    path = tmp_path / "samples.bin"
+    SampleBatch(columns=("a", "b"), data=data, chain_quotas=(1, 2)).save(str(path))
+    sidecar = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
+    sidecar["chain_quotas"] = list(quotas)
+    (tmp_path / "samples.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"samples\.bin: chain quotas must be non-negative"):
+        SampleBatch.load(str(path))
+
+
+@pytest.mark.parametrize("field, value", [("dtype", ">f8"), ("dtype", "<f4"),
+                                          ("order", "F"), ("order", None)])
+def test_batch_load_rejects_a_sidecar_of_another_layout(tmp_path, field, value):
+    # the dump is always row-major little-endian float64; a sidecar that
+    # says otherwise would otherwise be read as if it did not
+    batch = SampleBatch(columns=("a", "b"), data=np.arange(6.0).reshape(3, 2))
+    path = tmp_path / "samples.bin"
+    batch.save(str(path))
+    sidecar = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
+    sidecar[field] = value
+    (tmp_path / "samples.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"samples\.bin: its sidecar describes .*{value}"):
+        SampleBatch.load(str(path))
 
 
 def test_config_validation():
