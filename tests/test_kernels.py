@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference_chain
-from smaa_promethee import sampler
+from smaa_promethee import promethee, sampler
 from smaa_promethee.elicitation import (
     compile_statements,
     parse_statements,
@@ -12,6 +12,11 @@ from smaa_promethee.elicitation import (
 )
 from smaa_promethee.lp import max_epsilon
 from smaa_promethee.model import load_problem
+from smaa_promethee.promethee import (
+    _POSITION_FROM,
+    _count_by_difference,
+    _count_by_position,
+)
 from smaa_promethee.sampler import (
     SamplerConfig,
     _ChainWorkspace,
@@ -516,17 +521,18 @@ def empty_counts(m):
     return {key: np.zeros((m, m), dtype=np.int64) for key in COUNT_KEYS}
 
 
-def run_counts(pos, neg, tau):
-    """``count_relations`` on (samples, m) flows laid out as ``aggregate``
-    lays them out: one alternative-major block of both flows, zero-padded
-    to a multiple of 8 samples. The rank-1 mask comes back (samples, m)."""
+def run_counts(pos, neg, tau, kernel=count_relations):
+    """``kernel`` (``count_relations`` unless given) on (samples, m) flows
+    laid out as ``aggregate`` lays them out: one alternative-major block of
+    both flows, zero-padded to a multiple of 8 samples. The rank-1 mask
+    comes back (samples, m)."""
     n_samples, m = pos.shape
     block = np.zeros((2 * m, -(-n_samples // 8) * 8))
     block[:m, :n_samples] = pos.T
     block[m:, :n_samples] = neg.T
     pos_t, neg_t = block[:m], block[m:]
     counts = np.zeros((6, m, m), dtype=np.int64)
-    first = count_relations(pos_t, neg_t, pos_t - neg_t, n_samples, tau, counts)
+    first = kernel(pos_t, neg_t, pos_t - neg_t, n_samples, tau, counts)
     return dict(zip(COUNT_KEYS, counts)), first.T
 
 
@@ -585,13 +591,16 @@ def plain_python_counts(pos, neg, tau):
 
 
 def test_count_relations_matches_plain_python():
-    for m in (2, 5, 9):
+    # m = 70 runs the position kernel; its 0.25 grid also chains near ties,
+    # a - b <= tau and b - c <= tau while a - c > tau
+    assert _POSITION_FROM <= 70
+    for m, n_samples in ((2, 150), (5, 150), (9, 150), (70, 24)):
         # flows on a 0.25 grid with tau = 0.25: every difference is exact,
         # and many sit exactly on +tau or -tau, which must count as ties
         tau = 0.25
         rng = np.random.default_rng(m)
-        pos = rng.integers(0, 6, size=(150, m)) * 0.25
-        neg = rng.integers(0, 6, size=(150, m)) * 0.25
+        pos = rng.integers(0, 6, size=(n_samples, m)) * 0.25
+        neg = rng.integers(0, 6, size=(n_samples, m)) * 0.25
         diff = pos[:, :, None] - pos[:, None, :]
         assert np.any(diff == tau) and np.any(diff == -tau)
         ref, ref_first = plain_python_counts(pos, neg, tau)
@@ -616,22 +625,24 @@ def test_count_relations_padding_stays_out_of_every_count():
     # masks are counted 8 samples at a time: sample counts that are not a
     # multiple of 8 leave padding, which must count as no relation at all
     tau = 0.25
-    for n_samples in (1, 7, 9, 150):
-        for m in (2, 6):
-            rng = np.random.default_rng([n_samples, m])
-            pos = rng.integers(0, 4, size=(n_samples, m)) * 0.25
-            neg = rng.integers(0, 4, size=(n_samples, m)) * 0.25
-            ref, ref_first = plain_python_counts(pos, neg, tau)
-            acc, first = run_counts(pos, neg, tau)
-            for key in ref:
-                assert np.array_equal(acc[key], ref[key]), (n_samples, m, key)
-            assert np.array_equal(first, ref_first), (n_samples, m)
-            assert np.all(acc["rank_counts"].sum(axis=1) == n_samples)
+    cases = [(n, m) for n in (1, 7, 9, 150) for m in (2, 6)]
+    # the position kernel, on fewer samples to keep the oracle quick
+    cases += [(n, 70) for n in (1, 7, 9, 23)]
+    for n_samples, m in cases:
+        rng = np.random.default_rng([n_samples, m])
+        pos = rng.integers(0, 4, size=(n_samples, m)) * 0.25
+        neg = rng.integers(0, 4, size=(n_samples, m)) * 0.25
+        ref, ref_first = plain_python_counts(pos, neg, tau)
+        acc, first = run_counts(pos, neg, tau)
+        for key in ref:
+            assert np.array_equal(acc[key], ref[key]), (n_samples, m, key)
+        assert np.array_equal(first, ref_first), (n_samples, m)
+        assert np.all(acc["rank_counts"].sum(axis=1) == n_samples)
 
 
 def test_count_relations_beyond_255_alternatives():
-    # rank tallies gather in uint8 between flushes and column sums run in
-    # blocks of 255 rows: at m = 300 ranks reach 299, past a uint8
+    # at m = 300 ranks and sort positions reach 299, past a uint8: the
+    # position kernel keeps them in uint16
     rng = np.random.default_rng(300)
     pos = rng.random((3, 300))
     neg = rng.random((3, 300))
@@ -641,6 +652,52 @@ def test_count_relations_beyond_255_alternatives():
     for key in ref:
         assert np.array_equal(acc[key], ref[key]), key
     assert np.array_equal(first, ref_first)
+
+
+def kernel_blocks(m, n_samples, seed):
+    """(name, pos, neg, tau) flow blocks for both counting kernels: no
+    ties, exact and near ties, and samples in which every alternative
+    ties."""
+    rng = np.random.default_rng([m, seed])
+    pos, neg = rng.random((2, n_samples, m))
+    yield "random", pos, neg, 1e-9
+    yield "random, tau 0", pos, neg, 0.0
+    # alternatives 2j and 2j + 1 tie on both flows
+    dup_pos, dup_neg = pos.copy(), neg.copy()
+    dup_pos[:, 1::2] = pos[:, : m // 2 * 2 : 2]
+    dup_neg[:, 1::2] = neg[:, : m // 2 * 2 : 2]
+    yield "duplicated alternatives", dup_pos, dup_neg, 0.0
+    # every alternative ties in every third sample
+    flat_pos, flat_neg = pos.copy(), neg.copy()
+    flat_pos[::3] = flat_pos[::3, :1]
+    flat_neg[::3] = flat_neg[::3, :1]
+    yield "all-equal samples", flat_pos, flat_neg, 1e-9
+    grid_pos = rng.integers(0, 64, (n_samples, m)) / 64
+    grid_neg = rng.integers(0, 64, (n_samples, m)) / 64
+    # near ties on a grid, chained across tau
+    yield "grid", grid_pos, grid_neg, 1 / 32
+
+
+@pytest.mark.parametrize("tile", [None, 8])
+@pytest.mark.parametrize("m", [2, 3, 8, 31, _POSITION_FROM - 1, _POSITION_FROM,
+                               _POSITION_FROM + 1, 100, 300])
+def test_position_kernel_matches_difference_kernel(m, tile, monkeypatch):
+    # the two kernels behind count_relations must agree bit for bit on
+    # either side of the crossover, in one sort tile or in several; m = 300
+    # keeps positions and rank tallies in uint16
+    if tile is not None:
+        monkeypatch.setattr(promethee, "_SORT_TILE", tile)
+    n_samples = 13 if m == 300 else 45
+    for name, pos, neg, tau in kernel_blocks(m, n_samples, 0):
+        ref, ref_first = run_counts(pos, neg, tau, _count_by_difference)
+        acc, first = run_counts(pos, neg, tau, _count_by_position)
+        for key in COUNT_KEYS:
+            assert np.array_equal(acc[key], ref[key]), (name, key)
+        assert np.array_equal(first, ref_first), name
+        ranks = ref["rank_counts"]
+        assert np.all(ranks.sum(axis=1) == n_samples), name
+    if m == 300:
+        assert np.nonzero(ranks)[1].max() > 255
 
 
 def test_count_relations_rejects_negative_tolerance():
