@@ -11,6 +11,16 @@ falls back to Bland's rule after an iteration budget to rule out cycling.
 A phase 1 that ends below zero, or an optimum that breaks one of the
 original rows, raises instead of being returned.
 
+The tableau is mostly zeros: a pivot row of the n = 6 bipolar margin LP
+has a median of 6 nonzeros among 339 columns. A pivot therefore
+divides and updates only the columns where its row is nonzero; every
+other column keeps its bits. Before the tableau is built, a variable
+pinned by an equality row with one entry (``restrict_classical`` writes
+one per interaction and opposing power) is substituted out; without
+that, phase 1 spends most of its pivots driving those rows'
+artificials out. The pinned values go back into every point, and the
+row check runs against the original rows.
+
 ``max_epsilon`` maximises the margin, boxed above so it is never
 unbounded. The exact outranking programs (``smaa.exact_ror_matrices``)
 call ``maximise`` directly. Both need vertices: binding rows and sign
@@ -91,11 +101,19 @@ class LpSolution(NamedTuple):
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    # eliminate col from every other row in one rank-1 update
+    # only the columns where the pivot row is nonzero change: every other
+    # column would divide a zero and subtract zeros
+    cols = T[row].nonzero()[0]
+    pivot_row = T[row, cols] / T[row, col]
+    # eliminate col from every other row in one rank-1 update, made on the
+    # columns as rows of T.T, so the outer product runs along the long
+    # axis; the pivot row itself takes the divided values
     f = T[:, col].copy()
     f[row] = 0.0
-    T -= np.outer(f, T[row])
+    block = T.T[cols]
+    block -= np.multiply.outer(pivot_row, f)
+    block[:, row] = pivot_row
+    T.T[cols] = block
     basis[row] = col
 
 
@@ -106,27 +124,31 @@ def _price_out(T: np.ndarray, basis: np.ndarray) -> None:
             obj -= obj[col] * T[r]
 
 
-def _run_phase(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
-    """Pivot the tableau to optimality. Objective row is last, rhs last col."""
+def _run_phase(T: np.ndarray, basis: np.ndarray, n_enter: int) -> str:
+    """Pivot the tableau to optimality. Objective row is last, rhs last col;
+    only the first ``n_enter`` columns may enter the basis."""
     n_rows = T.shape[0] - 1
+    obj = T[-1, :n_enter]
+    if obj.size == 0:
+        return "optimal"  # no column can enter: every variable was pinned
     for it in range(_MAX_PIVOTS):
-        obj = T[-1, :-1]
-        candidates = np.flatnonzero(allowed & (obj < -_PIVOT_TOL))
-        if candidates.size == 0:
-            return "optimal"
         if it < _BLAND_AFTER:
-            col = candidates[np.argmin(obj[candidates])]
+            col = obj.argmin()
+            if not obj[col] < -_PIVOT_TOL:
+                return "optimal"
         else:
+            candidates = np.flatnonzero(obj < -_PIVOT_TOL)
+            if candidates.size == 0:
+                return "optimal"
             col = candidates[0]  # Bland: smallest index, no cycling
-        ratios = np.full(n_rows, np.inf)
-        pos = T[:n_rows, col] > _PIVOT_TOL
-        ratios[pos] = T[:n_rows, -1][pos] / T[:n_rows, col][pos]
-        if not np.any(np.isfinite(ratios)):
+        column = T[:n_rows, col]
+        pos = (column > _PIVOT_TOL).nonzero()[0]
+        if pos.size == 0:
             return "unbounded"
-        best = ratios.min()
+        ratios = T[pos, -1] / column[pos]
         # smallest basis index among ties keeps Bland's guarantee
-        tied = np.flatnonzero(ratios <= best + 1e-12)
-        row = tied[np.argmin(basis[tied])]
+        tied = pos[ratios <= ratios.min() + 1e-12]
+        row = tied[basis[tied].argmin()]
         _pivot(T, basis, row, col)
     raise RuntimeError("simplex did not terminate within the iteration budget")
 
@@ -141,14 +163,55 @@ def maximise(
     """Maximise each row c of ``objectives`` as c.x over free x with
     A_eq x = b_eq and A_ub x <= b_ub.
 
+    A variable pinned by an equality row with a single entry above the
+    pivot tolerance is substituted out before the simplex runs, and a
+    second pin on the same variable stays in as a constant row, so
+    conflicting pins still come out "infeasible".
+
     Raises ``RuntimeError`` when an objective is unbounded, when phase 1
     ends with a negative sum of artificials, or when an optimum breaks an
     original row by more than ``FEASIBILITY_TOL``: all three mean the
     tableau cannot be trusted.
     """
     objectives = np.atleast_2d(objectives)
+    pin_rows = np.flatnonzero(np.count_nonzero(np.abs(A_eq) > _PIVOT_TOL, axis=1) == 1)
+    pin_cols = np.argmax(np.abs(A_eq[pin_rows]), axis=1)
+    # the first pin of each variable substitutes it out
+    pin_cols, first = np.unique(pin_cols, return_index=True)
+    pin_rows = pin_rows[first]
+    fixed = np.zeros(objectives.shape[1])
+    fixed[pin_cols] = b_eq[pin_rows] / A_eq[pin_rows, pin_cols]
+    free = np.ones(objectives.shape[1], dtype=bool)
+    free[pin_cols] = False
+    eq_kept = np.ones(b_eq.shape[0], dtype=bool)
+    eq_kept[pin_rows] = False
+
+    status, free_points = _simplex(
+        A_eq[eq_kept][:, free], b_eq[eq_kept] - A_eq[eq_kept] @ fixed,
+        A_ub[:, free], b_ub - A_ub @ fixed, objectives[:, free],
+    )
+    points = np.tile(fixed, (free_points.shape[0], 1))
+    points[:, free] = free_points
+    if status == "infeasible":
+        return LpSolution("infeasible", points, np.zeros(0))
+    worst = max(np.abs(points @ A_eq.T - b_eq).max(initial=0.0),
+                (points @ A_ub.T - b_ub).max(initial=0.0))
+    if worst > FEASIBILITY_TOL:
+        raise RuntimeError(f"optimal point breaks a constraint row by {worst:.3g}")
+    return LpSolution("optimal", points, np.einsum("ij,ij->i", objectives, points))
+
+
+def _simplex(
+    A_eq: np.ndarray,
+    b_eq: np.ndarray,
+    A_ub: np.ndarray,
+    b_ub: np.ndarray,
+    objectives: np.ndarray,
+) -> tuple[str, np.ndarray]:
+    """The two-phase tableau behind ``maximise``: its status and points,
+    one per objective when optimal, the least-infeasible one otherwise."""
     n_vars = objectives.shape[1]
-    A = np.vstack([A_eq, A_ub]) if A_eq.size or A_ub.size else np.zeros((0, n_vars))
+    A = np.vstack([A_eq, A_ub])
     rhs = np.concatenate([b_eq, b_ub])
     n_eq, n_rows = A_eq.shape[0], A.shape[0]
     n_split = 2 * n_vars
@@ -174,12 +237,12 @@ def maximise(
     T[neg, -1] *= -1.0
     T[art_rows, basis[art_rows]] = 1.0
 
-    allowed = np.ones(T.shape[1] - 1, dtype=bool)
+    n_enter = T.shape[1] - 1
     if art_rows.size:
         # phase 1: drive the artificials to zero
         T[-1, n_struct:-1] = 1.0
         _price_out(T, basis)
-        if _run_phase(T, basis, allowed) != "optimal":
+        if _run_phase(T, basis, n_enter) != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         infeasibility = -T[-1, -1]
         if infeasibility < -FEASIBILITY_TOL:
@@ -187,7 +250,7 @@ def maximise(
                 f"phase 1 ended at a negative sum of artificials ({infeasibility:.3g})"
             )
         if infeasibility > FEASIBILITY_TOL:
-            return LpSolution("infeasible", _point(T, basis, n_vars)[None, :], np.zeros(0))
+            return "infeasible", _point(T, basis, n_vars)[None, :]
         # pivot leftover artificials out of the basis, drop redundant rows
         keep = np.ones(T.shape[0], dtype=bool)
         for r in np.flatnonzero(basis >= n_struct):
@@ -197,7 +260,7 @@ def maximise(
             else:
                 keep[r] = False
         T, basis = T[keep], basis[keep[:-1]]
-        allowed[n_struct:] = False
+        n_enter = n_struct
 
     # phase 2, once per objective, each from the previous optimal basis
     points = np.empty(objectives.shape)
@@ -206,14 +269,10 @@ def maximise(
         T[-1, 0:n_split:2] = -c
         T[-1, 1:n_split:2] = c
         _price_out(T, basis)
-        if _run_phase(T, basis, allowed) == "unbounded":
+        if _run_phase(T, basis, n_enter) == "unbounded":
             raise RuntimeError(f"objective {i} is unbounded")
         points[i] = _point(T, basis, n_vars)
-    worst = max(np.abs(points @ A_eq.T - b_eq).max(initial=0.0),
-                (points @ A_ub.T - b_ub).max(initial=0.0))
-    if worst > FEASIBILITY_TOL:
-        raise RuntimeError(f"optimal point breaks a constraint row by {worst:.3g}")
-    return LpSolution("optimal", points, np.einsum("ij,ij->i", objectives, points))
+    return "optimal", points
 
 
 def _point(T: np.ndarray, basis: np.ndarray, n_vars: int) -> np.ndarray:
@@ -227,21 +286,17 @@ def _point(T: np.ndarray, basis: np.ndarray, n_vars: int) -> np.ndarray:
 def _binding_origins(
     system_rows: Sequence[ConstraintRow], x: np.ndarray, feasible: bool
 ) -> tuple[str, ...]:
-    out = []
-    for row in system_rows:
-        lhs = float(row.coefs @ x)
-        if row.rel == "=":
-            resid = abs(lhs - row.rhs)
-            hit = resid > FEASIBILITY_TOL if not feasible else False
-        elif row.rel == "<=":
-            resid = lhs - row.rhs
-            hit = resid > FEASIBILITY_TOL if not feasible else abs(resid) <= 1e-7
-        else:
-            resid = row.rhs - lhs
-            hit = resid > FEASIBILITY_TOL if not feasible else abs(resid) <= 1e-7
-        if hit:
-            out.append(row.origin)
-    return tuple(out)
+    coefs = np.array([row.coefs for row in system_rows]).reshape(len(system_rows), x.size)
+    eq = np.array([row.rel == "=" for row in system_rows], dtype=bool)
+    ge = np.array([row.rel == ">=" for row in system_rows], dtype=bool)
+    # lhs - rhs of every row, negated on ">=" rows: positive breaks the row
+    resid = coefs @ x - np.array([row.rhs for row in system_rows])
+    resid[ge] *= -1.0
+    if feasible:
+        hit = ~eq & (np.abs(resid) <= 1e-7)
+    else:
+        hit = np.where(eq, np.abs(resid), resid) > FEASIBILITY_TOL
+    return tuple(row.origin for row, h in zip(system_rows, hit) if h)
 
 
 def max_epsilon(system: ConstraintSystem) -> LpOutcome:

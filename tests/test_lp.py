@@ -221,6 +221,94 @@ def test_pruned_margin_matches_scipy_on_full_monotonicity(n):
         assert np.max(a_ub @ mine.solution - b_ub) <= 1e-9
 
 
+def pin_row(layout, col, coef, rhs, origin):
+    coefs = np.zeros(layout.size + 1)
+    coefs[col] = coef
+    return ConstraintRow(coefs, "=", rhs, origin)
+
+
+def test_pin_to_nonzero_value():
+    # 2 w1 = 1.4 pins w1 to 0.7, so the best margin is w1 - w2 = 0.4
+    layout = ParameterLayout(2)
+    system = two_weight_system(
+        [pin_row(layout, 0, 2.0, 1.4, "w1 = 0.7"), strict_row(layout, 0, 1)]
+    )
+    out = max_epsilon(system)
+    assert out.status == "optimal"
+    assert out.solution[0] == 0.7
+    assert out.eps_star == pytest.approx(0.4, abs=1e-12)
+    assert out.eps_star == pytest.approx(scipy_max_epsilon(system), abs=1e-9)
+
+
+def test_consistent_pins_on_one_column():
+    # the second pin stays in as the constant row 0 = 0
+    layout = ParameterLayout(2)
+    once = [pin_row(layout, 0, 1.0, 0.7, "w1 = 0.7"), strict_row(layout, 0, 1)]
+    twice = once + [pin_row(layout, 0, 2.0, 1.4, "2 w1 = 1.4")]
+    single = max_epsilon(two_weight_system(once))
+    double = max_epsilon(two_weight_system(twice))
+    assert double.status == "optimal"
+    assert double.eps_star == pytest.approx(single.eps_star, abs=1e-12)
+    assert np.allclose(double.solution, single.solution, rtol=0.0, atol=1e-12)
+    assert double.binding == single.binding
+
+
+def test_conflicting_pins_on_one_column_are_infeasible():
+    # the first pin substitutes w1 out; the second is left as the constant
+    # row 0 = 0.2 - 0.7, which phase 1 cannot satisfy
+    layout = ParameterLayout(2)
+    system = two_weight_system([
+        pin_row(layout, 0, 1.0, 0.7, "w1 = 0.7"),
+        pin_row(layout, 0, 1.0, 0.2, "w1 = 0.2"),
+        strict_row(layout, 0, 1),
+    ])
+    a_eq, b_eq, _, a_ub, b_ub, _ = system.split()
+    res = maximise(a_eq, b_eq, a_ub, b_ub, np.eye(system.n_cols)[system.eps_col])
+    assert res.status == "infeasible"
+    assert res.points.shape == (1, system.n_cols)
+    assert res.points[0, 0] == 0.7
+    out = max_epsilon(system)
+    assert out.status == "infeasible"
+    assert "w1 = 0.2" in out.binding and "w1 = 0.7" not in out.binding
+    assert scipy_max_epsilon(system) is None
+
+
+def test_objective_weighting_a_pinned_variable():
+    layout = ParameterLayout(2)
+    system = two_weight_system(
+        [pin_row(layout, 0, 2.0, 1.4, "w1 = 0.7"), strict_row(layout, 0, 1)]
+    )
+    eps = np.eye(system.n_cols)[system.eps_col]
+    capped = system.with_rows([ConstraintRow(eps, "<=", EPS_CAP, "margin cap")])
+    a_eq, b_eq, _, a_ub, b_ub, _ = capped.split()
+    objectives = np.zeros((2, system.n_cols))
+    objectives[0, [0, system.eps_col]] = 3.0, 1.0  # 3 w1 + eps
+    objectives[1, [0, 1]] = -1.0, 2.0  # -w1 + 2 w2
+    res = maximise(a_eq, b_eq, a_ub, b_ub, objectives)
+    assert res.feasible
+    assert res.values == pytest.approx([2.5, -0.1], abs=1e-12)
+    for c, value, point in zip(objectives, res.values, res.points):
+        ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=[(None, None)] * system.n_cols, method="highs")
+        assert ref.status == 0, ref.message
+        assert value == pytest.approx(-ref.fun, abs=1e-9)
+        assert point[0] == 0.7
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_classical_margin_matches_scipy(n):
+    # restrict_classical pins every interaction and opposing power with a
+    # one-entry row: 3 n (n - 1) / 2 variables substituted out
+    rng = np.random.default_rng(200 + n)
+    for _ in range(2):
+        table, statements = bicapacity_problem(rng, 8, n)
+        system = restrict_classical(compile_statements(table, statements))
+        mine = max_epsilon(system)
+        ref = scipy_max_epsilon(system)
+        assert mine.status == "optimal" and ref is not None
+        assert mine.eps_star == pytest.approx(ref, abs=1e-9)
+
+
 def loop_pivot(T, basis, row, col):
     """Row-by-row Gauss-Jordan elimination, the reference for ``_pivot``."""
     T[row] /= T[row, col]
@@ -251,6 +339,28 @@ def test_rank1_pivot_matches_row_loop():
             assert np.array_equal(basis, ref_basis)
             assert T[row, col] == 1.0
             assert np.count_nonzero(T[:, col]) == 1
+
+
+def test_pivot_leaves_zero_columns_bit_for_bit():
+    # a column whose pivot-row entry is zero is neither divided nor
+    # updated, so every entry in it keeps its bits, the sign of a zero too
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        rows, cols = (int(v) for v in rng.integers(2, 30, size=2))
+        T = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        T[rng.random((rows, cols)) < 0.2] = -0.0
+        basis = np.zeros(rows - 1, dtype=int)
+        for _ in range(5):
+            row = int(rng.integers(rows - 1))
+            col = int(rng.integers(cols - 1))
+            if T[row, col] == 0.0:
+                T[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            before = T.copy()
+            zero = before[row] == 0.0
+            _pivot(T, basis, row, col)
+            assert np.array_equal(
+                T[:, zero].view(np.uint64), before[:, zero].view(np.uint64)
+            ), trial
 
 
 def test_optimal_solution_satisfies_every_row(students):
@@ -367,12 +477,16 @@ def scipy_ror_matrices(system: ConstraintSystem, table):
 
 def ror_oracle_cases(tmp_path):
     # trial 3 crashed the two-LPs-per-pair sweep and trial 23 gave a false
-    # possible verdict, as did the benchmark's n = 5 synthetic instance
+    # possible verdict, as did the benchmark's n = 5 synthetic instance;
+    # n = 6 and 7 reach the README's --exact-ror limit, at m = 6 so that
+    # the n = 7 sweep takes about two seconds
     trials = ror_trials(24)
     cases = [(f"trial {t}", *trials[t]) for t in (0, 1, 2, 3, 23)]
-    table, statements = benchmark_instance(
-        tmp_path, 1, m=8, n=5, p=4.0, interactions=True, statement_count=4)
-    cases.append(("synthetic n5", table, statements))
+    for n, m in ((5, 8), (6, 6), (7, 6)):
+        table, statements = benchmark_instance(
+            tmp_path / f"n{n}", 1, m=m, n=n, p=4.0, interactions=True,
+            statement_count=4)
+        cases.append((f"synthetic n{n}", table, statements))
     return cases
 
 
