@@ -76,23 +76,19 @@ def _check_cap(n: int, max_criteria: int) -> None:
         )
 
 
-def _disjoint_pairs(items: tuple[int, ...]):
-    """Yield every (C, D) with C, D disjoint subsets of ``items``."""
-    for assignment in itertools.product((0, 1, 2), repeat=len(items)):
-        c = tuple(i for i, s in zip(items, assignment) if s == 1)
-        d = tuple(i for i, s in zip(items, assignment) if s == 2)
-        yield c, d
+def _side_pairs(items: tuple[int, ...], sides: tuple[int, ...]):
+    """Yield every (C, D) of disjoint subsets of ``items`` that puts each
+    item on one of ``sides``: 0 in neither, 1 in C, 2 in D.
 
-
-def _covering_pairs(items: tuple[int, ...]):
-    """Yield every (C, D) that splits ``items``: disjoint, with C | D = items.
-
-    These are the splits that can bind in the monotonicity of a two-additive
-    bicapacity. With every opposing power nonpositive, the row for a pair
-    that leaves k out of both C and D is implied by the row that puts k in D.
-    The order is that of ``_disjoint_pairs`` restricted to these splits.
+    Sides (0, 1, 2) give all 3^len(items) disjoint pairs. Sides (1, 2)
+    give the splits, C | D = items, which are the pairs that can bind in
+    the monotonicity of a two-additive bicapacity: with every opposing
+    power nonpositive, the row for a pair that leaves k out of both C and
+    D is implied by the row that puts k in D. Either way the order is
+    that of the product over ``sides``, so the splits come in the order of
+    the disjoint pairs restricted to them.
     """
-    for assignment in itertools.product((1, 2), repeat=len(items)):
+    for assignment in itertools.product(sides, repeat=len(items)):
         c = tuple(i for i, s in zip(items, assignment) if s == 1)
         d = tuple(i for i, s in zip(items, assignment) if s == 2)
         yield c, d
@@ -228,7 +224,7 @@ class BicapacityParams:
             raise ValueError(f"powers and interactions must sum to 1, got {total!r}")
         others = lambda j: tuple(i for i in range(n) if i != j)
         for j in range(n):
-            for c, d in _disjoint_pairs(others(j)):
+            for c, d in _side_pairs(others(j), (0, 1, 2)):
                 lhs = self.a[j] + sum(self.pair[j, k] for k in c) + sum(
                     self.opp[j, k] for k in d
                 )
@@ -289,7 +285,7 @@ class GeneralBicapacity:
         _check_cap(n, max_criteria)
         plus: dict = {}
         minus: dict = {}
-        for c, d in _disjoint_pairs(tuple(range(n))):
+        for c, d in _side_pairs(tuple(range(n)), (0, 1, 2)):
             key = (frozenset(c), frozenset(d))
             plus[key] = params.mu_plus(c, d)
             minus[key] = params.mu_minus(c, d)
@@ -303,7 +299,7 @@ class GeneralBicapacity:
             raise ValueError("positive part must be 1 on (J, {})")
         if abs(self.minus[(empty, full)] - 1.0) > tol:
             raise ValueError("negative part must be 1 on ({}, J)")
-        for c, d in _disjoint_pairs(tuple(range(self.n))):
+        for c, d in _side_pairs(tuple(range(self.n)), (0, 1, 2)):
             key = (frozenset(c), frozenset(d))
             if key not in self.plus or key not in self.minus:
                 raise ValueError(f"missing table entry for {key}")

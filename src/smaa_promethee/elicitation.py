@@ -31,7 +31,7 @@ from .bipolar import (
     ENUMERATION_CAP,
     ParameterLayout,
     _check_cap,
-    _covering_pairs,
+    _side_pairs,
     bipolar_preference_tensor,
     choquet_coefficients,
     flow_coefficients,
@@ -459,7 +459,7 @@ def compile_statements(
     for j, k in layout.opp_keys:
         add(ones(layout.opp_col(j, k)), "<=", f"opposing opp_{j + 1}|{k + 1} <= 0")
     for j in range(n):
-        for c, d in _covering_pairs(tuple(i for i in range(n) if i != j)):
+        for c, d in _side_pairs(tuple(i for i in range(n) if i != j), (1, 2)):
             cols = [layout.pair_col(j, k) for k in c] + [layout.opp_col(j, k) for k in d]
             origin = (
                 f"monotonicity a_{j + 1}"

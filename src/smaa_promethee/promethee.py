@@ -9,7 +9,9 @@ flow.
 Flows are compared in one place only: ``count_relations`` counts the P1
 and P2 verdicts and the ranks of a block of sampled flows under one
 absolute tie tolerance (the Monte-Carlo aggregation in ``smaa`` runs it
-once per chunk of samples). Narrow tables are counted by subtracting the
+once per chunk of samples). It takes plain (m, n) flows; the whole
+8-sample words its popcounts read are kept in its own mask buffers, so
+no caller pads anything. Narrow tables are counted by subtracting the
 flows of each pair of alternatives; wide ones by sorting each sample's
 flows once and comparing sort positions, which gives the same counts bit
 for bit (the argument is in ``count_relations``). ``promethee1_relation``
@@ -138,6 +140,13 @@ def _row_counts(mask):
     return np.bitwise_count(mask.view(np.uint64)).sum(axis=1, dtype=np.int64)
 
 
+def _word_width(n):
+    """Columns of a mask buffer for n samples: n rounded up to whole
+    8-sample words, which ``_row_counts`` reads. The kernels zero the pad
+    columns and never write them."""
+    return -(-n // 8) * 8
+
+
 # count_relations compares sort positions from this many alternatives on
 # and subtracts flows below it: sorting rows of a few values costs more
 # than their few pairs of subtractions. Position time over subtraction
@@ -154,23 +163,21 @@ _POSITION_FROM = 64
 _SORT_TILE = 256
 
 
-def count_relations(pos_t, neg_t, net_t, n_samples, tau, counts):
+def count_relations(pos_t, neg_t, net_t, tau, counts):
     """Count the relations of one block of flows; return the rank-1 mask.
 
-    ``pos_t``, ``neg_t`` and ``net_t`` are finite (m, width) arrays, one
-    row of positive, negative and net flows per alternative. The first
-    ``n_samples`` columns are samples; the rest, up to a ``width`` that is
-    a multiple of 8, hold equal flows for every alternative (zeros), so
-    with ``tau`` >= 0 no strict comparison marks them. ``counts`` is a
-    (6, m, m) int64 array of rank counts, P1 preferences,
-    indifferences and incomparabilities, and P2 preferences and
-    indifferences, in that order, updated in place. The returned (m,
-    n_samples) bool mask flags the samples that put each alternative at
-    rank 1.
+    ``pos_t``, ``neg_t`` and ``net_t`` are finite (m, n) arrays, one row
+    of positive, negative and net flows per alternative and one column
+    per sample. ``counts`` is a (6, m, m) int64 array of rank counts, P1
+    preferences, indifferences and incomparabilities, and P2 preferences
+    and indifferences, in that order, updated in place. The returned (m,
+    n) bool mask flags the samples that put each alternative at rank 1.
 
     Each unordered pair (i, k), k > i, is compared once, over all samples
     at a time, so working memory stays O(samples * m), and the comparison
-    masks are counted by popcount over 8 samples at a time. The reverse
+    masks are counted by popcount over 8 samples at a time: the kernels
+    keep their masks in buffers of whole 8-sample words whose pad columns
+    are zero, so no pad is ever counted. The reverse
     direction comes from the same comparison: IEEE subtraction is exactly
     antisymmetric (``b - a == -(a - b)``), so ``x_k - x_i > tau`` is
     ``x_i - x_k < -tau`` bit for bit.
@@ -191,28 +198,29 @@ def count_relations(pos_t, neg_t, net_t, n_samples, tau, counts):
     if not tau >= 0.0:
         raise ValueError(f"tie tolerance must be non-negative, got {tau!r}")
     if len(net_t) >= _POSITION_FROM:
-        return _count_by_position(pos_t, neg_t, net_t, n_samples, tau, counts)
-    return _count_by_difference(pos_t, neg_t, net_t, n_samples, tau, counts)
+        return _count_by_position(pos_t, neg_t, net_t, tau, counts)
+    return _count_by_difference(pos_t, neg_t, net_t, tau, counts)
 
 
-def _tally_p2(counts, i, n_samples, gt, lt):
-    """P2 counts of pair rows (i, k > i): gt is i P k, lt is k P i, the
-    rest is I."""
+def _tally_p2(counts, i, n, gt, lt):
+    """P2 counts of pair rows (i, k > i) over n samples: gt is i P k, lt
+    is k P i, the rest is I. Both are whole-word mask rows."""
     p2_pref, p2_ind = counts[4], counts[5]
     rest = slice(i + 1, None)
     n_gt = _row_counts(gt)
     n_lt = _row_counts(lt)
     p2_pref[i, rest] += n_gt
     p2_pref[rest, i] += n_lt
-    tie = n_samples - n_gt - n_lt
+    tie = n - n_gt - n_lt
     p2_ind[i, rest] += tie
     p2_ind[rest, i] += tie
 
 
-def _tally_p1(counts, i, n_samples, ahead, behind, tmp):
-    """P1 counts of pair rows (i, k > i): ahead marks i ahead on some flow,
-    behind marks k ahead on one; one-sided is a preference, neither is I,
-    both is R. ``tmp`` is overwritten."""
+def _tally_p1(counts, i, n, ahead, behind, tmp):
+    """P1 counts of pair rows (i, k > i) over n samples: ahead marks i
+    ahead on some flow, behind marks k ahead on one; one-sided is a
+    preference, neither is I, both is R. All three are whole-word mask
+    rows; ``tmp`` is overwritten."""
     p1_pref, p1_ind, p1_inc = counts[1:4]
     rest = slice(i + 1, None)
     n_ahead = _row_counts(ahead)
@@ -222,31 +230,33 @@ def _tally_p1(counts, i, n_samples, ahead, behind, tmp):
     p1_pref[rest, i] += n_behind - n_both
     p1_inc[i, rest] += n_both
     p1_inc[rest, i] += n_both
-    ind = n_samples - n_ahead - n_behind + n_both
+    ind = n - n_ahead - n_behind + n_both
     p1_ind[i, rest] += ind
     p1_ind[rest, i] += ind
 
 
-def _count_by_difference(pos_t, neg_t, net_t, n_samples, tau, counts):
+def _count_by_difference(pos_t, neg_t, net_t, tau, counts):
     """``count_relations`` by one float subtraction per pair of rows and
-    flow: (m - 1 - i, width) differences against row i."""
-    m, width = net_t.shape
+    flow: (m - 1 - i, n) differences against row i, compared into the
+    first n columns of whole-word mask rows."""
+    m, n = net_t.shape
     # above[i, s]: alternatives whose net flow beats i's by more than tau,
     # at most m - 1
-    above = np.zeros((m, width), dtype=np.uint8 if m <= 256 else np.uint16)
-    diff_buf = np.empty((m - 1, width))
-    gt_buf = np.empty((m - 1, width), dtype=bool)
-    lt_buf = np.empty_like(gt_buf)
-    tmp_buf = np.empty_like(gt_buf)
+    above = np.zeros((m, n), dtype=np.uint8 if m <= 256 else np.uint16)
+    diff_buf = np.empty((m - 1, n))
+    gt_buf = np.zeros((m - 1, _word_width(n)), dtype=bool)
+    lt_buf = np.zeros_like(gt_buf)
+    tmp_buf = np.zeros_like(gt_buf)
     for i in range(m - 1):
         rest = slice(i + 1, m)
         r = m - 1 - i
-        diff, gt, lt, tmp = diff_buf[:r], gt_buf[:r], lt_buf[:r], tmp_buf[:r]
+        diff = diff_buf[:r]
+        gt, lt, tmp = gt_buf[:r, :n], lt_buf[:r, :n], tmp_buf[:r, :n]
 
         np.subtract(net_t[i], net_t[rest], out=diff)
         np.greater(diff, tau, out=gt)
         np.less(diff, -tau, out=lt)
-        _tally_p2(counts, i, n_samples, gt, lt)
+        _tally_p2(counts, i, n, gt_buf[:r], lt_buf[:r])
         above[i] += lt.view(np.uint8).sum(axis=0, dtype=above.dtype)
         above[rest] += gt.view(np.uint8)
 
@@ -257,26 +267,25 @@ def _count_by_difference(pos_t, neg_t, net_t, n_samples, tau, counts):
         np.subtract(neg_t[i], neg_t[rest], out=diff)
         ahead |= np.less(diff, -tau, out=tmp)
         behind |= np.greater(diff, tau, out=tmp)
-        _tally_p1(counts, i, n_samples, ahead, behind, tmp)
+        _tally_p1(counts, i, n, gt_buf[:r], lt_buf[:r], tmp_buf[:r])
 
-    above = above[:, :n_samples]
     rank_counts = counts[0]
     for i in range(m):
         rank_counts[i] += np.bincount(above[i], minlength=m)
     return above == 0
 
 
-def _count_by_position(pos_t, neg_t, net_t, n_samples, tau, counts):
+def _count_by_position(pos_t, neg_t, net_t, tau, counts):
     """``count_relations`` by sort position: ``_positions`` turns each flow
     into positions and cuts, and the pair loop compares those small
-    integers instead of subtracting floats. The ranks and the rank-1 mask
-    come out of the sort of the net flows."""
-    m, width = net_t.shape
-    first = np.empty((m, n_samples), dtype=bool)
-    net_at, net_cut = _positions(net_t, n_samples, tau, counts[0], first)
-    pos_at, pos_cut = _positions(pos_t, n_samples, tau)
-    neg_at, neg_cut = _positions(neg_t, n_samples, tau)
-    gt_buf = np.empty((m - 1, width), dtype=bool)
+    integers instead of subtracting floats, whole words at a time. The
+    ranks and the rank-1 mask come out of the sort of the net flows."""
+    m, n = net_t.shape
+    first = np.empty((m, n), dtype=bool)
+    net_at, net_cut = _positions(net_t, tau, counts[0], first)
+    pos_at, pos_cut = _positions(pos_t, tau)
+    neg_at, neg_cut = _positions(neg_t, tau)
+    gt_buf = np.empty((m - 1, net_at.shape[1]), dtype=bool)
     lt_buf = np.empty_like(gt_buf)
     tmp_buf = np.empty_like(gt_buf)
     for i in range(m - 1):
@@ -287,7 +296,7 @@ def _count_by_position(pos_t, neg_t, net_t, n_samples, tau, counts):
         # net_i - net_k > tau, then net_k - net_i > tau
         np.less(net_at[rest], net_cut[i], out=gt)
         np.less(net_at[i], net_cut[rest], out=lt)
-        _tally_p2(counts, i, n_samples, gt, lt)
+        _tally_p2(counts, i, n, gt, lt)
 
         # i ahead of k: pos_i - pos_k > tau or neg_k - neg_i > tau; k ahead
         # of i: pos_k - pos_i > tau or neg_i - neg_k > tau
@@ -295,32 +304,33 @@ def _count_by_position(pos_t, neg_t, net_t, n_samples, tau, counts):
         ahead |= np.less(neg_at[i], neg_cut[rest], out=tmp)
         behind = np.less(pos_at[i], pos_cut[rest], out=lt)
         behind |= np.less(neg_at[rest], neg_cut[i], out=tmp)
-        _tally_p1(counts, i, n_samples, ahead, behind, tmp)
+        _tally_p1(counts, i, n, ahead, behind, tmp)
     return first
 
 
-def _positions(x, n_samples, tau, rank_counts=None, first=None):
-    """Sort positions and cuts of one (m, width) flow block.
+def _positions(x, tau, rank_counts=None, first=None):
+    """Sort positions and cuts of one (m, n) flow block.
 
     ``at[i, s]`` is the position of alternative i in an ascending order of
     sample s's m values, and ``cut[i, s]`` counts the alternatives k with
     ``x_i - x_k > tau``. Those k are the first ``cut[i, s]`` positions, so
     ``x_i - x_k > tau`` is ``at[k, s] < cut[i, s]``. Both are uint8, or
-    uint16 past 256 alternatives. Pad columns get cut 0, which no
-    position is below.
+    uint16 past 256 alternatives, and both run to whole 8-sample words:
+    the pad columns get cut 0, which no position is below, so comparing
+    whole rows marks no pad.
 
     With ``rank_counts`` and ``first`` given, the rank of every alternative
     (how many net flows beat its by more than tau) is tallied into
     ``rank_counts`` and its rank-1 samples flagged in ``first``.
     """
-    m, width = x.shape
+    m, n = x.shape
     dtype = np.uint8 if m <= 256 else np.uint16
-    at = np.zeros((m, width), dtype=dtype)
-    cut = np.zeros((m, width), dtype=dtype)
+    at = np.zeros((m, _word_width(n)), dtype=dtype)
+    cut = np.zeros_like(at)
     ramp = np.arange(m, dtype=dtype)
-    ramps = np.tile(ramp, min(_SORT_TILE, n_samples))
-    for lo in range(0, n_samples, _SORT_TILE):
-        xt = np.ascontiguousarray(x[:, lo:min(lo + _SORT_TILE, n_samples)].T)
+    ramps = np.tile(ramp, min(_SORT_TILE, n))
+    for lo in range(0, n, _SORT_TILE):
+        xt = np.ascontiguousarray(x[:, lo:lo + _SORT_TILE].T)
         k = xt.shape[0]
         # the alternative at each sorted position, and its flat index in xt
         alt = np.argsort(xt, axis=1)
@@ -359,15 +369,13 @@ def _positions(x, n_samples, tau, rank_counts=None, first=None):
 
 def _one_sample_counts(positive, negative, net, tol):
     """``count_relations``' (6, m, m) counts for a single set of flows,
-    written as the first column of a zero-padded (3, m, 8) block."""
-    net = np.asarray(net, dtype=float)
-    m = net.shape[0]
-    block = np.zeros((3, m, 8))
-    block[..., 0] = positive, negative, net
-    if not np.isfinite(block).all():
+    passed as three (m, 1) columns."""
+    columns = np.array([positive, negative, net], dtype=float)[..., None]
+    if not np.isfinite(columns).all():
         raise ValueError("flows must be finite")
+    m = columns.shape[1]
     counts = np.zeros((6, m, m), dtype=np.int64)
-    count_relations(*block, 1, tol, counts)
+    count_relations(*columns, tol, counts)
     return counts
 
 

@@ -149,8 +149,6 @@ def _null_space(A: np.ndarray, n: int) -> np.ndarray:
     if A.shape[0] == 0:
         return np.eye(n)
     _, s, vt = np.linalg.svd(A)
-    if s.size == 0:
-        return np.eye(n)
     rank = int(np.sum(s > _NULLSPACE_TOL * max(s[0], 1.0)))
     return vt[rank:].T
 
@@ -377,13 +375,23 @@ class SampleBatch:
     @classmethod
     def load(cls, path: str) -> "SampleBatch":
         with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+            try:
+                sidecar = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: its sidecar is not JSON ({exc})") from None
+        if not isinstance(sidecar, dict):
+            raise ValueError(f"{path}: its sidecar is not a JSON object")
         layout = (sidecar.get("dtype"), sidecar.get("order"))
         if layout != ("<f8", "C"):
             raise ValueError(f"{path}: its sidecar describes dtype {layout[0]!r} in "
                              f"order {layout[1]!r}, not '<f8' in order 'C'")
-        rows = int(sidecar["rows"])
-        cols = tuple(sidecar["columns"])
+        rows, cols = sidecar.get("rows"), sidecar.get("columns")
+        if type(rows) is not int or rows < 0:
+            raise ValueError(f"{path}: its sidecar gives rows {rows!r}, "
+                             "not a non-negative integer")
+        if not isinstance(cols, list):
+            raise ValueError(f"{path}: its sidecar gives columns {cols!r}, not a list")
+        cols = tuple(cols)
         size = os.path.getsize(path)
         if size != 8 * rows * len(cols):
             raise ValueError(
@@ -563,8 +571,9 @@ def _settle(stop, ext, moved, lengths, path, Y, state, total, burn_in, thinning,
     # rows applied to the points, and rows whose retries count: one more
     # if a chain ran out of retries
     cut = counted = seen
-    stays = active[:seen] & ~m[:seen]
-    if stays.any():
+    # no row seen, no retry counted: every chain keeps its count
+    if seen:
+        stays = active[:seen] & ~m[:seen]
         rows = np.arange(stop)[:, None]
         # the last move at or before each row, where -1 - retries stands
         # for the empty chords carried in: rows - last counts consecutive ones
@@ -578,9 +587,6 @@ def _settle(stop, ext, moved, lengths, path, Y, state, total, burn_in, thinning,
         # a chain that is done keeps its count: 0 if it finished here
         retries[:] = np.where(active[at], run[at],
                               np.where(last[at] >= 0, 0, retries))
-    else:
-        # no empty chord: a chain's count is 0 once it has moved
-        retries[m[:seen].any(axis=0)] = 0
     # the points, summed in row order as a per-row loop would add them
     path = path[:cut]
     np.multiply(path, lengths[:cut, :, None], out=path)

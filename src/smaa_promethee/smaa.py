@@ -2,17 +2,17 @@
 
 Flows are linear in the packed parameters, so each alternative's positive
 and negative flow is one precomputed coefficient row. The per-sample work
-is one (2m x size) . (size x s) GEMM per chunk of s samples, which writes
-both flows of every alternative into one alternative-major block, plus
-integer relation counting straight off that block by
+is one (2m x size) . (size x s) GEMM per chunk of s samples, which gives
+both flows of every alternative as one alternative-major (2m, s) block,
+plus integer relation counting straight off its two halves by
 ``promethee.count_relations`` (re-exported here), which compares each
 unordered pair of alternatives once across the chunk in O(s x m) memory
-and counts the comparison masks by popcount. From ``promethee``'s
-``_POSITION_FROM`` alternatives on, it first sorts each sample's flows
-and then compares byte-sized sort positions instead of subtracting
-flows; the counts are the same bit for bit. The same counter gives the
-library's one-vector PROMETHEE I and II verdicts. Classical
-batches (interaction columns pinned to zero) run through the same
+and counts the comparison masks by popcount, in buffers of its own.
+From ``promethee``'s ``_POSITION_FROM`` alternatives on, it first sorts
+each sample's flows and then compares byte-sized sort positions instead
+of subtracting flows; the counts are the same bit for bit. The same
+counter gives the library's one-vector PROMETHEE I and II verdicts.
+Classical batches (interaction columns pinned to zero) run through the same
 pipeline: with zero interactions the bipolar aggregation reduces exactly
 to the weighted preference sum, which keeps the two modes consistent to
 the bit.
@@ -105,9 +105,9 @@ def aggregate(
 
     The samples run in chunks of ``_COUNT_CHUNK``, and each chunk is
     checked for non-finite values (and, in classical mode, for nonzero
-    interaction columns) before it is counted. One GEMM per chunk writes
-    the positive and negative flows into one (2m, chunk) alternative-major
-    block, which ``count_relations`` reads in place; the rank-1 mask it
+    interaction columns) before it is counted. One GEMM per chunk gives
+    the positive and negative flows as one (2m, chunk) alternative-major
+    block, whose halves ``count_relations`` reads in place; the rank-1 mask it
     returns selects the samples summed into the central weights. So the
     working memory is a fixed number of (m, chunk) arrays, whatever the
     sample count. When
@@ -135,7 +135,6 @@ def aggregate(
     worst_imbalance = 0.0
     for lo in range(0, total, _COUNT_CHUNK):
         z = data[lo : lo + _COUNT_CHUNK]
-        s = z.shape[0]
         if not np.isfinite(z).all():
             raise ValueError("sample batch holds non-finite values")
         if mode == "classical":
@@ -146,15 +145,12 @@ def aggregate(
                     "classical mode requires interaction and opposing-power "
                     "columns pinned to zero"
                 )
-        # both flows of every alternative, zero-padded to whole 8-byte words
-        # of mask, which count_relations leaves out of every count
-        block = np.zeros((2 * m, -(-s // 8) * 8))
-        np.matmul(flows, z.T, out=block[:, :s])
+        block = flows @ z.T
         pos_t, neg_t = block[:m], block[m:]
         net_t = pos_t - neg_t
         imbalance = np.abs(net_t.sum(axis=0)).max()
         worst_imbalance = max(worst_imbalance, float(imbalance))
-        first = count_relations(pos_t, neg_t, net_t, s, FLOW_TIE_TOL, counts)
+        first = count_relations(pos_t, neg_t, net_t, FLOW_TIE_TOL, counts)
         # the product's operands keep the layout of a (samples, m) mask's
         # transpose, which fixes the central weights to the last bit
         cw_sum += np.ascontiguousarray(first.T, dtype=np.float64).T @ z

@@ -13,7 +13,7 @@ import pytest
 from smaa_promethee.bipolar import (
     BicapacityParams,
     ParameterLayout,
-    _disjoint_pairs,
+    _side_pairs,
     bipolar_flows,
 )
 from smaa_promethee.elicitation import (
@@ -145,7 +145,7 @@ def full_monotonicity_system(system: ConstraintSystem) -> ConstraintSystem:
     rows = [r for r in system.rows if not r.origin.startswith("monotonicity")]
     for j in range(n):
         others = tuple(i for i in range(n) if i != j)
-        for c, d in _disjoint_pairs(others):
+        for c, d in _side_pairs(others, (0, 1, 2)):
             coefs = np.zeros(layout.size + 1)
             coefs[layout.a_col(j)] = 1.0
             for k in c:

@@ -522,17 +522,12 @@ def empty_counts(m):
 
 
 def run_counts(pos, neg, tau, kernel=count_relations):
-    """``kernel`` (``count_relations`` unless given) on (samples, m) flows
-    laid out as ``aggregate`` lays them out: one alternative-major block of
-    both flows, zero-padded to a multiple of 8 samples. The rank-1 mask
-    comes back (samples, m)."""
-    n_samples, m = pos.shape
-    block = np.zeros((2 * m, -(-n_samples // 8) * 8))
-    block[:m, :n_samples] = pos.T
-    block[m:, :n_samples] = neg.T
-    pos_t, neg_t = block[:m], block[m:]
+    """``kernel`` (``count_relations`` unless given) on (samples, m) flows,
+    passed as their (m, samples) transposes. The rank-1 mask comes back
+    (samples, m)."""
+    m = pos.shape[1]
     counts = np.zeros((6, m, m), dtype=np.int64)
-    first = kernel(pos_t, neg_t, pos_t - neg_t, n_samples, tau, counts)
+    first = kernel(pos.T, neg.T, (pos - neg).T, tau, counts)
     return dict(zip(COUNT_KEYS, counts)), first.T
 
 
@@ -622,8 +617,9 @@ def test_count_relations_matches_plain_python():
 
 
 def test_count_relations_padding_stays_out_of_every_count():
-    # masks are counted 8 samples at a time: sample counts that are not a
-    # multiple of 8 leave padding, which must count as no relation at all
+    # masks are counted 8 samples at a time: for sample counts that are not
+    # a multiple of 8 the kernels pad their own masks, and the pad must
+    # count as no relation at all
     tau = 0.25
     cases = [(n, m) for n in (1, 7, 9, 150) for m in (2, 6)]
     # the position kernel, on fewer samples to keep the oracle quick
@@ -638,6 +634,28 @@ def test_count_relations_padding_stays_out_of_every_count():
             assert np.array_equal(acc[key], ref[key]), (n_samples, m, key)
         assert np.array_equal(first, ref_first), (n_samples, m)
         assert np.all(acc["rank_counts"].sum(axis=1) == n_samples)
+
+
+@pytest.mark.parametrize("m", [6, 70])
+def test_count_relations_reads_row_views_of_a_larger_block(m):
+    # aggregate passes the row halves of one (2m, samples) product; rows
+    # picked out of a block, with a gap between them and a column slice
+    # that ends mid-word, must count as the same flows copied out
+    n_samples = 21
+    rng = np.random.default_rng([m, n_samples])
+    pos = rng.integers(0, 4, size=(n_samples, m)) * 0.25
+    neg = rng.integers(0, 4, size=(n_samples, m)) * 0.25
+    block = np.full((4 * m, n_samples + 5), np.nan)
+    block[:2 * m:2, :n_samples] = pos.T
+    block[2 * m::2, :n_samples] = neg.T
+    pos_t, neg_t = block[:2 * m:2, :n_samples], block[2 * m::2, :n_samples]
+    assert not pos_t.flags.c_contiguous
+    counts = np.zeros((6, m, m), dtype=np.int64)
+    first = count_relations(pos_t, neg_t, pos_t - neg_t, 0.25, counts)
+    ref, ref_first = plain_python_counts(pos, neg, 0.25)
+    for key, got in zip(COUNT_KEYS, counts):
+        assert np.array_equal(got, ref[key]), key
+    assert np.array_equal(first.T, ref_first)
 
 
 def test_count_relations_beyond_255_alternatives():

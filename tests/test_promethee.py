@@ -194,14 +194,11 @@ def test_promethee2_examples():
 
 def counted_verdicts(flows: Flows, tol: float = FLOW_TIE_TOL):
     """The P1 matrix and P2 ranks that ``count_relations`` counts for one
-    sample, laid out as the first column of a zero-padded block."""
+    sample, passed as (m, 1) columns."""
     m = flows.net.shape[0]
-    block = np.zeros((3, m, 8))
-    block[0, :, 0] = flows.positive
-    block[1, :, 0] = flows.negative
-    block[2, :, 0] = flows.net
     counts = np.zeros((6, m, m), dtype=np.int64)
-    count_relations(block[0], block[1], block[2], 1, tol, counts)
+    count_relations(flows.positive[:, None], flows.negative[:, None],
+                    flows.net[:, None], tol, counts)
     _, p1_pref, p1_ind, p1_inc, p2_pref, _ = counts
     relation = np.select(
         [np.eye(m, dtype=bool), p1_pref == 1, p1_pref.T == 1, p1_ind == 1, p1_inc == 1],

@@ -617,3 +617,29 @@ def test_build_polytope_rejects_an_invalid_strict_margin(students, delta_strict)
         students, parse_statements(FIXTURES / "scenario1.jsonl")))
     with pytest.raises(ValueError, match="delta_strict must be non-negative"):
         build_polytope(system, delta_strict=delta_strict)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda sidecar: sidecar.pop("rows"), "rows None", id="no rows"),
+    pytest.param(lambda sidecar: sidecar.pop("columns"), "columns None",
+                 id="no columns"),
+    pytest.param(lambda sidecar: sidecar.update(columns=5), "columns 5",
+                 id="columns not a list"),
+    pytest.param(lambda sidecar: sidecar.update(rows="x"), "rows 'x'",
+                 id="rows not an integer"),
+    pytest.param(None, "not JSON", id="invalid JSON"),
+])
+def test_batch_load_names_the_file_of_a_malformed_sidecar(tmp_path, edit, message):
+    batch = SampleBatch(columns=("a", "b"), data=np.arange(6.0).reshape(3, 2))
+    path = tmp_path / "samples.bin"
+    batch.save(str(path))
+    sidecar_path = tmp_path / "samples.json"
+    if edit is None:
+        text = sidecar_path.read_text(encoding="utf-8")[:-5]
+    else:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        edit(sidecar)
+        text = json.dumps(sidecar)
+    sidecar_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"samples\.bin: its sidecar .*{message}"):
+        SampleBatch.load(str(path))

@@ -95,9 +95,9 @@ def test_aggregate_counts_through_the_smaa_global(students, monkeypatch):
     chunks = []
     count = smaa.count_relations
 
-    def counted(pos_t, neg_t, net_t, n_samples, tau, counts):
-        chunks.append(n_samples)
-        return count(pos_t, neg_t, net_t, n_samples, tau, counts)
+    def counted(pos_t, neg_t, net_t, tau, counts):
+        chunks.append(pos_t.shape[1])
+        return count(pos_t, neg_t, net_t, tau, counts)
 
     monkeypatch.setattr(smaa, "count_relations", counted)
     system = restrict_classical(compile_statements(students, []))
