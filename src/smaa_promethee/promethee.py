@@ -136,8 +136,11 @@ def classical_flows(table: PerformanceTable, weights) -> Flows:
 
 def _row_counts(mask):
     """True entries per row of a (rows, 8k) bool array: one popcount per
-    8-byte word, since each True byte holds a single set bit."""
-    return np.bitwise_count(mask.view(np.uint64)).sum(axis=1, dtype=np.int64)
+    8-byte word, since each True byte holds a single set bit. A word
+    counts at most 8, so the row sums fit uint32; they come back as int64,
+    and the tallies never do unsigned arithmetic."""
+    words = np.bitwise_count(mask.view(np.uint64))
+    return words.sum(axis=1, dtype=np.uint32).astype(np.int64)
 
 
 def _word_width(n):

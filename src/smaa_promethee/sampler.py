@@ -15,9 +15,11 @@ basis, which is not orthonormal. The strict-preference margin is fixed to
 the closure, whose boundary has measure zero.
 
 ``hit_and_run`` runs C independent chains from the same interior start,
-each with its own burn-in, and ``chain_steps`` steps them together in
+each with its own burn-in, and ``chain_steps`` steps them in lockstep in
 numpy: one refill of pre-drawn directions and uniforms moves every chain
-up to R steps, with one GEMM for all chord coefficients of the refill.
+R steps, with one GEMM for all chord coefficients of the refill. Every
+chain takes every row, and an empty chord is a zero-length step, so all
+chains have always taken the same number of steps.
 From a point strictly inside, with slacks s > 0, the chord along a unit
 direction d with coefficients c = A d is [1 / min(c / s), 1 / max(c / s)]:
 a row with c > 0 bounds the upper end at s / c, one with c < 0 the lower
@@ -25,7 +27,7 @@ end, and a row with c = 0 neither. So a step finds both chord ends of
 every chain with one divide, one ``max`` and one ``min`` along the rows
 and one reciprocal, with no mask for the side each row bounds. A step
 records only its chord extremes, whether each chain moved and how far;
-the points, kept samples, step counts, empty-chord retries and open
+the points, kept samples, step counts, empty-chord counts and open
 chords are settled once per refill. The arithmetic is that of a per-row
 loop, so a seed gives bit-identical samples on a given numpy build. C is
 derived from the configuration so that burn-in work never exceeds
@@ -65,7 +67,7 @@ _RETRY_BUDGET = 100
 # a chord narrower than this is treated as numerically empty
 _CHORD_TOL = 1e-12
 _MAX_CHAINS = 64
-# refill size, cut down to the steps the furthest chain still needs: the
+# refill size, cut down to the steps the chains still need: the
 # draw order (directions then uniforms per refill) is part of the
 # deterministic stream for a given seed
 _RAND_ROWS = 128
@@ -457,16 +459,19 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     """Advance C chains on ``A @ y <= b`` through one refill of draws.
 
     ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
-    steps done, samples kept and consecutive empty-chord retries of each
-    chain; both are updated in place. Row r of ``dirs`` (R, C, k, not
-    normalised) and ``uniforms`` (R, C) drives step attempt r of every
-    chain; ``dirs`` may be ``work.dn[:R]``, which is then normalised in place.
-    An empty chord leaves its chain in place and counts as a retry,
-    not a step. Chain c keeps ``quota[c]`` thinned post-burn-in points,
-    written chain-major into ``out``: its block starts after the quotas of
-    the chains before it. ``work`` is a ``_ChainWorkspace`` for these
-    shapes, or for more rows, reused across refills; without one a fresh
-    one is made.
+    steps done, samples kept and consecutive empty chords of each chain;
+    both are updated in place. The chains step in lockstep: row r of
+    ``dirs`` (R, C, k, not normalised) and ``uniforms`` (R, C) is a step
+    of every chain, and every chain runs ``burn_in + max(quota) *
+    thinning`` steps, so ``state[0]`` stays equal across chains and rows
+    beyond that total are not read. ``dirs`` may be ``work.dn[:R]``,
+    which is then normalised in place. An empty chord is a zero-length
+    step: the chain stays where it is, and the step counts toward burn-in,
+    thinning and emission like any other. Chain c writes its first
+    ``quota[c]`` thinned post-burn-in points chain-major into ``out``: its
+    block starts after the quotas of the chains before it. ``work`` is a
+    ``_ChainWorkspace`` for these shapes, or for more rows, reused across
+    refills; without one a fresh one is made.
 
     One GEMM gives the chord coefficient c = A d of every row, chain and
     constraint. While every slack s is positive, the chord along d is
@@ -475,25 +480,25 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     reciprocal of the two extremes, with no mask for the side each
     constraint bounds. A zero slack gives c / 0 = +-inf, which closes
     that end of the chord at 0, or 0 / 0 = nan, which ``max`` and ``min``
-    pass on; a nan or narrower than ``_CHORD_TOL`` chord is empty. The
-    rows run in spans over which the set of chains with steps left cannot
-    change, and each step records only its extremes, its move flag and
-    its length. The points, emission, ``kept``, the retry counters and
-    the open-chord check (max(c / s) <= 0 or min(c / s) >= 0) are settled
-    once per refill, vectorised over (R, C).
+    pass on; a nan or narrower than ``_CHORD_TOL`` chord is empty. Each
+    step records only its extremes, its move flag and its length. The
+    points, emission, the counters and the open-chord check (max(c / s)
+    <= 0 or min(c / s) >= 0) are settled once per refill, vectorised over
+    (R, C).
 
     Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
-    consecutive empty chords, or when a chain that still has steps to do
-    draws a direction along which the chord is unbounded; ``state``,
-    ``Y`` and ``out`` then hold every step made before the row at which
-    the chain stopped, and the retry counters also count that row.
+    consecutive empty chords, or draws a direction along which the chord
+    is unbounded; ``state``, ``Y`` and ``out`` then hold every step made
+    before the row at which the chain stopped, and the empty-chord
+    counters also count that row when they ran out.
     """
     n_rows, chains, k = dirs.shape
     rows = A.shape[0]
     if work is None:
         work = _ChainWorkspace(n_rows, chains, rows, k)
-    steps = state[0]
-    total = burn_in + quota * thinning
+    # every chain has taken state[0, 0] steps of the common total
+    stop = max(0, min(n_rows, burn_in + int(quota.max()) * thinning
+                      - int(state[0, 0])))
     # einsum sums the squares in one pass; a sum along the short last axis
     # of their (R, C, k) array takes about three times as long
     norms = np.sqrt(np.einsum("rck,rck->rc", dirs, dirs))
@@ -513,80 +518,58 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
         coef = np.matmul(flat, A.T, out=coef.reshape(-1, rows))
         coef = coef.reshape(n_rows, chains, rows)
         lengths = work.t[:n_rows, :, None]
-    q, ext, axis, ends = work.q, work.ext, work.axis, work.ends
+    q, axis, ends = work.q, work.axis, work.ends
     t_hi, t_lo = ends
-    width, moved, t = work.width, work.moved, work.t
+    width, t = work.width, work.t
     # the masked step below leaves 0 where a chain does not move
     t[:n_rows] = 0.0
-    done = steps.copy()
-    r = 0
     # an open chord's reciprocal ends are meaningless; _settle stops at
-    # the first row where a chain with steps left drew one
+    # the first row where a chain drew one
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while r < n_rows:
-            active = done < total
-            if not active.any():
-                break
-            # a nan bound fails every >=, so chains that are done never move
-            bound = np.where(active, _CHORD_TOL, np.nan)
-            # a chain takes at most one step per row, so the active set
-            # cannot change before the fewest steps left have passed
-            end = min(n_rows, r + int((total - done)[active].min()))
-            span = slice(r, end)
-            for c, e, move, step, u, length in zip(
-                    coef[span], ext[span], moved[span], t[span], uniforms[span],
-                    lengths[span]):
-                np.divide(c, slack, out=q)
-                np.maximum.reduce(q, axis=axis, out=e[0])
-                np.minimum.reduce(q, axis=axis, out=e[1])
-                np.divide(1.0, e, out=ends)
-                np.subtract(t_hi, t_lo, out=width)
-                np.greater_equal(width, bound, out=move)
-                np.multiply(u, width, out=step, where=move)
-                np.add(step, t_lo, out=step, where=move)
-                slack -= np.multiply(c, length, out=q)
-            done += moved[span].sum(axis=0)
-            r = end
-    _settle(r, ext, moved, t, dn, Y, state, total, burn_in, thinning,
-            np.cumsum(quota) - quota, out, work.points)
+        for c, e, move, step, u, length in zip(
+                coef[:stop], work.ext, work.moved, t, uniforms, lengths):
+            np.divide(c, slack, out=q)
+            np.maximum.reduce(q, axis=axis, out=e[0])
+            np.minimum.reduce(q, axis=axis, out=e[1])
+            np.divide(1.0, e, out=ends)
+            np.subtract(t_hi, t_lo, out=width)
+            np.greater_equal(width, _CHORD_TOL, out=move)
+            np.multiply(u, width, out=step, where=move)
+            np.add(step, t_lo, out=step, where=move)
+            slack -= np.multiply(c, length, out=q)
+    _settle(stop, work.ext, work.moved, t, dn, Y, state, burn_in,
+            thinning, quota, out, work.points)
 
 
-def _settle(stop, ext, moved, lengths, path, Y, state, total, burn_in, thinning,
-            first, out, points):
+def _settle(stop, ext, moved, lengths, path, Y, state, burn_in, thinning, quota,
+            out, points):
     """Apply the first ``stop`` rows of a refill to ``Y``, ``state`` and
-    ``out``; stop short and raise at the first row where a chain with
-    steps left drew an open chord or ran out of retries. ``path`` holds
-    the refill's unit directions and ``lengths`` the steps along them; the
-    points each row reaches overwrite ``path``."""
+    ``out``; stop short and raise at the first row where a chain drew an
+    open chord or ran out of retries. ``path`` holds the refill's unit
+    directions and ``lengths`` the steps along them; the points each row
+    reaches overwrite ``path``."""
     steps, kept, retries = state
-    m = moved[:stop]
-    done = np.cumsum(m, axis=0)  # steps after each row
-    done += steps
-    active = done - m < total
     e = ext[:stop]
     open_chord = (e[:, 0] <= 0.0) | (e[:, 1] >= 0.0)
-    unbounded = np.flatnonzero((active & open_chord).any(axis=1))
-    # an open chord is seen before that row's retries are counted
+    unbounded = np.flatnonzero(open_chord.any(axis=1))
+    # an open chord is seen before that row's empty chords are counted
     seen = int(unbounded[0]) if unbounded.size else stop
-    # rows applied to the points, and rows whose retries count: one more
-    # if a chain ran out of retries
+    # rows applied to the points, and rows whose empty chords count: one
+    # more if a chain ran out of retries
     cut = counted = seen
-    # no row seen, no retry counted: every chain keeps its count
+    # no row seen, no empty chord counted: every chain keeps its count
     if seen:
-        stays = active[:seen] & ~m[:seen]
-        rows = np.arange(stop)[:, None]
+        rows = np.arange(seen)[:, None]
         # the last move at or before each row, where -1 - retries stands
         # for the empty chords carried in: rows - last counts consecutive ones
-        last = np.maximum.accumulate(np.where(m, rows, -1 - retries), axis=0)
+        last = np.maximum.accumulate(np.where(moved[:seen], rows, -1 - retries),
+                                     axis=0)
         run = rows - last
-        over = np.flatnonzero((stays & (run[:seen] > _RETRY_BUDGET)).any(axis=1))
+        over = np.flatnonzero((run > _RETRY_BUDGET).any(axis=1))
         if over.size:
             cut = int(over[0])
             counted = cut + 1
-        at = counted - 1
-        # a chain that is done keeps its count: 0 if it finished here
-        retries[:] = np.where(active[at], run[at],
-                              np.where(last[at] >= 0, 0, retries))
+        retries[:] = run[counted - 1]
     # the points, summed in row order as a per-row loop would add them
     path = path[:cut]
     np.multiply(path, lengths[:cut, :, None], out=path)
@@ -595,22 +578,24 @@ def _settle(stop, ext, moved, lengths, path, Y, state, total, burn_in, thinning,
     points_at = list(path)
     for before, point in zip(points_at, points_at[1:]):
         np.add(before, point, out=point)
-    due = burn_in + (kept + 1) * thinning
-    emitted = done[:cut] - due
-    emit = m[:cut] & (emitted >= 0) & (emitted % thinning == 0)
+    # post-burn-in steps after each row: the j-th multiple of thinning
+    # gives sample j - 1 of every chain whose quota is larger than that
+    after = np.arange(1, cut + 1) + (steps[0] - burn_in)
+    sample = after // thinning - 1
+    due = (after > 0) & (after % thinning == 0)
+    emit = due[:, None] & (sample[:, None] < quota)
     # a step's row and chain as one index into the (R * C, k) path
     flat = np.flatnonzero(emit)
-    emitted //= thinning
-    emitted += first + kept
+    slot = sample[:, None] + (np.cumsum(quota) - quota)
     k = path.shape[2]
     # gathered into the workspace, not a fresh array per refill; every
     # index is in range, and "clip" lets np.take write to out unbuffered
     points = np.take(path.reshape(-1, k), flat, axis=0, out=points[:flat.size],
                      mode="clip")
-    out[emitted.reshape(-1)[flat]] = points
-    kept += emit.sum(axis=0)
+    out[slot.reshape(-1)[flat]] = points
+    steps += cut
+    kept[:] = np.clip((steps - burn_in) // thinning, 0, quota)
     if cut:
-        steps[:] = done[cut - 1]
         Y[...] = path[cut - 1]
     if counted > cut:
         raise RuntimeError(
@@ -624,13 +609,16 @@ def _settle(stop, ext, moved, lengths, path, Y, state, total, burn_in, thinning,
 def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     """Run ``_chain_count(config)`` chains and return feasibility-checked samples.
 
-    Every chain starts at ``polytope.start`` and discards its own
+    Every chain starts at ``polytope.start`` and discards its own first
     ``burn_in`` steps. Chain c keeps ``sample_count // C`` samples, one
     more for the first ``sample_count % C`` chains, and the rows come out
     chain-major: all of chain 0's samples, then chain 1's, and so on;
-    the batch's ``chain_quotas`` records the counts. Each refill draws
-    ``_RAND_ROWS`` rows of directions, then of uniforms, or fewer when no
-    chain needs that many more steps.
+    the batch's ``chain_quotas`` records the counts. The chains step in
+    lockstep, every one of them ``burn_in + max(quota) * thinning``
+    steps, an empty chord being a zero-length step; a chain with one
+    sample fewer takes its last ``thinning`` steps without keeping them.
+    Each refill draws ``_RAND_ROWS`` rows of directions, then of uniforms,
+    the last one only the rows that remain.
 
     The (samples, parameters) result is allocated before the first step,
     so a count that cannot be held raises ``MemoryError`` at once, and it
@@ -653,12 +641,11 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     # drawn straight into the workspace, which normalises them in place
     dirs = work.dn
     uniforms = np.empty((_RAND_ROWS, chains))
-    total = config.burn_in + quota * config.thinning
+    # the first chain's quota is the largest
+    total = config.burn_in + int(quota[0]) * config.thinning
     # a polytope of dimension 0 is one point: no chain, every row is offset
-    while k and np.any(state[1] < quota):
-        # no more rows than the furthest chain still needs; retries that
-        # leave it short get a further refill
-        rows = min(_RAND_ROWS, int((total - state[0]).max()))
+    for done in range(0, total if k else 0, _RAND_ROWS):
+        rows = min(_RAND_ROWS, total - done)
         rng.standard_normal(out=dirs[:rows])
         rng.random(out=uniforms[:rows])
         chain_steps(polytope.A, polytope.b, Y, dirs[:rows], uniforms[:rows],

@@ -452,6 +452,19 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_thinned_reruns_write_the_same_samples(tmp_path):
+    # burn-in 1,000 at --thin 3 gives 29 chains: 9,999 samples are 23
+    # quotas of 345 and 6 of 344, so the short chains take steps they do
+    # not keep
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run_cli(out, "--thin", "3", "--burn-in", "1000", samples=9999) == 0
+    assert (a / "samples.bin").read_bytes() == (b / "samples.bin").read_bytes()
+    quotas = read_json(a / "samples.json")["chain_quotas"]
+    assert quotas == read_json(b / "samples.json")["chain_quotas"]
+    assert quotas == [345] * 23 + [344] * 6
+
+
 def test_different_seed_changes_report(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(a, seed=7) == 0

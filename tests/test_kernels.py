@@ -61,18 +61,22 @@ def test_numpy_chain_stays_inside():
     # three chains with unequal quotas: chain-major blocks of 200, 199, 199
     quota = [200, 199, 199]
     dirs, uniforms = square_draws(123, 50 + 200 * 2 + 64, 3)
-    # no chord in the open square is empty, so every draw row is a step and
-    # 50 + 200 * 2 rows finish the longest chain
+    # every draw row is a step of every chain, and 50 + 200 * 2 rows finish
+    # the longest quota
     state, out, Y = run_square(dirs[:450], uniforms[:450], quota, 50, 2)
     assert state[1].tolist() == quota
-    assert state[0].tolist() == [50 + q * 2 for q in quota]
+    assert state[0].tolist() == [50 + 200 * 2] * 3
     assert np.all(out >= -1e-12) and np.all(out <= 1.0 + 1e-12)
     # points move: no two consecutive kept points of one chain coincide
     for block in np.split(out, np.cumsum(quota)[:-1]):
         assert np.min(np.abs(np.diff(block, axis=0)).sum(axis=1)) > 0.0
-    # thinning 2 ends every chain on a kept step, and a chain that is done
-    # stays there while the others finish
-    assert np.array_equal(Y, out[np.cumsum(quota) - 1])
+    # thinning 2 ends chain 0 on a kept step; the chains with one sample
+    # fewer take two more steps that they do not keep
+    last = out[np.cumsum(quota) - 1]
+    assert np.array_equal(Y[0], last[0])
+    assert (Y[1:] != last[1:]).any(axis=1).all()
+    assert_chain_matches_reference(*square_problem(), np.full((3, 2), 0.5),
+                                   dirs, uniforms, 50, 2, quota)
 
 
 def test_chains_read_only_their_own_draws():
@@ -112,6 +116,30 @@ def test_chain_resumes_across_bursts():
     np.testing.assert_allclose(y2, y, rtol=0, atol=1e-12)
 
 
+def test_extra_draw_rows_stop_at_the_common_total():
+    # burn-in 7 and quotas 5, 4, 4 at thinning 2: every chain takes
+    # 7 + 5 * 2 = 17 steps, and the 23 rows after those are not read
+    dirs, uniforms = square_draws(14, 40, 3)
+    quota = [5, 4, 4]
+    state, out, Y = run_square(dirs, uniforms, quota, 7, 2)
+    assert state.tolist() == [[17] * 3, quota, [0] * 3]
+    exact = run_square(dirs[:17], uniforms[:17], quota, 7, 2)
+    for got, want in zip((state, out, Y), exact):
+        assert got.tobytes() == want.tobytes()
+    # nan draws beyond the total would reach the points if they were read
+    dirs[17:] = np.nan
+    assert run_square(dirs, uniforms, quota, 7, 2)[2].tobytes() == Y.tobytes()
+    # a call at the total takes no step
+    A, b = square_problem()
+    again = Y.copy()
+    chain_steps(A, b, again, dirs[:5], uniforms[:5], 7, 2, state,
+                np.array(quota), out)
+    assert state.tolist() == [[17] * 3, quota, [0] * 3]
+    assert again.tobytes() == Y.tobytes()
+    assert_chain_matches_reference(A, b, np.full((3, 2), 0.5), dirs[:17],
+                                   uniforms[:17], 7, 2, quota)
+
+
 def test_degenerate_interval_reports_stuck():
     A = np.array([[1.0], [-1.0]])
     b = np.array([0.5 + 1e-13, -0.5])
@@ -120,11 +148,21 @@ def test_degenerate_interval_reports_stuck():
     uniforms = rng.random((500, 2))
     Y = np.full((2, 1), 0.5)
     state = np.zeros((3, 2), dtype=np.int64)
-    out = np.zeros((20, 1))
+    # quotas beyond the retry budget, so the chains are still stepping
+    # when their empty chords run out
+    quota = np.array([200, 200])
+    out = np.full((400, 1), np.nan)
     with pytest.raises(RuntimeError, match=STUCK):
-        chain_steps(A, b, Y, dirs, uniforms, 0, 1, state, np.array([10, 10]), out)
-    assert state[0].tolist() == [0, 0] and state[1].tolist() == [0, 0]
-    assert state[2].tolist() == [101, 101]
+        chain_steps(A, b, Y, dirs, uniforms, 0, 1, state, quota, out)
+    # every chord is empty: 100 zero-length steps, each one kept, then the
+    # 101st empty chord in a row stops both chains
+    assert state.tolist() == [[100, 100], [100, 100], [101, 101]]
+    assert (out[:100] == 0.5).all() and (out[200:300] == 0.5).all()
+    assert np.isnan(out[100:200]).all() and np.isnan(out[300:]).all()
+    assert (Y == 0.5).all()
+    _, _, _, error = assert_chain_matches_reference(
+        A, b, np.full((2, 1), 0.5), dirs, uniforms, 0, 1, quota)
+    assert STUCK in error
 
 
 def test_one_degenerate_chain_reports_stuck():
@@ -139,17 +177,25 @@ def test_one_degenerate_chain_reports_stuck():
     out = np.full((150, 2), np.nan)
     with pytest.raises(RuntimeError, match=STUCK):
         chain_steps(A, b, Y, dirs, uniforms, 99, 1, state, np.array([50] * 3), out)
-    # the other chains stepped on every row before the one that ran out of
-    # retries; the corner chain never did
-    assert state[0].tolist() == [100, 0, 100]
-    assert state[1].tolist() == [1, 0, 1]
-    assert np.isfinite(out[[0, 100]]).all() and np.isnan(out[50]).all()
+    # every chain took the 100 rows before the one that ran out of
+    # retries, the corner chain as zero-length steps; step 100 is the
+    # first after burn-in, kept by every chain, the corner chain's on the
+    # corner
+    assert state[0].tolist() == [100, 100, 100]
+    assert state[1].tolist() == [1, 1, 1]
+    assert np.isfinite(out[[0, 100]]).all() and out[50].tolist() == [1.0, 0.0]
+    assert np.isnan(out[[1, 51, 101]]).all()
     assert state[2].tolist() == [0, 101, 0]
     assert Y[1].tolist() == [1.0, 0.0]
+    assert_chain_matches_reference(A, b, starts, dirs, uniforms, 99, 1, [50] * 3)
 
-    # a chain with nothing left to do is not counted as stuck
-    state, _, _ = run_square(dirs, uniforms, [50, 0, 50], 0, 1, starts)
-    assert state[1].tolist() == [50, 0, 50] and state[2].tolist() == [0, 0, 0]
+    # fewer empty chords in a row than the budget is not stuck: with a
+    # quota of 0 the corner chain takes the other chains' 50 steps in place
+    state, _, Y = run_square(dirs, uniforms, [50, 0, 50], 0, 1, starts)
+    assert state[0].tolist() == [50, 50, 50]
+    assert state[1].tolist() == [50, 0, 50] and state[2].tolist() == [0, 50, 0]
+    assert Y[1].tolist() == [1.0, 0.0]
+    assert_chain_matches_reference(A, b, starts, dirs, uniforms, 0, 1, [50, 0, 50])
 
 
 def test_open_region_reports_unbounded():
@@ -230,13 +276,15 @@ def test_chain_matches_per_row_reference_in_both_layouts(chains, rows):
     rng = np.random.default_rng(chains)
     dirs = rng.standard_normal((600, chains, 4))
     uniforms = rng.random((600, chains))
-    # burn-in ends mid-refill; unequal quotas finish in different rows
+    # burn-in ends mid-refill; unequal quotas fill in different rows
     quota = rng.integers(20, 60, chains)
     quota[1] = 0
     Y, state, out, error = assert_chain_matches_reference(
         A, b, np.tile(centre, (chains, 1)), dirs, uniforms, 70, 1, quota)
     assert error is None and state[1].tolist() == quota.tolist()
-    assert state[0, 1] == 70 and np.isfinite(out).all()
+    # every chain, the one with quota 0 too, runs the longest quota's steps
+    assert state[0].tolist() == [70 + quota.max()] * chains
+    assert np.isfinite(out).all()
 
 
 def test_chain_matches_reference_with_thinning_and_mid_refill_quotas():
@@ -248,8 +296,8 @@ def test_chain_matches_reference_with_thinning_and_mid_refill_quotas():
     quota = [40, 0, 37, 13, 41]
     _, state, out, error = assert_chain_matches_reference(
         A, b, np.full((5, 2), 0.5), dirs, uniforms, 145, 3, quota)
-    assert error is None
-    assert state[0].tolist() == [145 + 3 * q for q in quota]
+    assert error is None and state[1].tolist() == quota
+    assert state[0].tolist() == [145 + 3 * max(quota)] * 5
     # the same draws in refills of 40 rows move the ends of burn-in and of
     # every quota to other rows within a refill
     assert_chain_matches_reference(A, b, np.full((5, 2), 0.5), dirs, uniforms,
@@ -271,14 +319,17 @@ def test_chain_matches_reference_when_a_chain_gets_stuck_mid_refill():
     Y, state, out, error = assert_chain_matches_reference(
         A, b, np.tile([0.5, 0.5], (3, 1)), dirs, uniforms, 20, 1, [200, 200, 200])
     assert STUCK in error
-    assert state[0].tolist() == [160, 60, 160] and state[2].tolist() == [0, 101, 0]
+    # chain 1's empty chords were zero-length steps, so every chain took
+    # the 160 rows before the one that stopped them
+    assert state[0].tolist() == [160] * 3 and state[2].tolist() == [0, 101, 0]
+    assert state[1].tolist() == [140] * 3
     # 50 retries carried in: chain 1, stuck from row 0, runs out at row 50
     dirs[:60, 1, 0] = 1.0
     _, state, _, error = assert_chain_matches_reference(
         A, b, np.tile([0.5, 0.5], (3, 1)), dirs, uniforms, 20, 1, [200, 200, 200],
         retries=[0, 50, 0])
     assert STUCK in error
-    assert state[0].tolist() == [50, 0, 50] and state[2].tolist() == [0, 101, 0]
+    assert state[0].tolist() == [50] * 3 and state[2].tolist() == [0, 101, 0]
 
 
 def test_chain_matches_reference_when_a_chord_opens_mid_refill():
@@ -288,14 +339,22 @@ def test_chain_matches_reference_when_a_chord_opens_mid_refill():
     rng = np.random.default_rng(9)
     dirs = rng.standard_normal((300, 3, 2))
     uniforms = rng.random((300, 3))
-    # chain 0 is done after 30 steps, so its open chords from row 40 on do
-    # not count; chain 2's open chord at row 170 stops the run
-    dirs[40:, 0] = [0.0, 1.0]
+    # chain 2's open chord at row 170, in the second refill, stops the run
     dirs[170, 2] = [0.0, -1.0]
     Y, state, out, error = assert_chain_matches_reference(
         A, b, np.full((3, 2), 0.5), dirs, uniforms, 10, 1, [20, 500, 500])
     assert UNBOUNDED in error
-    assert state[0].tolist() == [30, 170, 170]
+    assert state[0].tolist() == [170] * 3
+    assert state[1].tolist() == [20, 160, 160]
+    assert np.isfinite(Y).all()
+    # chain 0 has kept its 20 samples after 30 steps, but it still steps
+    # with the others, so its open chord at row 40 stops the run there
+    dirs[40:, 0] = [0.0, 1.0]
+    Y, state, out, error = assert_chain_matches_reference(
+        A, b, np.full((3, 2), 0.5), dirs, uniforms, 10, 1, [20, 500, 500])
+    assert UNBOUNDED in error
+    assert state[0].tolist() == [40] * 3
+    assert state[1].tolist() == [20, 30, 30]
     assert np.isfinite(Y).all()
 
 
@@ -316,16 +375,18 @@ def test_zero_slack_chords_are_retried_until_a_direction_opens():
     state = np.zeros((3, 2), dtype=np.int64)
     quota = np.array([30, 30])
     out = np.full((60, 2), np.nan)
-    # three empty chords in the first refill, carried into the second
+    # three empty chords in the first refill: three zero-length steps, each
+    # kept on the corner, and a count of three carried into the second
     chain_steps(A, b, Y, dirs[:3].copy(), uniforms[:3], 0, 1, state, quota, out)
-    assert state.tolist() == [[0, 3], [0, 3], [3, 0]]
+    assert state.tolist() == [[3, 3], [3, 3], [3, 0]]
     assert Y[0].tolist() == [1.0, 0.0]
+    assert out[:3].tolist() == [[1.0, 0.0]] * 3
     chain_steps(A, b, Y, dirs[3:].copy(), uniforms[3:], 0, 1, state, quota, out)
     # the first direction that opens moves the chain and clears its count
     assert state.tolist() == [[30, 30], [30, 30], [0, 0]]
     assert not np.isnan(out).any()
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
-    assert out[0, 0] < 1.0 and out[0, 1] > 0.0
+    assert out[3, 0] < 1.0 and out[3, 1] > 0.0
     assert_chain_matches_reference(A, b, starts, dirs, uniforms, 0, 1, quota,
                                    rows_per_refill=3)
 

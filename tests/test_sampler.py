@@ -155,6 +155,26 @@ def test_thinning_keeps_every_third_step_of_each_chain(students):
     np.testing.assert_array_equal(thinned, dense[:, 2::3])
 
 
+def test_unequal_quotas_at_thinning_3_keep_their_own_rows(students):
+    system = restrict_classical(compile_statements(students, []))
+    polytope = build_polytope(system)
+    # 6,390 samples on 64 chains: quotas of 100 for the first 54 chains
+    # and 99 for the last 10. Every chain takes 100 + 100 * 3 steps, as in
+    # the dense run of 64 chains of 300, so both draw the same stream
+    thin_cfg = SamplerConfig(sample_count=6_390, burn_in=100, thinning=3, seed=7)
+    dense_cfg = SamplerConfig(sample_count=19_200, burn_in=100, seed=7)
+    assert _chain_count(thin_cfg) == _chain_count(dense_cfg) == 64
+    thinned = hit_and_run(polytope, thin_cfg)
+    quota = [100] * 54 + [99] * 10
+    assert thinned.chain_quotas == tuple(quota)
+    dense = hit_and_run(polytope, dense_cfg).data.reshape(64, 300, -1)
+    blocks = np.split(thinned.data, np.cumsum(quota)[:-1])
+    # block c holds exactly chain c's first quota[c] thinned steps
+    for c, block in enumerate(blocks):
+        assert block.shape[0] == quota[c]
+        np.testing.assert_array_equal(block, dense[c, 2::3][:quota[c]])
+
+
 def test_chain_count_rule_at_the_edges(students):
     def count(**kw):
         return _chain_count(SamplerConfig(seed=0, **kw))
