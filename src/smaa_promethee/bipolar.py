@@ -57,7 +57,14 @@ ENUMERATION_CAP = 8
 
 
 class EnumerationCapError(ValueError):
-    """Raised when a problem exceeds the subset-enumeration cap."""
+    """Raised when a problem exceeds the subset-enumeration cap: it has
+    ``criteria`` criteria, more than ``cap``."""
+
+    def __init__(self, criteria: int, cap: int):
+        self.criteria = criteria
+        self.cap = cap
+        super().__init__(f"{criteria} criteria exceed the enumeration cap of {cap}; "
+                         "raise max_criteria explicitly to proceed")
 
 
 class ChoquetTriple(NamedTuple):
@@ -70,10 +77,7 @@ class ChoquetTriple(NamedTuple):
 
 def _check_cap(n: int, max_criteria: int) -> None:
     if n > max_criteria:
-        raise EnumerationCapError(
-            f"{n} criteria exceed the enumeration cap of {max_criteria}; "
-            f"raise max_criteria explicitly to proceed"
-        )
+        raise EnumerationCapError(n, max_criteria)
 
 
 def _side_pairs(items: tuple[int, ...], sides: tuple[int, ...]):

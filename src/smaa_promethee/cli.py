@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 
+from .bipolar import EnumerationCapError
 from .elicitation import compile_statements, parse_statements, restrict_classical
 from .lp import max_epsilon
 from .model import load_problem
@@ -95,6 +96,11 @@ def main(argv: list[str] | None = None) -> int:
         table = load_problem(args.problem)
         statements = parse_statements(args.statements)
         full_system = compile_statements(table, statements)
+    except EnumerationCapError as exc:
+        # max_criteria is a library argument: the command line keeps the cap
+        print(f"error: {args.problem}: {exc.criteria} criteria exceed the "
+              f"enumeration cap of {exc.cap}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,22 +16,27 @@ the closure, whose boundary has measure zero.
 
 ``hit_and_run`` runs C independent chains from the same interior start,
 each with its own burn-in, and ``chain_steps`` steps them in lockstep in
-numpy: one refill of pre-drawn directions and uniforms moves every chain
-R steps, with one GEMM for all chord coefficients of the refill. Every
-chain takes every row, and an empty chord is a zero-length step, so all
-chains have always taken the same number of steps.
-From a point strictly inside, with slacks s > 0, the chord along a unit
-direction d with coefficients c = A d is [1 / min(c / s), 1 / max(c / s)]:
-a row with c > 0 bounds the upper end at s / c, one with c < 0 the lower
-end, and a row with c = 0 neither. So a step finds both chord ends of
-every chain with one divide, one ``max`` and one ``min`` along the rows
-and one reciprocal, with no mask for the side each row bounds. A step
-records only its chord extremes, whether each chain moved and how far;
-the points, kept samples, step counts, empty-chord counts and open
-chords are settled once per refill. The arithmetic is that of a per-row
-loop, so a seed gives bit-identical samples on a given numpy build. C is
-derived from the configuration so that burn-in work never exceeds
-sampling work.
+numpy: one refill of pre-drawn axes and uniforms moves every chain R
+steps. Every step runs along a coordinate axis of the rounded frame,
+drawn uniformly: coordinate hit-and-run on the rounded polytope
+(Haraldsdóttir, Cousins, Thiele, Fleming & Vempala 2017), whose steps
+leave the uniform law invariant as random directions do (Smith 1984).
+Along axis j the chord coefficients c = A e_j are A's column j, so one
+``np.take`` gathers those of the whole refill, with no normal draws,
+normalisation or matrix product. Every chain takes every row, and an
+empty chord is a zero-length step, so all chains have always taken the
+same number of steps.
+From a point strictly inside, with slacks s > 0, the chord along the
+axis is [1 / min(c / s), 1 / max(c / s)]: a row with c > 0 bounds the
+upper end at s / c, one with c < 0 the lower end, and a row with c = 0
+neither. So a step finds both chord ends of every chain with one
+divide, one ``max`` and one ``min`` along the rows and one reciprocal,
+with no mask for the side each row bounds. A step records only its
+chord extremes, whether each chain moved and how far; the points, kept
+samples, step counts, empty-chord counts and open chords are settled
+once per refill. The arithmetic is that of a per-row loop, so a seed
+gives bit-identical samples on a given numpy build. C is derived from
+the configuration so that burn-in work never exceeds sampling work.
 
 The (samples, parameters) result is the one array that grows with the
 sample count. It is allocated before the first step; the chain writes
@@ -68,7 +73,7 @@ _RETRY_BUDGET = 100
 _CHORD_TOL = 1e-12
 _MAX_CHAINS = 64
 # refill size, cut down to the steps the chains still need: the
-# draw order (directions then uniforms per refill) is part of the
+# draw order (axes then uniforms per refill) is part of the
 # deterministic stream for a given seed
 _RAND_ROWS = 128
 # numbers (rows x mapped columns and residuals) of one block of the output
@@ -424,25 +429,29 @@ def _chain_count(config: SamplerConfig) -> int:
 
 
 class _ChainWorkspace:
-    """Buffers that every refill of one ``hit_and_run`` call reuses.
+    """Buffers that every refill of one ``hit_and_run`` call on ``A`` reuses.
 
     The per-row (chains, rows) arrays are laid out chains-last, as (rows,
     chains), when there are at least as many chains as rows, so that
     numpy's inner loop runs along the longer axis; ``axis`` is their rows
-    axis. The refill's one GEMM writes the chord coefficients straight
-    into that layout: ``A @ D^T``, (rows, R * C), chains-last, whose row i
-    is the strided (rows, C) view ``[:, i]`` of its (rows, R, C) reshape,
-    and ``D @ A^T``, (R * C, rows), otherwise, so no row is copied or
-    transposed. ``points`` is a prefix view of the coefficients' buffer,
-    which is dead when ``_settle`` gathers into it. ``ext`` keeps each
-    row's largest and smallest c / s per chain, and ``t`` each row's step
-    lengths, 0 where a chain does not move.
+    axis. A step along axis j has the chord coefficients of A's column j,
+    and the refill's one ``np.take`` writes them straight into that
+    layout: columns of A, (rows, R, C), chains-last, whose row i is the
+    strided (rows, C) view ``[:, i]``, and otherwise rows of
+    ``columns``, a contiguous A^T made once, (R, C, rows), so no row is
+    copied or transposed. ``path`` holds the refill's moves, then the
+    points they reach; ``points`` is a prefix view of the coefficients'
+    buffer, which is dead when ``_settle`` gathers into it. ``ext`` keeps
+    each row's largest and smallest c / s per chain, and ``t`` each row's
+    step lengths, 0 where a chain does not move.
     """
 
-    def __init__(self, n_rows: int, chains: int, rows: int, k: int):
+    def __init__(self, A: np.ndarray, n_rows: int, chains: int):
+        rows, k = A.shape
         self.chains_last = chains >= rows
         self.axis = 0 if self.chains_last else 1
-        self.dn = np.empty((n_rows, chains, k))
+        self.columns = None if self.chains_last else np.ascontiguousarray(A.T)
+        self.path = np.empty((n_rows, chains, k))
         shared = np.empty(n_rows * chains * max(rows, k))
         self.coef = shared[:n_rows * chains * rows]
         self.points = shared[:n_rows * chains * k].reshape(n_rows * chains, k)
@@ -454,69 +463,68 @@ class _ChainWorkspace:
         self.moved = np.empty((n_rows, chains), dtype=bool)
 
 
-def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
+def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out,
                 work=None):
     """Advance C chains on ``A @ y <= b`` through one refill of draws.
 
     ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
     steps done, samples kept and consecutive empty chords of each chain;
     both are updated in place. The chains step in lockstep: row r of
-    ``dirs`` (R, C, k, not normalised) and ``uniforms`` (R, C) is a step
-    of every chain, and every chain runs ``burn_in + max(quota) *
-    thinning`` steps, so ``state[0]`` stays equal across chains and rows
-    beyond that total are not read. ``dirs`` may be ``work.dn[:R]``,
-    which is then normalised in place. An empty chord is a zero-length
-    step: the chain stays where it is, and the step counts toward burn-in,
-    thinning and emission like any other. Chain c writes its first
-    ``quota[c]`` thinned post-burn-in points chain-major into ``out``: its
-    block starts after the quotas of the chains before it. ``work`` is a
-    ``_ChainWorkspace`` for these shapes, or for more rows, reused across
-    refills; without one a fresh one is made.
+    ``axes`` (R, C, integers in [0, k)) and ``uniforms`` (R, C) is a step
+    of every chain along the coordinate axis it names, and every chain
+    runs ``burn_in + max(quota) * thinning`` steps, so ``state[0]`` stays
+    equal across chains and rows beyond that total are not read. An empty
+    chord is a zero-length step: the chain stays where it is, and the step
+    counts toward burn-in, thinning and emission like any other. Chain c
+    writes its first ``quota[c]`` thinned post-burn-in points chain-major
+    into ``out``: its block starts after the quotas of the chains before
+    it. ``work`` is a ``_ChainWorkspace`` for this ``A`` and these shapes,
+    or for more rows, reused across refills; without one a fresh one is
+    made.
 
-    One GEMM gives the chord coefficient c = A d of every row, chain and
-    constraint. While every slack s is positive, the chord along d is
-    [1 / min(c / s), 1 / max(c / s)], so each row makes one divide of c
-    by s, one ``max`` and one ``min`` along the rows axis and one
-    reciprocal of the two extremes, with no mask for the side each
-    constraint bounds. A zero slack gives c / 0 = +-inf, which closes
-    that end of the chord at 0, or 0 / 0 = nan, which ``max`` and ``min``
-    pass on; a nan or narrower than ``_CHORD_TOL`` chord is empty. Each
-    step records only its extremes, its move flag and its length. The
-    points, emission, the counters and the open-chord check (max(c / s)
-    <= 0 or min(c / s) >= 0) are settled once per refill, vectorised over
-    (R, C).
+    Along axis j the chord coefficients c = A e_j are A's column j, so one
+    ``np.take`` gathers every row, chain and constraint of the refill.
+    While every slack s is positive, the chord is [1 / min(c / s), 1 /
+    max(c / s)], so each row makes one divide of c by s, one ``max`` and
+    one ``min`` along the rows axis and one reciprocal of the two
+    extremes, with no mask for the side each constraint bounds. A zero
+    slack gives c / 0 = +-inf, which closes that end of the chord at 0, or
+    0 / 0 = nan, which ``max`` and ``min`` pass on; a nan or narrower than
+    ``_CHORD_TOL`` chord is empty. Each step records only its extremes,
+    its move flag and its length. The points, emission, the counters and
+    the open-chord check (max(c / s) <= 0 or min(c / s) >= 0) are settled
+    once per refill, vectorised over (R, C).
 
     Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
-    consecutive empty chords, or draws a direction along which the chord
-    is unbounded; ``state``, ``Y`` and ``out`` then hold every step made
+    consecutive empty chords, or draws an axis along which the chord is
+    unbounded; ``state``, ``Y`` and ``out`` then hold every step made
     before the row at which the chain stopped, and the empty-chord
     counters also count that row when they ran out.
     """
-    n_rows, chains, k = dirs.shape
+    n_rows, chains = axes.shape
     rows = A.shape[0]
     if work is None:
-        work = _ChainWorkspace(n_rows, chains, rows, k)
+        work = _ChainWorkspace(A, n_rows, chains)
     # every chain has taken state[0, 0] steps of the common total
     stop = max(0, min(n_rows, burn_in + int(quota.max()) * thinning
                       - int(state[0, 0])))
-    # einsum sums the squares in one pass; a sum along the short last axis
-    # of their (R, C, k) array takes about three times as long
-    norms = np.sqrt(np.einsum("rck,rck->rc", dirs, dirs))
-    dn = np.divide(dirs, norms[:, :, None], out=work.dn[:n_rows])
-    flat = dn.reshape(-1, k)
-    coef = work.coef[:n_rows * chains * rows]
+    axes = axes[:stop]
+    coef = work.coef[:stop * chains * rows]
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
+    # every index is in [0, k), and "clip" lets np.take write to out
+    # unbuffered
     if work.chains_last:
-        coef = np.matmul(A, flat.T, out=coef.reshape(rows, -1))
+        coef = np.take(A, axes, axis=1, out=coef.reshape(rows, stop, chains),
+                       mode="clip")
         # row i's coefficients, (rows, C), are coef[i] of this view
-        coef = coef.reshape(rows, n_rows, chains).transpose(1, 0, 2)
+        coef = coef.transpose(1, 0, 2)
         slack = np.ascontiguousarray(slack.T)
         # step lengths broadcast against a row's coefficients
         lengths = work.t[:n_rows]
     else:
-        coef = np.matmul(flat, A.T, out=coef.reshape(-1, rows))
-        coef = coef.reshape(n_rows, chains, rows)
+        coef = np.take(work.columns, axes, axis=0,
+                       out=coef.reshape(stop, chains, rows), mode="clip")
         lengths = work.t[:n_rows, :, None]
     q, axis, ends = work.q, work.axis, work.ends
     t_hi, t_lo = ends
@@ -527,7 +535,7 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
     # the first row where a chain drew one
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for c, e, move, step, u, length in zip(
-                coef[:stop], work.ext, work.moved, t, uniforms, lengths):
+                coef, work.ext, work.moved, t, uniforms, lengths):
             np.divide(c, slack, out=q)
             np.maximum.reduce(q, axis=axis, out=e[0])
             np.minimum.reduce(q, axis=axis, out=e[1])
@@ -537,17 +545,17 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out,
             np.multiply(u, width, out=step, where=move)
             np.add(step, t_lo, out=step, where=move)
             slack -= np.multiply(c, length, out=q)
-    _settle(stop, work.ext, work.moved, t, dn, Y, state, burn_in,
+    _settle(stop, work.ext, work.moved, t, axes, work.path, Y, state, burn_in,
             thinning, quota, out, work.points)
 
 
-def _settle(stop, ext, moved, lengths, path, Y, state, burn_in, thinning, quota,
-            out, points):
+def _settle(stop, ext, moved, lengths, axes, path, Y, state, burn_in, thinning,
+            quota, out, points):
     """Apply the first ``stop`` rows of a refill to ``Y``, ``state`` and
     ``out``; stop short and raise at the first row where a chain drew an
-    open chord or ran out of retries. ``path`` holds the refill's unit
-    directions and ``lengths`` the steps along them; the points each row
-    reaches overwrite ``path``."""
+    open chord or ran out of retries. ``lengths`` holds the steps along
+    the refill's ``axes``; ``path`` receives each step's move, its length
+    written into its axis, then the points each row reaches."""
     steps, kept, retries = state
     e = ext[:stop]
     open_chord = (e[:, 0] <= 0.0) | (e[:, 1] >= 0.0)
@@ -570,9 +578,11 @@ def _settle(stop, ext, moved, lengths, path, Y, state, burn_in, thinning, quota,
             cut = int(over[0])
             counted = cut + 1
         retries[:] = run[counted - 1]
-    # the points, summed in row order as a per-row loop would add them
+    # the points, summed in row order as a per-row loop would add them;
+    # adding a move's zeros leaves the other coordinates as they are
     path = path[:cut]
-    np.multiply(path, lengths[:cut, :, None], out=path)
+    path[...] = 0.0
+    np.put_along_axis(path, axes[:cut, :, None], lengths[:cut, :, None], axis=2)
     if cut:
         path[0] += Y
     points_at = list(path)
@@ -617,8 +627,10 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     lockstep, every one of them ``burn_in + max(quota) * thinning``
     steps, an empty chord being a zero-length step; a chain with one
     sample fewer takes its last ``thinning`` steps without keeping them.
-    Each refill draws ``_RAND_ROWS`` rows of directions, then of uniforms,
-    the last one only the rows that remain.
+    Each refill draws ``_RAND_ROWS`` rows of axes, then of uniforms, the
+    last one only the rows that remain; a step runs along its axis of the
+    rounded frame, in which the Dikin ellipsoid at the centre is the unit
+    ball.
 
     The (samples, parameters) result is allocated before the first step,
     so a count that cannot be held raises ``MemoryError`` at once, and it
@@ -637,21 +649,20 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     out = theta[:, :k]
     Y = np.tile(np.asarray(polytope.start, dtype=np.float64), (chains, 1))
     state = np.zeros((3, chains), dtype=np.int64)
-    work = _ChainWorkspace(_RAND_ROWS, chains, polytope.A.shape[0], k)
-    # drawn straight into the workspace, which normalises them in place
-    dirs = work.dn
+    work = _ChainWorkspace(polytope.A, _RAND_ROWS, chains)
+    axes = None
     uniforms = np.empty((_RAND_ROWS, chains))
     # the first chain's quota is the largest
     total = config.burn_in + int(quota[0]) * config.thinning
     # a polytope of dimension 0 is one point: no chain, every row is offset
     for done in range(0, total if k else 0, _RAND_ROWS):
         rows = min(_RAND_ROWS, total - done)
-        rng.standard_normal(out=dirs[:rows])
+        axes = rng.integers(k, size=(rows, chains))
         rng.random(out=uniforms[:rows])
-        chain_steps(polytope.A, polytope.b, Y, dirs[:rows], uniforms[:rows],
+        chain_steps(polytope.A, polytope.b, Y, axes, uniforms[:rows],
                     config.burn_in, config.thinning, state, quota, out, work=work)
     # the chain's buffers go before the map and check
-    del work, dirs, uniforms
+    del work, axes, uniforms
     _map_and_check(polytope, theta)
     return SampleBatch(columns=polytope.names, data=theta, seed=config.seed,
                        chain_quotas=tuple(quota.tolist()))

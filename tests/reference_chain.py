@@ -1,13 +1,15 @@
 """Per-row reference for the hit-and-run chain's bit-identity tests.
 
 This is ``sampler.chain_steps`` written as a loop over the rows of a
-refill: every row finds its chord, checks it for an open end, updates the
-empty-chord counters, checks the budget, moves every chain and writes the
-samples it emits. The chains step in lockstep, and an empty chord is a
-step of length 0. The chord ends are the reciprocal ones, 1 / max(c / s)
-and 1 / min(c / s); ``test_kernels`` checks them against the masked
-minimum and maximum of s / c. The package's chain must leave ``Y``,
-``state`` and ``out`` exactly as this loop does, also when it raises.
+refill: every row finds its chord along each chain's coordinate axis,
+checks it for an open end, updates the empty-chord counters, checks the
+budget, moves every chain along its axis and writes the samples it emits.
+The chains step in lockstep, and an empty chord is a step of length 0.
+The chord ends are the reciprocal ones, 1 / max(c / s) and 1 / min(c / s),
+with c the column of A that the axis picks; ``test_kernels`` checks them
+against the masked minimum and maximum of s / c. The package's chain must
+leave ``Y``, ``state`` and ``out`` exactly as this loop does, also when it
+raises.
 """
 
 import numpy as np
@@ -15,46 +17,41 @@ import numpy as np
 from smaa_promethee.sampler import _CHORD_TOL, _RETRY_BUDGET
 
 
-def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out):
+def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out):
     """Advance C chains on ``A @ y <= b`` through one refill of draws.
 
     ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
     steps done, samples kept and consecutive empty chords of each chain;
-    both are updated in place. Row r of ``dirs`` (R, C, k, not normalised)
-    and ``uniforms`` (R, C) is a step of every chain, up to ``burn_in +
-    max(quota) * thinning`` steps in all. An empty chord leaves its chain
-    in place and still counts as a step. Chain c keeps its first
-    ``quota[c]`` thinned post-burn-in points, written chain-major into
-    ``out``: its block starts after the quotas of the chains before it.
+    both are updated in place. Row r of ``axes`` (R, C, integers in
+    [0, k)) and ``uniforms`` (R, C) is a step of every chain along the
+    coordinate axis it names, up to ``burn_in + max(quota) * thinning``
+    steps in all. An empty chord leaves its chain in place and still
+    counts as a step. Chain c keeps its first ``quota[c]`` thinned
+    post-burn-in points, written chain-major into ``out``: its block
+    starts after the quotas of the chains before it.
 
     Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
-    consecutive empty chords, or draws a direction along which the chord
-    is unbounded; ``state``, ``Y`` and ``out`` then hold every step made
+    consecutive empty chords, or draws an axis along which the chord is
+    unbounded; ``state``, ``Y`` and ``out`` then hold every step made
     before the chain stopped.
     """
     steps, kept, retries = state
     total = burn_in + quota.max() * thinning
     first = np.cumsum(quota) - quota
-    n_rows, chains, k = dirs.shape
-    # the chain's normalisation: einsum may round the sum of squares
-    # differently from np.linalg.norm
-    dn = dirs / np.sqrt(np.einsum("rck,rck->rc", dirs, dirs))[:, :, None]
-    flat = dn.reshape(-1, k)
-    # the product the chain takes: OpenBLAS can round A @ D^T and D @ A^T
-    # differently in the last bit
-    coef = (A @ flat.T).T if chains >= A.shape[0] else flat @ A.T
-    coef = coef.reshape(n_rows, chains, -1)
+    chains = np.arange(Y.shape[0])
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for r in range(n_rows):
+        for r in range(axes.shape[0]):
             # every chain has taken the same number of steps
             if steps[0] >= total:
                 return
-            ratio = coef[r] / slack
+            # the chord coefficients along axis j are A's column j
+            coef = A.T[axes[r]]
+            ratio = coef / slack
             hi = ratio.max(axis=1)
             lo = ratio.min(axis=1)
-            # a direction that no row bounds on one side
+            # an axis that no row bounds on one side
             if ((hi <= 0.0) | (lo >= 0.0)).any():
                 raise RuntimeError("reduced polytope is unbounded along a chord")
             t_hi = 1.0 / hi
@@ -70,8 +67,8 @@ def chain_steps(A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out):
                     "retry budget was numerically empty (is the interior empty?)"
                 )
             t = np.where(move, t_lo + uniforms[r] * width, 0.0)
-            Y += t[:, None] * dn[r]
-            slack -= t[:, None] * coef[r]
+            Y[chains, axes[r]] += t
+            slack -= t[:, None] * coef
             steps += 1
             due = burn_in + (kept + 1) * thinning
             emit = np.flatnonzero((steps == due) & (kept < quota))

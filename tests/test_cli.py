@@ -172,6 +172,26 @@ def test_malformed_statement_exits_1(tmp_path, capsys):
     assert "error:" in err and "bad.jsonl:1" in err
 
 
+def test_criteria_beyond_the_cap_exit_1_with_the_problem_path(tmp_path, capsys):
+    problem = tmp_path / "nine.json"
+    problem.write_text(json.dumps({
+        "criteria": [{"name": f"g{j}", "q": 0.0, "p": 1.0} for j in range(1, 10)],
+        "alternatives": ["x1", "x2", "x3"],
+        "evaluations": [[float(i + j) for j in range(9)] for i in range(3)],
+    }), encoding="utf-8")
+    statements = tmp_path / "none.jsonl"
+    statements.write_text("", encoding="utf-8")
+    code = main([
+        "--problem", str(problem),
+        "--statements", str(statements),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {problem}: 9 criteria exceed the enumeration cap of 8\n"
+    assert not (tmp_path / "out").exists()
+
+
 def students_with(change):
     """The students problem as a JSON document, after ``change`` edits it."""
     doc = read_json(FIXTURES / "students.json")

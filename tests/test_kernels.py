@@ -39,20 +39,45 @@ def square_problem():
     return A, b
 
 
-def square_draws(seed, n_rand, chains):
+def ridge_problem():
+    """x + z <= 1 and -x + y + z <= 1 meet on a ridge through (0, 0, 1),
+    inside -1 <= x <= 1, -1 <= y <= 1 and z >= -1. On the ridge both rows
+    have slack 0: axis 0 leaves through both of them (+inf and -inf, the
+    chord [0, -0]), axis 1 runs along the first (0 / 0 = nan), and axis 2
+    points down into the polytope."""
+    A = np.array([[1.0, 0.0, 1.0], [-1.0, 1.0, 1.0],
+                  [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    return A, np.ones(7)
+
+
+RIDGE = [0.0, 0.0, 1.0]
+
+
+def open_box_problem():
+    """0 <= x <= 1, 0 <= y <= 1 and z >= 0: axes 0 and 1 are bounded both
+    ways, and along axis 2 only z >= 0 bounds the chord."""
+    A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    return A, np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+
+
+def axis_draws(seed, n_rand, chains, k=2):
+    """Axes in [0, k) and uniforms, drawn in ``hit_and_run``'s order."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_rand, chains, 2)), rng.random((n_rand, chains))
+    return rng.integers(k, size=(n_rand, chains)), rng.random((n_rand, chains))
 
 
-def run_square(dirs, uniforms, quota, burn_in, thinning, starts=None):
-    A, b = square_problem()
-    chains = dirs.shape[1]
+def run_chain(axes, uniforms, quota, burn_in, thinning, starts=None,
+              problem=square_problem):
+    A, b = problem()
+    chains = axes.shape[1]
     Y = np.full((chains, 2), 0.5) if starts is None else np.array(starts, dtype=float)
     state = np.zeros((3, chains), dtype=np.int64)
     quota = np.asarray(quota, dtype=np.int64)
-    out = np.full((int(quota.sum()), 2), np.nan)
+    out = np.full((int(quota.sum()), Y.shape[1]), np.nan)
     assert chain_steps(
-        A, b, Y, dirs, uniforms, burn_in, thinning, state, quota, out
+        A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out
     ) is None
     return state, out, Y
 
@@ -60,10 +85,10 @@ def run_square(dirs, uniforms, quota, burn_in, thinning, starts=None):
 def test_numpy_chain_stays_inside():
     # three chains with unequal quotas: chain-major blocks of 200, 199, 199
     quota = [200, 199, 199]
-    dirs, uniforms = square_draws(123, 50 + 200 * 2 + 64, 3)
+    axes, uniforms = axis_draws(123, 50 + 200 * 2 + 64, 3)
     # every draw row is a step of every chain, and 50 + 200 * 2 rows finish
     # the longest quota
-    state, out, Y = run_square(dirs[:450], uniforms[:450], quota, 50, 2)
+    state, out, Y = run_chain(axes[:450], uniforms[:450], quota, 50, 2)
     assert state[1].tolist() == quota
     assert state[0].tolist() == [50 + 200 * 2] * 3
     assert np.all(out >= -1e-12) and np.all(out <= 1.0 + 1e-12)
@@ -76,25 +101,41 @@ def test_numpy_chain_stays_inside():
     assert np.array_equal(Y[0], last[0])
     assert (Y[1:] != last[1:]).any(axis=1).all()
     assert_chain_matches_reference(*square_problem(), np.full((3, 2), 0.5),
-                                   dirs, uniforms, 50, 2, quota)
+                                   axes, uniforms, 50, 2, quota)
+
+
+def test_each_step_moves_one_coordinate_along_its_axis():
+    # consecutive points of a chain differ in at most the coordinate that
+    # the step's axis names
+    axes, uniforms = axis_draws(21, 120, 3)
+    _, out, _ = run_chain(axes, uniforms, [100] * 3, 20, 1)
+    for c, block in enumerate(np.split(out, 3)):
+        changed = np.diff(block, axis=0) != 0.0
+        assert changed.sum(axis=1).max() == 1
+        # with burn-in 20, kept points i and i + 1 are one step apart,
+        # the step of row 21 + i
+        drawn = np.zeros_like(changed)
+        drawn[np.arange(99), axes[21:120, c]] = True
+        assert not (changed & ~drawn).any()
 
 
 def test_chains_read_only_their_own_draws():
-    dirs, uniforms = square_draws(8, 300, 4)
-    _, out, Y = run_square(dirs, uniforms, [60] * 4, 30, 3)
+    axes, uniforms = axis_draws(8, 300, 4)
+    _, out, Y = run_chain(axes, uniforms, [60] * 4, 30, 3)
     for c in range(4):
-        _, alone, y = run_square(
-            dirs[:, c:c + 1], uniforms[:, c:c + 1], [60], 30, 3
+        _, alone, y = run_chain(
+            axes[:, c:c + 1], uniforms[:, c:c + 1], [60], 30, 3
         )
-        # one GEMM over all chains may round differently from one per chain
+        # the slack's product over all chains may round differently from
+        # one per chain
         np.testing.assert_allclose(out[60 * c:60 * (c + 1)], alone, rtol=0, atol=1e-12)
         np.testing.assert_allclose(Y[c], y[0], rtol=0, atol=1e-12)
 
 
 def test_chain_resumes_across_bursts():
-    dirs, uniforms = square_draws(5, 1000, 2)
+    axes, uniforms = axis_draws(5, 1000, 2)
     quota, burn_in, thinning = [100, 100], 20, 1
-    state, out, y = run_square(dirs[:120], uniforms[:120], quota, burn_in, thinning)
+    state, out, y = run_chain(axes[:120], uniforms[:120], quota, burn_in, thinning)
 
     # same stream split into two bursts lands on the same points
     A, b = square_problem()
@@ -103,11 +144,11 @@ def test_chain_resumes_across_bursts():
     out2 = np.full((200, 2), np.nan)
     quota = np.array(quota)
     chain_steps(
-        A, b, y2, dirs[:70], uniforms[:70], burn_in, thinning, state2, quota, out2
+        A, b, y2, axes[:70], uniforms[:70], burn_in, thinning, state2, quota, out2
     )
     assert state2[1].tolist() == [50, 50]
     chain_steps(
-        A, b, y2, dirs[70:], uniforms[70:], burn_in, thinning, state2, quota, out2
+        A, b, y2, axes[70:], uniforms[70:], burn_in, thinning, state2, quota, out2
     )
     assert np.array_equal(state, state2)
     # the slack is recomputed from the points at every burst, so the split
@@ -119,24 +160,24 @@ def test_chain_resumes_across_bursts():
 def test_extra_draw_rows_stop_at_the_common_total():
     # burn-in 7 and quotas 5, 4, 4 at thinning 2: every chain takes
     # 7 + 5 * 2 = 17 steps, and the 23 rows after those are not read
-    dirs, uniforms = square_draws(14, 40, 3)
+    axes, uniforms = axis_draws(14, 40, 3)
     quota = [5, 4, 4]
-    state, out, Y = run_square(dirs, uniforms, quota, 7, 2)
+    state, out, Y = run_chain(axes, uniforms, quota, 7, 2)
     assert state.tolist() == [[17] * 3, quota, [0] * 3]
-    exact = run_square(dirs[:17], uniforms[:17], quota, 7, 2)
+    exact = run_chain(axes[:17], uniforms[:17], quota, 7, 2)
     for got, want in zip((state, out, Y), exact):
         assert got.tobytes() == want.tobytes()
-    # nan draws beyond the total would reach the points if they were read
-    dirs[17:] = np.nan
-    assert run_square(dirs, uniforms, quota, 7, 2)[2].tobytes() == Y.tobytes()
+    # nan uniforms beyond the total would reach the points if they were read
+    uniforms[17:] = np.nan
+    assert run_chain(axes, uniforms, quota, 7, 2)[2].tobytes() == Y.tobytes()
     # a call at the total takes no step
     A, b = square_problem()
     again = Y.copy()
-    chain_steps(A, b, again, dirs[:5], uniforms[:5], 7, 2, state,
+    chain_steps(A, b, again, axes[:5], uniforms[:5], 7, 2, state,
                 np.array(quota), out)
     assert state.tolist() == [[17] * 3, quota, [0] * 3]
     assert again.tobytes() == Y.tobytes()
-    assert_chain_matches_reference(A, b, np.full((3, 2), 0.5), dirs[:17],
+    assert_chain_matches_reference(A, b, np.full((3, 2), 0.5), axes[:17],
                                    uniforms[:17], 7, 2, quota)
 
 
@@ -144,7 +185,7 @@ def test_degenerate_interval_reports_stuck():
     A = np.array([[1.0], [-1.0]])
     b = np.array([0.5 + 1e-13, -0.5])
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((500, 2, 1))
+    axes = np.zeros((500, 2), dtype=np.int64)
     uniforms = rng.random((500, 2))
     Y = np.full((2, 1), 0.5)
     state = np.zeros((3, 2), dtype=np.int64)
@@ -153,7 +194,7 @@ def test_degenerate_interval_reports_stuck():
     quota = np.array([200, 200])
     out = np.full((400, 1), np.nan)
     with pytest.raises(RuntimeError, match=STUCK):
-        chain_steps(A, b, Y, dirs, uniforms, 0, 1, state, quota, out)
+        chain_steps(A, b, Y, axes, uniforms, 0, 1, state, quota, out)
     # every chord is empty: 100 zero-length steps, each one kept, then the
     # 101st empty chord in a row stops both chains
     assert state.tolist() == [[100, 100], [100, 100], [101, 101]]
@@ -161,58 +202,59 @@ def test_degenerate_interval_reports_stuck():
     assert np.isnan(out[100:200]).all() and np.isnan(out[300:]).all()
     assert (Y == 0.5).all()
     _, _, _, error = assert_chain_matches_reference(
-        A, b, np.full((2, 1), 0.5), dirs, uniforms, 0, 1, quota)
+        A, b, np.full((2, 1), 0.5), axes, uniforms, 0, 1, quota)
     assert STUCK in error
 
 
 def test_one_degenerate_chain_reports_stuck():
-    # chain 1 sits on the square's corner (1, 0) and always draws (1, 1):
-    # x <= 1 forces t <= 0 and y >= 0 forces t >= 0, so its chord is empty
-    dirs, uniforms = square_draws(2, 300, 3)
-    dirs[:, 1] = [1.0, 1.0]
-    starts = [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]
-    A, b = square_problem()
+    # chain 1 sits on the ridge and always draws axis 0, which leaves the
+    # polytope through both rows there, so its chord is empty
+    axes, uniforms = axis_draws(2, 300, 3, k=3)
+    axes[:, 1] = 0
+    starts = [[0.0, 0.0, 0.0], RIDGE, [0.0, 0.0, 0.0]]
+    A, b = ridge_problem()
     Y = np.array(starts)
     state = np.zeros((3, 3), dtype=np.int64)
-    out = np.full((150, 2), np.nan)
+    out = np.full((150, 3), np.nan)
     with pytest.raises(RuntimeError, match=STUCK):
-        chain_steps(A, b, Y, dirs, uniforms, 99, 1, state, np.array([50] * 3), out)
+        chain_steps(A, b, Y, axes, uniforms, 99, 1, state, np.array([50] * 3), out)
     # every chain took the 100 rows before the one that ran out of
-    # retries, the corner chain as zero-length steps; step 100 is the
-    # first after burn-in, kept by every chain, the corner chain's on the
-    # corner
+    # retries, the ridge chain as zero-length steps; step 100 is the
+    # first after burn-in, kept by every chain, the ridge chain's on the
+    # ridge
     assert state[0].tolist() == [100, 100, 100]
     assert state[1].tolist() == [1, 1, 1]
-    assert np.isfinite(out[[0, 100]]).all() and out[50].tolist() == [1.0, 0.0]
+    assert np.isfinite(out[[0, 100]]).all() and out[50].tolist() == RIDGE
     assert np.isnan(out[[1, 51, 101]]).all()
     assert state[2].tolist() == [0, 101, 0]
-    assert Y[1].tolist() == [1.0, 0.0]
-    assert_chain_matches_reference(A, b, starts, dirs, uniforms, 99, 1, [50] * 3)
+    assert Y[1].tolist() == RIDGE
+    assert_chain_matches_reference(A, b, starts, axes, uniforms, 99, 1, [50] * 3)
 
     # fewer empty chords in a row than the budget is not stuck: with a
-    # quota of 0 the corner chain takes the other chains' 50 steps in place
-    state, _, Y = run_square(dirs, uniforms, [50, 0, 50], 0, 1, starts)
+    # quota of 0 the ridge chain takes the other chains' 50 steps in place
+    state, _, Y = run_chain(axes, uniforms, [50, 0, 50], 0, 1, starts,
+                            problem=ridge_problem)
     assert state[0].tolist() == [50, 50, 50]
     assert state[1].tolist() == [50, 0, 50] and state[2].tolist() == [0, 50, 0]
-    assert Y[1].tolist() == [1.0, 0.0]
-    assert_chain_matches_reference(A, b, starts, dirs, uniforms, 0, 1, [50, 0, 50])
+    assert Y[1].tolist() == RIDGE
+    assert_chain_matches_reference(A, b, starts, axes, uniforms, 0, 1, [50, 0, 50])
 
 
 def test_open_region_reports_unbounded():
     A = np.array([[-1.0]])
     b = np.array([0.0])
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((50, 3, 1))
+    axes = np.zeros((50, 3), dtype=np.int64)
     uniforms = rng.random((50, 3))
     Y = np.ones((3, 1))
     state = np.zeros((3, 3), dtype=np.int64)
     out = np.zeros((30, 1))
     with pytest.raises(RuntimeError, match=UNBOUNDED):
-        chain_steps(A, b, Y, dirs, uniforms, 0, 1, state, np.array([10, 10, 10]), out)
+        chain_steps(A, b, Y, axes, uniforms, 0, 1, state, np.array([10, 10, 10]), out)
     assert state[0].tolist() == [0, 0, 0]
 
 
-def run_refills(step, A, b, starts, dirs, uniforms, burn_in, thinning, quota,
+def run_refills(step, A, b, starts, axes, uniforms, burn_in, thinning, quota,
                 rows_per_refill=128, retries=None):
     """Feed the draws to ``step`` one refill at a time, as ``hit_and_run``
     does; return ``Y``, ``state``, ``out`` and the error message, if any."""
@@ -225,31 +267,30 @@ def run_refills(step, A, b, starts, dirs, uniforms, burn_in, thinning, quota,
     out = np.full((int(quota.sum()), Y.shape[1]), np.nan)
     error = None
     try:
-        for r in range(0, dirs.shape[0], rows_per_refill):
-            step(A, b, Y, dirs[r:r + rows_per_refill],
+        for r in range(0, axes.shape[0], rows_per_refill):
+            step(A, b, Y, axes[r:r + rows_per_refill],
                  uniforms[r:r + rows_per_refill], burn_in, thinning, state, quota, out)
     except RuntimeError as exc:
         error = str(exc)
     return Y, state, out, error
 
 
-def assert_chain_matches_reference(A, b, starts, dirs, uniforms, burn_in,
+def assert_chain_matches_reference(A, b, starts, axes, uniforms, burn_in,
                                    thinning, quota, **options):
     """The chain leaves Y, state and out bit for bit as the per-row loop of
     ``reference_chain`` does, and raises the same error at the same row."""
-    chains, rows, k = dirs.shape[1], A.shape[0], A.shape[1]
     refill = options.get("rows_per_refill", 128)
-    work = _ChainWorkspace(min(refill, dirs.shape[0]), chains, rows, k)
+    work = _ChainWorkspace(A, min(refill, axes.shape[0]), axes.shape[1])
 
     def step(*args):
         # one workspace for every refill, as hit_and_run keeps one per call;
         # a shorter last refill gets a fresh one
-        shared = work if args[3].shape == work.dn.shape else None
+        shared = work if args[3].shape[0] == work.t.shape[0] else None
         chain_steps(*args, work=shared)
 
-    got = run_refills(step, A, b, starts, dirs, uniforms, burn_in, thinning,
+    got = run_refills(step, A, b, starts, axes, uniforms, burn_in, thinning,
                       quota, **options)
-    want = run_refills(reference_chain.chain_steps, A, b, starts, dirs, uniforms,
+    want = run_refills(reference_chain.chain_steps, A, b, starts, axes, uniforms,
                        burn_in, thinning, quota, **options)
     assert got[3] == want[3]
     assert got[0].tobytes() == want[0].tobytes()
@@ -272,15 +313,15 @@ def random_polytope(seed, rows, k):
 @pytest.mark.parametrize("chains,rows", [(40, 12), (3, 30)])
 def test_chain_matches_per_row_reference_in_both_layouts(chains, rows):
     A, b, centre = random_polytope(rows, rows, 4)
-    assert _ChainWorkspace(128, chains, rows, 4).chains_last == (chains >= rows)
+    assert _ChainWorkspace(A, 128, chains).chains_last == (chains >= rows)
     rng = np.random.default_rng(chains)
-    dirs = rng.standard_normal((600, chains, 4))
+    axes = rng.integers(4, size=(600, chains))
     uniforms = rng.random((600, chains))
     # burn-in ends mid-refill; unequal quotas fill in different rows
     quota = rng.integers(20, 60, chains)
     quota[1] = 0
     Y, state, out, error = assert_chain_matches_reference(
-        A, b, np.tile(centre, (chains, 1)), dirs, uniforms, 70, 1, quota)
+        A, b, np.tile(centre, (chains, 1)), axes, uniforms, 70, 1, quota)
     assert error is None and state[1].tolist() == quota.tolist()
     # every chain, the one with quota 0 too, runs the longest quota's steps
     assert state[0].tolist() == [70 + quota.max()] * chains
@@ -290,68 +331,66 @@ def test_chain_matches_per_row_reference_in_both_layouts(chains, rows):
 def test_chain_matches_reference_with_thinning_and_mid_refill_quotas():
     A, b = square_problem()
     rng = np.random.default_rng(31)
-    dirs = rng.standard_normal((700, 5, 2))
+    axes = rng.integers(2, size=(700, 5))
     uniforms = rng.random((700, 5))
     # a zero quota, and quotas whose last step falls mid-refill
     quota = [40, 0, 37, 13, 41]
     _, state, out, error = assert_chain_matches_reference(
-        A, b, np.full((5, 2), 0.5), dirs, uniforms, 145, 3, quota)
+        A, b, np.full((5, 2), 0.5), axes, uniforms, 145, 3, quota)
     assert error is None and state[1].tolist() == quota
     assert state[0].tolist() == [145 + 3 * max(quota)] * 5
     # the same draws in refills of 40 rows move the ends of burn-in and of
     # every quota to other rows within a refill
-    assert_chain_matches_reference(A, b, np.full((5, 2), 0.5), dirs, uniforms,
+    assert_chain_matches_reference(A, b, np.full((5, 2), 0.5), axes, uniforms,
                                    145, 3, quota, rows_per_refill=40)
 
 
 def test_chain_matches_reference_when_a_chain_gets_stuck_mid_refill():
-    # a slab 1e-13 wide in x: a chord is empty unless the direction is
-    # almost along y, where the y rows bound it long before the x rows
+    # a slab 1e-13 wide in x: a chord along axis 0 is empty, and one along
+    # axis 1 is bounded by the y rows. The chains start strictly inside
+    # the slab, where no x row has slack 0
     A, b = square_problem()
     b = np.array([0.5 + 1e-13, -0.5, 1.0, 0.0])
     rng = np.random.default_rng(4)
-    dirs = rng.standard_normal((400, 3, 2))
-    dirs[..., 0] = 1e-16
+    axes = np.ones((400, 3), dtype=np.int64)
     uniforms = rng.random((400, 3))
-    # chain 1 draws general directions from row 60 on: 101 empty chords
-    # later, at row 160 of the second refill, it runs out of retries
-    dirs[60:, 1, 0] = 1.0
+    # chain 1 draws axis 0 from row 60 on: 101 empty chords later, at row
+    # 160 of the second refill, it runs out of retries
+    axes[60:, 1] = 0
     Y, state, out, error = assert_chain_matches_reference(
-        A, b, np.tile([0.5, 0.5], (3, 1)), dirs, uniforms, 20, 1, [200, 200, 200])
+        A, b, np.tile([0.5 + 5e-14, 0.5], (3, 1)), axes, uniforms, 20, 1, [200, 200, 200])
     assert STUCK in error
     # chain 1's empty chords were zero-length steps, so every chain took
     # the 160 rows before the one that stopped them
     assert state[0].tolist() == [160] * 3 and state[2].tolist() == [0, 101, 0]
     assert state[1].tolist() == [140] * 3
     # 50 retries carried in: chain 1, stuck from row 0, runs out at row 50
-    dirs[:60, 1, 0] = 1.0
+    axes[:60, 1] = 0
     _, state, _, error = assert_chain_matches_reference(
-        A, b, np.tile([0.5, 0.5], (3, 1)), dirs, uniforms, 20, 1, [200, 200, 200],
+        A, b, np.tile([0.5 + 5e-14, 0.5], (3, 1)), axes, uniforms, 20, 1, [200, 200, 200],
         retries=[0, 50, 0])
     assert STUCK in error
     assert state[0].tolist() == [50] * 3 and state[2].tolist() == [0, 101, 0]
 
 
 def test_chain_matches_reference_when_a_chord_opens_mid_refill():
-    # 0 <= x <= 1 and y >= 0: a chord along +y or -y is open on one side
-    A, b = square_problem()
-    A, b = A[[0, 1, 3]], b[[0, 1, 3]]
-    rng = np.random.default_rng(9)
-    dirs = rng.standard_normal((300, 3, 2))
-    uniforms = rng.random((300, 3))
+    # the chains draw the box's bounded axes 0 and 1; along axis 2 the
+    # chord is open above
+    A, b = open_box_problem()
+    axes, uniforms = axis_draws(9, 300, 3)
     # chain 2's open chord at row 170, in the second refill, stops the run
-    dirs[170, 2] = [0.0, -1.0]
+    axes[170, 2] = 2
     Y, state, out, error = assert_chain_matches_reference(
-        A, b, np.full((3, 2), 0.5), dirs, uniforms, 10, 1, [20, 500, 500])
+        A, b, np.full((3, 3), 0.5), axes, uniforms, 10, 1, [20, 500, 500])
     assert UNBOUNDED in error
     assert state[0].tolist() == [170] * 3
     assert state[1].tolist() == [20, 160, 160]
     assert np.isfinite(Y).all()
     # chain 0 has kept its 20 samples after 30 steps, but it still steps
     # with the others, so its open chord at row 40 stops the run there
-    dirs[40:, 0] = [0.0, 1.0]
+    axes[40:, 0] = 2
     Y, state, out, error = assert_chain_matches_reference(
-        A, b, np.full((3, 2), 0.5), dirs, uniforms, 10, 1, [20, 500, 500])
+        A, b, np.full((3, 3), 0.5), axes, uniforms, 10, 1, [20, 500, 500])
     assert UNBOUNDED in error
     assert state[0].tolist() == [40] * 3
     assert state[1].tolist() == [20, 30, 30]
@@ -359,56 +398,55 @@ def test_chain_matches_reference_when_a_chord_opens_mid_refill():
 
 
 def test_zero_slack_chords_are_retried_until_a_direction_opens():
-    # chain 0 sits on the corner (1, 0), where the slacks of x <= 1 and
-    # y >= 0 are exactly 0; chain 1 stays inside
-    A, b = square_problem()
-    dirs, uniforms = square_draws(6, 40, 2)
-    # outwards on both rows: c / 0 gives +inf and -inf, a chord [0, -0]
-    dirs[0, 0] = [1.0, 1.0]
+    # chain 0 sits on the ridge, where the slacks of its two rows are
+    # exactly 0; chain 1 stays inside
+    A, b = ridge_problem()
+    axes, uniforms = axis_draws(6, 40, 2, k=3)
+    # out through both rows: c / 0 gives +inf and -inf, a chord [0, -0]
+    axes[0, 0] = 0
     # along a zero-slack row: 0 / 0 gives nan
-    dirs[1, 0] = [0.0, 1.0]
-    dirs[2, 0] = [1.0, 0.0]
-    # into the square: the chord opens
-    dirs[3, 0] = [-1.0, 1.0]
-    starts = [[1.0, 0.0], [0.5, 0.5]]
+    axes[1, 0] = 1
+    axes[2, 0] = 0
+    # into the polytope: the chord opens
+    axes[3, 0] = 2
+    starts = [RIDGE, [0.0, 0.0, 0.0]]
     Y = np.array(starts)
     state = np.zeros((3, 2), dtype=np.int64)
     quota = np.array([30, 30])
-    out = np.full((60, 2), np.nan)
+    out = np.full((60, 3), np.nan)
     # three empty chords in the first refill: three zero-length steps, each
-    # kept on the corner, and a count of three carried into the second
-    chain_steps(A, b, Y, dirs[:3].copy(), uniforms[:3], 0, 1, state, quota, out)
+    # kept on the ridge, and a count of three carried into the second
+    chain_steps(A, b, Y, axes[:3], uniforms[:3], 0, 1, state, quota, out)
     assert state.tolist() == [[3, 3], [3, 3], [3, 0]]
-    assert Y[0].tolist() == [1.0, 0.0]
-    assert out[:3].tolist() == [[1.0, 0.0]] * 3
-    chain_steps(A, b, Y, dirs[3:].copy(), uniforms[3:], 0, 1, state, quota, out)
-    # the first direction that opens moves the chain and clears its count
+    assert Y[0].tolist() == RIDGE
+    assert out[:3].tolist() == [RIDGE] * 3
+    chain_steps(A, b, Y, axes[3:], uniforms[3:], 0, 1, state, quota, out)
+    # the first axis that opens moves the chain and clears its count
     assert state.tolist() == [[30, 30], [30, 30], [0, 0]]
     assert not np.isnan(out).any()
-    assert np.all(out >= 0.0) and np.all(out <= 1.0)
-    assert out[3, 0] < 1.0 and out[3, 1] > 0.0
-    assert_chain_matches_reference(A, b, starts, dirs, uniforms, 0, 1, quota,
+    assert (out @ A.T <= b + 1e-12).all()
+    assert out[3, :2].tolist() == [0.0, 0.0] and out[3, 2] < 1.0
+    assert_chain_matches_reference(A, b, starts, axes, uniforms, 0, 1, quota,
                                    rows_per_refill=3)
 
 
 def test_a_direction_no_row_bounds_on_one_side_raises_after_the_steps_before_it():
-    # 0 <= x <= 1 and y >= 0; chain 1 draws +y at row 37, along which
-    # both x rows have coefficient 0 and y >= 0 bounds only the lower end
-    A, b = square_problem()
-    A, b = A[[0, 1, 3]], b[[0, 1, 3]]
-    dirs, uniforms = square_draws(12, 60, 2)
-    dirs[37, 1] = [0.0, 1.0]
+    # chain 1 draws the open box's axis 2 at row 37, along which only
+    # z >= 0 bounds the chord, at its lower end
+    A, b = open_box_problem()
+    axes, uniforms = axis_draws(12, 60, 2)
+    axes[37, 1] = 2
     quota = np.array([40, 40])
     state = np.zeros((3, 2), dtype=np.int64)
-    Y = np.full((2, 2), 0.5)
-    out = np.full((80, 2), np.nan)
+    Y = np.full((2, 3), 0.5)
+    out = np.full((80, 3), np.nan)
     with pytest.raises(RuntimeError, match=UNBOUNDED):
-        chain_steps(A, b, Y, dirs.copy(), uniforms, 10, 1, state, quota, out)
+        chain_steps(A, b, Y, axes, uniforms, 10, 1, state, quota, out)
     # the same draws up to that row, run alone, leave the same state
     state_before = np.zeros((3, 2), dtype=np.int64)
-    Y_before = np.full((2, 2), 0.5)
-    out_before = np.full((80, 2), np.nan)
-    chain_steps(A, b, Y_before, dirs[:37].copy(), uniforms[:37], 10, 1,
+    Y_before = np.full((2, 3), 0.5)
+    out_before = np.full((80, 3), np.nan)
+    chain_steps(A, b, Y_before, axes[:37], uniforms[:37], 10, 1,
                 state_before, quota, out_before)
     assert state.tolist() == state_before.tolist() == [[37, 37], [27, 27], [0, 0]]
     assert Y.tobytes() == Y_before.tobytes()
@@ -442,8 +480,8 @@ def test_hit_and_run_matches_reference_chain_on_the_workloads(tmp_path, monkeypa
 
 
 def test_reciprocal_chord_ends_match_the_masked_ones(tmp_path):
-    """On the workload polytopes, at random interior points and unit
-    directions, 1 / max(c / s) and 1 / min(c / s) are the masked
+    """On the workload polytopes, at random interior points and
+    coordinate axes, 1 / max(c / s) and 1 / min(c / s) are the masked
     min over c > 0 and max over c < 0 of s / c, within a few ulps."""
     rng = np.random.default_rng(17)
     for name, system, _ in workload_polytopes(tmp_path):
@@ -455,14 +493,16 @@ def test_reciprocal_chord_ends_match_the_masked_ones(tmp_path):
         y = rng.standard_normal((2_000, k))
         y *= (0.95 * rng.random((2_000, 1)) ** (1 / k)
               / np.linalg.norm(y, axis=1, keepdims=True))
-        d = rng.standard_normal((2_000, k))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        axes = rng.integers(k, size=2_000)
         slack = b - y @ A.T
         assert (slack > 0).all(), name
-        c = d @ A.T
+        # the chord coefficients along axis j are A's column j
+        c = A.T[axes]
         ratio = c / slack
         t_hi, t_lo = 1.0 / ratio.max(axis=1), 1.0 / ratio.min(axis=1)
-        masked = slack / c
+        # a row with c = 0 bounds neither end, and the masks drop it
+        with np.errstate(divide="ignore"):
+            masked = slack / c
         want_hi = np.where(c > 0, masked, np.inf).min(axis=1)
         want_lo = np.where(c < 0, masked, -np.inf).max(axis=1)
         assert np.isfinite(want_hi).all() and np.isfinite(want_lo).all(), name
@@ -493,16 +533,18 @@ def traced_beyond_samples(polytope, config):
 
 def refill_bytes(polytope, config):
     """One refill's buffers in ``hit_and_run``: the chord coefficients
-    ``coef``, which the gathered points reuse, the normalised directions
-    ``dn``, the extremes of c / s, the step lengths and the uniforms."""
+    ``coef``, which the gathered points reuse, the moves and points
+    ``path``, the extremes of c / s, the step lengths, the axes and the
+    uniforms, plus the chains-first layout's copy of A^T."""
     R = sampler._RAND_ROWS
     C = sampler._chain_count(config)
     rows, k = polytope.A.shape
     coef = R * C * max(rows, k) * 8
-    dn = R * C * k * 8
+    path = R * C * k * 8
     ext = R * 2 * C * 8
-    lengths = uniforms = R * C * 8
-    return coef + dn + ext + lengths + uniforms
+    lengths = axes = uniforms = R * C * 8
+    columns = 0 if C >= rows else rows * k * 8
+    return coef + path + ext + lengths + axes + uniforms + columns
 
 
 # the mapped vectors and residuals of one block of the output check
