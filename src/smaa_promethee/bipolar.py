@@ -47,12 +47,13 @@ __all__ = [
     "bipolar_flows",
 ]
 
-# Monotonicity validation enumerates all disjoint subset pairs, 3^(n-1) per
-# criterion (compilation needs only the 2^(n-1) covering splits), so the
-# criterion count is capped unless callers raise it. At the cap, n = 8
-# compiles to 1,089 rows plus one per statement, over 92 parameters, and
-# the margin LPs, the polytope's analytic centre and sampling all run end
-# to end.
+# Compilation writes one monotonicity row per covering split, 2^(n-1) per
+# criterion, and ``GeneralBicapacity`` tabulates all 3^n disjoint subset
+# pairs, so the criterion count of both is capped unless callers raise it.
+# (``BicapacityParams.validate`` checks monotonicity in closed form and
+# needs no cap.) At the cap, n = 8 compiles to 1,089 rows plus one per
+# statement, over 92 parameters, and the margin LPs, the polytope's
+# analytic centre and sampling all run end to end.
 ENUMERATION_CAP = 8
 
 
@@ -203,16 +204,21 @@ class BicapacityParams:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def validate(self, tol: float = 1e-9, max_criteria: int = ENUMERATION_CAP) -> None:
+    def validate(self, tol: float = 1e-9) -> None:
         """Raise ValueError unless the parameters describe a bicapacity.
 
         Checks: symmetry and zero diagonals, nonnegative powers,
         nonpositive opposing powers, the boundary normalisation
-        sum(a) + sum(pair) = 1, and exhaustive monotonicity over all
-        disjoint subset pairs.
+        sum(a) + sum(pair) = 1, and monotonicity over all disjoint subset
+        pairs. That is a_j + sum(pair[j, C]) + sum(opp[j, D]) >= 0 for
+        every criterion j and every disjoint (C, D) of the others; each
+        other criterion k adds pair[j, k] in C, opp[j, k] in D or nothing,
+        independently, so the minimum over all 3^(n-1) pairs is
+        a_j + sum_k min(0, pair[j, k], opp[j, k]), checked for every j at
+        once. The error names the first criterion below ``-tol`` and a
+        split that attains its minimum.
         """
         n = self.n
-        _check_cap(n, max_criteria)
         if not np.allclose(self.pair, self.pair.T, atol=tol, rtol=0.0):
             raise ValueError("pair interactions must be symmetric")
         if np.any(np.abs(np.diagonal(self.pair)) > tol) or np.any(
@@ -226,17 +232,18 @@ class BicapacityParams:
         total = self.a.sum() + np.triu(self.pair, 1).sum()
         if abs(total - 1.0) > tol:
             raise ValueError(f"powers and interactions must sum to 1, got {total!r}")
-        others = lambda j: tuple(i for i in range(n) if i != j)
-        for j in range(n):
-            for c, d in _side_pairs(others(j), (0, 1, 2)):
-                lhs = self.a[j] + sum(self.pair[j, k] for k in c) + sum(
-                    self.opp[j, k] for k in d
-                )
-                if lhs < -tol:
-                    raise ValueError(
-                        f"monotonicity violated at criterion {j + 1}, "
-                        f"with={tuple(k + 1 for k in c)} against={tuple(k + 1 for k in d)}"
-                    )
+        # per (j, k): nothing, k in C or k in D; the first side on a tie
+        sides = np.stack([np.zeros((n, n)), self.pair, self.opp])
+        sides[:, np.arange(n), np.arange(n)] = 0.0
+        side = sides.argmin(axis=0)
+        lowest = self.a + sides.min(axis=0).sum(axis=1)
+        below = np.flatnonzero(lowest < -tol)
+        if below.size:
+            j = int(below[0])
+            c, d = (tuple(int(k) + 1 for k in np.flatnonzero(side[j] == s))
+                    for s in (1, 2))
+            raise ValueError(f"monotonicity violated at criterion {j + 1}, "
+                             f"with={c} against={d}")
 
     # The negative-part parameters mirror the stored ones, so both halves
     # of the bicapacity are evaluated from the same arrays.

@@ -36,7 +36,7 @@ from .bipolar import (
     choquet_coefficients,
     flow_coefficients,
 )
-from .model import PerformanceTable
+from .model import PerformanceTable, _label
 
 __all__ = [
     "LocalPair",
@@ -264,13 +264,14 @@ def _require(cond: bool, where: str, msg: str) -> None:
 
 
 def _read(value, hint, where: str, name: str):
-    """``value`` as ``hint`` reads it: a label as str, a criterion reference
-    as given, a pair as a tuple of two."""
+    """``value`` as ``hint`` reads it: a label, from a JSON string or
+    number, as str, a criterion reference as given, a pair as a tuple of
+    two."""
     if typing.get_origin(hint) is tuple:
         _require(isinstance(value, list) and len(value) == 2, where,
                  f"{name} must be a list of two entries, got {value!r}")
         return tuple(_read(v, h, where, name) for v, h in zip(value, typing.get_args(hint)))
-    return str(value) if hint is str else value
+    return _label(value, f"{where}: {name}") if hint is str else value
 
 
 def parse_statement(obj: dict, where: str = "statement") -> Statement:

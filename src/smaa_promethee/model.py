@@ -133,10 +133,21 @@ class PerformanceTable:
 
 
 def _number(value, what: str) -> float:
+    """A JSON number as a float: not a string, a boolean or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{what} is an integer too large for a float") from None
+
+
+def _label(value, what: str) -> str:
+    """A JSON string or number as the text of a label: not a boolean, null,
+    list or object."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{what} must be a string or a number, got {value!r}")
+    return str(value)
 
 
 def _parse_criterion(obj, where: str) -> Criterion:
@@ -149,7 +160,7 @@ def _parse_criterion(obj, where: str) -> Criterion:
     except (KeyError, TypeError):
         raise ValueError(f"{where}: bad direction {obj.get('direction')!r}") from None
     return Criterion(
-        name=str(obj["name"]),
+        name=_label(obj["name"], f"{where}: name"),
         direction=direction,
         q=_number(obj.get("q", 0.0), f"{where}: q"),
         p=_number(obj.get("p", 0.0), f"{where}: p"),
@@ -184,7 +195,11 @@ def load_problem(path: str | Path) -> PerformanceTable:
                 raise ValueError(f"{key!r} must be a list, got {data[key]!r}")
         criteria = tuple(_parse_criterion(c, f"criterion {i}")
                          for i, c in enumerate(data["criteria"], start=1))
-        alternatives = tuple(str(a) for a in data["alternatives"])
+        alternatives = tuple(_label(a, f"alternative {i}")
+                             for i, a in enumerate(data["alternatives"], start=1))
+        for i, row in enumerate(data["evaluations"], start=1):
+            for j, value in enumerate(row if isinstance(row, list) else (), start=1):
+                _number(value, f"evaluation {j} of row {i}")
         try:
             evals = np.asarray(data["evaluations"], dtype=float)
         except (TypeError, ValueError):

@@ -14,18 +14,19 @@ basis, which is not orthonormal. The strict-preference margin is fixed to
 ``delta_strict`` before reduction: with the default 0 the chain samples
 the closure, whose boundary has measure zero.
 
-``hit_and_run`` runs C independent chains from the same interior start,
-each with its own burn-in, and ``chain_steps`` steps them in lockstep in
-numpy: one refill of pre-drawn axes and uniforms moves every chain R
-steps. Every step runs along a coordinate axis of the rounded frame,
-drawn uniformly: coordinate hit-and-run on the rounded polytope
-(Haraldsdóttir, Cousins, Thiele, Fleming & Vempala 2017), whose steps
-leave the uniform law invariant as random directions do (Smith 1984).
+``hit_and_run`` runs C independent chains from the origin of the rounded
+frame, the analytic centre, each with its own burn-in, and
+``chain_steps`` steps them in lockstep in numpy: one refill of pre-drawn
+axes and uniforms moves every chain R steps. Every step runs along a
+coordinate axis of the rounded frame, drawn uniformly: coordinate
+hit-and-run on the rounded polytope (Haraldsdóttir, Cousins, Thiele,
+Fleming & Vempala 2017), whose steps leave the uniform law invariant as
+random directions do (Smith 1984).
 Along axis j the chord coefficients c = A e_j are A's column j, so one
 ``np.take`` gathers those of the whole refill, with no normal draws,
 normalisation or matrix product. Every chain takes every row, and an
 empty chord is a zero-length step, so all chains have always taken the
-same number of steps.
+same number of steps, and one count of the steps done serves them all.
 From a point strictly inside, with slacks s > 0, the chord along the
 axis is [1 / min(c / s), 1 / max(c / s)]: a row with c > 0 bounds the
 upper end at s / c, one with c < 0 the lower end, and a row with c = 0
@@ -33,9 +34,9 @@ neither. So a step finds both chord ends of every chain with one
 divide, one ``max`` and one ``min`` along the rows and one reciprocal,
 with no mask for the side each row bounds. A step records only its
 chord extremes, whether each chain moved and how far; the points, kept
-samples, step counts, empty-chord counts and open chords are settled
-once per refill. The arithmetic is that of a per-row loop, so a seed
-gives bit-identical samples on a given numpy build. C is derived from
+samples, empty-chord counts and open chords are settled once per
+refill. The arithmetic is that of a per-row loop, so a seed gives
+bit-identical samples on a given numpy build. C is derived from
 the configuration so that burn-in work never exceeds sampling work.
 
 The (samples, parameters) result is the one array that grows with the
@@ -128,7 +129,7 @@ class Polytope:
 
     A full point is ``offset + basis @ y``; ``A @ y <= b`` describes the
     rounded polytope, whose Dikin ellipsoid at the analytic centre is the
-    unit ball: ``start`` is the origin, ``b`` holds the slacks there and
+    unit ball: the centre is the origin, ``b`` holds the slacks there and
     every row has ``|A_i| <= b_i``. ``basis`` spans the null space of the
     equality rows but is not orthonormal. The original (margin-substituted)
     rows are kept so emitted samples can be checked against what was
@@ -139,7 +140,6 @@ class Polytope:
     b: np.ndarray
     basis: np.ndarray
     offset: np.ndarray
-    start: np.ndarray
     names: tuple[str, ...]
     full_eq_A: np.ndarray
     full_eq_b: np.ndarray
@@ -320,7 +320,7 @@ def build_polytope(
         r = slack
 
     return Polytope(
-        A=R, b=r, basis=basis, offset=offset, start=np.zeros(k),
+        A=R, b=r, basis=basis, offset=offset,
         names=system.layout.names, full_eq_A=eq_A, full_eq_b=eq_b,
         full_ub_A=ub_A, full_ub_b=ub_b, eps_star=eps_star,
     )
@@ -463,24 +463,23 @@ class _ChainWorkspace:
         self.moved = np.empty((n_rows, chains), dtype=bool)
 
 
-def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out,
-                work=None):
+def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, done, retries, quota,
+                out, work=None):
     """Advance C chains on ``A @ y <= b`` through one refill of draws.
 
-    ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
-    steps done, samples kept and consecutive empty chords of each chain;
-    both are updated in place. The chains step in lockstep: row r of
-    ``axes`` (R, C, integers in [0, k)) and ``uniforms`` (R, C) is a step
-    of every chain along the coordinate axis it names, and every chain
-    runs ``burn_in + max(quota) * thinning`` steps, so ``state[0]`` stays
-    equal across chains and rows beyond that total are not read. An empty
-    chord is a zero-length step: the chain stays where it is, and the step
-    counts toward burn-in, thinning and emission like any other. Chain c
-    writes its first ``quota[c]`` thinned post-burn-in points chain-major
-    into ``out``: its block starts after the quotas of the chains before
-    it. ``work`` is a ``_ChainWorkspace`` for this ``A`` and these shapes,
-    or for more rows, reused across refills; without one a fresh one is
-    made.
+    ``Y`` (C, k) holds the current points, ``done`` the steps every chain
+    has taken before this refill and ``retries`` (C,) int64 each chain's
+    consecutive empty chords; ``Y`` and ``retries`` are updated in place.
+    The chains step in lockstep: row r of ``axes`` (R, C, integers in
+    [0, k)) and ``uniforms`` (R, C) is a step of every chain along the
+    coordinate axis it names, and every row is run. An empty chord is a
+    zero-length step: the chain stays where it is, and the step counts
+    toward burn-in, thinning and emission like any other. Chain c writes
+    its first ``quota[c]`` thinned post-burn-in points chain-major into
+    ``out``: its block starts after the quotas of the chains before it,
+    and a step past its quota writes nothing. ``work`` is a
+    ``_ChainWorkspace`` for this ``A`` and these shapes, or for more rows,
+    reused across refills; without one a fresh one is made.
 
     Along axis j the chord coefficients c = A e_j are A's column j, so one
     ``np.take`` gathers every row, chain and constraint of the refill.
@@ -497,7 +496,7 @@ def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out,
 
     Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
     consecutive empty chords, or draws an axis along which the chord is
-    unbounded; ``state``, ``Y`` and ``out`` then hold every step made
+    unbounded; ``Y``, ``retries`` and ``out`` then hold every step made
     before the row at which the chain stopped, and the empty-chord
     counters also count that row when they ran out.
     """
@@ -505,17 +504,13 @@ def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out,
     rows = A.shape[0]
     if work is None:
         work = _ChainWorkspace(A, n_rows, chains)
-    # every chain has taken state[0, 0] steps of the common total
-    stop = max(0, min(n_rows, burn_in + int(quota.max()) * thinning
-                      - int(state[0, 0])))
-    axes = axes[:stop]
-    coef = work.coef[:stop * chains * rows]
+    coef = work.coef[:n_rows * chains * rows]
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
     # every index is in [0, k), and "clip" lets np.take write to out
     # unbuffered
     if work.chains_last:
-        coef = np.take(A, axes, axis=1, out=coef.reshape(rows, stop, chains),
+        coef = np.take(A, axes, axis=1, out=coef.reshape(rows, n_rows, chains),
                        mode="clip")
         # row i's coefficients, (rows, C), are coef[i] of this view
         coef = coef.transpose(1, 0, 2)
@@ -524,7 +519,7 @@ def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out,
         lengths = work.t[:n_rows]
     else:
         coef = np.take(work.columns, axes, axis=0,
-                       out=coef.reshape(stop, chains, rows), mode="clip")
+                       out=coef.reshape(n_rows, chains, rows), mode="clip")
         lengths = work.t[:n_rows, :, None]
     q, axis, ends = work.q, work.axis, work.ends
     t_hi, t_lo = ends
@@ -545,23 +540,24 @@ def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out,
             np.multiply(u, width, out=step, where=move)
             np.add(step, t_lo, out=step, where=move)
             slack -= np.multiply(c, length, out=q)
-    _settle(stop, work.ext, work.moved, t, axes, work.path, Y, state, burn_in,
+    _settle(work.ext, work.moved, t, axes, work.path, Y, done, retries, burn_in,
             thinning, quota, out, work.points)
 
 
-def _settle(stop, ext, moved, lengths, axes, path, Y, state, burn_in, thinning,
+def _settle(ext, moved, lengths, axes, path, Y, done, retries, burn_in, thinning,
             quota, out, points):
-    """Apply the first ``stop`` rows of a refill to ``Y``, ``state`` and
-    ``out``; stop short and raise at the first row where a chain drew an
-    open chord or ran out of retries. ``lengths`` holds the steps along
-    the refill's ``axes``; ``path`` receives each step's move, its length
-    written into its axis, then the points each row reaches."""
-    steps, kept, retries = state
-    e = ext[:stop]
+    """Apply the rows of a refill, ``done`` steps into the chains, to
+    ``Y``, ``retries`` and ``out``; stop short and raise at the first row
+    where a chain drew an open chord or ran out of retries. ``lengths``
+    holds the steps along the refill's ``axes``; ``path`` receives each
+    step's move, its length written into its axis, then the points each
+    row reaches."""
+    n_rows = axes.shape[0]
+    e = ext[:n_rows]
     open_chord = (e[:, 0] <= 0.0) | (e[:, 1] >= 0.0)
     unbounded = np.flatnonzero(open_chord.any(axis=1))
     # an open chord is seen before that row's empty chords are counted
-    seen = int(unbounded[0]) if unbounded.size else stop
+    seen = int(unbounded[0]) if unbounded.size else n_rows
     # rows applied to the points, and rows whose empty chords count: one
     # more if a chain ran out of retries
     cut = counted = seen
@@ -590,7 +586,7 @@ def _settle(stop, ext, moved, lengths, axes, path, Y, state, burn_in, thinning,
         np.add(before, point, out=point)
     # post-burn-in steps after each row: the j-th multiple of thinning
     # gives sample j - 1 of every chain whose quota is larger than that
-    after = np.arange(1, cut + 1) + (steps[0] - burn_in)
+    after = np.arange(1, cut + 1) + (done - burn_in)
     sample = after // thinning - 1
     due = (after > 0) & (after % thinning == 0)
     emit = due[:, None] & (sample[:, None] < quota)
@@ -603,8 +599,6 @@ def _settle(stop, ext, moved, lengths, axes, path, Y, state, burn_in, thinning,
     points = np.take(path.reshape(-1, k), flat, axis=0, out=points[:flat.size],
                      mode="clip")
     out[slot.reshape(-1)[flat]] = points
-    steps += cut
-    kept[:] = np.clip((steps - burn_in) // thinning, 0, quota)
     if cut:
         Y[...] = path[cut - 1]
     if counted > cut:
@@ -619,18 +613,21 @@ def _settle(stop, ext, moved, lengths, axes, path, Y, state, burn_in, thinning,
 def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     """Run ``_chain_count(config)`` chains and return feasibility-checked samples.
 
-    Every chain starts at ``polytope.start`` and discards its own first
-    ``burn_in`` steps. Chain c keeps ``sample_count // C`` samples, one
-    more for the first ``sample_count % C`` chains, and the rows come out
-    chain-major: all of chain 0's samples, then chain 1's, and so on;
-    the batch's ``chain_quotas`` records the counts. The chains step in
+    Every chain starts at the origin of the rounded frame, the analytic
+    centre, and discards its own first ``burn_in`` steps. Chain c keeps
+    ``sample_count // C`` samples, one more for the first
+    ``sample_count % C`` chains, and the rows come out chain-major: all
+    of chain 0's samples, then chain 1's, and so on; the batch's
+    ``chain_quotas`` records the counts. The chains step in
     lockstep, every one of them ``burn_in + max(quota) * thinning``
     steps, an empty chord being a zero-length step; a chain with one
     sample fewer takes its last ``thinning`` steps without keeping them.
     Each refill draws ``_RAND_ROWS`` rows of axes, then of uniforms, the
-    last one only the rows that remain; a step runs along its axis of the
-    rounded frame, in which the Dikin ellipsoid at the centre is the unit
-    ball.
+    last one only the rows that remain, so the generator draws exactly
+    that common total; ``chain_steps`` is told the steps done before each
+    refill and keeps only the empty-chord counts between refills. A step
+    runs along its axis of the rounded frame, in which the Dikin ellipsoid
+    at the centre is the unit ball.
 
     The (samples, parameters) result is allocated before the first step,
     so a count that cannot be held raises ``MemoryError`` at once, and it
@@ -647,8 +644,8 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     quota[: config.sample_count % chains] += 1
     rng = np.random.default_rng(config.seed)
     out = theta[:, :k]
-    Y = np.tile(np.asarray(polytope.start, dtype=np.float64), (chains, 1))
-    state = np.zeros((3, chains), dtype=np.int64)
+    Y = np.zeros((chains, k))
+    retries = np.zeros(chains, dtype=np.int64)
     work = _ChainWorkspace(polytope.A, _RAND_ROWS, chains)
     axes = None
     uniforms = np.empty((_RAND_ROWS, chains))
@@ -660,7 +657,8 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
         axes = rng.integers(k, size=(rows, chains))
         rng.random(out=uniforms[:rows])
         chain_steps(polytope.A, polytope.b, Y, axes, uniforms[:rows],
-                    config.burn_in, config.thinning, state, quota, out, work=work)
+                    config.burn_in, config.thinning, done, retries, quota, out,
+                    work=work)
     # the chain's buffers go before the map and check
     del work, axes, uniforms
     _map_and_check(polytope, theta)

@@ -270,13 +270,15 @@ def validate_against_exact_ror(
     Checks the two one-way implications (exact-necessary forces frequency
     sum 1; positive preference frequency forces exact-possible) and
     reports, without failing, pairs where the converse directions do not
-    hold. The diagonal is trivially consistent and skipped.
+    hold. The estimates are the ones ``aggregate`` put in ``results``,
+    the ones the reports carry. The diagonal is trivially consistent and
+    skipped.
     """
     names = table.alternatives
     possible, necessary = exact_ror_matrices(system, table)
     off = ~np.eye(len(names), dtype=bool)
-    approx_necessary = np.abs(results.p2_pref + results.p2_indiff - 1.0) <= _PARTITION_TOL
-    approx_possible = results.p2_pref > 0
+    approx_necessary = results.ror_necessary_approx
+    approx_possible = results.ror_possible_approx
 
     def named(mask: np.ndarray) -> list[list[str]]:
         return [[names[i], names[j]] for i, j in np.argwhere(mask & off)]

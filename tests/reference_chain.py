@@ -7,9 +7,10 @@ budget, moves every chain along its axis and writes the samples it emits.
 The chains step in lockstep, and an empty chord is a step of length 0.
 The chord ends are the reciprocal ones, 1 / max(c / s) and 1 / min(c / s),
 with c the column of A that the axis picks; ``test_kernels`` checks them
-against the masked minimum and maximum of s / c. The package's chain must
-leave ``Y``, ``state`` and ``out`` exactly as this loop does, also when it
-raises.
+against the masked minimum and maximum of s / c. The loop keeps its own
+per-row counts of the steps taken and the samples each chain has kept.
+The package's chain must leave ``Y``, ``retries`` and ``out`` exactly as
+this loop does, also when it raises.
 """
 
 import numpy as np
@@ -17,35 +18,33 @@ import numpy as np
 from smaa_promethee.sampler import _CHORD_TOL, _RETRY_BUDGET
 
 
-def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out):
+def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, done, retries, quota,
+                out):
     """Advance C chains on ``A @ y <= b`` through one refill of draws.
 
-    ``Y`` (C, k) holds the current points and ``state`` (3, C) int64 the
-    steps done, samples kept and consecutive empty chords of each chain;
-    both are updated in place. Row r of ``axes`` (R, C, integers in
-    [0, k)) and ``uniforms`` (R, C) is a step of every chain along the
-    coordinate axis it names, up to ``burn_in + max(quota) * thinning``
-    steps in all. An empty chord leaves its chain in place and still
-    counts as a step. Chain c keeps its first ``quota[c]`` thinned
-    post-burn-in points, written chain-major into ``out``: its block
-    starts after the quotas of the chains before it.
+    ``Y`` (C, k) holds the current points, ``done`` the steps every chain
+    has taken before this refill and ``retries`` (C,) int64 each chain's
+    consecutive empty chords; ``Y`` and ``retries`` are updated in place.
+    Row r of ``axes`` (R, C, integers in [0, k)) and ``uniforms`` (R, C)
+    is a step of every chain along the coordinate axis it names, and every
+    row is run. An empty chord leaves its chain in place and still counts
+    as a step. Chain c keeps its first ``quota[c]`` thinned post-burn-in
+    points, written chain-major into ``out``: its block starts after the
+    quotas of the chains before it.
 
     Raises ``RuntimeError`` when a chain exceeds ``_RETRY_BUDGET``
     consecutive empty chords, or draws an axis along which the chord is
-    unbounded; ``state``, ``Y`` and ``out`` then hold every step made
+    unbounded; ``Y``, ``retries`` and ``out`` then hold every step made
     before the chain stopped.
     """
-    steps, kept, retries = state
-    total = burn_in + quota.max() * thinning
     first = np.cumsum(quota) - quota
     chains = np.arange(Y.shape[0])
+    steps = done
+    kept = np.clip((done - burn_in) // thinning, 0, quota)
     # computed once per refill, then moved along with the points
     slack = b - Y @ A.T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r in range(axes.shape[0]):
-            # every chain has taken the same number of steps
-            if steps[0] >= total:
-                return
             # the chord coefficients along axis j are A's column j
             coef = A.T[axes[r]]
             ratio = coef / slack

@@ -1,11 +1,16 @@
+import ast
+import re
+
 import numpy as np
 import pytest
 
 from smaa_promethee.bipolar import (
+    ENUMERATION_CAP,
     BicapacityParams,
     EnumerationCapError,
     GeneralBicapacity,
     ParameterLayout,
+    _side_pairs,
     bipolar_choquet_2additive,
     bipolar_choquet_general,
     bipolar_flows,
@@ -270,15 +275,65 @@ def test_general_bicapacity_validation():
 
 
 def test_enumeration_cap():
-    n = 9
+    n = ENUMERATION_CAP + 1
     a = np.full(n, 1.0 / n)
     params = BicapacityParams(a, np.zeros((n, n)), np.zeros((n, n)))
     with pytest.raises(EnumerationCapError):
-        params.validate()
-    with pytest.raises(EnumerationCapError):
         GeneralBicapacity.from_params(params)
-    # the cap is a default, not a hard limit
-    params.validate(max_criteria=9)
+    # validate checks monotonicity in closed form: no cap applies, and a
+    # violation beyond the cap is still named
+    params.validate()
+    opp = np.zeros((n, n))
+    opp[n - 1, 0] = -2.0 / n
+    with pytest.raises(ValueError, match=rf"criterion {n}, with=\(\) against=\(1,\)"):
+        BicapacityParams(a, np.zeros((n, n)), opp).validate()
+
+
+def enumerated_minimum(params, j):
+    """The least a_j + sum(pair[j, C]) + sum(opp[j, D]) over every
+    disjoint (C, D) of the other criteria, by enumeration."""
+    others = tuple(k for k in range(params.n) if k != j)
+    return min(params.a[j] + sum(params.pair[j, k] for k in c)
+               + sum(params.opp[j, k] for k in d)
+               for c, d in _side_pairs(others, (0, 1, 2)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_monotonicity_in_closed_form_matches_the_enumeration(n):
+    # normalised powers and opposing powers of the right sign, with pair
+    # interactions large enough that about half the draws are not monotone
+    rng = np.random.default_rng(n)
+    raised = 0
+    for _ in range(12):
+        pair = rng.normal(0.0, 0.6, size=(n, n))
+        pair = (pair + pair.T) / 2.0
+        np.fill_diagonal(pair, 0.0)
+        opp = -np.abs(rng.normal(0.0, 0.3, size=(n, n)))
+        np.fill_diagonal(opp, 0.0)
+        a = rng.random(n)
+        total = a.sum() + np.triu(pair, 1).sum()
+        if total <= 0.1:
+            continue
+        params = BicapacityParams(a / total, pair / total, opp / total)
+        lowest = [enumerated_minimum(params, j) for j in range(n)]
+        failing = [j for j in range(n) if lowest[j] < -1e-9]
+        if not failing:
+            params.validate()
+            continue
+        raised += 1
+        with pytest.raises(ValueError, match="monotonicity violated") as info:
+            params.validate()
+        # the first criterion below the tolerance, and a split that attains
+        # its enumerated minimum
+        j = failing[0]
+        named = re.fullmatch(r"monotonicity violated at criterion (\d+), "
+                             r"with=(\(.*\)) against=(\(.*\))", str(info.value))
+        assert int(named[1]) == j + 1
+        c, d = ast.literal_eval(named[2]), ast.literal_eval(named[3])
+        named = (params.a[j] + sum(params.pair[j, k - 1] for k in c)
+                 + sum(params.opp[j, k - 1] for k in d))
+        assert abs(named - lowest[j]) <= 1e-12
+    assert raised >= 2
 
 
 def test_bipolar_flows_identities(students):

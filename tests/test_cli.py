@@ -214,6 +214,21 @@ MALFORMED_PROBLEMS = {
         lambda d: d["criteria"][0].pop("name")),
     "direction_list": lambda: students_with(
         lambda d: d["criteria"][0].update(direction=["max"])),
+    # a label is a JSON string or number, a number not a boolean or text
+    "alternative_null": lambda: students_with(
+        lambda d: d["alternatives"].__setitem__(0, None)),
+    "alternative_list": lambda: students_with(
+        lambda d: d["alternatives"].__setitem__(0, [])),
+    "criterion_name_null": lambda: students_with(
+        lambda d: d["criteria"][0].update(name=None)),
+    "evaluation_true": lambda: students_with(
+        lambda d: d["evaluations"][2].__setitem__(1, True)),
+    "threshold_true": lambda: students_with(
+        lambda d: d["criteria"][0].update(p=True)),
+    "threshold_text": lambda: students_with(
+        lambda d: d["criteria"][1].update(p="6")),
+    "evaluation_too_large": lambda: students_with(
+        lambda d: d["evaluations"][0].__setitem__(0, 10 ** 400)),
 }
 
 
@@ -242,6 +257,11 @@ MALFORMED_STATEMENTS = {
         "type": "interaction_magnitude", "pair1": [1, 2], "pair2": [1, 3],
         "signs": 5},
     "type_list": {"type": ["intensity"]},
+    # an alternative label is a JSON string or number
+    "label_null": {"type": "global_p2", "a": None, "b": "s6"},
+    "label_true": {"type": "local_pair", "a": "s1", "b": True},
+    "label_list": {"type": "global_p1", "a": [], "b": "s6"},
+    "label_object": {"type": "intensity", "pair1": ["s1", {}], "pair2": ["s3", "s4"]},
 }
 
 

@@ -73,24 +73,30 @@ def run_chain(axes, uniforms, quota, burn_in, thinning, starts=None,
     A, b = problem()
     chains = axes.shape[1]
     Y = np.full((chains, 2), 0.5) if starts is None else np.array(starts, dtype=float)
-    state = np.zeros((3, chains), dtype=np.int64)
+    retries = np.zeros(chains, dtype=np.int64)
     quota = np.asarray(quota, dtype=np.int64)
     out = np.full((int(quota.sum()), Y.shape[1]), np.nan)
     assert chain_steps(
-        A, b, Y, axes, uniforms, burn_in, thinning, state, quota, out
+        A, b, Y, axes, uniforms, burn_in, thinning, 0, retries, quota, out
     ) is None
-    return state, out, Y
+    return retries, out, Y
+
+
+def kept_per_chain(out, quota):
+    """The samples each chain has written into its nan-filled block of
+    ``out``, which it fills from the front."""
+    blocks = np.split(out, np.cumsum(quota)[:-1])
+    return [int(np.isfinite(block).all(axis=1).sum()) for block in blocks]
 
 
 def test_numpy_chain_stays_inside():
     # three chains with unequal quotas: chain-major blocks of 200, 199, 199
     quota = [200, 199, 199]
-    axes, uniforms = axis_draws(123, 50 + 200 * 2 + 64, 3)
+    axes, uniforms = axis_draws(123, 50 + 200 * 2, 3)
     # every draw row is a step of every chain, and 50 + 200 * 2 rows finish
-    # the longest quota
-    state, out, Y = run_chain(axes[:450], uniforms[:450], quota, 50, 2)
-    assert state[1].tolist() == quota
-    assert state[0].tolist() == [50 + 200 * 2] * 3
+    # the longest quota: every chain fills its block
+    retries, out, Y = run_chain(axes, uniforms, quota, 50, 2)
+    assert retries.tolist() == [0] * 3
     assert np.all(out >= -1e-12) and np.all(out <= 1.0 + 1e-12)
     # points move: no two consecutive kept points of one chain coincide
     for block in np.split(out, np.cumsum(quota)[:-1]):
@@ -135,50 +141,56 @@ def test_chains_read_only_their_own_draws():
 def test_chain_resumes_across_bursts():
     axes, uniforms = axis_draws(5, 1000, 2)
     quota, burn_in, thinning = [100, 100], 20, 1
-    state, out, y = run_chain(axes[:120], uniforms[:120], quota, burn_in, thinning)
+    retries, out, y = run_chain(axes[:120], uniforms[:120], quota, burn_in, thinning)
 
     # same stream split into two bursts lands on the same points
     A, b = square_problem()
     y2 = np.full((2, 2), 0.5)
-    state2 = np.zeros((3, 2), dtype=np.int64)
+    retries2 = np.zeros(2, dtype=np.int64)
     out2 = np.full((200, 2), np.nan)
     quota = np.array(quota)
     chain_steps(
-        A, b, y2, axes[:70], uniforms[:70], burn_in, thinning, state2, quota, out2
+        A, b, y2, axes[:70], uniforms[:70], burn_in, thinning, 0, retries2, quota, out2
     )
-    assert state2[1].tolist() == [50, 50]
+    # 50 of each chain's 100 samples after 70 steps
+    assert kept_per_chain(out2, quota) == [50, 50]
     chain_steps(
-        A, b, y2, axes[70:], uniforms[70:], burn_in, thinning, state2, quota, out2
+        A, b, y2, axes[70:120], uniforms[70:120], burn_in, thinning, 70, retries2,
+        quota, out2
     )
-    assert np.array_equal(state, state2)
+    assert np.array_equal(retries, retries2)
     # the slack is recomputed from the points at every burst, so the split
     # run agrees to rounding rather than bit for bit
     np.testing.assert_allclose(out2, out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(y2, y, rtol=0, atol=1e-12)
 
 
-def test_extra_draw_rows_stop_at_the_common_total():
-    # burn-in 7 and quotas 5, 4, 4 at thinning 2: every chain takes
-    # 7 + 5 * 2 = 17 steps, and the 23 rows after those are not read
-    axes, uniforms = axis_draws(14, 40, 3)
-    quota = [5, 4, 4]
-    state, out, Y = run_chain(axes, uniforms, quota, 7, 2)
-    assert state.tolist() == [[17] * 3, quota, [0] * 3]
-    exact = run_chain(axes[:17], uniforms[:17], quota, 7, 2)
-    for got, want in zip((state, out, Y), exact):
-        assert got.tobytes() == want.tobytes()
-    # nan uniforms beyond the total would reach the points if they were read
-    uniforms[17:] = np.nan
-    assert run_chain(axes, uniforms, quota, 7, 2)[2].tobytes() == Y.tobytes()
-    # a call at the total takes no step
-    A, b = square_problem()
-    again = Y.copy()
-    chain_steps(A, b, again, axes[:5], uniforms[:5], 7, 2, state,
-                np.array(quota), out)
-    assert state.tolist() == [[17] * 3, quota, [0] * 3]
-    assert again.tobytes() == Y.tobytes()
-    assert_chain_matches_reference(A, b, np.full((3, 2), 0.5), axes[:17],
-                                   uniforms[:17], 7, 2, quota)
+def test_hit_and_run_draws_exactly_the_common_total(monkeypatch):
+    # 601 samples at burn-in 150 and thinning 2 run 8 chains, the first
+    # with 76 samples: every chain takes 150 + 76 * 2 = 302 steps, drawn
+    # in refills of 128, 128 and 46 rows
+    polytope = scenario2_polytope()
+    config = SamplerConfig(sample_count=601, burn_in=150, thinning=2, seed=3)
+    made = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    quota = hit_and_run(polytope, config).chain_quotas
+    chains, total = len(quota), 150 + max(quota) * 2
+    assert (chains, total) == (8, 302)
+    twin = default_rng(3)
+    for done in range(0, total, sampler._RAND_ROWS):
+        rows = min(sampler._RAND_ROWS, total - done)
+        twin.integers(polytope.dimension, size=(rows, chains))
+        twin.random((rows, chains))
+    # the run's generator sits where the twin's does: it drew the axes and
+    # uniforms of the common total and not one row more
+    assert len(made) == 1
+    assert made[0].bit_generator.state == twin.bit_generator.state
 
 
 def test_degenerate_interval_reports_stuck():
@@ -188,16 +200,16 @@ def test_degenerate_interval_reports_stuck():
     axes = np.zeros((500, 2), dtype=np.int64)
     uniforms = rng.random((500, 2))
     Y = np.full((2, 1), 0.5)
-    state = np.zeros((3, 2), dtype=np.int64)
+    retries = np.zeros(2, dtype=np.int64)
     # quotas beyond the retry budget, so the chains are still stepping
     # when their empty chords run out
     quota = np.array([200, 200])
     out = np.full((400, 1), np.nan)
     with pytest.raises(RuntimeError, match=STUCK):
-        chain_steps(A, b, Y, axes, uniforms, 0, 1, state, quota, out)
+        chain_steps(A, b, Y, axes, uniforms, 0, 1, 0, retries, quota, out)
     # every chord is empty: 100 zero-length steps, each one kept, then the
     # 101st empty chord in a row stops both chains
-    assert state.tolist() == [[100, 100], [100, 100], [101, 101]]
+    assert retries.tolist() == [101, 101]
     assert (out[:100] == 0.5).all() and (out[200:300] == 0.5).all()
     assert np.isnan(out[100:200]).all() and np.isnan(out[300:]).all()
     assert (Y == 0.5).all()
@@ -214,30 +226,28 @@ def test_one_degenerate_chain_reports_stuck():
     starts = [[0.0, 0.0, 0.0], RIDGE, [0.0, 0.0, 0.0]]
     A, b = ridge_problem()
     Y = np.array(starts)
-    state = np.zeros((3, 3), dtype=np.int64)
+    retries = np.zeros(3, dtype=np.int64)
     out = np.full((150, 3), np.nan)
     with pytest.raises(RuntimeError, match=STUCK):
-        chain_steps(A, b, Y, axes, uniforms, 99, 1, state, np.array([50] * 3), out)
+        chain_steps(A, b, Y, axes, uniforms, 99, 1, 0, retries, np.array([50] * 3), out)
     # every chain took the 100 rows before the one that ran out of
     # retries, the ridge chain as zero-length steps; step 100 is the
     # first after burn-in, kept by every chain, the ridge chain's on the
-    # ridge
-    assert state[0].tolist() == [100, 100, 100]
-    assert state[1].tolist() == [1, 1, 1]
+    # ridge, and step 101 is not taken
     assert np.isfinite(out[[0, 100]]).all() and out[50].tolist() == RIDGE
     assert np.isnan(out[[1, 51, 101]]).all()
-    assert state[2].tolist() == [0, 101, 0]
+    assert retries.tolist() == [0, 101, 0]
     assert Y[1].tolist() == RIDGE
     assert_chain_matches_reference(A, b, starts, axes, uniforms, 99, 1, [50] * 3)
 
     # fewer empty chords in a row than the budget is not stuck: with a
     # quota of 0 the ridge chain takes the other chains' 50 steps in place
-    state, _, Y = run_chain(axes, uniforms, [50, 0, 50], 0, 1, starts,
-                            problem=ridge_problem)
-    assert state[0].tolist() == [50, 50, 50]
-    assert state[1].tolist() == [50, 0, 50] and state[2].tolist() == [0, 50, 0]
+    retries, out, Y = run_chain(axes[:50], uniforms[:50], [50, 0, 50], 0, 1, starts,
+                                problem=ridge_problem)
+    assert retries.tolist() == [0, 50, 0] and np.isfinite(out).all()
     assert Y[1].tolist() == RIDGE
-    assert_chain_matches_reference(A, b, starts, axes, uniforms, 0, 1, [50, 0, 50])
+    assert_chain_matches_reference(A, b, starts, axes[:50], uniforms[:50], 0, 1,
+                                   [50, 0, 50])
 
 
 def test_open_region_reports_unbounded():
@@ -247,37 +257,38 @@ def test_open_region_reports_unbounded():
     axes = np.zeros((50, 3), dtype=np.int64)
     uniforms = rng.random((50, 3))
     Y = np.ones((3, 1))
-    state = np.zeros((3, 3), dtype=np.int64)
+    retries = np.zeros(3, dtype=np.int64)
     out = np.zeros((30, 1))
     with pytest.raises(RuntimeError, match=UNBOUNDED):
-        chain_steps(A, b, Y, axes, uniforms, 0, 1, state, np.array([10, 10, 10]), out)
-    assert state[0].tolist() == [0, 0, 0]
+        chain_steps(A, b, Y, axes, uniforms, 0, 1, 0, retries, np.array([10, 10, 10]),
+                    out)
+    # the open chord of the first row stops every chain before any step
+    assert (Y == 1.0).all() and (out == 0.0).all() and not retries.any()
 
 
 def run_refills(step, A, b, starts, axes, uniforms, burn_in, thinning, quota,
                 rows_per_refill=128, retries=None):
     """Feed the draws to ``step`` one refill at a time, as ``hit_and_run``
-    does; return ``Y``, ``state``, ``out`` and the error message, if any."""
+    does; return ``Y``, ``retries``, ``out`` and the error message, if any."""
     Y = np.array(starts, dtype=float)
     chains = Y.shape[0]
-    state = np.zeros((3, chains), dtype=np.int64)
-    if retries is not None:
-        state[2] = retries
+    retries = np.zeros(chains, dtype=np.int64) if retries is None else np.array(retries)
     quota = np.asarray(quota, dtype=np.int64)
     out = np.full((int(quota.sum()), Y.shape[1]), np.nan)
     error = None
     try:
-        for r in range(0, axes.shape[0], rows_per_refill):
-            step(A, b, Y, axes[r:r + rows_per_refill],
-                 uniforms[r:r + rows_per_refill], burn_in, thinning, state, quota, out)
+        for done in range(0, axes.shape[0], rows_per_refill):
+            step(A, b, Y, axes[done:done + rows_per_refill],
+                 uniforms[done:done + rows_per_refill], burn_in, thinning, done,
+                 retries, quota, out)
     except RuntimeError as exc:
         error = str(exc)
-    return Y, state, out, error
+    return Y, retries, out, error
 
 
 def assert_chain_matches_reference(A, b, starts, axes, uniforms, burn_in,
                                    thinning, quota, **options):
-    """The chain leaves Y, state and out bit for bit as the per-row loop of
+    """The chain leaves Y, retries and out bit for bit as the per-row loop of
     ``reference_chain`` does, and raises the same error at the same row."""
     refill = options.get("rows_per_refill", 128)
     work = _ChainWorkspace(A, min(refill, axes.shape[0]), axes.shape[1])
@@ -320,11 +331,12 @@ def test_chain_matches_per_row_reference_in_both_layouts(chains, rows):
     # burn-in ends mid-refill; unequal quotas fill in different rows
     quota = rng.integers(20, 60, chains)
     quota[1] = 0
-    Y, state, out, error = assert_chain_matches_reference(
-        A, b, np.tile(centre, (chains, 1)), axes, uniforms, 70, 1, quota)
-    assert error is None and state[1].tolist() == quota.tolist()
     # every chain, the one with quota 0 too, runs the longest quota's steps
-    assert state[0].tolist() == [70 + quota.max()] * chains
+    total = 70 + quota.max()
+    Y, retries, out, error = assert_chain_matches_reference(
+        A, b, np.tile(centre, (chains, 1)), axes[:total], uniforms[:total], 70, 1,
+        quota)
+    assert error is None and not retries.any()
     assert np.isfinite(out).all()
 
 
@@ -335,10 +347,12 @@ def test_chain_matches_reference_with_thinning_and_mid_refill_quotas():
     uniforms = rng.random((700, 5))
     # a zero quota, and quotas whose last step falls mid-refill
     quota = [40, 0, 37, 13, 41]
-    _, state, out, error = assert_chain_matches_reference(
+    total = 145 + 3 * max(quota)
+    axes, uniforms = axes[:total], uniforms[:total]
+    _, retries, out, error = assert_chain_matches_reference(
         A, b, np.full((5, 2), 0.5), axes, uniforms, 145, 3, quota)
-    assert error is None and state[1].tolist() == quota
-    assert state[0].tolist() == [145 + 3 * max(quota)] * 5
+    assert error is None and not retries.any()
+    assert np.isfinite(out).all()
     # the same draws in refills of 40 rows move the ends of burn-in and of
     # every quota to other rows within a refill
     assert_chain_matches_reference(A, b, np.full((5, 2), 0.5), axes, uniforms,
@@ -357,20 +371,21 @@ def test_chain_matches_reference_when_a_chain_gets_stuck_mid_refill():
     # chain 1 draws axis 0 from row 60 on: 101 empty chords later, at row
     # 160 of the second refill, it runs out of retries
     axes[60:, 1] = 0
-    Y, state, out, error = assert_chain_matches_reference(
+    Y, retries, out, error = assert_chain_matches_reference(
         A, b, np.tile([0.5 + 5e-14, 0.5], (3, 1)), axes, uniforms, 20, 1, [200, 200, 200])
     assert STUCK in error
     # chain 1's empty chords were zero-length steps, so every chain took
-    # the 160 rows before the one that stopped them
-    assert state[0].tolist() == [160] * 3 and state[2].tolist() == [0, 101, 0]
-    assert state[1].tolist() == [140] * 3
+    # the 160 rows before the one that stopped them and kept 140 samples
+    assert retries.tolist() == [0, 101, 0]
+    assert kept_per_chain(out, [200] * 3) == [140] * 3
     # 50 retries carried in: chain 1, stuck from row 0, runs out at row 50
     axes[:60, 1] = 0
-    _, state, _, error = assert_chain_matches_reference(
+    _, retries, out, error = assert_chain_matches_reference(
         A, b, np.tile([0.5 + 5e-14, 0.5], (3, 1)), axes, uniforms, 20, 1, [200, 200, 200],
         retries=[0, 50, 0])
     assert STUCK in error
-    assert state[0].tolist() == [50] * 3 and state[2].tolist() == [0, 101, 0]
+    assert retries.tolist() == [0, 101, 0]
+    assert kept_per_chain(out, [200] * 3) == [30] * 3
 
 
 def test_chain_matches_reference_when_a_chord_opens_mid_refill():
@@ -380,20 +395,20 @@ def test_chain_matches_reference_when_a_chord_opens_mid_refill():
     axes, uniforms = axis_draws(9, 300, 3)
     # chain 2's open chord at row 170, in the second refill, stops the run
     axes[170, 2] = 2
-    Y, state, out, error = assert_chain_matches_reference(
+    Y, _, out, error = assert_chain_matches_reference(
         A, b, np.full((3, 3), 0.5), axes, uniforms, 10, 1, [20, 500, 500])
     assert UNBOUNDED in error
-    assert state[0].tolist() == [170] * 3
-    assert state[1].tolist() == [20, 160, 160]
+    # the 170 rows before it were taken: chain 0 kept its 20 samples, the
+    # others 160 each
+    assert kept_per_chain(out, [20, 500, 500]) == [20, 160, 160]
     assert np.isfinite(Y).all()
     # chain 0 has kept its 20 samples after 30 steps, but it still steps
     # with the others, so its open chord at row 40 stops the run there
     axes[40:, 0] = 2
-    Y, state, out, error = assert_chain_matches_reference(
+    Y, _, out, error = assert_chain_matches_reference(
         A, b, np.full((3, 3), 0.5), axes, uniforms, 10, 1, [20, 500, 500])
     assert UNBOUNDED in error
-    assert state[0].tolist() == [40] * 3
-    assert state[1].tolist() == [20, 30, 30]
+    assert kept_per_chain(out, [20, 500, 500]) == [20, 30, 30]
     assert np.isfinite(Y).all()
 
 
@@ -411,23 +426,24 @@ def test_zero_slack_chords_are_retried_until_a_direction_opens():
     axes[3, 0] = 2
     starts = [RIDGE, [0.0, 0.0, 0.0]]
     Y = np.array(starts)
-    state = np.zeros((3, 2), dtype=np.int64)
+    retries = np.zeros(2, dtype=np.int64)
     quota = np.array([30, 30])
     out = np.full((60, 3), np.nan)
     # three empty chords in the first refill: three zero-length steps, each
     # kept on the ridge, and a count of three carried into the second
-    chain_steps(A, b, Y, axes[:3], uniforms[:3], 0, 1, state, quota, out)
-    assert state.tolist() == [[3, 3], [3, 3], [3, 0]]
+    chain_steps(A, b, Y, axes[:3], uniforms[:3], 0, 1, 0, retries, quota, out)
+    assert retries.tolist() == [3, 0]
+    assert kept_per_chain(out, quota) == [3, 3]
     assert Y[0].tolist() == RIDGE
     assert out[:3].tolist() == [RIDGE] * 3
-    chain_steps(A, b, Y, axes[3:], uniforms[3:], 0, 1, state, quota, out)
+    chain_steps(A, b, Y, axes[3:30], uniforms[3:30], 0, 1, 3, retries, quota, out)
     # the first axis that opens moves the chain and clears its count
-    assert state.tolist() == [[30, 30], [30, 30], [0, 0]]
+    assert retries.tolist() == [0, 0]
     assert not np.isnan(out).any()
     assert (out @ A.T <= b + 1e-12).all()
     assert out[3, :2].tolist() == [0.0, 0.0] and out[3, 2] < 1.0
-    assert_chain_matches_reference(A, b, starts, axes, uniforms, 0, 1, quota,
-                                   rows_per_refill=3)
+    assert_chain_matches_reference(A, b, starts, axes[:30], uniforms[:30], 0, 1,
+                                   quota, rows_per_refill=3)
 
 
 def test_a_direction_no_row_bounds_on_one_side_raises_after_the_steps_before_it():
@@ -437,18 +453,20 @@ def test_a_direction_no_row_bounds_on_one_side_raises_after_the_steps_before_it(
     axes, uniforms = axis_draws(12, 60, 2)
     axes[37, 1] = 2
     quota = np.array([40, 40])
-    state = np.zeros((3, 2), dtype=np.int64)
+    retries = np.zeros(2, dtype=np.int64)
     Y = np.full((2, 3), 0.5)
     out = np.full((80, 3), np.nan)
     with pytest.raises(RuntimeError, match=UNBOUNDED):
-        chain_steps(A, b, Y, axes, uniforms, 10, 1, state, quota, out)
-    # the same draws up to that row, run alone, leave the same state
-    state_before = np.zeros((3, 2), dtype=np.int64)
+        chain_steps(A, b, Y, axes, uniforms, 10, 1, 0, retries, quota, out)
+    # the same draws up to that row, run alone, leave the same points,
+    # counts and samples: 27 of each chain's after burn-in 10
+    retries_before = np.zeros(2, dtype=np.int64)
     Y_before = np.full((2, 3), 0.5)
     out_before = np.full((80, 3), np.nan)
-    chain_steps(A, b, Y_before, axes[:37], uniforms[:37], 10, 1,
-                state_before, quota, out_before)
-    assert state.tolist() == state_before.tolist() == [[37, 37], [27, 27], [0, 0]]
+    chain_steps(A, b, Y_before, axes[:37], uniforms[:37], 10, 1, 0,
+                retries_before, quota, out_before)
+    assert retries.tolist() == retries_before.tolist() == [0, 0]
+    assert kept_per_chain(out, quota) == [27, 27]
     assert Y.tobytes() == Y_before.tobytes()
     assert out.tobytes() == out_before.tobytes()
 

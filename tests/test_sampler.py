@@ -210,14 +210,15 @@ def test_chain_count_rule_at_the_edges(students):
     assert count(sample_count=3, burn_in=1_000, thinning=1_000) == 3
     assert count(sample_count=200, burn_in=1_000, thinning=1_000) == 64
 
-    # with no burn-in, chain c's first sample is one step from the start,
-    # driven by row 0, chain c of the only refill: (R, C) axes, then
+    # with no burn-in, chain c's first sample is one step from the origin
+    # of the rounded frame, where every chain starts, driven by row 0,
+    # chain c of the only refill: (R, C) axes, then
     # (R, C) uniforms, where R = max(quota) is the most steps any chain
     # needs. 130 samples on 64 chains give the first two chains 3 samples
     # and the rest 2, in chain-major blocks.
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
-    A, b, start = polytope.A, polytope.b, polytope.start
+    A, b = polytope.A, polytope.b
     for sample_count, quota in ((10, [1] * 10), (130, [3, 3] + [2] * 62)):
         chains = len(quota)
         batch = hit_and_run(polytope, SamplerConfig(
@@ -228,10 +229,10 @@ def test_chain_count_rule_at_the_edges(students):
         # along axis j the chord coefficients are A's column j
         coef = A.T[axes]
         with np.errstate(divide="ignore"):
-            ratio = (b - A @ start) / coef
+            ratio = b / coef
         t_hi = np.where(coef > 0, ratio, np.inf).min(axis=1)
         t_lo = np.where(coef < 0, ratio, -np.inf).max(axis=1)
-        expected = np.tile(start, (chains, 1))
+        expected = np.zeros((chains, polytope.dimension))
         expected[np.arange(chains), axes] += t_lo + u * (t_hi - t_lo)
         first = np.cumsum(quota) - quota
         # the basis is not orthonormal: solve for the walk's coordinates
@@ -310,9 +311,8 @@ def test_start_point_strictly_inside(students, students_ramp):
         ),
     ]
     for system in cases:
-        polytope = build_polytope(system)
-        slack = polytope.b - polytope.A @ polytope.start
-        assert slack.min() > 1e-12
+        # the chains start at the origin, where the slacks are b
+        assert build_polytope(system).b.min() > 1e-12
 
 
 def test_start_on_the_boundary_is_rejected():
@@ -342,7 +342,7 @@ def test_caller_margin_is_not_solved_again(students_ramp, monkeypatch):
 
     monkeypatch.setattr(sampler, "max_epsilon", unexpected)
     reused = build_polytope(system, margin=outcome)
-    for field in ("A", "b", "basis", "offset", "start"):
+    for field in ("A", "b", "basis", "offset"):
         assert np.array_equal(getattr(reused, field), getattr(solved, field)), field
     assert reused.eps_star == solved.eps_star
 
@@ -441,7 +441,8 @@ def test_analytic_centre_matches_scipy_inradius(students, students_ramp):
                     build_polytope(system, delta, margin=fit)
                 continue
             polytope = build_polytope(system, delta, margin=fit)
-            slack = polytope.b - polytope.A @ polytope.start
+            # the slacks at the origin, the chains' start
+            slack = polytope.b
             assert slack.min() > 0.0
             # the barrier gradient vanishes at the analytic centre
             inverse = 1.0 / slack
@@ -464,7 +465,9 @@ def test_dikin_rounding(students, students_ramp):
     for system in systems:
         polytope = build_polytope(system)
         A, b, k = polytope.A, polytope.b, polytope.dimension
-        assert not polytope.start.any()
+        # the origin is the analytic centre: the barrier gradient vanishes
+        inverse = 1.0 / b
+        assert np.linalg.norm(A.T @ inverse) / inverse.max() <= 1e-8
         # each |A_i| / b_i is a leverage score of the scaled rows at the
         # centre: at most 1, and they sum to the dimension
         leverage = (A * A).sum(axis=1) / (b * b)

@@ -315,13 +315,16 @@ def test_validate_strict_raises_on_fabricated_mismatch(students):
     polytope, batch = sample_system(system, count=500, seed=14)
     results = aggregate(students, batch, mode="classical", polytope=polytope)
     # s6 over s5 is exactly ruled out (their positive region shrinks to a
-    # single boundary point), so a forged positive frequency must register
-    # as a violation of the possible-side implication
+    # single boundary point), so a forged positive frequency, and the
+    # possible-outranking estimate it implies, must register as a
+    # violation of the possible-side implication
     forged_pref = results.p2_pref.copy()
+    forged_possible = results.ror_possible_approx.copy()
     i6 = students.alternative_index("s6")
     i5 = students.alternative_index("s5")
-    assert forged_pref[i6, i5] == 0.0
+    assert forged_pref[i6, i5] == 0.0 and not forged_possible[i6, i5]
     forged_pref[i6, i5] = 0.5
+    forged_possible[i6, i5] = True
     forged = type(results)(
         alternatives=results.alternatives,
         columns=results.columns,
@@ -335,7 +338,7 @@ def test_validate_strict_raises_on_fabricated_mismatch(students):
         p1_pref=results.p1_pref,
         p1_indiff=results.p1_indiff,
         p1_incomp=results.p1_incomp,
-        ror_possible_approx=results.ror_possible_approx,
+        ror_possible_approx=forged_possible,
         ror_necessary_approx=results.ror_necessary_approx,
     )
     with pytest.raises(AssertionError):
