@@ -11,6 +11,7 @@ output directory that cannot be written is bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -19,7 +20,7 @@ from .elicitation import compile_statements, parse_statements, restrict_classica
 from .lp import max_epsilon
 from .model import load_problem
 from .reports import render_csv, render_text, results_to_dict, to_json
-from .sampler import SamplerConfig, build_polytope, hit_and_run
+from .sampler import SamplerConfig, build_polytope, burn_in_steps, hit_and_run
 from .smaa import aggregate, validate_against_exact_ror
 
 __all__ = ["main"]
@@ -62,8 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"comma-separated report formats ({','.join(_REPORTS)})")
     parser.add_argument("--delta-strict", type=float, default=0.0,
                         help="margin enforced on strict rows while sampling")
-    parser.add_argument("--burn-in", type=int, default=1_000,
-                        help="steps discarded at the start of each chain")
+    parser.add_argument("--burn-in", type=int, default=None,
+                        help="steps discarded at the start of each chain "
+                             "(default: 20 per dimension of the sampled polytope)")
     parser.add_argument("--thin", type=int, default=1,
                         help="keep every n-th step of each chain")
     return parser
@@ -157,6 +159,10 @@ def _run(args, formats, config, table, full_system) -> int:
                    else (full_system, bipolar_fit))
     try:
         polytope = build_polytope(system, args.delta_strict, margin=fit)
+        # the configuration hit_and_run gets carries the burn-in it runs,
+        # never None: perfbench's tracer reads it off this call
+        config = dataclasses.replace(
+            config, burn_in=burn_in_steps(config, polytope.dimension))
         batch = hit_and_run(polytope, config)
     # InfeasibleSystemError included; MemoryError when the samples cannot
     # be allocated, which hit_and_run tries before the first step

@@ -58,7 +58,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LocalPair:
+class _Located:
+    """``source`` is the ``path:line`` a statement was parsed from, which
+    compile errors name, or None for a statement built in code. It takes
+    no part in equality or the repr."""
+
+    source: str | None = dataclasses.field(default=None, compare=False, repr=False,
+                                           kw_only=True)
+
+
+@dataclass(frozen=True)
+class LocalPair(_Located):
     """Pairwise judgement on one ordered pair: P (strict) or I (indifference)."""
 
     a: str
@@ -67,7 +77,7 @@ class LocalPair:
 
 
 @dataclass(frozen=True)
-class GlobalP1:
+class GlobalP1(_Located):
     """Judgement on the positive/negative flow pair of two alternatives."""
 
     a: str
@@ -76,7 +86,7 @@ class GlobalP1:
 
 
 @dataclass(frozen=True)
-class GlobalP2:
+class GlobalP2(_Located):
     """Judgement on the net flows of two alternatives."""
 
     a: str
@@ -85,7 +95,7 @@ class GlobalP2:
 
 
 @dataclass(frozen=True)
-class Intensity:
+class Intensity(_Located):
     """Pair (a, b) expresses a stronger preference than pair (c, d)."""
 
     pair1: tuple[str, str]
@@ -94,7 +104,7 @@ class Intensity:
 
 
 @dataclass(frozen=True)
-class CriterionImportance:
+class CriterionImportance(_Located):
     """Criterion j is more important than (or as important as) criterion k."""
 
     j: Union[str, int]
@@ -103,7 +113,7 @@ class CriterionImportance:
 
 
 @dataclass(frozen=True)
-class InteractionSign:
+class InteractionSign(_Located):
     """The pair (j, k) interacts positively, negatively or not at all."""
 
     j: Union[str, int]
@@ -112,7 +122,7 @@ class InteractionSign:
 
 
 @dataclass(frozen=True)
-class InteractionMagnitude:
+class InteractionMagnitude(_Located):
     """Compare two interaction magnitudes given their believed signs.
 
     ``signs`` gives the believed sign of pair1 and pair2. With kind ">",
@@ -126,7 +136,7 @@ class InteractionMagnitude:
 
 
 @dataclass(frozen=True)
-class OpposingPower:
+class OpposingPower(_Located):
     """Compare two opposing powers.
 
     Variant "a" fixes the supporting criterion (``fixed``) and says the
@@ -277,15 +287,16 @@ def _read(value, hint, where: str, name: str):
 def parse_statement(obj: dict, where: str = "statement") -> Statement:
     """Build a statement from one decoded JSON object.
 
-    The keys are ``type`` and the fields of that type's dataclass; a field
-    with a default may be left out, and any other key is an error.
+    The keys are ``type`` and the fields of that type's dataclass, bar
+    ``source``; a field with a default may be left out, and any other key
+    is an error.
     """
     _require(isinstance(obj, dict), where, "expected a JSON object")
     stype = obj.get("type")
     _require(isinstance(stype, str) and stype in _TYPES, where,
              f"unknown statement type {stype!r}")
     cls, _, allowed = _TYPES[stype]
-    fields = dataclasses.fields(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name != "source"]
     unknown = sorted(set(obj) - {"type"} - {f.name for f in fields})
     _require(not unknown, where, f"unknown key {', '.join(map(repr, unknown))}")
     hints = typing.get_type_hints(cls)
@@ -312,7 +323,9 @@ def parse_statement(obj: dict, where: str = "statement") -> Statement:
 def parse_statements(source: Union[str, Path, Iterable[str]]) -> list[Statement]:
     """Parse statements from a UTF-8 JSON-lines file or an iterable of lines.
 
-    Blank lines and lines starting with ``#`` are skipped.
+    Blank lines and lines starting with ``#`` are skipped. Each statement
+    records its ``path:line`` (``<lines>:line`` for an iterable) as its
+    ``source``.
     """
     if isinstance(source, (str, Path)):
         name = str(source)
@@ -333,7 +346,7 @@ def parse_statements(source: Union[str, Path, Iterable[str]]) -> list[Statement]
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{where}: not valid JSON ({exc})") from None
-        out.append(parse_statement(obj, where))
+        out.append(dataclasses.replace(parse_statement(obj, where), source=where))
     return out
 
 
@@ -349,7 +362,8 @@ def compile_statements(
     ``expr - eps >= 0``. A P1 statement also writes its two flow gaps,
     ``>= 0`` under P and ``= 0`` under I, where they imply its net-flow row,
     which is then left out. Every origin names the statement's position and
-    its origin text.
+    its origin text; an error in a statement names the same, after the
+    statement's ``source`` when it has one.
 
     Row order is deterministic: statement rows in input order, then the
     normalisation equality, sign conditions and the monotonicity family.
@@ -403,7 +417,8 @@ def compile_statements(
         origin = _ORIGINS.get(type(st))
         if origin is None:
             raise TypeError(f"unsupported statement {st!r}")
-        where = f"statement {pos_idx} ({origin.format(**vars(st))})"
+        label = f"statement {pos_idx} ({origin.format(**vars(st))})"
+        where = label if st.source is None else f"{st.source}: {label}"
         gaps, tag = (), ""
         if isinstance(st, LocalPair):
             expr = pair_gap(st.a, st.b, where)
@@ -447,11 +462,11 @@ def compile_statements(
         if (st.sign if isinstance(st, InteractionSign) else st.kind) in _EQUAL:
             # a P1 statement's flow gaps, tied to zero, imply its net-flow row
             for gap, gap_tag in gaps or ((expr, tag),):
-                add(gap, "=", where + gap_tag)
+                add(gap, "=", label + gap_tag)
         else:
             for gap, gap_tag in gaps:
-                add(gap, ">=", where + gap_tag)
-            add(expr, ">=", where + tag, strict=True)
+                add(gap, ">=", label + gap_tag)
+            add(expr, ">=", label + tag, strict=True)
 
     # structural closure
     add(ones(*range(n + len(layout.pair_keys))), "=", "normalisation", rhs=1.0)

@@ -36,8 +36,13 @@ with no mask for the side each row bounds. A step records only its
 chord extremes, whether each chain moved and how far; the points, kept
 samples, empty-chord counts and open chords are settled once per
 refill. The arithmetic is that of a per-row loop, so a seed gives
-bit-identical samples on a given numpy build. C is derived from
-the configuration so that burn-in work never exceeds sampling work.
+bit-identical samples on a given numpy build.
+
+Each chain discards its first ``burn_in_steps`` steps: the configured
+burn-in, or by default 20 per dimension of the polytope, since the
+mixing time of hit-and-run grows with the dimension (Lovász & Vempala
+2006, "Hit-and-run from a corner"). C is derived from the configuration
+and that burn-in so that burn-in work never exceeds sampling work.
 
 The (samples, parameters) result is the one array that grows with the
 sample count. It is allocated before the first step; the chain writes
@@ -64,6 +69,7 @@ __all__ = [
     "SampleBatch",
     "InfeasibleSystemError",
     "build_polytope",
+    "burn_in_steps",
     "hit_and_run",
 ]
 
@@ -73,6 +79,8 @@ _RETRY_BUDGET = 100
 # a chord narrower than this is treated as numerically empty
 _CHORD_TOL = 1e-12
 _MAX_CHAINS = 64
+# default burn-in per dimension of the sampled polytope
+_BURN_IN_PER_DIMENSION = 20
 # refill size, cut down to the steps the chains still need: the
 # draw order (axes then uniforms per refill) is part of the
 # deterministic stream for a given seed
@@ -107,8 +115,11 @@ class InfeasibleSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """What ``hit_and_run`` draws: ``burn_in`` None means by dimension,
+    as ``burn_in_steps`` gives it."""
+
     sample_count: int = 100_000
-    burn_in: int = 1_000
+    burn_in: int | None = None
     thinning: int = 1
     seed: int = 0
 
@@ -117,7 +128,7 @@ class SamplerConfig:
             raise ValueError("sample_count must be at least 1")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
-        if self.burn_in < 0:
+        if self.burn_in is not None and self.burn_in < 0:
             raise ValueError("burn_in cannot be negative")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
@@ -333,17 +344,29 @@ class SampleBatch:
     ``chain_quotas``, when known, gives the rows of each chain: the rows
     are chain-major, so chain c's block starts after the quotas of the
     chains before it. Quotas that are negative, not integers or do not
-    sum to the rows raise ``ValueError``.
+    sum to the rows raise ``ValueError``. ``burn_in`` and ``thinning``,
+    when known, are the steps each chain discarded and the steps per
+    kept sample; a burn-in that is not a non-negative integer, or a
+    thinning that is not a positive one, raises ``ValueError``.
     """
 
     columns: tuple[str, ...]
     data: np.ndarray
     seed: int | None = None
     chain_quotas: tuple[int, ...] | None = None
+    burn_in: int | None = None
+    thinning: int | None = None
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("data shape does not match the column names")
+        for name, least in (("burn_in", 0), ("thinning", 1)):
+            value = getattr(self, name)
+            if value is not None and not (
+                    isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, "
+                                 f"not {value!r}")
         quotas = self.chain_quotas
         if quotas is None:
             return
@@ -374,6 +397,8 @@ class SampleBatch:
             "seed": self.seed,
             "chain_quotas": (None if self.chain_quotas is None
                              else list(self.chain_quotas)),
+            "burn_in": None if self.burn_in is None else int(self.burn_in),
+            "thinning": None if self.thinning is None else int(self.thinning),
         }
         with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -408,8 +433,12 @@ class SampleBatch:
         data = np.fromfile(path, dtype="<f8").reshape(rows, len(cols))
         quotas = sidecar.get("chain_quotas")
         try:
+            # a sidecar written before burn-in and thinning were recorded
+            # lacks them
             return cls(columns=cols, data=data, seed=sidecar.get("seed"),
-                       chain_quotas=None if quotas is None else tuple(quotas))
+                       chain_quotas=None if quotas is None else tuple(quotas),
+                       burn_in=sidecar.get("burn_in"),
+                       thinning=sidecar.get("thinning"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -419,13 +448,20 @@ def _sidecar_path(path: str) -> str:
     return root + ".json"
 
 
-def _chain_count(config: SamplerConfig) -> int:
-    """Chains stepped together: 1 to 64, at most one per sample, and no
-    more than fit C * burn_in within the sampling work, sample_count *
-    thinning (a single chain may exceed it)."""
+def burn_in_steps(config: SamplerConfig, k: int) -> int:
+    """Steps each chain discards on a polytope of dimension ``k``:
+    ``config.burn_in`` when given, otherwise 20 * k."""
+    return _BURN_IN_PER_DIMENSION * k if config.burn_in is None else config.burn_in
+
+
+def _chain_count(config: SamplerConfig, k: int) -> int:
+    """Chains stepped together on a polytope of dimension ``k``: 1 to 64,
+    at most one per sample, and no more than fit C * burn_in within the
+    sampling work, sample_count * thinning (a single chain may exceed
+    it), with burn_in from ``burn_in_steps``."""
     work = config.sample_count * config.thinning
     return min(_MAX_CHAINS, config.sample_count,
-               max(1, work // max(config.burn_in, 1)))
+               max(1, work // max(burn_in_steps(config, k), 1)))
 
 
 class _ChainWorkspace:
@@ -611,10 +647,13 @@ def _settle(ext, moved, lengths, axes, path, Y, done, retries, burn_in, thinning
 
 
 def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
-    """Run ``_chain_count(config)`` chains and return feasibility-checked samples.
+    """Run ``_chain_count(config, k)`` chains and return feasibility-checked
+    samples, k being the polytope's dimension.
 
     Every chain starts at the origin of the rounded frame, the analytic
-    centre, and discards its own first ``burn_in`` steps. Chain c keeps
+    centre, and discards its own first ``burn_in_steps(config, k)``
+    steps, 20 per dimension unless the configuration gives it; the
+    batch records that burn-in and the thinning. Chain c keeps
     ``sample_count // C`` samples, one more for the first
     ``sample_count % C`` chains, and the rows come out chain-major: all
     of chain 0's samples, then chain 1's, and so on; the batch's
@@ -639,7 +678,8 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     """
     k = polytope.dimension
     theta = np.empty((config.sample_count, polytope.basis.shape[0]))
-    chains = _chain_count(config)
+    burn_in = burn_in_steps(config, k)
+    chains = _chain_count(config, k)
     quota = np.full(chains, config.sample_count // chains, dtype=np.int64)
     quota[: config.sample_count % chains] += 1
     rng = np.random.default_rng(config.seed)
@@ -650,20 +690,20 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     axes = None
     uniforms = np.empty((_RAND_ROWS, chains))
     # the first chain's quota is the largest
-    total = config.burn_in + int(quota[0]) * config.thinning
+    total = burn_in + int(quota[0]) * config.thinning
     # a polytope of dimension 0 is one point: no chain, every row is offset
     for done in range(0, total if k else 0, _RAND_ROWS):
         rows = min(_RAND_ROWS, total - done)
         axes = rng.integers(k, size=(rows, chains))
         rng.random(out=uniforms[:rows])
         chain_steps(polytope.A, polytope.b, Y, axes, uniforms[:rows],
-                    config.burn_in, config.thinning, done, retries, quota, out,
-                    work=work)
+                    burn_in, config.thinning, done, retries, quota, out, work=work)
     # the chain's buffers go before the map and check
     del work, axes, uniforms
     _map_and_check(polytope, theta)
     return SampleBatch(columns=polytope.names, data=theta, seed=config.seed,
-                       chain_quotas=tuple(quota.tolist()))
+                       chain_quotas=tuple(quota.tolist()), burn_in=burn_in,
+                       thinning=config.thinning)
 
 
 def _map_and_check(polytope: Polytope, theta: np.ndarray) -> None:

@@ -434,7 +434,38 @@ def test_invalid_criterion_reference_exits_1(tmp_path, capsys, ref):
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: statement 1 (" in err and "invalid criterion reference" in err
+    assert f"error: {bad}:1: statement 1 (" in err and "invalid criterion reference" in err
+
+
+# a statement that parses but does not compile: (its lines, the line and
+# statement text the error names, the reason)
+UNCOMPILABLE_STATEMENTS = {
+    "unknown_alternative": (
+        ["# the DM's judgements", {"type": "local_pair", "a": "s7", "b": "nosuch"}],
+        "2: statement 1 (local_pair s7 P nosuch)", "unknown alternative 'nosuch'"),
+    "criterion_reference_true": (
+        [{"type": "global_p2", "a": "s3", "b": "s6"}, "",
+         {"type": "interaction_sign", "j": True, "k": 2}],
+        "3: statement 2 (interaction_sign True,2 +)", "invalid criterion reference True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCOMPILABLE_STATEMENTS))
+def test_uncompilable_statement_exits_1_with_its_line(tmp_path, capsys, case):
+    lines, where, reason = UNCOMPILABLE_STATEMENTS[case]
+    bad = tmp_path / f"{case}.jsonl"
+    bad.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                           for line in lines), encoding="utf-8")
+    code = main([
+        "--problem", str(FIXTURES / "students.json"),
+        "--statements", str(bad),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}:{where}: " in err and reason in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_format_subset_writes_only_requested(tmp_path):
@@ -505,6 +536,26 @@ def test_thinned_reruns_write_the_same_samples(tmp_path):
     assert quotas == [345] * 23 + [344] * 6
 
 
+def test_sidecar_records_the_burn_in_by_dimension(tmp_path, monkeypatch):
+    # with no --burn-in, scenario 1 (classical, dim 2) burns in 20 * 2
+    # steps and scenario 2 (bipolar, dim 11) 20 * 11, and hit_and_run is
+    # handed that number, not None
+    configs = []
+    hit_and_run = cli.hit_and_run
+    monkeypatch.setattr(cli, "hit_and_run",
+                        lambda polytope, config: configs.append(config)
+                        or hit_and_run(polytope, config))
+    for statements, problem, burn_in in (("scenario1.jsonl", "students.json", 40),
+                                         ("scenario2.jsonl", "students_ramp.json", 220)):
+        out = tmp_path / statements
+        assert main(["--problem", str(FIXTURES / problem),
+                     "--statements", str(FIXTURES / statements),
+                     "--samples", "300", "--thin", "2", "--out", str(out)]) == 0
+        sidecar = read_json(out / "samples.json")
+        assert (sidecar["burn_in"], sidecar["thinning"]) == (burn_in, 2)
+        assert configs.pop().burn_in == burn_in
+
+
 def test_different_seed_changes_report(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(a, seed=7) == 0
@@ -571,5 +622,6 @@ def test_sidecar_describes_samples(tmp_path):
     sidecar = read_json(tmp_path / "samples.json")
     assert sidecar["rows"] == 400
     assert sidecar["seed"] == 7
+    assert (sidecar["burn_in"], sidecar["thinning"]) == (200, 1)
     size = (tmp_path / "samples.bin").stat().st_size
     assert size == 400 * len(sidecar["columns"]) * 8

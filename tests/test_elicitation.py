@@ -448,7 +448,8 @@ def test_restrict_classical_origins_name_each_pinned_column(students):
 
 
 def test_compile_error_provenance(students):
-    with pytest.raises(ValueError, match=r"statement 1.*s9"):
+    # a statement built in code has no file line to name
+    with pytest.raises(ValueError, match=r"^statement 1 \(local_pair s9 P s2\): .*s9"):
         compile_statements(students, [LocalPair(a="s9", b="s2")])
     with pytest.raises(ValueError, match=r"statement 2"):
         compile_statements(
@@ -457,6 +458,16 @@ def test_compile_error_provenance(students):
         )
     with pytest.raises(ValueError, match="must differ"):
         compile_statements(students, [CriterionImportance(j=1, k=1)])
+    # a parsed one names its line first, but its rows' origins do not
+    lines = ['{"type": "local_pair", "a": "s7", "b": "s2"}', "",
+             '{"type": "local_pair", "a": "s1", "b": "s9"}']
+    parsed = parse_statements(lines)
+    assert [st.source for st in parsed] == ["<lines>:1", "<lines>:3"]
+    assert parsed[0] == LocalPair(a="s7", b="s2")
+    with pytest.raises(ValueError, match=r"^<lines>:3: statement 2 \(local_pair s1 P s9\)"):
+        compile_statements(students, parsed)
+    origins = [r.origin for r in compile_statements(students, parsed[:1]).rows]
+    assert origins[0] == "statement 1 (local_pair s7 P s2)"
 
 
 def test_compile_capacity_cap():

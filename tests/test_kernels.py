@@ -555,7 +555,7 @@ def refill_bytes(polytope, config):
     ``path``, the extremes of c / s, the step lengths, the axes and the
     uniforms, plus the chains-first layout's copy of A^T."""
     R = sampler._RAND_ROWS
-    C = sampler._chain_count(config)
+    C = sampler._chain_count(config, polytope.dimension)
     rows, k = polytope.A.shape
     coef = R * C * max(rows, k) * 8
     path = R * C * k * 8

@@ -78,7 +78,15 @@ def test_square_marginals_match_direct_uniforms():
     system = handmade_system(free=("a_1", "a_2"))
     polytope = build_polytope(system)
     assert polytope.dimension == 2
-    batch = hit_and_run(polytope, SamplerConfig(sample_count=6_000, seed=11))
+    # the KS test assumes independent draws. A step resamples one of the
+    # two coordinates, so about half of consecutive steps share a value;
+    # 10 steps apart, a pair still shares one with probability about
+    # 2 * 2^-10 = 0.002. Over seeds 1001-1400 the test then fails at 11
+    # of 400 seeds, about the 2% of two tests at 0.01; without thinning
+    # it failed at 33 of seeds 1001-1100. A step drawn as
+    # lo + u^2 * width fails at every seed tried.
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=6_000, seed=11,
+                                                thinning=10))
     rng = np.random.default_rng(999)
     direct = rng.random(6_000)
     for name in ("a_1", "a_2"):
@@ -154,13 +162,14 @@ def test_determinism_bit_identical(students):
 def test_burn_in_and_thinning_change_stream(students):
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
-    base = hit_and_run(polytope, SamplerConfig(sample_count=500, seed=7))
+    # a burn-in of 1,000 keeps each run on a single chain
+    base = hit_and_run(polytope, SamplerConfig(sample_count=500, burn_in=1_000, seed=7))
     thinned = hit_and_run(
-        polytope, SamplerConfig(sample_count=500, seed=7, thinning=3)
+        polytope, SamplerConfig(sample_count=500, burn_in=1_000, seed=7, thinning=3)
     )
     assert not np.array_equal(base.data, thinned.data)
     # thinning keeps every third post-burn-in step of the same walk
-    dense = hit_and_run(polytope, SamplerConfig(sample_count=1_500, seed=7))
+    dense = hit_and_run(polytope, SamplerConfig(sample_count=1_500, burn_in=1_000, seed=7))
     np.testing.assert_array_equal(thinned.data, dense.data[2::3])
 
 
@@ -169,7 +178,7 @@ def test_thinning_keeps_every_third_step_of_each_chain(students):
     polytope = build_polytope(system)
     thin_cfg = SamplerConfig(sample_count=6_400, burn_in=100, thinning=3, seed=7)
     dense_cfg = SamplerConfig(sample_count=19_200, burn_in=100, seed=7)
-    assert _chain_count(thin_cfg) == _chain_count(dense_cfg) == 64
+    assert _chain_count(thin_cfg, 2) == _chain_count(dense_cfg, 2) == 64
     thinned = hit_and_run(polytope, thin_cfg).data.reshape(64, 100, -1)
     dense = hit_and_run(polytope, dense_cfg).data.reshape(64, 300, -1)
     # chain-major rows: block c is chain c's walk in both runs
@@ -184,7 +193,7 @@ def test_unequal_quotas_at_thinning_3_keep_their_own_rows(students):
     # the dense run of 64 chains of 300, so both draw the same stream
     thin_cfg = SamplerConfig(sample_count=6_390, burn_in=100, thinning=3, seed=7)
     dense_cfg = SamplerConfig(sample_count=19_200, burn_in=100, seed=7)
-    assert _chain_count(thin_cfg) == _chain_count(dense_cfg) == 64
+    assert _chain_count(thin_cfg, 2) == _chain_count(dense_cfg, 2) == 64
     thinned = hit_and_run(polytope, thin_cfg)
     quota = [100] * 54 + [99] * 10
     assert thinned.chain_quotas == tuple(quota)
@@ -196,9 +205,49 @@ def test_unequal_quotas_at_thinning_3_keep_their_own_rows(students):
         np.testing.assert_array_equal(block, dense[c, 2::3][:quota[c]])
 
 
+@pytest.mark.parametrize("k, steps", [(0, 0), (2, 40), (11, 220), (50, 1_000)])
+def test_burn_in_is_20_steps_per_dimension_unless_given(k, steps):
+    assert sampler.burn_in_steps(SamplerConfig(), k) == steps
+    # an explicit burn-in overrides the rule, 0 included
+    for given in (0, 7, 5_000):
+        assert sampler.burn_in_steps(SamplerConfig(burn_in=given), k) == given
+
+
+def test_chain_count_with_the_burn_in_by_dimension():
+    # wide-m100 (5,000 samples, dim 2) and the paper's bipolar example
+    # (100,000 samples, dim 11) run 64 chains; at dim 50 the rule gives
+    # the 1,000 steps of an explicit burn-in, and 5 chains
+    assert _chain_count(SamplerConfig(sample_count=5_000), 2) == 64
+    assert _chain_count(SamplerConfig(sample_count=100_000), 11) == 64
+    assert _chain_count(SamplerConfig(sample_count=5_000), 50) == 5
+    assert _chain_count(SamplerConfig(sample_count=5_000, burn_in=1_000), 2) == 5
+
+
+def test_burn_in_by_dimension_at_dim_50_is_the_explicit_1000():
+    # six criteria, bipolar, no statements: 51 parameters less the
+    # normalisation row leave dimension 50, where 20 * 50 = 1,000
+    table = random_table(np.random.default_rng(6), 8, 6, p=4.0)
+    polytope = build_polytope(compile_statements(table, []))
+    assert polytope.dimension == 50
+    by_dimension = hit_and_run(polytope, SamplerConfig(sample_count=2_000, seed=5))
+    explicit = hit_and_run(polytope, SamplerConfig(sample_count=2_000, burn_in=1_000,
+                                                   seed=5))
+    assert np.array_equal(by_dimension.data, explicit.data)
+    assert by_dimension.chain_quotas == explicit.chain_quotas == (1_000, 1_000)
+    assert by_dimension.burn_in == explicit.burn_in == 1_000
+
+
+def test_batch_records_the_burn_in_and_thinning_it_ran(students):
+    polytope = build_polytope(restrict_classical(compile_statements(students, [])))
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=300, thinning=2, seed=1))
+    assert (batch.burn_in, batch.thinning) == (40, 2)
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=300, burn_in=9, seed=1))
+    assert (batch.burn_in, batch.thinning) == (9, 1)
+
+
 def test_chain_count_rule_at_the_edges(students):
     def count(**kw):
-        return _chain_count(SamplerConfig(seed=0, **kw))
+        return _chain_count(SamplerConfig(seed=0, **kw), 2)
 
     # burn-in work never exceeds sampling work, and no chain goes empty
     assert count(sample_count=100_000, burn_in=1_000) == 64
@@ -565,17 +614,19 @@ def test_rank1_acceptability_matches_exact_areas(students):
 def test_batch_save_load_roundtrip(tmp_path, students):
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
-    batch = hit_and_run(polytope, SamplerConfig(sample_count=200, seed=2))
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=200, burn_in=1_000, seed=2))
     path = tmp_path / "samples.bin"
     batch.save(str(path))
     sidecar = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
     assert sidecar["rows"] == 200
     assert sidecar["dtype"] == "<f8"
     assert sidecar["columns"] == list(batch.columns)
+    assert (sidecar["burn_in"], sidecar["thinning"]) == (1_000, 1)
     again = SampleBatch.load(str(path))
     assert np.array_equal(again.data, batch.data)
     assert again.columns == batch.columns
     assert again.seed == batch.seed
+    assert (again.burn_in, again.thinning) == (1_000, 1)
     # 200 samples, burn-in 1,000: one chain per 1,000 steps of sampling work
     # is below one, so a single chain holds every row
     assert sidecar["chain_quotas"] == [200]
@@ -597,6 +648,36 @@ def test_sidecar_records_the_chain_quotas(tmp_path, students):
     sidecar["chain_quotas"][0] += 1
     (tmp_path / "samples.json").write_text(json.dumps(sidecar), encoding="utf-8")
     with pytest.raises(ValueError, match="chain quotas sum to 1004, not to the 1003 rows"):
+        SampleBatch.load(str(path))
+
+
+def test_batch_load_accepts_a_sidecar_without_burn_in_or_thinning(tmp_path):
+    batch = SampleBatch(columns=("a", "b"), data=np.arange(6.0).reshape(3, 2),
+                        burn_in=40, thinning=2)
+    path = tmp_path / "samples.bin"
+    batch.save(str(path))
+    sidecar = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
+    assert (sidecar["burn_in"], sidecar["thinning"]) == (40, 2)
+    del sidecar["burn_in"], sidecar["thinning"]
+    (tmp_path / "samples.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    again = SampleBatch.load(str(path))
+    assert (again.burn_in, again.thinning) == (None, None)
+    assert np.array_equal(again.data, batch.data)
+
+
+@pytest.mark.parametrize("field, value", [("burn_in", -1), ("burn_in", 1.5),
+                                          ("burn_in", True), ("thinning", 0),
+                                          ("thinning", "2")])
+def test_batch_rejects_an_invalid_burn_in_or_thinning(tmp_path, field, value):
+    data = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SampleBatch(columns=("a", "b"), data=data, **{field: value})
+    path = tmp_path / "samples.bin"
+    SampleBatch(columns=("a", "b"), data=data).save(str(path))
+    sidecar = json.loads((tmp_path / "samples.json").read_text(encoding="utf-8"))
+    sidecar[field] = value
+    (tmp_path / "samples.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"samples\.bin: {field} must be an integer"):
         SampleBatch.load(str(path))
 
 
