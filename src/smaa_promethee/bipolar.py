@@ -49,7 +49,7 @@ __all__ = [
 
 # Compilation writes one monotonicity row per covering split, 2^(n-1) per
 # criterion, and ``GeneralBicapacity`` tabulates all 3^n disjoint subset
-# pairs, so the criterion count of both is capped unless callers raise it.
+# pairs, so the criterion count of both is capped; no argument raises it.
 # (``BicapacityParams.validate`` checks monotonicity in closed form and
 # needs no cap.) At the cap, n = 8 compiles to 1,089 rows plus one per
 # statement, over 92 parameters, and the margin LPs, the polytope's
@@ -64,8 +64,7 @@ class EnumerationCapError(ValueError):
     def __init__(self, criteria: int, cap: int):
         self.criteria = criteria
         self.cap = cap
-        super().__init__(f"{criteria} criteria exceed the enumeration cap of {cap}; "
-                         "raise max_criteria explicitly to proceed")
+        super().__init__(f"{criteria} criteria exceed the enumeration cap of {cap}")
 
 
 class ChoquetTriple(NamedTuple):
@@ -76,9 +75,9 @@ class ChoquetTriple(NamedTuple):
     net: float
 
 
-def _check_cap(n: int, max_criteria: int) -> None:
-    if n > max_criteria:
-        raise EnumerationCapError(n, max_criteria)
+def _check_cap(n: int) -> None:
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(n, ENUMERATION_CAP)
 
 
 def _side_pairs(items: tuple[int, ...], sides: tuple[int, ...]):
@@ -288,12 +287,10 @@ class GeneralBicapacity:
         return self.minus[(frozenset(c), frozenset(d))]
 
     @classmethod
-    def from_params(
-        cls, params: BicapacityParams, max_criteria: int = ENUMERATION_CAP
-    ) -> "GeneralBicapacity":
+    def from_params(cls, params: BicapacityParams) -> "GeneralBicapacity":
         """Tabulate both parts of a two-additive bicapacity."""
         n = params.n
-        _check_cap(n, max_criteria)
+        _check_cap(n)
         plus: dict = {}
         minus: dict = {}
         for c, d in _side_pairs(tuple(range(n)), (0, 1, 2)):

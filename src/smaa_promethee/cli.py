@@ -17,7 +17,7 @@ import sys
 
 from .bipolar import EnumerationCapError
 from .elicitation import compile_statements, parse_statements, restrict_classical
-from .lp import max_epsilon
+from .lp import FEASIBILITY_TOL, max_epsilon
 from .model import load_problem
 from .reports import render_csv, render_text, results_to_dict, to_json
 from .sampler import SamplerConfig, build_polytope, burn_in_steps, hit_and_run
@@ -99,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         statements = parse_statements(args.statements)
         full_system = compile_statements(table, statements)
     except EnumerationCapError as exc:
-        # max_criteria is a library argument: the command line keeps the cap
         print(f"error: {args.problem}: {exc.criteria} criteria exceed the "
               f"enumeration cap of {exc.cap}", file=sys.stderr)
         return 1
@@ -157,8 +156,16 @@ def _run(args, formats, config, table, full_system) -> int:
 
     system, fit = ((classical_system, classical_fit) if chosen == "classical"
                    else (full_system, bipolar_fit))
+    # the chosen model's margin LP is the one verdict on the strict margin:
+    # build_polytope solves none
+    if fit.eps_star < args.delta_strict - FEASIBILITY_TOL:
+        message = f"best attainable margin {fit.eps_star:.6g} is below the requested one"
+        if fit.binding:
+            message += "; binding rows: " + "; ".join(fit.binding)
+        print(f"error: sampling failed: {message}", file=sys.stderr)
+        return 2
     try:
-        polytope = build_polytope(system, args.delta_strict, margin=fit)
+        polytope = build_polytope(system, args.delta_strict)
         # the configuration hit_and_run gets carries the burn-in it runs,
         # never None: perfbench's tracer reads it off this call
         config = dataclasses.replace(
@@ -187,7 +194,7 @@ def _run(args, formats, config, table, full_system) -> int:
         _write_json(os.path.join(args.out, "ror_report.json"), ror)
 
     print(
-        f"mode={chosen} margin={polytope.eps_star:.6g} "
+        f"mode={chosen} margin={fit.eps_star:.6g} "
         f"samples={batch.sample_count} out={args.out}"
     )
     return 0

@@ -28,7 +28,6 @@ from typing import Iterable, Union
 import numpy as np
 
 from .bipolar import (
-    ENUMERATION_CAP,
     ParameterLayout,
     _check_cap,
     _side_pairs,
@@ -351,9 +350,7 @@ def parse_statements(source: Union[str, Path, Iterable[str]]) -> list[Statement]
 
 
 def compile_statements(
-    table: PerformanceTable,
-    statements: Iterable[Statement],
-    max_criteria: int = ENUMERATION_CAP,
+    table: PerformanceTable, statements: Iterable[Statement]
 ) -> ConstraintSystem:
     """Translate statements plus structural conditions into a linear system.
 
@@ -374,7 +371,7 @@ def compile_statements(
     the opposing powers nonpositive, they imply the rest.
     """
     n = table.n_criteria
-    _check_cap(n, max_criteria)
+    _check_cap(n)
     layout = ParameterLayout(n)
     size = layout.size
     tensor = bipolar_preference_tensor(table)

@@ -12,7 +12,10 @@ axes of an anisotropic polytope, and rounding shortens them (Lovász &
 Vempala 2006). Points map back through the affine offset and the scaled
 basis, which is not orthonormal. The strict-preference margin is fixed to
 ``delta_strict`` before reduction: with the default 0 the chain samples
-the closure, whose boundary has measure zero.
+the closure, whose boundary has measure zero. Whether any parameters
+attain that margin is the margin LP's question, asked before sampling;
+this module solves no LP, and a polytope with no interior at the margin
+shows itself by the rows its start point cannot clear.
 
 ``hit_and_run`` runs C independent chains from the origin of the rounded
 frame, the analytic centre, each with its own burn-in, and
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elicitation import ConstraintSystem
-from .lp import FEASIBILITY_TOL, LpOutcome, max_epsilon
+from .lp import FEASIBILITY_TOL
 
 __all__ = [
     "SamplerConfig",
@@ -95,28 +98,29 @@ _NEWTON_STEPS = 100
 
 
 class InfeasibleSystemError(RuntimeError):
-    """Raised when no parameter vector attains the requested margin, or
-    when no start point strictly inside the polytope is found."""
+    """Raised when the polytope at the requested margin has no point
+    strictly inside: ``reason`` says how that showed, and ``binding``
+    holds the origins of the rows that show it."""
 
-    def __init__(self, eps_star: float | None, binding: tuple[str, ...],
-                 reason: str | None = None):
-        self.eps_star = eps_star
+    def __init__(self, reason: str, binding: tuple[str, ...]):
+        self.reason = reason
         self.binding = binding
-        if reason is not None:
-            msg = reason
-        elif eps_star is None:
-            msg = "constraint system is infeasible at any margin"
-        else:
-            msg = f"best attainable margin {eps_star:.6g} is below the requested one"
+        msg = reason
         if binding:
             msg += "; binding rows: " + "; ".join(binding)
         super().__init__(msg)
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a boolean is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """What ``hit_and_run`` draws: ``burn_in`` None means by dimension,
-    as ``burn_in_steps`` gives it."""
+    as ``burn_in_steps`` gives it. Every field is an integer (a boolean
+    is not), else ``ValueError`` names it."""
 
     sample_count: int = 100_000
     burn_in: int | None = None
@@ -124,6 +128,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("sample_count", "burn_in", "thinning", "seed"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or name == "burn_in" and value is None):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
         if self.thinning < 1:
@@ -156,7 +164,6 @@ class Polytope:
     full_eq_b: np.ndarray
     full_ub_A: np.ndarray
     full_ub_b: np.ndarray
-    eps_star: float = float("nan")
 
     @property
     def dimension(self) -> int:
@@ -239,38 +246,35 @@ def _analytic_centre(R: np.ndarray, r: np.ndarray) -> np.ndarray:
         weight *= 10.0
 
 
-def build_polytope(
-    system: ConstraintSystem,
-    delta_strict: float = 0.0,
-    margin: LpOutcome | None = None,
-) -> Polytope:
+def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polytope:
     """Fix the margin, eliminate equalities, pick an interior start and round.
 
     The start point is the analytic centre of the reduced polytope, the
     minimiser of -sum(log(slack)) over its rows, found by Newton's method
     from a phase-1 barrier point (``_analytic_centre``). It needs no LP
     vertex, and it sits away from every row, where a vertex start would
-    leave the chain with empty chords. A start that is not strictly
-    inside every row, as on a polytope with no interior, raises
-    ``InfeasibleSystemError`` naming the row it sits on. The polytope is
-    then rounded so that the Dikin ellipsoid at the centre becomes the
-    unit ball at the origin (see the module docstring); a singular
-    barrier Hessian, a line that no row bounds, raises ``RuntimeError``
-    before any sampling. ``margin`` is
-    ``max_epsilon(system)`` when the caller has already solved it; without
-    it the margin LP is solved here. A negative ``delta_strict`` would
-    relax every strict row, so it raises ``ValueError``.
+    leave the chain with empty chords. The polytope is then rounded so
+    that the Dikin ellipsoid at the centre becomes the unit ball at the
+    origin (see the module docstring); a singular barrier Hessian, a line
+    that no row bounds, raises ``RuntimeError`` before any sampling. A
+    negative ``delta_strict`` would relax every strict row, so it raises
+    ``ValueError``.
+
+    No LP is solved here: a system with no parameters at the margin
+    ``delta_strict`` raises ``InfeasibleSystemError`` naming rows that
+    show it. Equality rows that no offset meets name the ones the
+    least-squares offset breaks; inequality rows that the equalities fix
+    at a violated value name themselves; otherwise a start that is not
+    strictly inside every row names the row of least slack. Whether a
+    margin is attainable at all is the margin LP's verdict, for the
+    caller to ask first.
     """
     if not delta_strict >= 0.0:
         raise ValueError(f"delta_strict must be non-negative, got {delta_strict!r}")
-    outcome = max_epsilon(system) if margin is None else margin
-    if not outcome.feasible or outcome.eps_star < delta_strict - FEASIBILITY_TOL:
-        raise InfeasibleSystemError(outcome.eps_star, outcome.binding)
-    eps_star = outcome.eps_star
     size = system.layout.size
     ecol = system.eps_col
 
-    A_eq, b_eq, _, A_ub, b_ub, ub_origins = system.split()
+    A_eq, b_eq, eq_origins, A_ub, b_ub, ub_origins = system.split()
     eq_A = A_eq[:, :size]
     eq_b = b_eq - A_eq[:, ecol] * delta_strict
     ub_A = A_ub[:, :size]
@@ -279,8 +283,10 @@ def build_polytope(
     basis = _null_space(eq_A, size)
     if eq_A.shape[0]:
         offset, *_ = np.linalg.lstsq(eq_A, eq_b, rcond=None)
-        if np.max(np.abs(eq_A @ offset - eq_b)) > FEASIBILITY_TOL:
-            raise InfeasibleSystemError(eps_star, ("inconsistent equality rows",))
+        broken = np.abs(eq_A @ offset - eq_b) > FEASIBILITY_TOL
+        if broken.any():
+            raise InfeasibleSystemError("inconsistent equality rows",
+                                        _origins(eq_origins, broken))
     else:
         offset = np.zeros(size)
 
@@ -288,8 +294,10 @@ def build_polytope(
     r = ub_b - ub_A @ offset
     norms = np.sqrt((R * R).sum(axis=1))
     keep = norms > 1e-12
-    if np.any(r[~keep] < -FEASIBILITY_TOL):
-        raise InfeasibleSystemError(eps_star, ("row fixed by equalities is violated",))
+    violated = ~keep & (r < -FEASIBILITY_TOL)
+    if violated.any():
+        raise InfeasibleSystemError("rows fixed by the equalities are violated",
+                                    _origins(ub_origins, violated))
     R = np.ascontiguousarray(R[keep])
     r = np.ascontiguousarray(r[keep])
 
@@ -298,11 +306,9 @@ def build_polytope(
     if R.shape[0]:
         worst = int(np.argmin(slack))
         if not slack[worst] > 0.0:
-            origin = [o for o, k in zip(ub_origins, keep) if k][worst]
+            origin = _origins(ub_origins, keep)[worst]
             raise InfeasibleSystemError(
-                eps_star, (origin,),
-                reason=f"no interior start point: minimum slack {slack[worst]:.3g}",
-            )
+                f"no interior start point: minimum slack {slack[worst]:.3g}", (origin,))
 
     k = basis.shape[1]
     if k:
@@ -333,8 +339,13 @@ def build_polytope(
     return Polytope(
         A=R, b=r, basis=basis, offset=offset,
         names=system.layout.names, full_eq_A=eq_A, full_eq_b=eq_b,
-        full_ub_A=ub_A, full_ub_b=ub_b, eps_star=eps_star,
+        full_ub_A=ub_A, full_ub_b=ub_b,
     )
+
+
+def _origins(origins: tuple[str, ...], mask: np.ndarray) -> tuple[str, ...]:
+    """The origins of the rows ``mask`` picks."""
+    return tuple(o for o, picked in zip(origins, mask) if picked)
 
 
 @dataclass(frozen=True)
@@ -362,15 +373,13 @@ class SampleBatch:
             raise ValueError("data shape does not match the column names")
         for name, least in (("burn_in", 0), ("thinning", 1)):
             value = getattr(self, name)
-            if value is not None and not (
-                    isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                    and value >= least):
+            if value is not None and not (_is_integer(value) and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, "
                                  f"not {value!r}")
         quotas = self.chain_quotas
         if quotas is None:
             return
-        if not all(isinstance(q, (int, np.integer)) and q >= 0 for q in quotas):
+        if not all(_is_integer(q) and q >= 0 for q in quotas):
             raise ValueError(f"chain quotas must be non-negative integers, not {list(quotas)}")
         if sum(quotas) != self.data.shape[0]:
             raise ValueError(f"chain quotas sum to {sum(quotas)}, "
@@ -379,9 +388,6 @@ class SampleBatch:
     @property
     def sample_count(self) -> int:
         return self.data.shape[0]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.columns.index(name)]
 
     def save(self, path: str) -> None:
         """Row-major little-endian float64 dump plus a JSON sidecar."""

@@ -119,20 +119,19 @@ def test_criterion_04_flow_identities():
     from smaa_promethee.smaa import flow_matrices
 
     runs = [
-        sampled_run("students.json", "scenario1.jsonl", "classical", 2000, 11),
-        sampled_run("students_ramp.json", "scenario2.jsonl", "bipolar", 2000, 12),
+        ("students.json", "scenario1.jsonl", "classical", 2000, 11),
+        ("students_ramp.json", "scenario2.jsonl", "bipolar", 2000, 12),
     ]
     worst = 0.0
-    for table, _, polytope, batch in runs:
+    for problem, statements, mode, count, seed in runs:
+        table, _, polytope, batch = sampled_run(problem, statements, mode, count, seed)
         pos, neg = flow_matrices(table, batch.data)
         net = pos - neg
         balance = float(np.max(np.abs(net.sum(axis=1))))
         worst = max(worst, balance)
         assert balance <= 1e-9
         assert np.all(pos >= -1e-12) and np.all(neg >= -1e-12)
-        aggregate(table, batch,
-                  mode="classical" if polytope.eps_star == 1.0 else "bipolar",
-                  polytope=polytope)
+        aggregate(table, batch, mode=mode, polytope=polytope)
     report(4, "PASS", f"net = pos - neg and zero net sum, worst balance {worst:.2e}")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import smaa_promethee
-from smaa_promethee import cli, lp, sampler
+from smaa_promethee import cli, lp
 from smaa_promethee.cli import main
 
 from conftest import FIXTURES
@@ -73,6 +73,21 @@ def test_ramp_scenario2_auto_escalates_to_bipolar(tmp_path):
     assert report["mode"] == "bipolar"
 
 
+def test_strict_margin_above_the_attainable_one_exits_2(tmp_path, capsys):
+    # scenario 2's bipolar margin is 1/18; the margin LP's verdict is the
+    # only check, so no sample is drawn
+    code = run_cli(tmp_path, "--delta-strict", "0.1", problem="students_ramp.json",
+                   statements="scenario2.jsonl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: sampling failed: best attainable margin 0.0555556 is below the "
+        "requested one; binding rows: statement 1 (intensity (s1,s2) P (s3,s4))")
+    feas = read_json(tmp_path / "feasibility.json")
+    assert feas["mode"] == "bipolar" and feas["delta_strict"] == 0.1
+    assert not (tmp_path / "samples.bin").exists()
+
+
 @pytest.mark.parametrize("problem,statements,mode", [
     ("students.json", "scenario1.jsonl", "classical"),
     ("students_ramp.json", "scenario2.jsonl", "bipolar"),
@@ -85,10 +100,9 @@ def test_each_margin_lp_is_solved_once(tmp_path, monkeypatch, problem, statement
         return lp.max_epsilon(system)
 
     monkeypatch.setattr(cli, "max_epsilon", counting)
-    monkeypatch.setattr(sampler, "max_epsilon", counting)
     assert run_cli(tmp_path, problem=problem, statements=statements) == 0
     assert read_json(tmp_path / "feasibility.json")["mode"] == mode
-    # the classical and the bipolar margin; build_polytope reuses the chosen one
+    # the classical and the bipolar margin; build_polytope solves no LP
     assert len(solved) == 2
 
 

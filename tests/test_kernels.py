@@ -10,7 +10,6 @@ from smaa_promethee.elicitation import (
     parse_statements,
     restrict_classical,
 )
-from smaa_promethee.lp import max_epsilon
 from smaa_promethee.model import load_problem
 from smaa_promethee.promethee import (
     _POSITION_FROM,
@@ -487,7 +486,7 @@ def workload_polytopes(directory):
 
 def test_hit_and_run_matches_reference_chain_on_the_workloads(tmp_path, monkeypatch):
     for name, system, samples in workload_polytopes(tmp_path):
-        polytope = build_polytope(system, margin=max_epsilon(system))
+        polytope = build_polytope(system)
         config = SamplerConfig(sample_count=samples, seed=1)
         got = hit_and_run(polytope, config).data
         with monkeypatch.context() as patch:
@@ -503,7 +502,7 @@ def test_reciprocal_chord_ends_match_the_masked_ones(tmp_path):
     min over c > 0 and max over c < 0 of s / c, within a few ulps."""
     rng = np.random.default_rng(17)
     for name, system, _ in workload_polytopes(tmp_path):
-        polytope = build_polytope(system, margin=max_epsilon(system))
+        polytope = build_polytope(system)
         A, b = polytope.A, polytope.b
         k = A.shape[1]
         # inside the unit ball, which is the Dikin ellipsoid at the centre
@@ -531,7 +530,7 @@ def test_reciprocal_chord_ends_match_the_masked_ones(tmp_path):
 def scenario2_polytope():
     table = load_problem(FIXTURES / "students_ramp.json")
     system = compile_statements(table, parse_statements(FIXTURES / "scenario2.jsonl"))
-    return build_polytope(system, margin=max_epsilon(system))
+    return build_polytope(system)
 
 
 def traced_beyond_samples(polytope, config):

@@ -16,7 +16,6 @@ import pytest
 from smaa_promethee import reports
 from smaa_promethee.cli import main
 from smaa_promethee.elicitation import compile_statements, parse_statements, restrict_classical
-from smaa_promethee.lp import max_epsilon
 from smaa_promethee.model import load_problem
 from smaa_promethee.sampler import SampleBatch, SamplerConfig, build_polytope, hit_and_run
 from smaa_promethee.smaa import SmaaResults, aggregate
@@ -98,7 +97,7 @@ def wide_results(tmp_path_factory):
         tmp_path_factory.mktemp("wide"), 1, m=100, n=3, p=0.0,
         interactions=False, statement_count=4)
     system = restrict_classical(compile_statements(table, statements))
-    polytope = build_polytope(system, margin=max_epsilon(system))
+    polytope = build_polytope(system)
     batch = hit_and_run(polytope, SamplerConfig(sample_count=5_000, seed=1))
     return aggregate(table, batch, mode="classical", polytope=polytope)
 

@@ -55,6 +55,10 @@ def handmade_system(extra_rows=(), free=("a_1",)):
     return ConstraintSystem(layout=layout, rows=tuple(rows) + tuple(extra_rows))
 
 
+def column(batch, name):
+    return batch.data[:, batch.columns.index(name)]
+
+
 def test_reduced_dimensions(students):
     empty = compile_statements(students, [])
     bip = build_polytope(empty)
@@ -68,7 +72,7 @@ def test_segment_sampling_uniform():
     polytope = build_polytope(system)
     assert polytope.dimension == 1
     batch = hit_and_run(polytope, SamplerConfig(sample_count=10_000, seed=3))
-    xs = batch.column("a_1")
+    xs = column(batch, "a_1")
     assert xs.min() >= -1e-9 and xs.max() <= 1.0 + 1e-9
     assert abs(xs.mean() - 0.5) < 0.02
     assert abs(xs.var() - 1.0 / 12.0) < 0.01
@@ -90,7 +94,7 @@ def test_square_marginals_match_direct_uniforms():
     rng = np.random.default_rng(999)
     direct = rng.random(6_000)
     for name in ("a_1", "a_2"):
-        stat = ks_2samp(batch.column(name), direct)
+        stat = ks_2samp(column(batch, name), direct)
         assert stat.pvalue > 0.01, (name, stat)
 
 
@@ -98,7 +102,7 @@ def test_simplex_sampling(students):
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
     batch = hit_and_run(polytope, SamplerConfig(sample_count=30_000, seed=0))
-    weights = np.stack([batch.column(f"a_{j}") for j in (1, 2, 3)], axis=1)
+    weights = np.stack([column(batch, f"a_{j}") for j in (1, 2, 3)], axis=1)
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(weights >= -1e-9)
     for j in range(3):
@@ -117,7 +121,7 @@ def test_simplex_weights_follow_their_beta_marginals(n, bound):
     assert polytope.dimension == n - 1
     batch = hit_and_run(polytope, SamplerConfig(sample_count=20_000, seed=1))
     for j in range(1, n + 1):
-        stat = kstest(batch.column(f"a_{j}"), lambda x: 1.0 - (1.0 - x) ** (n - 1))
+        stat = kstest(column(batch, f"a_{j}"), lambda x: 1.0 - (1.0 - x) ** (n - 1))
         assert stat.statistic < bound, (j, stat)
 
 
@@ -304,7 +308,7 @@ def test_irreducibility_smoke(students):
     assert np.linalg.det(cov) > 0.0
 
 
-def test_infeasible_margin_carries_eps_star():
+def test_infeasible_margin_names_its_rows():
     layout = ParameterLayout(2)
     fwd = np.zeros(layout.size + 1)
     fwd[0], fwd[1], fwd[layout.size] = 1.0, -1.0, -1.0
@@ -318,9 +322,10 @@ def test_infeasible_margin_carries_eps_star():
     norm[0] = norm[1] = 1.0
     base = handmade_system(free=("a_1", "a_2"))
     system = base.with_rows(rows + [ConstraintRow(norm, "=", 1.0, "norm")])
-    with pytest.raises(InfeasibleSystemError) as err:
+    # no LP: the start point cannot clear both strict rows at 0.05
+    with pytest.raises(InfeasibleSystemError, match="^no interior start point") as err:
         build_polytope(system, delta_strict=0.05)
-    assert err.value.eps_star == pytest.approx(0.0, abs=1e-9)
+    assert err.value.binding in (("w1 > w2",), ("w2 > w1",))
 
     truly = base.with_rows(
         [
@@ -328,10 +333,22 @@ def test_infeasible_margin_carries_eps_star():
             ConstraintRow(norm, "=", 0.5, "conflicting norm"),
         ]
     )
-    with pytest.raises(InfeasibleSystemError) as err2:
+    # the least-squares offset breaks both normalisations
+    with pytest.raises(InfeasibleSystemError,
+                       match="^inconsistent equality rows; binding rows: norm; "
+                             "conflicting norm$") as err2:
         build_polytope(truly)
-    assert err2.value.eps_star is None
-    assert err2.value.binding
+    assert err2.value.binding == ("norm", "conflicting norm")
+
+    # a_2 is pinned to 0, so the equalities fix this row at a violated value
+    at_least = np.zeros(layout.size + 1)
+    at_least[1] = 1.0
+    fixed = handmade_system([ConstraintRow(at_least, ">=", 0.5, "a_2 >= 0.5")])
+    with pytest.raises(InfeasibleSystemError,
+                       match="^rows fixed by the equalities are violated; "
+                             "binding rows: a_2 >= 0.5$") as err3:
+        build_polytope(fixed)
+    assert err3.value.binding == ("a_2 >= 0.5",)
 
 
 def test_zero_dimensional_polytope_samples_its_one_point():
@@ -376,24 +393,6 @@ def test_start_on_the_boundary_is_rejected():
     with pytest.raises(InfeasibleSystemError, match="no interior start point") as err:
         build_polytope(system)
     assert err.value.binding in (("a_1 <= 0.5",), ("a_1 >= 0.5",))
-    assert err.value.eps_star == pytest.approx(1.0)
-
-
-def test_caller_margin_is_not_solved_again(students_ramp, monkeypatch):
-    system = compile_statements(
-        students_ramp, parse_statements(FIXTURES / "scenario2.jsonl")
-    )
-    solved = build_polytope(system)
-    outcome = max_epsilon(system)
-
-    def unexpected(_system):
-        raise AssertionError("margin LP solved again")
-
-    monkeypatch.setattr(sampler, "max_epsilon", unexpected)
-    reused = build_polytope(system, margin=outcome)
-    for field in ("A", "b", "basis", "offset"):
-        assert np.array_equal(getattr(reused, field), getattr(solved, field)), field
-    assert reused.eps_star == solved.eps_star
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -423,7 +422,7 @@ def criteria_end_to_end(n):
     bipolar = max_epsilon(system)
     assert classical.status == "optimal" and classical.eps_star <= 1e-9
     assert bipolar.status == "optimal" and bipolar.eps_star > 1e-9
-    polytope = build_polytope(system, margin=bipolar)
+    polytope = build_polytope(system)
     assert polytope.dimension == system.layout.size - 1
     batch = hit_and_run(polytope, SamplerConfig(sample_count=2_000, seed=1))
     data = np.hstack([batch.data, np.zeros((batch.sample_count, 1))])
@@ -487,9 +486,9 @@ def test_analytic_centre_matches_scipy_inradius(students, students_ramp):
             assert radius < 1e-7 or radius > 1e-6, radius
             if radius < 1e-7:
                 with pytest.raises(InfeasibleSystemError, match="no interior start point"):
-                    build_polytope(system, delta, margin=fit)
+                    build_polytope(system, delta)
                 continue
-            polytope = build_polytope(system, delta, margin=fit)
+            polytope = build_polytope(system, delta)
             # the slacks at the origin, the chains' start
             slack = polytope.b
             assert slack.min() > 0.0
@@ -539,7 +538,7 @@ def test_slab_thinner_than_the_square_root_of_eps_is_rounded(students_ramp):
         students_ramp, parse_statements(FIXTURES / "scenario2.jsonl"))
     fit = max_epsilon(system)
     for gap in (1e-9, 1e-10):
-        polytope = build_polytope(system, fit.eps_star - gap, margin=fit)
+        polytope = build_polytope(system, fit.eps_star - gap)
         assert np.linalg.cond(polytope.basis) > 1e8
         # every sample passes the output check inside hit_and_run
         hit_and_run(polytope, SamplerConfig(sample_count=2_000, seed=1))
@@ -734,6 +733,18 @@ def test_config_validation():
         SamplerConfig(burn_in=-1)
     with pytest.raises(ValueError, match="seed cannot be negative"):
         SamplerConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_count", 100.0), ("sample_count", True), ("burn_in", 2.5),
+    ("burn_in", "40"), ("thinning", 2.0), ("thinning", True), ("seed", 1.5),
+    ("seed", False),
+])
+def test_config_rejects_a_field_that_is_not_an_integer(field, value):
+    # with burn_in=2.5 numpy failed inside the chain, and seed=1.5 inside
+    # the seed sequence
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+        SamplerConfig(**{"sample_count": 100, field: value})
 
 
 @pytest.mark.parametrize("delta_strict", [-0.1, float("nan")])
