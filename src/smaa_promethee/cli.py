@@ -89,8 +89,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown report formats {bad or args.format!r}", file=sys.stderr)
         return 1
     try:
+        # NaN is not negative, and is no margin either
         if not args.delta_strict >= 0.0:
-            raise ValueError("--delta-strict cannot be negative")
+            raise ValueError(f"--delta-strict must be a number >= 0, got {args.delta_strict}")
         config = SamplerConfig(
             sample_count=args.samples, burn_in=args.burn_in,
             thinning=args.thin, seed=args.seed,

@@ -13,10 +13,24 @@ kinds of its row and column labels and of its cells. ``results_to_dict``,
 the JSON, text and CSV reports carry the same sections in the same order.
 
 Each matrix is rounded in one numpy pass that reproduces Python's
-``round`` (only cells next to a decimal tie go through ``round`` itself),
-and each format is built with one join per matrix or list rather than one
-call per cell. ``to_json`` is the one JSON writer of the command line: it
-gives exactly the text of ``json.dump(payload, indent=2, sort_keys=True)``.
+``round`` (only cells next to a decimal tie go through ``round`` itself).
+The percentage and flag matrices of every format are then written as
+bytes, with no Python string per cell. Every percentage the rounding
+makes is the double nearest k / 1000 for an integer 0 <= k <= 100,000,
+so ``rint(cell * 1000)`` gives k back exactly, and two lookups in small
+digit tables spell the cell from k: as ``repr`` and ``str`` do (the
+integer part, a point and the three decimals less their trailing zeros,
+one kept) or as ``"%{width}.3f"`` does (all three decimals,
+right-aligned in blanks). Labels, separators and indents stand beside
+the digits in fixed-width columns padded with a byte that UTF-8 never
+emits, and deleting the pad bytes leaves the text. A cell that is no
+such k (NaN, an infinity, -0.0, a value off the grid, above 100 or
+below 0) is formatted by Python as before and written into the same
+array. The matrices ``results_to_dict`` makes carry their numpy arrays,
+so the renderers need not read the cells back. The parameter vectors
+are short and keep one join per vector. ``to_json`` is the one JSON
+writer of the command line: it gives exactly the text of
+``json.dump(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -25,7 +39,9 @@ import csv
 import functools
 import io
 import json
-from itertools import chain
+import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -44,8 +60,8 @@ _TIE_BAND = 1e-6
 _SCALED_LIMIT = 2.0**30
 
 
-def _rounded(values, decimals: int) -> list:
-    """``round(float(v), decimals)`` for every entry, as nested lists.
+def _rounded(values, decimals: int) -> np.ndarray:
+    """``round(float(v), decimals)`` for every entry.
 
     ``rint(v * 10**decimals) / 10**decimals`` picks the same integer as
     Python's correctly rounded ``round`` unless the product sits next to a
@@ -60,11 +76,27 @@ def _rounded(values, decimals: int) -> list:
         near_tie = np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_BAND
         exact = near_tie | ~(np.abs(scaled) < _SCALED_LIMIT)
     out[exact] = [round(v, decimals) for v in values[exact].tolist()]
-    return out.tolist()
+    return out
 
 
-def _pct_matrix(mat: np.ndarray) -> list[list[float]]:
-    return _rounded(np.asarray(mat, dtype=np.float64) * 100.0, PCT_DECIMALS)
+class _Matrix(tuple):
+    """A report matrix as ``results_to_dict`` makes it: a tuple of rows,
+    each a tuple of Python floats or booleans, and in ``array`` a
+    read-only numpy array of the same cells, which the renderers read
+    instead of the cells. Neither can change, so they cannot drift apart."""
+
+
+def _matrix(array: np.ndarray) -> _Matrix:
+    """``array``, which the matrix takes over and makes read-only, as a
+    ``_Matrix``."""
+    matrix = _Matrix(map(tuple, array.tolist()))
+    array.setflags(write=False)
+    matrix.array = array
+    return matrix
+
+
+def _pct_matrix(mat: np.ndarray) -> _Matrix:
+    return _matrix(_rounded(np.asarray(mat, dtype=np.float64) * 100.0, PCT_DECIMALS))
 
 
 # key, SmaaResults field, text title, row labels, column labels, cells.
@@ -93,16 +125,16 @@ _SECTIONS = (
     ("ror_necessary_approx", "ror_necessary_approx", "Outranking necessary (sampled estimate)",
      "alternatives", "alternatives", "flag"),
 )
-_DECIMALS = {"pct": PCT_DECIMALS, "param": PARAM_DECIMALS}
 
 
-def _cells(kind: str, value) -> list | dict:
-    """A result array, or a dict of them, as the nested lists the reports carry."""
+def _cells(kind: str, value) -> _Matrix | list | dict:
+    """A result array, or a dict of them, as the report carries it: a
+    matrix of percentages or flags, or a list of parameter values."""
     if isinstance(value, dict):
         return {name: _cells(kind, vector) for name, vector in value.items()}
     if kind == "flag":
-        return value.tolist()
-    return _pct_matrix(value) if kind == "pct" else _rounded(value, PARAM_DECIMALS)
+        return _matrix(np.array(value, dtype=bool))
+    return _pct_matrix(value) if kind == "pct" else _rounded(value, PARAM_DECIMALS).tolist()
 
 
 def results_to_dict(results: SmaaResults) -> dict:
@@ -126,29 +158,275 @@ def _tables(report: dict):
         yield section, labels[rows], labels[cols], [value] if rows == "all" else value
 
 
-def _block(title: str, row_labels: list[str], col_labels: list[str], rows,
-           decimals: int | None) -> list[str]:
-    """A titled table of numbers with ``decimals`` places, or of booleans
-    as ``.``/``X`` when ``decimals`` is None."""
-    width = max(6 if decimals is None else 10, max(map(len, col_labels)) + 2)
-    label_w = max(map(len, row_labels)) + 2
-    # printf-style "%-Ns" and "%N.Df" lay out exactly as the format specs
-    # "<N" and ">N.Df" do, and apply faster; booleans index padded cells
-    cell = "%s" if decimals is None else f"%{width}.{decimals}f"
-    if decimals is None:
-        padded = (".".rjust(width), "X".rjust(width))
-        rows = ([padded[v] for v in row] for row in rows)
-    fmt = f"%-{label_w}s" + cell * len(col_labels)
-    return [title, " " * label_w + "".join(f"{c:>{width}}" for c in col_labels),
-            *(fmt % (label, *row) for label, row in zip(row_labels, rows)), ""]
+# Byte assembly. The rows of the report matrices are written as uint8
+# arrays with one row of bytes per matrix row, each part of the text in
+# a fixed-width column padded with _PAD, a byte that UTF-8 never emits.
+# Deleting every pad byte leaves the text itself.
+_PAD = 0xFF
+# cells assembled at once: bounds the padded arrays to a few megabytes
+_BLOCK_CELLS = 1 << 17
+
+
+def _padded(texts) -> np.ndarray:
+    """The UTF-8 of each text as one row of a uint8 array, padded with _PAD."""
+    encoded = [text.encode() for text in texts]
+    width = max(map(len, encoded), default=0)
+    joined = b"".join(raw.ljust(width, b"\xff") for raw in encoded)
+    return np.frombuffer(joined, np.uint8).reshape(len(encoded), width)
+
+
+def _side_by_side(out: np.ndarray, parts: list[np.ndarray]) -> None:
+    """Fill the last axis of ``out`` with ``parts``, broadcast, in order."""
+    left = 0
+    for part in parts:
+        out[..., left:left + part.shape[-1]] = part
+        left += part.shape[-1]
+
+
+@functools.cache
+def _digit_words(fixed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of k / 1000 spelled in uint64 words: for k // 1000
+    = 0 .. 100 a lead byte, the integer part and a point in bytes 0-4,
+    for k % 1000 the three decimals in bytes 5-7. Or'ed together they
+    spell k / 1000.
+
+    With ``fixed`` the word is what ``"%8.3f"`` writes: the lead byte and
+    the integer part's leading zeros are blanks. Otherwise they are pads,
+    and so are the trailing zeros of the decimals but the first, which
+    leaves what ``repr`` writes.
+    """
+    blank = ord(" ") if fixed else _PAD
+    n = np.arange(1000)[:, None]
+    digits = n // [100, 10, 1] % 10 + ord("0")
+    whole = np.zeros((101, 8), np.uint8)
+    whole[:, 0] = blank
+    whole[:, 1:4] = np.where(n[:101] < [100, 10, 0], blank, digits[:101])
+    whole[:, 4] = ord(".")
+    decimals = np.zeros((1000, 8), np.uint8)
+    decimals[:, 5:] = digits
+    if not fixed:
+        decimals[:, 6:][n % [100, 10] == 0] = _PAD
+    return whole.view(np.uint64).ravel(), decimals.view(np.uint64).ravel()
+
+
+_HUNDRED = np.float64(100.0).view(np.uint64)
+
+
+def _thousandths(values: np.ndarray, width: int, fallback) -> np.ndarray:
+    """The text of each value, one row of a padded byte array.
+
+    Every percentage ``_pct_matrix`` makes is the double nearest k / 1000
+    for an integer 0 <= k <= 100,000, and ``rint(value * 1000)`` gives k
+    back. Such a value is spelled from k: as ``repr`` spells it when
+    ``width`` is 0 (the integer part, a point and the three decimals less
+    their trailing zeros, one kept), else as ``"%{width}.3f"`` does (all
+    three decimals, right-aligned in blanks; ``width`` >= 8). Every other
+    value (non-finite, -0.0, above 100, negative or off the grid) is
+    spelled by ``fallback``.
+    """
+    k = np.rint(values * 1000.0)
+    # as unsigned integers, the bits of the doubles 0.0 to 100.0 lie below
+    # those of 100.0, and those of negatives, -0.0, NaN and infinities above
+    exact = (k / 1000.0 == values) & (values.view(np.uint64) <= _HUNDRED)
+    # an inexact value is spelled as 0 here and overwritten below
+    k = np.where(exact, k, 0.0).astype(np.intp)
+    whole_words, decimal_words = _digit_words(width > 0)
+    whole = k // 1000
+    words = np.take(whole_words, whole)
+    # k % 1000, in place
+    whole *= 1000
+    k -= whole
+    words |= np.take(decimal_words, k)
+    # the spelled word holds 8 bytes; whole words of blanks before it
+    # hold the other width - 8
+    blanks = max(width - 8, 0)
+    lead = -(-blanks // 8)
+    if lead:
+        out = np.empty((len(k), lead + 1), np.uint64)
+        out[:, :lead] = np.frombuffer((b" " * blanks).rjust(8 * lead, b"\xff"), np.uint64)
+        out[:, lead] = words
+        words = out
+    out = words.view(np.uint8).reshape(len(k), 8 * (lead + 1))
+    if not exact.all():
+        inexact = np.flatnonzero(~exact)
+        texts = _padded([fallback(v) for v in values[inexact].tolist()])
+        if texts.shape[1] > out.shape[1]:
+            out = np.concatenate([out, np.full((len(out), texts.shape[1] - out.shape[1]),
+                                               _PAD, np.uint8)], axis=1)
+        out[inexact] = _PAD
+        out[inexact, :texts.shape[1]] = texts
+    return out
+
+
+def _runs(matrices: list):
+    """Runs of consecutive rows with one key and one length, over all
+    matrices of ``matrices``, a list of (rows, key) pairs, as (key,
+    length, first row, end row), the rows counted over all matrices."""
+    runs, top = [], 0
+    for table, key in matrices:
+        for n, group in groupby(map(len, table)):
+            count = sum(1 for _ in group)
+            if runs and runs[-1][:2] == [key, n] and runs[-1][3] == top:
+                runs[-1][3] += count
+            else:
+                runs.append([key, n, top, top + count])
+            top += count
+    return runs
+
+
+def _assemble(matrices: list, spell, frame) -> list[str]:
+    """The text of each matrix of ``matrices``, a list of (rows, key,
+    values) triples, ``values`` holding the cells of ``rows`` flat.
+
+    Each run of rows with one key and one length n is written in blocks
+    of whole rows, each block one uint8 array with a row of bytes per
+    matrix row: its head, then each cell, then its tail. ``spell(key,
+    values)`` gives the text of the cells of consecutive rows of matrices
+    with that key, one row of a byte array per cell. ``frame(key, n, t,
+    i, r)`` gives the rest from each row's matrix t, its index i in the
+    matrix and its index r over all matrices, as four lists of byte
+    arrays: the heads (a row each), what goes before and after each
+    cell's text (broadcast to (rows, n, width)) and the tails. Each
+    matrix's rows are cut out of the block before their pads are deleted.
+    """
+    heights = [len(rows) for rows, _, _ in matrices]
+    firsts = list(accumulate(heights, initial=0))
+    table_of = np.repeat(np.arange(len(matrices)), heights)
+    row_in = np.arange(firsts[-1]) - np.repeat(firsts[:-1], heights)
+    lengths = np.fromiter(map(len, chain.from_iterable(rows for rows, _, _ in matrices)),
+                          np.intp, firsts[-1])
+    # where each row's cells start, over all matrices
+    starts = list(accumulate(lengths.tolist(), initial=0))
+    pieces = [[] for _ in matrices]
+    for key, n, top, end in _runs([(rows, key) for rows, key, _ in matrices]):
+        step = max(1, _BLOCK_CELLS // max(n, 1))
+        for a in range(top, end, step):
+            b = min(a + step, end)
+            tables = range(bisect_right(firsts, a) - 1, bisect_left(firsts, b))
+            values = [matrices[t][2][starts[max(a, firsts[t])] - starts[firsts[t]]:
+                                     starts[min(b, firsts[t + 1])] - starts[firsts[t]]]
+                      for t in tables]
+            values = (values[0] if len(values) == 1 else np.concatenate(values)
+                      if isinstance(values[0], np.ndarray) else list(chain.from_iterable(values)))
+            cells = spell(key, values)
+            cells = cells.reshape(b - a, n, cells.shape[-1])
+            head, before, after, tail = frame(key, n, table_of[a:b], row_in[a:b],
+                                             np.arange(a, b))
+            around = [*before, cells, *after]
+            head_w = sum(part.shape[-1] for part in head)
+            cell_w = sum(part.shape[-1] for part in around)
+            text = np.empty((b - a, head_w + n * cell_w + sum(part.shape[-1] for part in tail)),
+                            np.uint8)
+            _side_by_side(text[:, :head_w], head)
+            # a (rows, n, cell width) view of the cells' bytes
+            _side_by_side(text[:, head_w:head_w + n * cell_w].reshape(b - a, n, cell_w), around)
+            _side_by_side(text[:, head_w + n * cell_w:], tail)
+            for t in tables:
+                lo, hi = max(a, firsts[t]) - a, min(b, firsts[t + 1]) - a
+                pieces[t].append(text[lo:hi].tobytes().translate(None, b"\xff").decode())
+    return ["".join(piece) for piece in pieces]
+
+
+def _kind(rows) -> str:
+    """"float" or "bool" when every cell of ``rows`` is one, else "other"."""
+    if type(rows) is _Matrix:
+        return "bool" if rows.array.dtype == bool else "float"
+    types = set(map(type, chain.from_iterable(rows)))
+    return "float" if types == {float} else "bool" if types == {bool} else "other"
+
+
+def _values(rows, kind: str):
+    """The cells of ``rows``, flat: a float64 or bool array for those
+    kinds, read off a ``_Matrix``'s array, else a list of the cells."""
+    if type(rows) is _Matrix:
+        return rows.array.ravel()
+    cells = chain.from_iterable(rows)
+    if kind == "other":
+        return list(cells)
+    return np.fromiter(cells, np.float64 if kind == "float" else bool)
+
+
+def _typed_spelling(fallback, bools: tuple[str, str]):
+    """``spell`` for cells spelled by their type: floats as ``repr``,
+    booleans as ``bools``, and every other cell, and a non-finite float,
+    by ``fallback``."""
+    table = _padded(bools)
+
+    def spell_float(value: float) -> str:
+        return float.__repr__(value) if math.isfinite(value) else fallback(value)
+
+    def spell(key: tuple, values) -> np.ndarray:
+        kind = key[0]
+        if kind == "float":
+            return _thousandths(values, 0, spell_float)
+        if kind == "bool":
+            return np.take(table, values.view(np.uint8), axis=0)
+        return _padded(map(fallback, values))
+    return spell
+
+
+# the cells of the CSV report as ``str`` writes them, of the JSON one as
+# ``json.dumps`` does
+_CSV_SPELLING = _typed_spelling(str, ("False", "True"))
+_JSON_SPELLING = _typed_spelling(json.dumps, ("false", "true"))
+
+
+def _matrix_sections(tables: list) -> list:
+    """The percentage and flag sections with a row among ``tables``; the
+    parameter sections are left to the renderers' per-row code."""
+    return [(section, row_labels, col_labels, rows)
+            for section, row_labels, col_labels, rows in tables
+            if section[5] != "param" and row_labels]
+
+
+@functools.cache
+def _marks(width: int) -> np.ndarray:
+    """A flag cell of the text report, false and true, ``width`` wide."""
+    return _padded((".".rjust(width), "X".rjust(width)))
+
+
+def _header(title: str, label_w: int, col_labels: list[str], width: int) -> str:
+    return f"{title}\n" + " " * label_w + "".join(f"{c:>{width}}" for c in col_labels) + "\n"
 
 
 def render_text(report: dict) -> str:
-    lines = [f"SMAA report  mode={report['mode']}  samples={report['sample_count']}", ""]
-    for (_, _, title, _, _, kind), row_labels, col_labels, rows in _tables(report):
-        if row_labels:
-            lines += _block(title, row_labels, col_labels, rows, _DECIMALS.get(kind))
-    return "\n".join(lines)
+    tables = list(_tables(report))
+    matrices = _matrix_sections(tables)
+    widths = [max(10 if kind == "pct" else 6, max(map(len, cols)) + 2)
+              for (*_, kind), _, cols, _ in matrices]
+    label_w = max(map(len, report["alternatives"]), default=0) + 2
+    labels = _padded([f"{label:<{label_w}}" for label in report["alternatives"]])
+    newline = np.full((1, 1), ord("\n"), np.uint8)
+
+    def spell(key, values):
+        kind, width = key
+        if kind == "pct":
+            return _thousandths(values, width, lambda v: f"%{width}.3f" % v)
+        return np.take(_marks(width), values.view(np.uint8), axis=0)
+
+    def frame(key, n, t, i, r):
+        return [np.take(labels, i, axis=0)], [], [], [newline]
+
+    texts = iter(_assemble(
+        [(rows, (kind, width), _values(rows, "float" if kind == "pct" else "bool"))
+         for ((*_, kind), _, _, rows), width in zip(matrices, widths)], spell, frame))
+    widths = iter(widths)
+    blocks = []
+    for (_, _, title, _, _, kind), row_labels, col_labels, rows in tables:
+        if not row_labels:
+            continue
+        if kind != "param":
+            blocks.append(_header(title, label_w, col_labels, next(widths)) + next(texts))
+            continue
+        width = max(10, max(map(len, col_labels)) + 2)
+        row_w = max(map(len, row_labels)) + 2
+        # printf-style "%-Ns" and "%N.Df" lay out exactly as the format
+        # specs "<N" and ">N.Df" do, and apply faster
+        fmt = f"%-{row_w}s" + f"%{width}.{PARAM_DECIMALS}f" * len(col_labels) + "\n"
+        blocks.append(_header(title, row_w, col_labels, width)
+                      + "".join(fmt % (label, *row) for label, row in zip(row_labels, rows)))
+    head = f"SMAA report  mode={report['mode']}  samples={report['sample_count']}\n\n"
+    return head + "\n".join(blocks)
 
 
 def _csv_field(text: str) -> str:
@@ -163,27 +441,83 @@ def render_csv(report: dict) -> str:
     """Long-format CSV: section, row label, column label, value.
 
     Values are numbers or booleans, which ``csv.writer`` never quotes and
-    writes as ``str(value)``. Each label is quoted once, and the
-    "row,col," keys are built once per pair of label lists.
+    writes as ``str(value)``. Each label is quoted once.
     """
     quote = functools.cache(_csv_field)
-    keys: dict[tuple[str, str], list[str]] = {}
+    tables = list(_tables(report))
+    matrices = _matrix_sections(tables)
+    # "section,row," of every row, and "col," of every column of every matrix
+    keys = _padded([f"{quote(key)},{quote(label)},"
+                    for (key, *_), row_labels, _, _ in matrices for label in row_labels])
+    width = max((len(cols) for _, _, cols, _ in matrices), default=0)
+    columns = _padded([text for _, _, cols, _ in matrices
+                       for text in [quote(c) + "," for c in cols] + [""] * (width - len(cols))])
+    columns = columns.reshape(len(matrices), width, -1)
+    newline = np.full((1, 1, 1), ord("\n"), np.uint8)
+
+    def frame(key, n, t, i, r):
+        return ([], [np.take(keys, r, axis=0)[:, None], np.take(columns, t, axis=0)[:, :n]],
+                [newline], [])
+
+    kinds = [_kind(rows) for *_, rows in matrices]
+    texts = iter(_assemble([(rows, (kind,), _values(rows, kind))
+                            for (*_, rows), kind in zip(matrices, kinds)], _CSV_SPELLING, frame))
     out = ["section,row,col,value\n"]
-    for (key, _, _, rows, cols, _), row_labels, col_labels, cells in _tables(report):
-        if (rows, cols) not in keys:
-            quoted = list(map(quote, col_labels))
-            keys[rows, cols] = [f"{r},{c}," for r in map(quote, row_labels) for c in quoted]
-        if keys[rows, cols]:
-            lead = f"{_csv_field(key)},"
-            lines = map(str.__add__, keys[rows, cols], map(str, chain.from_iterable(cells)))
+    for (key, *_, kind), row_labels, col_labels, rows in tables:
+        if not row_labels:
+            continue
+        if kind != "param":
+            out.append(next(texts))
+            continue
+        quoted = list(map(quote, col_labels))
+        keys = [f"{r},{c}," for r in map(quote, row_labels) for c in quoted]
+        if keys:
+            lead = f"{quote(key)},"
+            lines = map(str.__add__, keys, map(str, chain.from_iterable(rows)))
             out.append(lead + f"\n{lead}".join(lines) + "\n")
     return "".join(out)
 
 
-def _json_text(value, newline: str) -> str:
-    """One value of ``to_json`` whose lines continue with ``newline``."""
+def _json_frame(lists: list):
+    """``frame`` for the matrices that ``_json_parts`` records.
+
+    A row opens with its bracket on a line of its own, after a comma on
+    every row but the first, and closes with one. Each cell stands on a
+    line of its own, after a comma unless it is the first of its row.
+    """
+    heads, indents, tails = [], [], []
+    for _, _, newline in lists:
+        inner = newline + "  "
+        heads += [inner + "[", "," + inner + "["]
+        indents.append(inner + "  ")
+        tails.append(inner + "]")
+    heads, indents, tails = _padded(heads), _padded(indents), _padded(tails)
+
+    def frame(key, n, t, i, r):
+        commas = np.full((1, n, 1), ord(","), np.uint8)
+        commas[:, :1] = _PAD
+        return ([np.take(heads, 2 * t + (i > 0), axis=0)],
+                [commas, np.take(indents, t, axis=0)[:, None]], [],
+                [np.take(tails, t, axis=0)])
+    return frame
+
+
+def _json_parts(value, newline: str, parts: list, lists: list) -> None:
+    """Append the text of ``value``, whose lines continue with ``newline``,
+    to ``parts``. A matrix (a ``_Matrix``, or a list of lists of floats
+    or of booleans) is appended as a None to be filled in, and recorded
+    in ``lists`` as its rows, the type of its cells and its newline."""
     inner = newline + "  "
     sep = "," + inner
+    matrix = type(value) is _Matrix or (
+        type(value) is list and all(type(row) is list for row in value))
+    # an empty list, or one with an empty row, is json.dumps's to write
+    if matrix and value and all(value):
+        kind = _kind(value)
+        if kind != "other":
+            lists.append((value, kind, newline))
+            parts.append(None)
+            return
     if type(value) is list and value:
         kinds = set(map(type, value))
         if kinds == {float}:
@@ -191,24 +525,40 @@ def _json_text(value, newline: str) -> str:
             # NaN and infinities are the only reprs with an "n"; JSON spells
             # them differently, so such a list takes the general path below
             if "n" not in text:
-                return "[" + inner + text + newline + "]"
+                parts.append("[" + inner + text + newline + "]")
+                return
         if kinds == {bool}:
-            cells = map(("false", "true").__getitem__, value)
-        else:
-            cells = (_json_text(v, inner) for v in value)
-        return "[" + inner + sep.join(cells) + newline + "]"
+            parts.append("[" + inner + sep.join(map(("false", "true").__getitem__, value))
+                         + newline + "]")
+            return
+        parts.append("[")
+        for n, item in enumerate(value):
+            parts.append(sep if n else inner)
+            _json_parts(item, inner, parts, lists)
+        parts.append(newline + "]")
+        return
     if type(value) is dict and value and all(type(k) is str for k in value):
-        cells = (json.dumps(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(value.items()))
-        return "{" + inner + sep.join(cells) + newline + "}"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+        parts.append("{")
+        for n, (k, item) in enumerate(sorted(value.items())):
+            parts.append((sep if n else inner) + json.dumps(k) + ": ")
+            _json_parts(item, inner, parts, lists)
+        parts.append(newline + "}")
+        return
+    parts.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def to_json(payload) -> str:
     """Exactly the text of ``json.dump(payload, indent=2, sort_keys=True)``.
 
-    Lists of plain floats or of bools are written with one join each;
-    everything else, strings, ``None`` and non-finite floats included, is
-    written by ``json.dumps`` itself.
+    The matrices (those of ``results_to_dict`` and any list of lists of
+    floats or of booleans) are written by one byte assembly; a list of
+    plain floats or of booleans is written with one join; everything
+    else, non-finite floats included, is written by ``json.dumps``.
     """
-    return _json_text(payload, "\n")
+    parts, lists = [], []
+    _json_parts(payload, "\n", parts, lists)
+    texts = iter(_assemble([(rows, (kind,), _values(rows, kind)) for rows, kind, _ in lists],
+                           _JSON_SPELLING, _json_frame(lists)))
+    newlines = iter([newline for _, _, newline in lists])
+    return "".join(part if part is not None else "[" + next(texts) + next(newlines) + "]"
+                   for part in parts)

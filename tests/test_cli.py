@@ -377,6 +377,16 @@ def test_bad_sampler_argument_exits_1_before_any_output(tmp_path, capsys, arg):
     assert not (tmp_path / "feasibility.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-0.5"])
+def test_delta_strict_that_is_no_margin_exits_1_naming_it(tmp_path, capsys, value):
+    # NaN compares false both ways, so a check for "negative" let it by
+    out = tmp_path / "out"
+    assert run_cli(out, f"--delta-strict={value}") == 1
+    assert capsys.readouterr().err == (
+        f"error: --delta-strict must be a number >= 0, got {float(value)}\n")
+    assert not out.exists()
+
+
 def test_stuck_chain_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     def stuck(polytope, config):
         raise RuntimeError("hit-and-run made no progress")

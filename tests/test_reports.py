@@ -1,14 +1,15 @@
 """Report rendering against the per-cell reference writers.
 
-The package rounds each matrix in one numpy pass and builds each format
-with one join per matrix; ``reference_reports`` keeps the per-cell
-writers, and every string must come out identical to theirs.
+The package rounds each matrix in one numpy pass and writes the matrices
+of each format as numpy byte arrays; ``reference_reports`` keeps the
+per-cell writers, and every string must come out identical to theirs.
 """
 
 import csv
 import dataclasses
 import io
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -181,6 +182,92 @@ def test_hand_built_report_renders_identically():
     assert_same_text(reports.render_text(report), reference.render_text(report))
     assert_same_text(reports.render_csv(report), reference.render_csv(report))
     assert_same_text(reports.to_json(report), reference.to_json(report))
+
+
+def square_report(alts, sections, rng):
+    """A report over ``alts`` whose six percentage sections hold the given
+    (m, m) arrays, with random flags and a few parameter vectors."""
+    m = len(alts)
+    params = ["w,1", "ß", "", "x\x00y"]
+    report = {
+        "mode": "classical",
+        "sample_count": 5_000,
+        "alternatives": list(alts),
+        "parameters": params,
+        "central_weights": {alts[0]: [0.5, -0.0, 0.25, 0.25], alts[-1]: [1.0, 0.0, 0.0, 1e-06]},
+        "barycenter": [0.25, 0.125, 0.5, 0.125],
+        "ror_possible_approx": (rng.random((m, m)) < 0.5).tolist(),
+        "ror_necessary_approx": (rng.random((m, m)) < 0.2).tolist(),
+    }
+    keys = [key for key, *_, kind in reports._SECTIONS if kind == "pct"]
+    assert len(keys) == len(sections)
+    for key, cells in zip(keys, sections):
+        report[key] = np.asarray(cells, dtype=np.float64).tolist()
+    return report
+
+
+def thousandths_report():
+    """Every percentage a report can carry, k / 1000 for k = 0 .. 100,000,
+    in one (317, 317) matrix; the other sections hold it shuffled."""
+    m = 317
+    grid = np.resize(np.arange(100_001) / 1000.0, m * m)
+    rng = np.random.default_rng(11)
+    sections = [grid] + [rng.permutation(grid) for _ in range(5)]
+    report = square_report([f"a{i}" for i in range(m)],
+                           [cells.reshape(m, m) for cells in sections], rng)
+    assert len(set(chain.from_iterable(report["rank_acceptability_pct"]))) == 100_001
+    return report
+
+
+ODD_CELLS = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-05, 123456.789, -12.5,
+             100.0, 1e300, 0.0005, 99.9995, 100.001]
+
+
+def wide_hand_built_report():
+    """m = 70: labels that CSV must quote, JSON must escape and text must
+    pad by code point, and cells that no thousandth spells."""
+    m = 70
+    alts = ["a,b", 'say "hi"', "back\\slash", "line\nbreak", "café", "東京", "",
+            "nul\x00byte", "\u00e9t\u00e9 long label"]
+    alts += [f"alt{i}" for i in range(len(alts), m)]
+    rng = np.random.default_rng(12)
+    sections = []
+    for n in range(6):
+        cells = rng.integers(0, 100_001, (m, m)) / 1000.0
+        cells[n, :len(ODD_CELLS)] = ODD_CELLS
+        cells[:, n + 10] = 100.0
+        cells[n + 20] = ODD_CELLS[n]
+        sections.append(cells)
+    return square_report(alts, sections, rng)
+
+
+@pytest.mark.parametrize("build", [thousandths_report, wide_hand_built_report])
+def test_big_reports_render_identically(build):
+    report = build()
+    want = [reference.render_text(report), reference.render_csv(report),
+            reference.to_json(report)]
+    # the matrices as lists, and as results_to_dict makes them, arrays held
+    matrices = {key: reports._matrix(np.array(report[key]))
+                for key, *_, kind in reports._SECTIONS if kind != "param"}
+    for report in (report, {**report, **matrices}):
+        assert_same_text(reports.render_text(report), want[0])
+        assert_same_text(reports.render_csv(report), want[1])
+        assert_same_text(reports.to_json(report), want[2])
+
+
+@pytest.mark.parametrize("build", ["wide", wide_hand_built_report, hand_built_report])
+def test_each_format_alone_equals_it_after_the_others(build, wide_results):
+    renderers = (reports.to_json, reports.render_text, reports.render_csv)
+    rebuild = ((lambda: reports.results_to_dict(wide_results)) if build == "wide"
+               else build)
+    report = rebuild()
+    alone = [render(rebuild()) for render in renderers]
+    for n, render in enumerate(renderers):
+        for other in renderers[n + 1:] + renderers[:n]:
+            other(report)
+        assert render(report) == alone[n]
+    # repr, because NaN cells are not equal to themselves
+    assert repr(report) == repr(rebuild()), "rendering must not change the report"
 
 
 def test_to_json_matches_json_dump_on_odd_values():

@@ -16,7 +16,7 @@ from smaa_promethee.promethee import classical_flows
 from smaa_promethee.sampler import SampleBatch, SamplerConfig, build_polytope, hit_and_run
 from smaa_promethee.smaa import aggregate, flow_matrices, validate_against_exact_ror
 
-from conftest import FIXTURES, random_table
+from conftest import FIXTURES, benchmark_instance, random_table
 from reference_bipolar import definitional_flows
 
 
@@ -295,6 +295,52 @@ def test_two_seed_stability(students):
     assert gap < 0.015
     gap2 = np.abs(runs[0].p2_pref - runs[1].p2_pref).max()
     assert gap2 < 0.015
+
+
+def test_classical_n6_chains_match_iid_rejection_draws(tmp_path):
+    # In classical mode the compatible weights are the points of the
+    # simplex that meet the compiled rows, so Dirichlet(1) draws kept by
+    # those rows at margin 0 are uniform on the sampled polytope: an
+    # independent reference with no burn-in and no autocorrelation. The
+    # benchmark's n = 6 table keeps about 0.46 of them, at dimension 5.
+    table, statements = benchmark_instance(tmp_path, 1, m=8, n=6, p=4.0,
+                                           interactions=True, statement_count=4)
+    system = restrict_classical(compile_statements(table, statements))
+    polytope = build_polytope(system)
+    assert polytope.dimension == 5
+    a_eq, b_eq, _, a_ub, b_ub, _ = system.split()
+    n = system.layout.n
+    # every column past the weights stays 0: interactions and the margin
+    draws = np.zeros((400_000, system.n_cols))
+    draws[:, :n] = np.random.default_rng(7000).dirichlet(np.ones(n), len(draws))
+    kept = ((np.abs(draws @ a_eq.T - b_eq).max(axis=1) <= 1e-12)
+            & np.all(draws @ a_ub.T <= b_ub, axis=1))
+    assert 0.40 < kept.mean() < 0.52
+    iid = aggregate(table, SampleBatch(columns=system.layout.names, data=draws[kept, :-1]),
+                    mode="classical")
+    # A cell as rare as 0.03% (the third alternative at rank 7) is met in
+    # clumps of about 8 consecutive steps, so unthinned runs miss it on
+    # most seeds and the across-seed SD alone reads near zero: 16 seeds of
+    # 5,000 samples read max |z| 4.5-7.4 in 7 of 40 seed windows. Thinning
+    # by 10 spaces the clumps out, and the SD is floored at one run's
+    # i.i.d. binomial SD; 20 windows of 16 seeds then read max |z| of at
+    # most 3.65. Seeds 7000-7016 were first run here: max |z| 2.66.
+    samples, seeds = 10_000, range(7001, 7017)
+    runs = [aggregate(table, hit_and_run(polytope, SamplerConfig(
+        sample_count=samples, seed=seed, thinning=10)), mode="classical", polytope=polytope)
+        for seed in seeds]
+    worst = {}
+    for field in ("rank_acceptability", "p2_pref"):
+        chains = np.stack([getattr(run, field) for run in runs])
+        p = getattr(iid, field)
+        binomial = p * (1.0 - p)
+        se = np.sqrt(np.maximum(chains.var(axis=0, ddof=1), binomial / samples) / len(seeds)
+                     + binomial / kept.sum())
+        gap = np.abs(chains.mean(axis=0) - p)
+        # every cell counts: a gap with no SE at all fails as infinite
+        z = np.divide(gap, se, out=np.where(gap > 0, np.inf, 0.0), where=se > 0)
+        worst[field] = float(z.max())
+    assert max(worst.values()) <= 4.5, worst
 
 
 def test_validate_against_exact_ror_clean(students):
