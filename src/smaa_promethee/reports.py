@@ -26,11 +26,9 @@ the digits in fixed-width columns padded with a byte that UTF-8 never
 emits, and deleting the pad bytes leaves the text. A cell that is no
 such k (NaN, an infinity, -0.0, a value off the grid, above 100 or
 below 0) is formatted by Python as before and written into the same
-array. The matrices ``results_to_dict`` makes carry their numpy arrays,
-so the renderers need not read the cells back. The parameter vectors
-are short and keep one join per vector. ``to_json`` is the one JSON
-writer of the command line: it gives exactly the text of
-``json.dump(payload, indent=2, sort_keys=True)``.
+array. The parameter vectors are short and keep one join per vector.
+``to_json`` is the one JSON writer of the command line: it gives exactly
+the text of ``json.dump(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ import functools
 import io
 import json
 import math
-from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -60,8 +57,8 @@ _TIE_BAND = 1e-6
 _SCALED_LIMIT = 2.0**30
 
 
-def _rounded(values, decimals: int) -> np.ndarray:
-    """``round(float(v), decimals)`` for every entry.
+def _rounded(values, decimals: int) -> list:
+    """``round(float(v), decimals)`` for every entry, as nested lists.
 
     ``rint(v * 10**decimals) / 10**decimals`` picks the same integer as
     Python's correctly rounded ``round`` unless the product sits next to a
@@ -76,27 +73,11 @@ def _rounded(values, decimals: int) -> np.ndarray:
         near_tie = np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_BAND
         exact = near_tie | ~(np.abs(scaled) < _SCALED_LIMIT)
     out[exact] = [round(v, decimals) for v in values[exact].tolist()]
-    return out
+    return out.tolist()
 
 
-class _Matrix(tuple):
-    """A report matrix as ``results_to_dict`` makes it: a tuple of rows,
-    each a tuple of Python floats or booleans, and in ``array`` a
-    read-only numpy array of the same cells, which the renderers read
-    instead of the cells. Neither can change, so they cannot drift apart."""
-
-
-def _matrix(array: np.ndarray) -> _Matrix:
-    """``array``, which the matrix takes over and makes read-only, as a
-    ``_Matrix``."""
-    matrix = _Matrix(map(tuple, array.tolist()))
-    array.setflags(write=False)
-    matrix.array = array
-    return matrix
-
-
-def _pct_matrix(mat: np.ndarray) -> _Matrix:
-    return _matrix(_rounded(np.asarray(mat, dtype=np.float64) * 100.0, PCT_DECIMALS))
+def _pct_matrix(mat: np.ndarray) -> list[list[float]]:
+    return _rounded(np.asarray(mat, dtype=np.float64) * 100.0, PCT_DECIMALS)
 
 
 # key, SmaaResults field, text title, row labels, column labels, cells.
@@ -127,14 +108,13 @@ _SECTIONS = (
 )
 
 
-def _cells(kind: str, value) -> _Matrix | list | dict:
-    """A result array, or a dict of them, as the report carries it: a
-    matrix of percentages or flags, or a list of parameter values."""
+def _cells(kind: str, value) -> list | dict:
+    """A result array, or a dict of them, as the nested lists the reports carry."""
     if isinstance(value, dict):
         return {name: _cells(kind, vector) for name, vector in value.items()}
     if kind == "flag":
-        return _matrix(np.array(value, dtype=bool))
-    return _pct_matrix(value) if kind == "pct" else _rounded(value, PARAM_DECIMALS).tolist()
+        return value.tolist()
+    return _pct_matrix(value) if kind == "pct" else _rounded(value, PARAM_DECIMALS)
 
 
 def results_to_dict(results: SmaaResults) -> dict:
@@ -163,8 +143,11 @@ def _tables(report: dict):
 # a fixed-width column padded with _PAD, a byte that UTF-8 never emits.
 # Deleting every pad byte leaves the text itself.
 _PAD = 0xFF
-# cells assembled at once: bounds the padded arrays to a few megabytes
-_BLOCK_CELLS = 1 << 17
+# ends the bytes of a matrix's last row; like _PAD, UTF-8 never emits it
+_END = 0xFE
+# cells assembled at once: bounds the padded arrays to about a megabyte
+# (on the m = 100 report, blocks 4 times larger ran about 8% slower)
+_BLOCK_CELLS = 1 << 15
 
 
 def _padded(texts) -> np.ndarray:
@@ -231,12 +214,9 @@ def _thousandths(values: np.ndarray, width: int, fallback) -> np.ndarray:
     # an inexact value is spelled as 0 here and overwritten below
     k = np.where(exact, k, 0.0).astype(np.intp)
     whole_words, decimal_words = _digit_words(width > 0)
-    whole = k // 1000
+    whole, part = np.divmod(k, 1000)
     words = np.take(whole_words, whole)
-    # k % 1000, in place
-    whole *= 1000
-    k -= whole
-    words |= np.take(decimal_words, k)
+    words |= np.take(decimal_words, part)
     # the spelled word holds 8 bytes; whole words of blanks before it
     # hold the other width - 8
     blanks = max(width - 8, 0)
@@ -258,61 +238,37 @@ def _thousandths(values: np.ndarray, width: int, fallback) -> np.ndarray:
     return out
 
 
-def _runs(matrices: list):
-    """Runs of consecutive rows with one key and one length, over all
-    matrices of ``matrices``, a list of (rows, key) pairs, as (key,
-    length, first row, end row), the rows counted over all matrices."""
-    runs, top = [], 0
-    for table, key in matrices:
-        for n, group in groupby(map(len, table)):
-            count = sum(1 for _ in group)
-            if runs and runs[-1][:2] == [key, n] and runs[-1][3] == top:
-                runs[-1][3] += count
-            else:
-                runs.append([key, n, top, top + count])
-            top += count
-    return runs
-
-
 def _assemble(matrices: list, spell, frame) -> list[str]:
-    """The text of each matrix of ``matrices``, a list of (rows, key,
-    values) triples, ``values`` holding the cells of ``rows`` flat.
+    """The text of each matrix of ``matrices``, a list of (rows, key)
+    pairs, ``key[0]`` the kind of its cells as ``_values`` takes it.
 
-    Each run of rows with one key and one length n is written in blocks
-    of whole rows, each block one uint8 array with a row of bytes per
-    matrix row: its head, then each cell, then its tail. ``spell(key,
-    values)`` gives the text of the cells of consecutive rows of matrices
-    with that key, one row of a byte array per cell. ``frame(key, n, t,
-    i, r)`` gives the rest from each row's matrix t, its index i in the
-    matrix and its index r over all matrices, as four lists of byte
-    arrays: the heads (a row each), what goes before and after each
-    cell's text (broadcast to (rows, n, width)) and the tails. Each
-    matrix's rows are cut out of the block before their pads are deleted.
+    The rows of all matrices are written in turn, each run of rows with
+    one key and one length n in blocks of whole rows. A block is one
+    uint8 array with a row of bytes per matrix row: its head, each cell,
+    its tail, and after the last row of a matrix an _END byte.
+    ``spell(key, values)`` gives the text of the cells ``values``, one
+    row of a byte array per cell. ``frame(key, n, t, i)`` gives the rest
+    from each row's matrix t and its index i in the matrix, as four lists
+    of byte arrays: the heads (a row each), what goes before and after
+    each cell's text (broadcast to (rows, n, width)) and the tails. One
+    block may hold the rows of several small matrices; cutting the text
+    at each _END parts them.
     """
-    heights = [len(rows) for rows, _, _ in matrices]
-    firsts = list(accumulate(heights, initial=0))
+    rows = [row for table, _ in matrices for row in table]
+    heights = np.array([len(table) for table, _ in matrices], np.intp)
     table_of = np.repeat(np.arange(len(matrices)), heights)
-    row_in = np.arange(firsts[-1]) - np.repeat(firsts[:-1], heights)
-    lengths = np.fromiter(map(len, chain.from_iterable(rows for rows, _, _ in matrices)),
-                          np.intp, firsts[-1])
-    # where each row's cells start, over all matrices
-    starts = list(accumulate(lengths.tolist(), initial=0))
-    pieces = [[] for _ in matrices]
-    for key, n, top, end in _runs([(rows, key) for rows, key, _ in matrices]):
+    row_in = np.arange(len(rows)) - np.repeat(np.cumsum(heights) - heights, heights)
+    ends = np.where(row_in == heights[table_of] - 1, _END, _PAD).astype(np.uint8)[:, None]
+    texts, current, top = [], [], 0
+    for (key, n), group in groupby((key, len(row)) for table, key in matrices for row in table):
+        end = top + sum(1 for _ in group)
         step = max(1, _BLOCK_CELLS // max(n, 1))
         for a in range(top, end, step):
             b = min(a + step, end)
-            tables = range(bisect_right(firsts, a) - 1, bisect_left(firsts, b))
-            values = [matrices[t][2][starts[max(a, firsts[t])] - starts[firsts[t]]:
-                                     starts[min(b, firsts[t + 1])] - starts[firsts[t]]]
-                      for t in tables]
-            values = (values[0] if len(values) == 1 else np.concatenate(values)
-                      if isinstance(values[0], np.ndarray) else list(chain.from_iterable(values)))
-            cells = spell(key, values)
+            cells = spell(key, _values(rows[a:b], key[0]))
             cells = cells.reshape(b - a, n, cells.shape[-1])
-            head, before, after, tail = frame(key, n, table_of[a:b], row_in[a:b],
-                                             np.arange(a, b))
-            around = [*before, cells, *after]
+            head, before, after, tail = frame(key, n, table_of[a:b], row_in[a:b])
+            around, tail = [*before, cells, *after], [*tail, ends[a:b]]
             head_w = sum(part.shape[-1] for part in head)
             cell_w = sum(part.shape[-1] for part in around)
             text = np.empty((b - a, head_w + n * cell_w + sum(part.shape[-1] for part in tail)),
@@ -321,25 +277,25 @@ def _assemble(matrices: list, spell, frame) -> list[str]:
             # a (rows, n, cell width) view of the cells' bytes
             _side_by_side(text[:, head_w:head_w + n * cell_w].reshape(b - a, n, cell_w), around)
             _side_by_side(text[:, head_w + n * cell_w:], tail)
-            for t in tables:
-                lo, hi = max(a, firsts[t]) - a, min(b, firsts[t + 1]) - a
-                pieces[t].append(text[lo:hi].tobytes().translate(None, b"\xff").decode())
-    return ["".join(piece) for piece in pieces]
+            *done, rest = text.tobytes().translate(None, b"\xff").split(b"\xfe")
+            for piece in done:
+                texts.append(b"".join([*current, piece]).decode())
+                current = []
+            current.append(rest)
+        top = end
+    texts = iter(texts)
+    return [next(texts) if height else "" for height in heights.tolist()]
 
 
 def _kind(rows) -> str:
     """"float" or "bool" when every cell of ``rows`` is one, else "other"."""
-    if type(rows) is _Matrix:
-        return "bool" if rows.array.dtype == bool else "float"
     types = set(map(type, chain.from_iterable(rows)))
     return "float" if types == {float} else "bool" if types == {bool} else "other"
 
 
 def _values(rows, kind: str):
     """The cells of ``rows``, flat: a float64 or bool array for those
-    kinds, read off a ``_Matrix``'s array, else a list of the cells."""
-    if type(rows) is _Matrix:
-        return rows.array.ravel()
+    kinds, else a list of the cells."""
     cells = chain.from_iterable(rows)
     if kind == "other":
         return list(cells)
@@ -391,32 +347,31 @@ def _header(title: str, label_w: int, col_labels: list[str], width: int) -> str:
 
 def render_text(report: dict) -> str:
     tables = list(_tables(report))
-    matrices = _matrix_sections(tables)
-    widths = [max(10 if kind == "pct" else 6, max(map(len, cols)) + 2)
-              for (*_, kind), _, cols, _ in matrices]
+    # each matrix as (rows, (kind of its cells, column width))
+    matrices = [(rows, ("float" if kind == "pct" else "bool",
+                        max(10 if kind == "pct" else 6, max(map(len, cols)) + 2)))
+                for (*_, kind), _, cols, rows in _matrix_sections(tables)]
     label_w = max(map(len, report["alternatives"]), default=0) + 2
     labels = _padded([f"{label:<{label_w}}" for label in report["alternatives"]])
     newline = np.full((1, 1), ord("\n"), np.uint8)
 
     def spell(key, values):
         kind, width = key
-        if kind == "pct":
+        if kind == "float":
             return _thousandths(values, width, lambda v: f"%{width}.3f" % v)
         return np.take(_marks(width), values.view(np.uint8), axis=0)
 
-    def frame(key, n, t, i, r):
+    def frame(key, n, t, i):
         return [np.take(labels, i, axis=0)], [], [], [newline]
 
-    texts = iter(_assemble(
-        [(rows, (kind, width), _values(rows, "float" if kind == "pct" else "bool"))
-         for ((*_, kind), _, _, rows), width in zip(matrices, widths)], spell, frame))
-    widths = iter(widths)
+    texts = zip(_assemble(matrices, spell, frame), (width for _, (_, width) in matrices))
     blocks = []
     for (_, _, title, _, _, kind), row_labels, col_labels, rows in tables:
         if not row_labels:
             continue
         if kind != "param":
-            blocks.append(_header(title, label_w, col_labels, next(widths)) + next(texts))
+            text, width = next(texts)
+            blocks.append(_header(title, label_w, col_labels, width) + text)
             continue
         width = max(10, max(map(len, col_labels)) + 2)
         row_w = max(map(len, row_labels)) + 2
@@ -446,22 +401,24 @@ def render_csv(report: dict) -> str:
     quote = functools.cache(_csv_field)
     tables = list(_tables(report))
     matrices = _matrix_sections(tables)
-    # "section,row," of every row, and "col," of every column of every matrix
+    # "section,row," of every row label and "col," of every column label
+    # of every matrix; a matrix's row labels start at its entry in firsts
     keys = _padded([f"{quote(key)},{quote(label)},"
                     for (key, *_), row_labels, _, _ in matrices for label in row_labels])
+    heights = [len(row_labels) for _, row_labels, _, _ in matrices]
+    firsts = np.cumsum(heights, dtype=np.intp) - heights
     width = max((len(cols) for _, _, cols, _ in matrices), default=0)
     columns = _padded([text for _, _, cols, _ in matrices
                        for text in [quote(c) + "," for c in cols] + [""] * (width - len(cols))])
     columns = columns.reshape(len(matrices), width, -1)
     newline = np.full((1, 1, 1), ord("\n"), np.uint8)
 
-    def frame(key, n, t, i, r):
-        return ([], [np.take(keys, r, axis=0)[:, None], np.take(columns, t, axis=0)[:, :n]],
-                [newline], [])
+    def frame(key, n, t, i):
+        return ([], [np.take(keys, firsts[t] + i, axis=0)[:, None],
+                     np.take(columns, t, axis=0)[:, :n]], [newline], [])
 
-    kinds = [_kind(rows) for *_, rows in matrices]
-    texts = iter(_assemble([(rows, (kind,), _values(rows, kind))
-                            for (*_, rows), kind in zip(matrices, kinds)], _CSV_SPELLING, frame))
+    texts = iter(_assemble([(rows, (_kind(rows),)) for *_, rows in matrices],
+                           _CSV_SPELLING, frame))
     out = ["section,row,col,value\n"]
     for (key, *_, kind), row_labels, col_labels, rows in tables:
         if not row_labels:
@@ -478,22 +435,23 @@ def render_csv(report: dict) -> str:
     return "".join(out)
 
 
-def _json_frame(lists: list):
-    """``frame`` for the matrices that ``_json_parts`` records.
+def _json_frame(newlines: list[str]):
+    """``frame`` for the matrices of ``to_json`` whose lines continue with
+    ``newlines``, one each.
 
     A row opens with its bracket on a line of its own, after a comma on
     every row but the first, and closes with one. Each cell stands on a
     line of its own, after a comma unless it is the first of its row.
     """
     heads, indents, tails = [], [], []
-    for _, _, newline in lists:
+    for newline in newlines:
         inner = newline + "  "
         heads += [inner + "[", "," + inner + "["]
         indents.append(inner + "  ")
         tails.append(inner + "]")
     heads, indents, tails = _padded(heads), _padded(indents), _padded(tails)
 
-    def frame(key, n, t, i, r):
+    def frame(key, n, t, i):
         commas = np.full((1, n, 1), ord(","), np.uint8)
         commas[:, :1] = _PAD
         return ([np.take(heads, 2 * t + (i > 0), axis=0)],
@@ -502,20 +460,18 @@ def _json_frame(lists: list):
     return frame
 
 
-def _json_parts(value, newline: str, parts: list, lists: list) -> None:
+def _json_parts(value, newline: str, parts: list, matrices: list) -> None:
     """Append the text of ``value``, whose lines continue with ``newline``,
-    to ``parts``. A matrix (a ``_Matrix``, or a list of lists of floats
-    or of booleans) is appended as a None to be filled in, and recorded
-    in ``lists`` as its rows, the type of its cells and its newline."""
+    to ``parts``. A matrix, a list of lists of floats or of booleans, is
+    appended as a None to be filled in, and recorded in ``matrices`` as
+    its rows, the type of its cells and its newline."""
     inner = newline + "  "
     sep = "," + inner
-    matrix = type(value) is _Matrix or (
-        type(value) is list and all(type(row) is list for row in value))
-    # an empty list, or one with an empty row, is json.dumps's to write
-    if matrix and value and all(value):
+    # an empty matrix, or one with an empty row, is json.dumps's to write
+    if type(value) is list and value and all(type(row) is list and row for row in value):
         kind = _kind(value)
         if kind != "other":
-            lists.append((value, kind, newline))
+            matrices.append((value, kind, newline))
             parts.append(None)
             return
     if type(value) is list and value:
@@ -534,14 +490,14 @@ def _json_parts(value, newline: str, parts: list, lists: list) -> None:
         parts.append("[")
         for n, item in enumerate(value):
             parts.append(sep if n else inner)
-            _json_parts(item, inner, parts, lists)
+            _json_parts(item, inner, parts, matrices)
         parts.append(newline + "]")
         return
     if type(value) is dict and value and all(type(k) is str for k in value):
         parts.append("{")
         for n, (k, item) in enumerate(sorted(value.items())):
             parts.append((sep if n else inner) + json.dumps(k) + ": ")
-            _json_parts(item, inner, parts, lists)
+            _json_parts(item, inner, parts, matrices)
         parts.append(newline + "}")
         return
     parts.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
@@ -550,15 +506,16 @@ def _json_parts(value, newline: str, parts: list, lists: list) -> None:
 def to_json(payload) -> str:
     """Exactly the text of ``json.dump(payload, indent=2, sort_keys=True)``.
 
-    The matrices (those of ``results_to_dict`` and any list of lists of
-    floats or of booleans) are written by one byte assembly; a list of
-    plain floats or of booleans is written with one join; everything
-    else, non-finite floats included, is written by ``json.dumps``.
+    The matrices (the report's, and any list of lists of floats or of
+    booleans) are written by one byte assembly; a list of plain floats or
+    of booleans is written with one join; everything else, non-finite
+    floats included, is written by ``json.dumps``.
     """
-    parts, lists = [], []
-    _json_parts(payload, "\n", parts, lists)
-    texts = iter(_assemble([(rows, (kind,), _values(rows, kind)) for rows, kind, _ in lists],
-                           _JSON_SPELLING, _json_frame(lists)))
-    newlines = iter([newline for _, _, newline in lists])
+    parts, matrices = [], []
+    _json_parts(payload, "\n", parts, matrices)
+    newlines = [newline for _, _, newline in matrices]
+    texts = iter(_assemble([(rows, (kind,)) for rows, kind, _ in matrices], _JSON_SPELLING,
+                           _json_frame(newlines)))
+    newlines = iter(newlines)
     return "".join(part if part is not None else "[" + next(texts) + next(newlines) + "]"
                    for part in parts)
