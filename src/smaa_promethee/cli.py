@@ -71,9 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# characters encoded and written at once, so a report's text is not held a
+# second time as one bytes object
+_WRITE_CHARS = 1 << 20
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for start in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[start:start + _WRITE_CHARS])
 
 
 def _write_json(path: str, payload) -> None:

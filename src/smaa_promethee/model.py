@@ -155,10 +155,14 @@ def _parse_criterion(obj, where: str) -> Criterion:
         raise ValueError(f"{where}: expected an object, got {obj!r}")
     if "name" not in obj:
         raise ValueError(f"{where}: missing key 'name'")
+    direction = obj.get("direction", "max")
     try:
-        direction = _DIRECTIONS[obj.get("direction", "max")]
+        # True == 1, so a boolean would look up the gain direction
+        if isinstance(direction, bool):
+            raise KeyError(direction)
+        direction = _DIRECTIONS[direction]
     except (KeyError, TypeError):
-        raise ValueError(f"{where}: bad direction {obj.get('direction')!r}") from None
+        raise ValueError(f"{where}: bad direction {direction!r}") from None
     return Criterion(
         name=_label(obj["name"], f"{where}: name"),
         direction=direction,
@@ -247,4 +251,7 @@ def load_evaluations_csv(
             values.append([float(cell) for cell in row[1:]])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric evaluation") from None
-    return PerformanceTable(tuple(labels), criteria, np.asarray(values, dtype=float))
+    try:
+        return PerformanceTable(tuple(labels), criteria, np.asarray(values, dtype=float))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -14,21 +14,22 @@ the JSON, text and CSV reports carry the same sections in the same order.
 
 Each matrix is rounded in one numpy pass that reproduces Python's
 ``round`` (only cells next to a decimal tie go through ``round`` itself).
-The percentage and flag matrices of every format are then written as
-bytes, with no Python string per cell. Every percentage the rounding
-makes is the double nearest k / 1000 for an integer 0 <= k <= 100,000,
-so ``rint(cell * 1000)`` gives k back exactly, and two lookups in small
-digit tables spell the cell from k: as ``repr`` and ``str`` do (the
-integer part, a point and the three decimals less their trailing zeros,
-one kept) or as ``"%{width}.3f"`` does (all three decimals,
-right-aligned in blanks). Labels, separators and indents stand beside
-the digits in fixed-width columns padded with a byte that UTF-8 never
-emits, and deleting the pad bytes leaves the text. A cell that is no
-such k (NaN, an infinity, -0.0, a value off the grid, above 100 or
-below 0) is formatted by Python as before and written into the same
-array. The parameter vectors are short and keep one join per vector.
-``to_json`` is the one JSON writer of the command line: it gives exactly
-the text of ``json.dump(payload, indent=2, sort_keys=True)``.
+One gate, ``_grid``, reads the cells of each matrix: a rectangular
+matrix of booleans, or of floats that are each the double nearest
+k / 1000 for an integer 0 <= k <= 100,000 (every percentage the
+rounding makes is one), is written as bytes, one matrix at a time and
+with no Python string per cell. ``rint(cell * 1000)`` gives k back
+exactly, and two lookups in small digit tables spell the cell from k:
+as ``repr`` and ``str`` do (the integer part, a point and the three
+decimals less their trailing zeros, one kept) or as ``"%{width}.3f"``
+does (all three decimals, right-aligned in blanks). Labels, separators
+and indents stand beside the digits in fixed-width columns padded with
+a byte that UTF-8 never emits, and deleting the pad bytes leaves the
+text. Every other matrix (the parameter vectors, and a hand-built
+matrix that is ragged, mixed or holds another number) is written a row
+at a time by Python's own formatting. ``to_json`` is the one JSON
+writer of the command line: it gives exactly the text of
+``json.dump(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import csv
 import functools
 import io
 import json
-import math
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
@@ -138,13 +138,11 @@ def _tables(report: dict):
         yield section, labels[rows], labels[cols], [value] if rows == "all" else value
 
 
-# Byte assembly. The rows of the report matrices are written as uint8
-# arrays with one row of bytes per matrix row, each part of the text in
-# a fixed-width column padded with _PAD, a byte that UTF-8 never emits.
+# Byte assembly. The rows of a report matrix are written as a uint8
+# array with one row of bytes per matrix row, each part of the text in a
+# fixed-width column padded with _PAD, a byte that UTF-8 never emits.
 # Deleting every pad byte leaves the text itself.
 _PAD = 0xFF
-# ends the bytes of a matrix's last row; like _PAD, UTF-8 never emits it
-_END = 0xFE
 # cells assembled at once: bounds the padded arrays to about a megabyte
 # (on the m = 100 report, blocks 4 times larger ran about 8% slower)
 _BLOCK_CELLS = 1 << 15
@@ -195,26 +193,39 @@ def _digit_words(fixed: bool) -> tuple[np.ndarray, np.ndarray]:
 _HUNDRED = np.float64(100.0).view(np.uint64)
 
 
-def _thousandths(values: np.ndarray, width: int, fallback) -> np.ndarray:
-    """The text of each value, one row of a padded byte array.
+def _grid(rows) -> np.ndarray | None:
+    """``rows`` as a float64 or bool array if it is a matrix the byte
+    assembly spells, else None.
 
-    Every percentage ``_pct_matrix`` makes is the double nearest k / 1000
-    for an integer 0 <= k <= 100,000, and ``rint(value * 1000)`` gives k
-    back. Such a value is spelled from k: as ``repr`` spells it when
-    ``width`` is 0 (the integer part, a point and the three decimals less
-    their trailing zeros, one kept), else as ``"%{width}.3f"`` does (all
-    three decimals, right-aligned in blanks; ``width`` >= 8). Every other
-    value (non-finite, -0.0, above 100, negative or off the grid) is
-    spelled by ``fallback``.
+    That is a non-empty, rectangular list of lists whose cells are all
+    ``bool``, or all ``float`` and each the double nearest k / 1000 for an
+    integer 0 <= k <= 100,000, which ``rint(value * 1000)`` gives back.
     """
-    k = np.rint(values * 1000.0)
+    if type(rows) is not list or not rows or any(type(row) is not list for row in rows):
+        return None
+    n = len(rows[0])
+    if not n or any(len(row) != n for row in rows):
+        return None
+    types = set(map(type, chain.from_iterable(rows)))
+    if types != {float} and types != {bool}:
+        return None
+    flags = types == {bool}
+    values = np.fromiter(chain.from_iterable(rows), bool if flags else np.float64,
+                         len(rows) * n).reshape(len(rows), n)
+    if flags:
+        return values
     # as unsigned integers, the bits of the doubles 0.0 to 100.0 lie below
     # those of 100.0, and those of negatives, -0.0, NaN and infinities above
-    exact = (k / 1000.0 == values) & (values.view(np.uint64) <= _HUNDRED)
-    # an inexact value is spelled as 0 here and overwritten below
-    k = np.where(exact, k, 0.0).astype(np.intp)
+    exact = (np.rint(values * 1000.0) / 1000.0 == values) & (values.view(np.uint64) <= _HUNDRED)
+    return values if exact.all() else None
+
+
+def _thousandths(values: np.ndarray, width: int) -> np.ndarray:
+    """The text of each value, k / 1000 as ``_grid`` admits it, one row of
+    a padded byte array: as ``repr`` spells it when ``width`` is 0, else
+    as ``"%{width}.3f"`` does (``width`` >= 8)."""
     whole_words, decimal_words = _digit_words(width > 0)
-    whole, part = np.divmod(k, 1000)
+    whole, part = np.divmod(np.rint(values * 1000.0).astype(np.intp), 1000)
     words = np.take(whole_words, whole)
     words |= np.take(decimal_words, part)
     # the spelled word holds 8 bytes; whole words of blanks before it
@@ -222,123 +233,57 @@ def _thousandths(values: np.ndarray, width: int, fallback) -> np.ndarray:
     blanks = max(width - 8, 0)
     lead = -(-blanks // 8)
     if lead:
-        out = np.empty((len(k), lead + 1), np.uint64)
+        out = np.empty((len(words), lead + 1), np.uint64)
         out[:, :lead] = np.frombuffer((b" " * blanks).rjust(8 * lead, b"\xff"), np.uint64)
         out[:, lead] = words
         words = out
-    out = words.view(np.uint8).reshape(len(k), 8 * (lead + 1))
-    if not exact.all():
-        inexact = np.flatnonzero(~exact)
-        texts = _padded([fallback(v) for v in values[inexact].tolist()])
-        if texts.shape[1] > out.shape[1]:
-            out = np.concatenate([out, np.full((len(out), texts.shape[1] - out.shape[1]),
-                                               _PAD, np.uint8)], axis=1)
-        out[inexact] = _PAD
-        out[inexact, :texts.shape[1]] = texts
-    return out
+    return words.view(np.uint8).reshape(len(values), 8 * (lead + 1))
 
 
-def _assemble(matrices: list, spell, frame) -> list[str]:
-    """The text of each matrix of ``matrices``, a list of (rows, key)
-    pairs, ``key[0]`` the kind of its cells as ``_values`` takes it.
+def _spelling(grid: np.ndarray, width: int, bools: tuple[str, str]):
+    """``spell`` for ``_assemble``: the cells of a float grid as
+    ``_thousandths`` at ``width``, those of a bool grid as ``bools``."""
+    if grid.dtype == bool:
+        table = _padded(bools)
+        return lambda cells: np.take(table, cells.view(np.uint8), axis=0)
+    return lambda cells: _thousandths(cells, width)
 
-    The rows of all matrices are written in turn, each run of rows with
-    one key and one length n in blocks of whole rows. A block is one
-    uint8 array with a row of bytes per matrix row: its head, each cell,
-    its tail, and after the last row of a matrix an _END byte.
-    ``spell(key, values)`` gives the text of the cells ``values``, one
-    row of a byte array per cell. ``frame(key, n, t, i)`` gives the rest
-    from each row's matrix t and its index i in the matrix, as four lists
-    of byte arrays: the heads (a row each), what goes before and after
-    each cell's text (broadcast to (rows, n, width)) and the tails. One
-    block may hold the rows of several small matrices; cutting the text
-    at each _END parts them.
+
+def _assemble(values: np.ndarray, spell, head: np.ndarray, before: list, after: list,
+              tail: np.ndarray) -> str:
+    """The text of the (rows, n) matrix ``values``: each row is its
+    ``head``, then every cell's ``before``, its text and its ``after``,
+    then its ``tail``.
+
+    ``spell(cells)`` gives the text of a flat array of cells, one row of a
+    byte array per cell. ``head`` and ``tail`` are byte arrays with a row
+    each; the parts of ``before`` and ``after`` are broadcast to
+    (rows, n, width). A part with one row stands in every row. The rows
+    are written in blocks of about _BLOCK_CELLS cells.
     """
-    rows = [row for table, _ in matrices for row in table]
-    heights = np.array([len(table) for table, _ in matrices], np.intp)
-    table_of = np.repeat(np.arange(len(matrices)), heights)
-    row_in = np.arange(len(rows)) - np.repeat(np.cumsum(heights) - heights, heights)
-    ends = np.where(row_in == heights[table_of] - 1, _END, _PAD).astype(np.uint8)[:, None]
-    texts, current, top = [], [], 0
-    for (key, n), group in groupby((key, len(row)) for table, key in matrices for row in table):
-        end = top + sum(1 for _ in group)
-        step = max(1, _BLOCK_CELLS // max(n, 1))
-        for a in range(top, end, step):
-            b = min(a + step, end)
-            cells = spell(key, _values(rows[a:b], key[0]))
-            cells = cells.reshape(b - a, n, cells.shape[-1])
-            head, before, after, tail = frame(key, n, table_of[a:b], row_in[a:b])
-            around, tail = [*before, cells, *after], [*tail, ends[a:b]]
-            head_w = sum(part.shape[-1] for part in head)
-            cell_w = sum(part.shape[-1] for part in around)
-            text = np.empty((b - a, head_w + n * cell_w + sum(part.shape[-1] for part in tail)),
-                            np.uint8)
-            _side_by_side(text[:, :head_w], head)
-            # a (rows, n, cell width) view of the cells' bytes
-            _side_by_side(text[:, head_w:head_w + n * cell_w].reshape(b - a, n, cell_w), around)
-            _side_by_side(text[:, head_w + n * cell_w:], tail)
-            *done, rest = text.tobytes().translate(None, b"\xff").split(b"\xfe")
-            for piece in done:
-                texts.append(b"".join([*current, piece]).decode())
-                current = []
-            current.append(rest)
-        top = end
-    texts = iter(texts)
-    return [next(texts) if height else "" for height in heights.tolist()]
+    height, n = values.shape
+    step = max(1, _BLOCK_CELLS // n)
+    texts = []
+    for top in range(0, height, step):
+        block = values[top:top + step]
+
+        def rows(part):
+            return part if len(part) == 1 else part[top:top + step]
+        around = [*map(rows, before), spell(block.ravel()).reshape(*block.shape, -1),
+                  *map(rows, after)]
+        cell_w = sum(part.shape[-1] for part in around)
+        head_w, middle = head.shape[-1], head.shape[-1] + n * cell_w
+        text = np.empty((len(block), middle + tail.shape[-1]), np.uint8)
+        text[:, :head_w] = rows(head)
+        # a (rows, n, cell width) view of the cells' bytes
+        _side_by_side(text[:, head_w:middle].reshape(len(block), n, cell_w), around)
+        text[:, middle:] = rows(tail)
+        texts.append(text.tobytes().translate(None, b"\xff"))
+    return b"".join(texts).decode()
 
 
-def _kind(rows) -> str:
-    """"float" or "bool" when every cell of ``rows`` is one, else "other"."""
-    types = set(map(type, chain.from_iterable(rows)))
-    return "float" if types == {float} else "bool" if types == {bool} else "other"
-
-
-def _values(rows, kind: str):
-    """The cells of ``rows``, flat: a float64 or bool array for those
-    kinds, else a list of the cells."""
-    cells = chain.from_iterable(rows)
-    if kind == "other":
-        return list(cells)
-    return np.fromiter(cells, np.float64 if kind == "float" else bool)
-
-
-def _typed_spelling(fallback, bools: tuple[str, str]):
-    """``spell`` for cells spelled by their type: floats as ``repr``,
-    booleans as ``bools``, and every other cell, and a non-finite float,
-    by ``fallback``."""
-    table = _padded(bools)
-
-    def spell_float(value: float) -> str:
-        return float.__repr__(value) if math.isfinite(value) else fallback(value)
-
-    def spell(key: tuple, values) -> np.ndarray:
-        kind = key[0]
-        if kind == "float":
-            return _thousandths(values, 0, spell_float)
-        if kind == "bool":
-            return np.take(table, values.view(np.uint8), axis=0)
-        return _padded(map(fallback, values))
-    return spell
-
-
-# the cells of the CSV report as ``str`` writes them, of the JSON one as
-# ``json.dumps`` does
-_CSV_SPELLING = _typed_spelling(str, ("False", "True"))
-_JSON_SPELLING = _typed_spelling(json.dumps, ("false", "true"))
-
-
-def _matrix_sections(tables: list) -> list:
-    """The percentage and flag sections with a row among ``tables``; the
-    parameter sections are left to the renderers' per-row code."""
-    return [(section, row_labels, col_labels, rows)
-            for section, row_labels, col_labels, rows in tables
-            if section[5] != "param" and row_labels]
-
-
-@functools.cache
-def _marks(width: int) -> np.ndarray:
-    """A flag cell of the text report, false and true, ``width`` wide."""
-    return _padded((".".rjust(width), "X".rjust(width)))
+_NOTHING = np.empty((1, 0), np.uint8)
+_NEWLINE = np.full((1, 1), ord("\n"), np.uint8)
 
 
 def _header(title: str, label_w: int, col_labels: list[str], width: int) -> str:
@@ -346,40 +291,26 @@ def _header(title: str, label_w: int, col_labels: list[str], width: int) -> str:
 
 
 def render_text(report: dict) -> str:
-    tables = list(_tables(report))
-    # each matrix as (rows, (kind of its cells, column width))
-    matrices = [(rows, ("float" if kind == "pct" else "bool",
-                        max(10 if kind == "pct" else 6, max(map(len, cols)) + 2)))
-                for (*_, kind), _, cols, rows in _matrix_sections(tables)]
-    label_w = max(map(len, report["alternatives"]), default=0) + 2
-    labels = _padded([f"{label:<{label_w}}" for label in report["alternatives"]])
-    newline = np.full((1, 1), ord("\n"), np.uint8)
-
-    def spell(key, values):
-        kind, width = key
-        if kind == "float":
-            return _thousandths(values, width, lambda v: f"%{width}.3f" % v)
-        return np.take(_marks(width), values.view(np.uint8), axis=0)
-
-    def frame(key, n, t, i):
-        return [np.take(labels, i, axis=0)], [], [], [newline]
-
-    texts = zip(_assemble(matrices, spell, frame), (width for _, (_, width) in matrices))
     blocks = []
-    for (_, _, title, _, _, kind), row_labels, col_labels, rows in tables:
+    for (_, _, title, _, _, kind), row_labels, col_labels, rows in _tables(report):
         if not row_labels:
             continue
-        if kind != "param":
-            text, width = next(texts)
-            blocks.append(_header(title, label_w, col_labels, width) + text)
-            continue
-        width = max(10, max(map(len, col_labels)) + 2)
+        width = max(6 if kind == "flag" else 10, max(map(len, col_labels)) + 2)
         row_w = max(map(len, row_labels)) + 2
-        # printf-style "%-Ns" and "%N.Df" lay out exactly as the format
-        # specs "<N" and ">N.Df" do, and apply faster
-        fmt = f"%-{row_w}s" + f"%{width}.{PARAM_DECIMALS}f" * len(col_labels) + "\n"
-        blocks.append(_header(title, row_w, col_labels, width)
-                      + "".join(fmt % (label, *row) for label, row in zip(row_labels, rows)))
+        marks = (".".rjust(width), "X".rjust(width))
+        grid = None if kind == "param" else _grid(rows)
+        if grid is not None and (grid.dtype == bool) == (kind == "flag"):
+            grid = grid[:len(row_labels)]
+            labels = _padded([f"{label:<{row_w}}" for label in row_labels[:len(grid)]])
+            body = _assemble(grid, _spelling(grid, width, marks), labels, [], [], _NEWLINE)
+        else:
+            decimals = PARAM_DECIMALS if kind == "param" else PCT_DECIMALS
+            # printf-style "%-Ns" and "%N.Df" lay out exactly as the format
+            # specs "<N" and ">N.Df" do, and apply faster
+            cell = (lambda v: marks[bool(v)]) if kind == "flag" else f"%{width}.{decimals}f".__mod__
+            body = "".join(f"%-{row_w}s" % label + "".join(map(cell, row)) + "\n"
+                           for label, row in zip(row_labels, rows))
+        blocks.append(_header(title, row_w, col_labels, width) + body)
     head = f"SMAA report  mode={report['mode']}  samples={report['sample_count']}\n\n"
     return head + "\n".join(blocks)
 
@@ -399,123 +330,48 @@ def render_csv(report: dict) -> str:
     writes as ``str(value)``. Each label is quoted once.
     """
     quote = functools.cache(_csv_field)
-    tables = list(_tables(report))
-    matrices = _matrix_sections(tables)
-    # "section,row," of every row label and "col," of every column label
-    # of every matrix; a matrix's row labels start at its entry in firsts
-    keys = _padded([f"{quote(key)},{quote(label)},"
-                    for (key, *_), row_labels, _, _ in matrices for label in row_labels])
-    heights = [len(row_labels) for _, row_labels, _, _ in matrices]
-    firsts = np.cumsum(heights, dtype=np.intp) - heights
-    width = max((len(cols) for _, _, cols, _ in matrices), default=0)
-    columns = _padded([text for _, _, cols, _ in matrices
-                       for text in [quote(c) + "," for c in cols] + [""] * (width - len(cols))])
-    columns = columns.reshape(len(matrices), width, -1)
-    newline = np.full((1, 1, 1), ord("\n"), np.uint8)
-
-    def frame(key, n, t, i):
-        return ([], [np.take(keys, firsts[t] + i, axis=0)[:, None],
-                     np.take(columns, t, axis=0)[:, :n]], [newline], [])
-
-    texts = iter(_assemble([(rows, (_kind(rows),)) for *_, rows in matrices],
-                           _CSV_SPELLING, frame))
     out = ["section,row,col,value\n"]
-    for (key, *_, kind), row_labels, col_labels, rows in tables:
-        if not row_labels:
-            continue
-        if kind != "param":
-            out.append(next(texts))
+    for (key, *_, kind), row_labels, col_labels, rows in _tables(report):
+        lead = f"{quote(key)},"
+        grid = None if kind == "param" or not row_labels else _grid(rows)
+        if grid is not None:
+            grid = grid[:len(row_labels), :len(col_labels)]
+            keys = _padded([f"{lead}{quote(label)}," for label in row_labels[:len(grid)]])
+            columns = _padded([f"{quote(col)}," for col in col_labels[:grid.shape[1]]])
+            out.append(_assemble(grid, _spelling(grid, 0, ("False", "True")), _NOTHING,
+                                 [keys[:, None], columns[None]], [_NEWLINE[None]], _NOTHING))
             continue
         quoted = list(map(quote, col_labels))
-        keys = [f"{r},{c}," for r in map(quote, row_labels) for c in quoted]
-        if keys:
-            lead = f"{quote(key)},"
-            lines = map(str.__add__, keys, map(str, chain.from_iterable(rows)))
-            out.append(lead + f"\n{lead}".join(lines) + "\n")
+        out += [f"{lead}{quote(label)},{col},{value}\n"
+                for label, row in zip(row_labels, rows) for col, value in zip(quoted, row)]
     return "".join(out)
-
-
-def _json_frame(newlines: list[str]):
-    """``frame`` for the matrices of ``to_json`` whose lines continue with
-    ``newlines``, one each.
-
-    A row opens with its bracket on a line of its own, after a comma on
-    every row but the first, and closes with one. Each cell stands on a
-    line of its own, after a comma unless it is the first of its row.
-    """
-    heads, indents, tails = [], [], []
-    for newline in newlines:
-        inner = newline + "  "
-        heads += [inner + "[", "," + inner + "["]
-        indents.append(inner + "  ")
-        tails.append(inner + "]")
-    heads, indents, tails = _padded(heads), _padded(indents), _padded(tails)
-
-    def frame(key, n, t, i):
-        commas = np.full((1, n, 1), ord(","), np.uint8)
-        commas[:, :1] = _PAD
-        return ([np.take(heads, 2 * t + (i > 0), axis=0)],
-                [commas, np.take(indents, t, axis=0)[:, None]], [],
-                [np.take(tails, t, axis=0)])
-    return frame
-
-
-def _json_parts(value, newline: str, parts: list, matrices: list) -> None:
-    """Append the text of ``value``, whose lines continue with ``newline``,
-    to ``parts``. A matrix, a list of lists of floats or of booleans, is
-    appended as a None to be filled in, and recorded in ``matrices`` as
-    its rows, the type of its cells and its newline."""
-    inner = newline + "  "
-    sep = "," + inner
-    # an empty matrix, or one with an empty row, is json.dumps's to write
-    if type(value) is list and value and all(type(row) is list and row for row in value):
-        kind = _kind(value)
-        if kind != "other":
-            matrices.append((value, kind, newline))
-            parts.append(None)
-            return
-    if type(value) is list and value:
-        kinds = set(map(type, value))
-        if kinds == {float}:
-            text = sep.join(map(float.__repr__, value))
-            # NaN and infinities are the only reprs with an "n"; JSON spells
-            # them differently, so such a list takes the general path below
-            if "n" not in text:
-                parts.append("[" + inner + text + newline + "]")
-                return
-        if kinds == {bool}:
-            parts.append("[" + inner + sep.join(map(("false", "true").__getitem__, value))
-                         + newline + "]")
-            return
-        parts.append("[")
-        for n, item in enumerate(value):
-            parts.append(sep if n else inner)
-            _json_parts(item, inner, parts, matrices)
-        parts.append(newline + "]")
-        return
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        parts.append("{")
-        for n, (k, item) in enumerate(sorted(value.items())):
-            parts.append((sep if n else inner) + json.dumps(k) + ": ")
-            _json_parts(item, inner, parts, matrices)
-        parts.append(newline + "}")
-        return
-    parts.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def to_json(payload) -> str:
     """Exactly the text of ``json.dump(payload, indent=2, sort_keys=True)``.
 
-    The matrices (the report's, and any list of lists of floats or of
-    booleans) are written by one byte assembly; a list of plain floats or
-    of booleans is written with one join; everything else, non-finite
-    floats included, is written by ``json.dumps``.
+    Of a dict with text keys, each value that ``_grid`` admits is written
+    by the byte assembly and every other value by ``json.dumps``; any
+    other payload is ``json.dumps``'s to write whole.
     """
-    parts, matrices = [], []
-    _json_parts(payload, "\n", parts, matrices)
-    newlines = [newline for _, _, newline in matrices]
-    texts = iter(_assemble([(rows, (kind,)) for rows, kind, _ in matrices], _JSON_SPELLING,
-                           _json_frame(newlines)))
-    newlines = iter(newlines)
-    return "".join(part if part is not None else "[" + next(texts) + next(newlines) + "]"
-                   for part in parts)
+    if type(payload) is not dict or not payload or any(type(k) is not str for k in payload):
+        return json.dumps(payload, indent=2, sort_keys=True)
+    # a row opens with its bracket on a line of its own, after a comma on
+    # every row but the first, and closes with one; each cell stands on a
+    # line of its own, after a comma unless it is the first of its row
+    opens, indent = _padded(["\n    [", ",\n    ["]), _padded(["\n      "])[None]
+    close = _padded(["\n    ]"])
+    entries = []
+    for key in sorted(payload):
+        grid = _grid(payload[key])
+        if grid is None:
+            text = json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        else:
+            height, n = grid.shape
+            commas = np.full((1, n, 1), ord(","), np.uint8)
+            commas[:, :1] = _PAD
+            text = "[" + _assemble(grid, _spelling(grid, 0, ("false", "true")),
+                                   np.repeat(opens, [1, height - 1], axis=0),
+                                   [commas, indent], [], close) + "\n  ]"
+        entries.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(entries) + "\n}"

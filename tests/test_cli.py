@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,9 @@ MALFORMED_PROBLEMS = {
         lambda d: d["criteria"][0].pop("name")),
     "direction_list": lambda: students_with(
         lambda d: d["criteria"][0].update(direction=["max"])),
+    # True == 1, the key of the gain direction
+    "direction_true": lambda: students_with(
+        lambda d: d["criteria"][0].update(direction=True)),
     # a label is a JSON string or number, a number not a boolean or text
     "alternative_null": lambda: students_with(
         lambda d: d["alternatives"].__setitem__(0, None)),
@@ -525,6 +529,21 @@ def test_report_writers_are_called_through_the_cli_globals(tmp_path, monkeypatch
     # to_json writes feasibility.json and smaa_report.json
     assert calls == {"results_to_dict": 1, "render_text": 1, "render_csv": 1,
                      "to_json": 2}
+
+
+def test_report_text_is_written_a_slice_at_a_time(tmp_path):
+    # about 19 MiB of text, as a large CSV report: encoded at once, it
+    # would be resident a second time as bytes
+    text = "café,0.125\n" * ((19 << 20) // 11)
+    path = tmp_path / "report.csv"
+    tracemalloc.start()
+    try:
+        cli._write(str(path), text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_empty_statements_run_ok(tmp_path):

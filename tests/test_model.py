@@ -129,6 +129,18 @@ def test_csv_import_reads_utf8_and_names_a_file_that_is_not(tmp_path):
         load_evaluations_csv(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("s1,1,nan\ns2,3,4\n", "evaluations must be finite"),
+    ("s1,1,inf\ns2,3,4\n", "evaluations must be finite"),
+    ("s1,1,2\ns1,3,4\n", "alternative labels must be unique"),
+])
+def test_csv_import_table_errors_name_the_file(tmp_path, body, message):
+    path = tmp_path / "evals.csv"
+    path.write_text("alt,Mathematics,Physics\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_evaluations_csv(path)
+
+
 def test_load_problem_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

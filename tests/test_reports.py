@@ -189,7 +189,13 @@ def test_short_empty_and_ragged_matrices_render_identically():
     variants = [{"p2_preference_pct": []},
                 {"p1_indifference_pct": report["p1_indifference_pct"][:3]},
                 {"p1_preference_pct": [[], [1.5], *report["p1_preference_pct"][2:]]},
-                {"ror_possible_approx": [[True, 1, 0.5], *report["ror_possible_approx"][1:]]}]
+                {"ror_possible_approx": [[True, 1, 0.5], *report["ror_possible_approx"][1:]]},
+                # rectangular, but not all floats (rows 1 on are all
+                # thousandths): str and json.dumps write an int 5 as "5"
+                {"p2_indifference_pct": [[5, *report["p2_indifference_pct"][1][1:]],
+                                         *report["p2_indifference_pct"][2:]]},
+                {"rank_acceptability_pct": [[True, *report["rank_acceptability_pct"][1][1:]],
+                                            *report["rank_acceptability_pct"][2:]]}]
     for variant in variants:
         case = {**report, **variant}
         assert_same_text(reports.render_text(case), reference.render_text(case))
