@@ -1,15 +1,16 @@
 """Preference statements and their translation into linear constraints.
 
 A decision maker expresses preferences as statements over alternatives,
-criteria or interactions, one JSON object per line. Each statement type is
-a dataclass; one table gives its JSON name, the origin text its rows carry
-and the allowed values of its word fields, and the parser reads the
-remaining fields and their defaults off the dataclass. Each statement
-becomes one or more linear rows over the packed bicapacity parameters plus
-one extra column for the strict preference margin ``eps``: a kind or sign
-of I, = or 0 gives ``expr = 0``, any other ``expr - eps >= 0``. Structural
-rows (normalisation, sign conditions, monotonicity) close the system so
-that any feasible point is a valid parameter set.
+criteria or interactions, one JSON object per line. Every statement is a
+``Statement`` of a JSON type and its fields; one table gives, per type,
+the origin text its rows carry and its fields in order with their kinds
+and defaults, and a statement is checked against it when it is built,
+whether read from a file or built in code. Each statement becomes one or
+more linear rows over the packed bicapacity parameters plus one extra
+column for the strict preference margin ``eps``: a kind or sign of I, =
+or 0 gives ``expr = 0``, any other ``expr - eps >= 0``. Structural rows
+(normalisation, sign conditions, monotonicity) close the system so that
+any feasible point is a valid parameter set.
 
 Sign conventions for interaction and opposing-power statements follow the
 itemized statement catalogue; where the summary constraint block differs
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -38,14 +39,6 @@ from .bipolar import (
 from .model import PerformanceTable, _label
 
 __all__ = [
-    "LocalPair",
-    "GlobalP1",
-    "GlobalP2",
-    "Intensity",
-    "CriterionImportance",
-    "InteractionSign",
-    "InteractionMagnitude",
-    "OpposingPower",
     "Statement",
     "ConstraintRow",
     "ConstraintSystem",
@@ -56,112 +49,108 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Located:
-    """``source`` is the ``path:line`` a statement was parsed from, which
-    compile errors name, or None for a statement built in code. It takes
-    no part in equality or the repr."""
-
-    source: str | None = dataclasses.field(default=None, compare=False, repr=False,
-                                           kw_only=True)
-
-
-@dataclass(frozen=True)
-class LocalPair(_Located):
-    """Pairwise judgement on one ordered pair: P (strict) or I (indifference)."""
-
-    a: str
-    b: str
-    kind: str = "P"
-
-
-@dataclass(frozen=True)
-class GlobalP1(_Located):
-    """Judgement on the positive/negative flow pair of two alternatives."""
-
-    a: str
-    b: str
-    kind: str = "P"
-
-
-@dataclass(frozen=True)
-class GlobalP2(_Located):
-    """Judgement on the net flows of two alternatives."""
-
-    a: str
-    b: str
-    kind: str = "P"
-
-
-@dataclass(frozen=True)
-class Intensity(_Located):
-    """Pair (a, b) expresses a stronger preference than pair (c, d)."""
-
-    pair1: tuple[str, str]
-    pair2: tuple[str, str]
-    kind: str = "P"
+# JSON type name -> (origin text over its fields, its fields in order). A
+# field is (name, kind) or (name, kind, default); its kind is _LABEL (an
+# alternative, read as text), _CRITERION (a name or 1-based position, kept
+# as given), a tuple of the words allowed (read as text) or a one-item list
+# of one of these for a pair
+_LABEL, _CRITERION = "label", "criterion"
+_PI, _GE = ("P", "I"), (">", "=")
+_TYPES = {
+    "local_pair": ("local_pair {a} {kind} {b}",
+                   (("a", _LABEL), ("b", _LABEL), ("kind", _PI, "P"))),
+    "global_p1": ("global_p1 {a} {kind} {b}",
+                  (("a", _LABEL), ("b", _LABEL), ("kind", _PI, "P"))),
+    "global_p2": ("global_p2 {a} {kind} {b}",
+                  (("a", _LABEL), ("b", _LABEL), ("kind", _PI, "P"))),
+    "intensity": ("intensity ({pair1[0]},{pair1[1]}) {kind} ({pair2[0]},{pair2[1]})",
+                  (("pair1", [_LABEL]), ("pair2", [_LABEL]), ("kind", _PI, "P"))),
+    "criterion_importance": ("importance {j} {kind} {k}",
+                             (("j", _CRITERION), ("k", _CRITERION), ("kind", _GE, ">"))),
+    "interaction_sign": ("interaction_sign {j},{k} {sign}",
+                         (("j", _CRITERION), ("k", _CRITERION),
+                          ("sign", ("+", "-", "0"), "+"))),
+    "interaction_magnitude": (
+        "interaction_magnitude ({pair1[0]},{pair1[1]}){signs[0]} {kind} "
+        "({pair2[0]},{pair2[1]}){signs[1]}",
+        (("pair1", [_CRITERION]), ("pair2", [_CRITERION]),
+         ("signs", [("+", "-")], ("+", "+")), ("kind", _GE, ">")),
+    ),
+    "opposing_power": ("opposing_power[{variant}] {fixed}: {stronger} {kind} {weaker}",
+                       (("variant", ("a", "b")), ("fixed", _CRITERION),
+                        ("stronger", _CRITERION), ("weaker", _CRITERION),
+                        ("kind", _GE, ">"))),
+}
+# kinds and signs that tie a statement's expression to zero; any other
+# holds it above zero by the margin eps
+_EQUAL = ("I", "=", "0")
 
 
-@dataclass(frozen=True)
-class CriterionImportance(_Located):
-    """Criterion j is more important than (or as important as) criterion k."""
+def _require(cond: bool, where: str, msg: str) -> None:
+    if not cond:
+        raise ValueError(f"{where}: {msg}")
 
-    j: Union[str, int]
-    k: Union[str, int]
-    kind: str = ">"
+
+def _read(value, kind, where: str, name: str):
+    """``value`` as a field of ``kind`` reads it: a label or word, from a
+    JSON string or number, as text, a criterion reference as given, and a
+    pair, from a list (or tuple) of two, as a tuple."""
+    if isinstance(kind, list):
+        _require(isinstance(value, (list, tuple)) and len(value) == 2, where,
+                 f"{name} must be a list of two entries, got {value!r}")
+        return tuple(_read(v, kind[0], where, name) for v in value)
+    return value if kind == _CRITERION else _label(value, f"{where}: {name}")
 
 
 @dataclass(frozen=True)
-class InteractionSign(_Located):
-    """The pair (j, k) interacts positively, negatively or not at all."""
+class Statement:
+    """One preference statement: its JSON ``type`` and the fields of that
+    type, keyed as in a JSON line.
 
-    j: Union[str, int]
-    k: Union[str, int]
-    sign: str = "+"
-
-
-@dataclass(frozen=True)
-class InteractionMagnitude(_Located):
-    """Compare two interaction magnitudes given their believed signs.
-
-    ``signs`` gives the believed sign of pair1 and pair2. With kind ">",
-    |interaction(pair1)| exceeds |interaction(pair2)|; "=" equates them.
+    Construction checks the statement as a line of a statements file is
+    checked, and raises ``ValueError`` naming ``source`` (or "statement"):
+    an unknown type or key, a missing field without a default, a label or
+    word that is not a string or number, a pair that is not two entries, a
+    word outside its allowed values, or a pair of alternatives that are
+    the same. ``fields`` then holds every field of the type, in order, as
+    a read-only mapping: labels and words as text, pairs as tuples and
+    defaults filled in. ``source`` is the ``path:line`` a statement was
+    parsed from, which compile errors name, or None for a statement built
+    in code; it takes no part in equality or the repr.
     """
 
-    pair1: tuple[Union[str, int], Union[str, int]]
-    pair2: tuple[Union[str, int], Union[str, int]]
-    signs: tuple[str, str] = ("+", "+")
-    kind: str = ">"
+    type: str
+    fields: Mapping[str, object]
+    source: str | None = dataclasses.field(default=None, compare=False, repr=False)
 
-
-@dataclass(frozen=True)
-class OpposingPower(_Located):
-    """Compare two opposing powers.
-
-    Variant "a" fixes the supporting criterion (``fixed``) and says the
-    opponent ``stronger`` weakens it more than the opponent ``weaker``.
-    Variant "b" fixes the opposing criterion (``fixed``) and says it has
-    more opposing power against the supporter ``stronger`` than against
-    the supporter ``weaker``. Kind "=" equates the two powers instead.
-    """
-
-    variant: str
-    fixed: Union[str, int]
-    stronger: Union[str, int]
-    weaker: Union[str, int]
-    kind: str = ">"
-
-
-Statement = Union[
-    LocalPair,
-    GlobalP1,
-    GlobalP2,
-    Intensity,
-    CriterionImportance,
-    InteractionSign,
-    InteractionMagnitude,
-    OpposingPower,
-]
+    def __post_init__(self) -> None:
+        where = self.source or "statement"
+        _require(isinstance(self.type, str) and self.type in _TYPES, where,
+                 f"unknown statement type {self.type!r}")
+        spec = _TYPES[self.type][1]
+        unknown = sorted(set(self.fields) - {name for name, *_ in spec})
+        _require(not unknown, where, f"unknown key {', '.join(map(repr, unknown))}")
+        values = {}
+        for name, kind, *default in spec:
+            if name in self.fields:
+                values[name] = _read(self.fields[name], kind, where, name)
+            else:
+                _require(bool(default), where, f"missing field {name!r}")
+                values[name] = default[0]
+        alternatives = []
+        for name, kind, *_ in spec:
+            value = values[name]
+            items = value if isinstance(kind, list) else (value,)
+            kind = kind[0] if isinstance(kind, list) else kind
+            if isinstance(kind, tuple):
+                _require(all(w in kind for w in items), where,
+                         f"{name} must be {' or '.join(kind)}, got {value!r}")
+            elif kind == _LABEL:
+                alternatives += items
+        # the alternatives come in pairs: two label fields, or a pair field
+        _require(all(a != b for a, b in zip(alternatives[::2], alternatives[1::2])),
+                 where, "the two alternatives must differ")
+        object.__setattr__(self, "fields", MappingProxyType(values))
 
 
 @dataclass(frozen=True)
@@ -230,93 +219,12 @@ class ConstraintSystem:
         return (*pack(eqs), *pack(ubs))
 
 
-# JSON type name -> (dataclass, origin text over its fields, allowed values of
-# its word fields); every other field is an alternative label when typed str
-# and a criterion reference (name or 1-based position) otherwise
-_PI, _GE = ("P", "I"), (">", "=")
-_TYPES = {
-    "local_pair": (LocalPair, "local_pair {a} {kind} {b}", {"kind": _PI}),
-    "global_p1": (GlobalP1, "global_p1 {a} {kind} {b}", {"kind": _PI}),
-    "global_p2": (GlobalP2, "global_p2 {a} {kind} {b}", {"kind": _PI}),
-    "intensity": (
-        Intensity,
-        "intensity ({pair1[0]},{pair1[1]}) {kind} ({pair2[0]},{pair2[1]})",
-        {"kind": _PI},
-    ),
-    "criterion_importance": (
-        CriterionImportance, "importance {j} {kind} {k}", {"kind": _GE},
-    ),
-    "interaction_sign": (
-        InteractionSign, "interaction_sign {j},{k} {sign}", {"sign": ("+", "-", "0")},
-    ),
-    "interaction_magnitude": (
-        InteractionMagnitude,
-        "interaction_magnitude ({pair1[0]},{pair1[1]}){signs[0]} {kind} "
-        "({pair2[0]},{pair2[1]}){signs[1]}",
-        {"signs": ("+", "-"), "kind": _GE},
-    ),
-    "opposing_power": (
-        OpposingPower,
-        "opposing_power[{variant}] {fixed}: {stronger} {kind} {weaker}",
-        {"variant": ("a", "b"), "kind": _GE},
-    ),
-}
-_ORIGINS = {cls: origin for cls, origin, _ in _TYPES.values()}
-# kinds and signs that tie a statement's expression to zero; any other
-# holds it above zero by the margin eps
-_EQUAL = ("I", "=", "0")
-
-
-def _require(cond: bool, where: str, msg: str) -> None:
-    if not cond:
-        raise ValueError(f"{where}: {msg}")
-
-
-def _read(value, hint, where: str, name: str):
-    """``value`` as ``hint`` reads it: a label, from a JSON string or
-    number, as str, a criterion reference as given, a pair as a tuple of
-    two."""
-    if typing.get_origin(hint) is tuple:
-        _require(isinstance(value, list) and len(value) == 2, where,
-                 f"{name} must be a list of two entries, got {value!r}")
-        return tuple(_read(v, h, where, name) for v, h in zip(value, typing.get_args(hint)))
-    return _label(value, f"{where}: {name}") if hint is str else value
-
-
-def parse_statement(obj: dict, where: str = "statement") -> Statement:
-    """Build a statement from one decoded JSON object.
-
-    The keys are ``type`` and the fields of that type's dataclass, bar
-    ``source``; a field with a default may be left out, and any other key
-    is an error.
-    """
-    _require(isinstance(obj, dict), where, "expected a JSON object")
-    stype = obj.get("type")
-    _require(isinstance(stype, str) and stype in _TYPES, where,
-             f"unknown statement type {stype!r}")
-    cls, _, allowed = _TYPES[stype]
-    fields = [f for f in dataclasses.fields(cls) if f.name != "source"]
-    unknown = sorted(set(obj) - {"type"} - {f.name for f in fields})
-    _require(not unknown, where, f"unknown key {', '.join(map(repr, unknown))}")
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for f in fields:
-        if f.name not in obj:
-            _require(f.default is not dataclasses.MISSING, where,
-                     f"missing field {f.name!r}")
-            continue
-        values[f.name] = _read(obj[f.name], hints[f.name], where, f.name)
-    st = cls(**values)
-    for name, choices in allowed.items():
-        value = getattr(st, name)
-        words = value if isinstance(value, tuple) else (value,)
-        _require(all(w in choices for w in words), where,
-                 f"{name} must be {' or '.join(choices)}, got {value!r}")
-    pairs = ([st.pair1, st.pair2] if isinstance(st, Intensity)
-             else [(st.a, st.b)] if isinstance(st, (LocalPair, GlobalP1, GlobalP2))
-             else [])
-    _require(all(a != b for a, b in pairs), where, "the two alternatives must differ")
-    return st
+def parse_statement(obj: dict, where: str | None = None) -> Statement:
+    """Build a statement from one decoded JSON object, whose keys are
+    ``type`` and that type's fields; ``where`` becomes its ``source``."""
+    _require(isinstance(obj, dict), where or "statement", "expected a JSON object")
+    return Statement(obj.get("type"), {k: v for k, v in obj.items() if k != "type"},
+                     source=where)
 
 
 def parse_statements(source: Union[str, Path, Iterable[str]]) -> list[Statement]:
@@ -345,7 +253,7 @@ def parse_statements(source: Union[str, Path, Iterable[str]]) -> list[Statement]
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{where}: not valid JSON ({exc})") from None
-        out.append(dataclasses.replace(parse_statement(obj, where), source=where))
+        out.append(parse_statement(obj, where))
     return out
 
 
@@ -411,52 +319,52 @@ def compile_statements(
         return np.append(cp - cn, 0.0)
 
     for pos_idx, st in enumerate(statements, start=1):
-        origin = _ORIGINS.get(type(st))
-        if origin is None:
+        if not isinstance(st, Statement):
             raise TypeError(f"unsupported statement {st!r}")
-        label = f"statement {pos_idx} ({origin.format(**vars(st))})"
+        stype, f = st.type, st.fields
+        label = f"statement {pos_idx} ({_TYPES[stype][0].format(**f)})"
         where = label if st.source is None else f"{st.source}: {label}"
         gaps, tag = (), ""
-        if isinstance(st, LocalPair):
-            expr = pair_gap(st.a, st.b, where)
-        elif isinstance(st, GlobalP1):
-            ia, ib = alt(st.a, where), alt(st.b, where)
+        if stype == "local_pair":
+            expr = pair_gap(f["a"], f["b"], where)
+        elif stype == "global_p1":
+            ia, ib = alt(f["a"], where), alt(f["b"], where)
             gaps = ((flow_pos[ia] - flow_pos[ib], " [positive flows]"),
                     (flow_neg[ib] - flow_neg[ia], " [negative flows]"))
             expr, tag = flow_net[ia] - flow_net[ib], " [net flows]"
-        elif isinstance(st, GlobalP2):
-            expr = flow_net[alt(st.a, where)] - flow_net[alt(st.b, where)]
-        elif isinstance(st, Intensity):
-            expr = pair_gap(*st.pair1, where) - pair_gap(*st.pair2, where)
-        elif isinstance(st, CriterionImportance):
-            j, k = crit(st.j, where), crit(st.k, where)
+        elif stype == "global_p2":
+            expr = flow_net[alt(f["a"], where)] - flow_net[alt(f["b"], where)]
+        elif stype == "intensity":
+            expr = pair_gap(*f["pair1"], where) - pair_gap(*f["pair2"], where)
+        elif stype == "criterion_importance":
+            j, k = crit(f["j"], where), crit(f["k"], where)
             _require(j != k, where, "criteria must differ")
             expr = ones(layout.a_col(j)) - ones(layout.a_col(k))
-        elif isinstance(st, InteractionSign):
-            j, k = crit(st.j, where), crit(st.k, where)
+        elif stype == "interaction_sign":
+            j, k = crit(f["j"], where), crit(f["k"], where)
             _require(j != k, where, "criteria must differ")
             expr = ones(layout.pair_col(j, k))
-            if st.sign == "-":
+            if f["sign"] == "-":
                 expr = -expr
-        elif isinstance(st, InteractionMagnitude):
-            j1, k1 = crit(st.pair1[0], where), crit(st.pair1[1], where)
-            j2, k2 = crit(st.pair2[0], where), crit(st.pair2[1], where)
+        elif stype == "interaction_magnitude":
+            j1, k1 = crit(f["pair1"][0], where), crit(f["pair1"][1], where)
+            j2, k2 = crit(f["pair2"][0], where), crit(f["pair2"][1], where)
             _require(j1 != k1 and j2 != k2, where, "criteria within a pair must differ")
             # compare magnitudes through the believed signs
             expr = np.zeros(size + 1)
-            expr[layout.pair_col(j1, k1)] += 1.0 if st.signs[0] == "+" else -1.0
-            expr[layout.pair_col(j2, k2)] -= 1.0 if st.signs[1] == "+" else -1.0
+            expr[layout.pair_col(j1, k1)] += 1.0 if f["signs"][0] == "+" else -1.0
+            expr[layout.pair_col(j2, k2)] -= 1.0 if f["signs"][1] == "+" else -1.0
         else:
             fixed, stronger, weaker = (
-                crit(ref, where) for ref in (st.fixed, st.stronger, st.weaker))
+                crit(f[name], where) for name in ("fixed", "stronger", "weaker"))
             _require(len({fixed, stronger, weaker}) == 3, where, "criteria must be distinct")
             # variant a fixes the supporter, variant b the opponent; a
             # stronger opposing power means a more negative parameter
-            if st.variant == "a":
+            if f["variant"] == "a":
                 expr = ones(layout.opp_col(fixed, weaker)) - ones(layout.opp_col(fixed, stronger))
             else:
                 expr = ones(layout.opp_col(weaker, fixed)) - ones(layout.opp_col(stronger, fixed))
-        if (st.sign if isinstance(st, InteractionSign) else st.kind) in _EQUAL:
+        if f.get("sign", f.get("kind")) in _EQUAL:
             # a P1 statement's flow gaps, tied to zero, imply its net-flow row
             for gap, gap_tag in gaps or ((expr, tag),):
                 add(gap, "=", label + gap_tag)

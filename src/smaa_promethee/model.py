@@ -115,7 +115,7 @@ class PerformanceTable:
             if c.name == ref:
                 return i
         # accept "3" as a positional reference in text formats
-        if ref.isdigit():
+        if ref.isdecimal():
             return self.criterion_index(int(ref))
         raise KeyError(f"unknown criterion {ref!r}")
 

@@ -427,9 +427,17 @@ class SampleBatch:
         if type(rows) is not int or rows < 0:
             raise ValueError(f"{path}: its sidecar gives rows {rows!r}, "
                              "not a non-negative integer")
-        if not isinstance(cols, list):
-            raise ValueError(f"{path}: its sidecar gives columns {cols!r}, not a list")
+        if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
+            raise ValueError(f"{path}: its sidecar gives columns {cols!r}, "
+                             "not a list of names")
         cols = tuple(cols)
+        quotas, seed = sidecar.get("chain_quotas"), sidecar.get("seed")
+        if not (quotas is None or isinstance(quotas, list)):
+            raise ValueError(f"{path}: its sidecar gives chain_quotas {quotas!r}, "
+                             "not null or a list")
+        if not (seed is None or _is_integer(seed) and seed >= 0):
+            raise ValueError(f"{path}: its sidecar gives seed {seed!r}, "
+                             "not null or a non-negative integer")
         size = os.path.getsize(path)
         if size != 8 * rows * len(cols):
             raise ValueError(
@@ -437,11 +445,10 @@ class SampleBatch:
                 f"x {len(cols)} columns of 8-byte floats"
             )
         data = np.fromfile(path, dtype="<f8").reshape(rows, len(cols))
-        quotas = sidecar.get("chain_quotas")
         try:
             # a sidecar written before burn-in and thinning were recorded
             # lacks them
-            return cls(columns=cols, data=data, seed=sidecar.get("seed"),
+            return cls(columns=cols, data=data, seed=seed,
                        chain_quotas=None if quotas is None else tuple(quotas),
                        burn_in=sidecar.get("burn_in"),
                        thinning=sidecar.get("thinning"))

@@ -19,9 +19,7 @@ from smaa_promethee.bipolar import (
 from smaa_promethee.elicitation import (
     ConstraintRow,
     ConstraintSystem,
-    GlobalP2,
-    InteractionSign,
-    OpposingPower,
+    Statement,
     parse_statements,
 )
 from smaa_promethee.model import Criterion, PerformanceTable, load_problem
@@ -129,11 +127,13 @@ def bicapacity_problem(rng: np.random.Generator, m: int, n: int):
     order = np.argsort(-net)
     labels = table.alternatives
     statements = [
-        GlobalP2(a=labels[order[i]], b=labels[order[i + 1]]) for i in (0, 2, 4)
+        Statement("global_p2", {"a": labels[order[i]], "b": labels[order[i + 1]]})
+        for i in (0, 2, 4)
     ]
     j, k, h = (int(c) + 1 for c in rng.choice(n, size=3, replace=False))
-    statements.append(InteractionSign(j=j, k=k, sign="-"))
-    statements.append(OpposingPower(variant="a", fixed=j, stronger=k, weaker=h))
+    statements.append(Statement("interaction_sign", {"j": j, "k": k, "sign": "-"}))
+    statements.append(Statement("opposing_power",
+                                {"variant": "a", "fixed": j, "stronger": k, "weaker": h}))
     return table, statements
 
 

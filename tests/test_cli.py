@@ -475,6 +475,10 @@ UNCOMPILABLE_STATEMENTS = {
         [{"type": "global_p2", "a": "s3", "b": "s6"}, "",
          {"type": "interaction_sign", "j": True, "k": 2}],
         "3: statement 2 (interaction_sign True,2 +)", "invalid criterion reference True"),
+    # a digit that int() rejects is no position
+    "criterion_reference_superscript": (
+        [{"type": "criterion_importance", "j": "³", "k": 1}],
+        "1: statement 1 (importance ³ > 1)", "unknown criterion '³'"),
 }
 
 

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,7 @@ from smaa_promethee.bipolar import (
 from smaa_promethee.elicitation import (
     ConstraintRow,
     ConstraintSystem,
-    CriterionImportance,
-    GlobalP1,
-    GlobalP2,
-    InteractionMagnitude,
-    InteractionSign,
-    Intensity,
-    LocalPair,
-    OpposingPower,
+    Statement,
     compile_statements,
     parse_statement,
     parse_statements,
@@ -39,72 +35,73 @@ def statement_rows(system: ConstraintSystem):
     return [r for r in system.rows if r.origin.startswith("statement")]
 
 
-# per JSON type: the required keys, the statement they give (every other
-# field at its default), every key, and the statement that gives; labels
+# per JSON type: the required keys, the fields they give (every other
+# field at its default), every key, and the fields that gives; labels
 # become strings, criterion references stay as given
 PARSE_CASES = {
     "local_pair": (
-        {"a": "s7", "b": "s2"}, LocalPair("s7", "s2", "P"),
-        {"a": 7, "b": "s2", "kind": "I"}, LocalPair("7", "s2", "I"),
+        {"a": "s7", "b": "s2"}, {"a": "s7", "b": "s2", "kind": "P"},
+        {"a": 7, "b": "s2", "kind": "I"}, {"a": "7", "b": "s2", "kind": "I"},
     ),
     "global_p1": (
-        {"a": "s1", "b": "s2"}, GlobalP1("s1", "s2", "P"),
-        {"a": "s1", "b": 2, "kind": "I"}, GlobalP1("s1", "2", "I"),
+        {"a": "s1", "b": "s2"}, {"a": "s1", "b": "s2", "kind": "P"},
+        {"a": "s1", "b": 2, "kind": "I"}, {"a": "s1", "b": "2", "kind": "I"},
     ),
     "global_p2": (
-        {"a": "s1", "b": "s2"}, GlobalP2("s1", "s2", "P"),
-        {"a": "s3", "b": "s6", "kind": "I"}, GlobalP2("s3", "s6", "I"),
+        {"a": "s1", "b": "s2"}, {"a": "s1", "b": "s2", "kind": "P"},
+        {"a": "s3", "b": "s6", "kind": "I"}, {"a": "s3", "b": "s6", "kind": "I"},
     ),
     "intensity": (
         {"pair1": ["s1", "s2"], "pair2": ["s3", "s4"]},
-        Intensity(("s1", "s2"), ("s3", "s4"), "P"),
+        {"pair1": ("s1", "s2"), "pair2": ("s3", "s4"), "kind": "P"},
         {"pair1": [1, "s2"], "pair2": ["s3", 4], "kind": "I"},
-        Intensity(("1", "s2"), ("s3", "4"), "I"),
+        {"pair1": ("1", "s2"), "pair2": ("s3", "4"), "kind": "I"},
     ),
     "criterion_importance": (
-        {"j": 1, "k": "Physics"}, CriterionImportance(1, "Physics", ">"),
-        {"j": "3", "k": 2, "kind": "="}, CriterionImportance("3", 2, "="),
+        {"j": 1, "k": "Physics"}, {"j": 1, "k": "Physics", "kind": ">"},
+        {"j": "3", "k": 2, "kind": "="}, {"j": "3", "k": 2, "kind": "="},
     ),
     "interaction_sign": (
-        {"j": 1, "k": 2}, InteractionSign(1, 2, "+"),
-        {"j": 1, "k": "Physics", "sign": "0"}, InteractionSign(1, "Physics", "0"),
+        {"j": 1, "k": 2}, {"j": 1, "k": 2, "sign": "+"},
+        {"j": 1, "k": "Physics", "sign": "0"}, {"j": 1, "k": "Physics", "sign": "0"},
     ),
     "interaction_magnitude": (
         {"pair1": [1, 2], "pair2": [1, 3]},
-        InteractionMagnitude((1, 2), (1, 3), ("+", "+"), ">"),
+        {"pair1": (1, 2), "pair2": (1, 3), "signs": ("+", "+"), "kind": ">"},
         {"pair1": [1, "Physics"], "pair2": [2, 3], "signs": ["-", "+"], "kind": "="},
-        InteractionMagnitude((1, "Physics"), (2, 3), ("-", "+"), "="),
+        {"pair1": (1, "Physics"), "pair2": (2, 3), "signs": ("-", "+"), "kind": "="},
     ),
     "opposing_power": (
         {"variant": "a", "fixed": 1, "stronger": 2, "weaker": 3},
-        OpposingPower("a", 1, 2, 3, ">"),
+        {"variant": "a", "fixed": 1, "stronger": 2, "weaker": 3, "kind": ">"},
         {"variant": "b", "fixed": "Physics", "stronger": 1, "weaker": 3, "kind": "="},
-        OpposingPower("b", "Physics", 1, 3, "="),
+        {"variant": "b", "fixed": "Physics", "stronger": 1, "weaker": 3, "kind": "="},
     ),
 }
 
 
 def test_parse_all_types():
     for stype, (required, defaults, full, expected) in PARSE_CASES.items():
-        assert parse_statement({"type": stype, **required}) == defaults
+        assert parse_statement({"type": stype, **required}) == Statement(stype, defaults)
         parsed = parse_statement({"type": stype, **full})
-        assert parsed == expected
-        assert [type(v) for v in vars(parsed).values()] == [
-            type(v) for v in vars(expected).values()]
+        assert parsed == Statement(stype, expected)
+        assert [type(v) for v in parsed.fields.values()] == [
+            type(v) for v in expected.values()]
 
 
 def test_statement_origins(students):
     statements = [
-        LocalPair("s7", "s2"),
-        GlobalP1("s1", "s2", "I"),
-        GlobalP1("s3", "s4"),
-        GlobalP2("s3", "s6"),
-        Intensity(("s1", "s2"), ("s3", "s4"), "I"),
-        CriterionImportance("Physics", 1),
-        InteractionSign(1, 2, "-"),
-        InteractionMagnitude((1, 2), (1, "Literature"), ("+", "-"), "="),
-        OpposingPower("a", 3, 1, 2),
-        OpposingPower("b", 1, 2, 3),
+        Statement("local_pair", {"a": "s7", "b": "s2"}),
+        Statement("global_p1", {"a": "s1", "b": "s2", "kind": "I"}),
+        Statement("global_p1", {"a": "s3", "b": "s4"}),
+        Statement("global_p2", {"a": "s3", "b": "s6"}),
+        Statement("intensity", {"pair1": ("s1", "s2"), "pair2": ("s3", "s4"), "kind": "I"}),
+        Statement("criterion_importance", {"j": "Physics", "k": 1}),
+        Statement("interaction_sign", {"j": 1, "k": 2, "sign": "-"}),
+        Statement("interaction_magnitude", {"pair1": (1, 2), "pair2": (1, "Literature"),
+                                            "signs": ("+", "-"), "kind": "="}),
+        Statement("opposing_power", {"variant": "a", "fixed": 3, "stronger": 1, "weaker": 2}),
+        Statement("opposing_power", {"variant": "b", "fixed": 1, "stronger": 2, "weaker": 3}),
     ]
     origins = [r.origin for r in statement_rows(compile_statements(students, statements))]
     assert origins == [
@@ -163,12 +160,29 @@ def test_parse_rejects_malformed():
         )
 
 
+# each of these compiled, silently or into an internal TypeError, while
+# only the parser checked statements
+@pytest.mark.parametrize("stype, fields", [
+    ("local_pair", {"a": "s1", "b": "s2", "kind": "X"}),
+    ("local_pair", {"a": "s1", "b": "s1"}),
+    ("opposing_power", {"variant": "z", "fixed": 1, "stronger": 2, "weaker": 3}),
+    ("intensity", {"pair1": ["s1", "s2", "s3"], "pair2": ["s3", "s4"]}),
+    ("interaction_sign", {"j": 1, "k": 2, "sign": "x"}),
+])
+def test_statement_built_in_code_gets_the_checks_of_a_line(stype, fields):
+    with pytest.raises(ValueError) as from_line:
+        parse_statements([json.dumps({"type": stype, **fields})])
+    message = str(from_line.value).replace("<lines>:1: ", "statement: ", 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Statement(stype, fields)
+
+
 def test_parse_statements_files_and_lines():
     sc1 = parse_statements(FIXTURES / "scenario1.jsonl")
-    assert [type(s) for s in sc1] == [LocalPair, LocalPair]
-    assert sc1[0].a == "s7" and sc1[0].b == "s2"
+    assert [s.type for s in sc1] == ["local_pair", "local_pair"]
+    assert sc1[0].fields["a"] == "s7" and sc1[0].fields["b"] == "s2"
     sc2 = parse_statements(FIXTURES / "scenario2.jsonl")
-    assert [type(s) for s in sc2] == [Intensity, Intensity]
+    assert [s.type for s in sc2] == ["intensity", "intensity"]
     assert parse_statements(FIXTURES / "empty.jsonl") == []
     with pytest.raises(ValueError, match="<lines>:2"):
         parse_statements(["# fine", "{broken"])
@@ -219,7 +233,8 @@ def test_monotonicity_rows_are_the_covering_splits(n):
 
 def test_criterion_importance_row(students):
     layout = ParameterLayout(3)
-    system = compile_statements(students, [CriterionImportance(j=1, k=2, kind=">")])
+    system = compile_statements(
+        students, [Statement("criterion_importance", {"j": 1, "k": 2, "kind": ">"})])
     row = statement_rows(system)[0]
     assert row.rel == ">=" and row.rhs == 0.0
     assert row.coefs[layout.a_col(0)] == 1.0
@@ -227,7 +242,8 @@ def test_criterion_importance_row(students):
     assert row.coefs[system.eps_col] == -1.0
 
     eq = statement_rows(
-        compile_statements(students, [CriterionImportance(j="Physics", k=1, kind="=")])
+        compile_statements(
+            students, [Statement("criterion_importance", {"j": "Physics", "k": 1, "kind": "="})])
     )[0]
     assert eq.rel == "=" and eq.coefs[system.eps_col] == 0.0
     assert eq.coefs[layout.a_col(1)] == 1.0
@@ -238,27 +254,31 @@ def test_interaction_rows(students):
     layout = ParameterLayout(3)
     eps = layout.size
     plus = statement_rows(
-        compile_statements(students, [InteractionSign(j=1, k=2, sign="+")])
+        compile_statements(
+            students, [Statement("interaction_sign", {"j": 1, "k": 2, "sign": "+"})])
     )[0]
     assert plus.rel == ">=" and plus.coefs[layout.pair_col(0, 1)] == 1.0
     assert plus.coefs[eps] == -1.0
 
     minus = statement_rows(
-        compile_statements(students, [InteractionSign(j=1, k=2, sign="-")])
+        compile_statements(
+            students, [Statement("interaction_sign", {"j": 1, "k": 2, "sign": "-"})])
     )[0]
     # pair value at most -eps
     assert minus.rel == ">=" and minus.coefs[layout.pair_col(0, 1)] == -1.0
     assert minus.coefs[eps] == -1.0
 
     zero = statement_rows(
-        compile_statements(students, [InteractionSign(j=1, k=2, sign="0")])
+        compile_statements(
+            students, [Statement("interaction_sign", {"j": 1, "k": 2, "sign": "0"})])
     )[0]
     assert zero.rel == "=" and zero.coefs[eps] == 0.0
 
     syn_syn = statement_rows(
         compile_statements(
             students,
-            [InteractionMagnitude(pair1=(1, 2), pair2=(1, 3), signs=("+", "+"))],
+            [Statement("interaction_magnitude",
+                       {"pair1": (1, 2), "pair2": (1, 3), "signs": ("+", "+")})],
         )
     )[0]
     assert syn_syn.coefs[layout.pair_col(0, 1)] == 1.0
@@ -267,7 +287,8 @@ def test_interaction_rows(students):
     syn_red = statement_rows(
         compile_statements(
             students,
-            [InteractionMagnitude(pair1=(1, 2), pair2=(1, 3), signs=("+", "-"))],
+            [Statement("interaction_magnitude",
+                       {"pair1": (1, 2), "pair2": (1, 3), "signs": ("+", "-")})],
         )
     )[0]
     assert syn_red.coefs[layout.pair_col(0, 1)] == 1.0
@@ -281,7 +302,7 @@ def test_opposing_power_rows(students):
     va = statement_rows(
         compile_statements(
             students,
-            [OpposingPower(variant="a", fixed=1, stronger=2, weaker=3)],
+            [Statement("opposing_power", {"variant": "a", "fixed": 1, "stronger": 2, "weaker": 3})],
         )
     )[0]
     assert va.rel == ">="
@@ -292,7 +313,7 @@ def test_opposing_power_rows(students):
     vb = statement_rows(
         compile_statements(
             students,
-            [OpposingPower(variant="b", fixed=1, stronger=2, weaker=3)],
+            [Statement("opposing_power", {"variant": "b", "fixed": 1, "stronger": 2, "weaker": 3})],
         )
     )[0]
     assert vb.coefs[layout.opp_col(2, 0)] == 1.0
@@ -317,7 +338,8 @@ def test_local_pair_row_dual_route(students):
 
 def test_global_p1_rows_dual_route(students):
     layout = ParameterLayout(3)
-    system = compile_statements(students, [GlobalP1(a="s3", b="s2", kind="P")])
+    system = compile_statements(
+        students, [Statement("global_p1", {"a": "s3", "b": "s2", "kind": "P"})])
     rows = statement_rows(system)
     assert len(rows) == 3
     assert "[positive flows]" in rows[0].origin
@@ -366,9 +388,9 @@ def test_intensity_rows_dual_route(students):
 def test_statement_linearity_finite_difference(students):
     layout = ParameterLayout(3)
     statements = [
-        LocalPair(a="s7", b="s2", kind="P"),
-        GlobalP2(a="s3", b="s6", kind="P"),
-        Intensity(pair1=("s1", "s2"), pair2=("s3", "s4"), kind="P"),
+        Statement("local_pair", {"a": "s7", "b": "s2", "kind": "P"}),
+        Statement("global_p2", {"a": "s3", "b": "s6", "kind": "P"}),
+        Statement("intensity", {"pair1": ("s1", "s2"), "pair2": ("s3", "s4"), "kind": "P"}),
     ]
     system = compile_statements(students, statements)
     rows = statement_rows(system)
@@ -413,7 +435,8 @@ def test_compile_deterministic(students):
 
 def test_restrict_classical(students):
     layout = ParameterLayout(3)
-    system = compile_statements(students, [GlobalP2(a="s3", b="s6", kind="P")])
+    system = compile_statements(
+        students, [Statement("global_p2", {"a": "s3", "b": "s6", "kind": "P"})])
     restricted = restrict_classical(system)
     extra = restricted.rows[len(system.rows):]
     assert len(extra) == 9
@@ -450,20 +473,21 @@ def test_restrict_classical_origins_name_each_pinned_column(students):
 def test_compile_error_provenance(students):
     # a statement built in code has no file line to name
     with pytest.raises(ValueError, match=r"^statement 1 \(local_pair s9 P s2\): .*s9"):
-        compile_statements(students, [LocalPair(a="s9", b="s2")])
+        compile_statements(students, [Statement("local_pair", {"a": "s9", "b": "s2"})])
     with pytest.raises(ValueError, match=r"statement 2"):
         compile_statements(
             students,
-            [LocalPair(a="s7", b="s2"), CriterionImportance(j="Quality", k=1)],
+            [Statement("local_pair", {"a": "s7", "b": "s2"}),
+             Statement("criterion_importance", {"j": "Quality", "k": 1})],
         )
     with pytest.raises(ValueError, match="must differ"):
-        compile_statements(students, [CriterionImportance(j=1, k=1)])
+        compile_statements(students, [Statement("criterion_importance", {"j": 1, "k": 1})])
     # a parsed one names its line first, but its rows' origins do not
     lines = ['{"type": "local_pair", "a": "s7", "b": "s2"}', "",
              '{"type": "local_pair", "a": "s1", "b": "s9"}']
     parsed = parse_statements(lines)
     assert [st.source for st in parsed] == ["<lines>:1", "<lines>:3"]
-    assert parsed[0] == LocalPair(a="s7", b="s2")
+    assert parsed[0] == Statement("local_pair", {"a": "s7", "b": "s2"})
     with pytest.raises(ValueError, match=r"^<lines>:3: statement 2 \(local_pair s1 P s9\)"):
         compile_statements(students, parsed)
     origins = [r.origin for r in compile_statements(students, parsed[:1]).rows]

@@ -6,10 +6,7 @@ from smaa_promethee.bipolar import ParameterLayout, flow_coefficients
 from smaa_promethee.elicitation import (
     ConstraintRow,
     ConstraintSystem,
-    CriterionImportance,
-    GlobalP2,
-    InteractionSign,
-    LocalPair,
+    Statement,
     compile_statements,
     parse_statements,
     restrict_classical,
@@ -182,10 +179,10 @@ def test_margins_match_scipy_on_fixture_systems(students, students_ramp):
 def test_margins_match_scipy_on_random_systems():
     rng = np.random.default_rng(77)
     statements_pool = [
-        lambda alts: LocalPair(a=alts[0], b=alts[1], kind="P"),
-        lambda alts: GlobalP2(a=alts[2], b=alts[0], kind="P"),
-        lambda alts: CriterionImportance(j=1, k=2, kind=">"),
-        lambda alts: InteractionSign(j=1, k=3, sign="-"),
+        lambda alts: Statement("local_pair", {"a": alts[0], "b": alts[1], "kind": "P"}),
+        lambda alts: Statement("global_p2", {"a": alts[2], "b": alts[0], "kind": "P"}),
+        lambda alts: Statement("criterion_importance", {"j": 1, "k": 2, "kind": ">"}),
+        lambda alts: Statement("interaction_sign", {"j": 1, "k": 3, "sign": "-"}),
     ]
     checked = 0
     for trial in range(12):

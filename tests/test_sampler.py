@@ -765,6 +765,13 @@ def test_build_polytope_rejects_an_invalid_strict_margin(students, delta_strict)
                  id="columns not a list"),
     pytest.param(lambda sidecar: sidecar.update(rows="x"), "rows 'x'",
                  id="rows not an integer"),
+    # these three used to load, or fail with a bare TypeError
+    pytest.param(lambda sidecar: sidecar.update(columns=[1, 2]), r"columns \[1, 2\]",
+                 id="columns not names"),
+    pytest.param(lambda sidecar: sidecar.update(chain_quotas=5), "chain_quotas 5",
+                 id="chain quotas not a list"),
+    pytest.param(lambda sidecar: sidecar.update(seed="x"), "seed 'x'",
+                 id="seed not an integer"),
     pytest.param(None, "not JSON", id="invalid JSON"),
 ])
 def test_batch_load_names_the_file_of_a_malformed_sidecar(tmp_path, edit, message):

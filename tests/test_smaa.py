@@ -6,7 +6,7 @@ import pytest
 from smaa_promethee import smaa
 from smaa_promethee.bipolar import ParameterLayout
 from smaa_promethee.elicitation import (
-    GlobalP2,
+    Statement,
     compile_statements,
     parse_statements,
     restrict_classical,
@@ -131,7 +131,7 @@ def test_classical_and_bipolar_modes_agree_on_pinned_batch(students):
 
 def test_classical_mode_rejects_interacting_batch(students):
     system = compile_statements(
-        students, [GlobalP2(a="s3", b="s6", kind="P")]
+        students, [Statement("global_p2", {"a": "s3", "b": "s6", "kind": "P"})]
     )
     polytope, batch = sample_system(system, count=200, seed=3)
     # generic bipolar samples carry nonzero interactions
@@ -403,7 +403,8 @@ def test_random_instance_exact_vs_approx():
     flows = classical_flows(table, np.full(3, 1 / 3))
     order = np.argsort(flows.net)[::-1]
     best, worst = table.alternatives[order[0]], table.alternatives[order[-1]]
-    system = compile_statements(table, [GlobalP2(a=best, b=worst, kind="P")])
+    system = compile_statements(
+        table, [Statement("global_p2", {"a": best, "b": worst, "kind": "P"})])
     polytope, batch = sample_system(system, count=4000, seed=3)
     results = aggregate(table, batch, polytope=polytope)
     assert_invariants(results)
