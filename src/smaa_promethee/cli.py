@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="preference statements, one JSON object per line")
     parser.add_argument("--samples", type=int, default=100_000,
                         help="number of parameter vectors to sample")
-    parser.add_argument("--seed", type=int, default=0, help="sampler seed")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="sampler seed, an integer in [0, 2**64)")
     parser.add_argument("--mode", choices=("auto", "classical", "bipolar"),
                         default="auto", help="model policy (auto escalates)")
     parser.add_argument("--exact-ror", action="store_true",

@@ -38,8 +38,20 @@ divide, one ``max`` and one ``min`` along the rows and one reciprocal,
 with no mask for the side each row bounds. A step records only its
 chord extremes, whether each chain moved and how far; the points, kept
 samples, empty-chord counts and open chords are settled once per
-refill. The arithmetic is that of a per-row loop, so a seed gives
-bit-identical samples on a given numpy build.
+refill. The arithmetic is that of a per-row loop.
+
+The axes and uniforms come from SplitMix64 seeded with the seed (Steele,
+Lea & Flood 2014, "Fast splittable pseudorandom number generators"):
+word i >= 1 is a fixed 64-bit mix of seed + i * 0x9E3779B97F4A7C15 mod
+2^64, so a refill's words are a few whole-array uint64 operations, with
+no generator module of numpy's to load. Step t of chain c takes words
+2 (t C + c) + 1 and + 2, the first for its axis and the second for its uniform, so
+the draws do not depend on the refill size. A word w gives the uniform
+(w >> 11) 2^-53, as numpy's ``Generator.random`` builds a double, and
+the axis floor((w >> 11) 2^-53 k), which is below k. The draws are
+integer arithmetic, the same on every numpy build; what can still differ
+between builds is the floating point of BLAS and LAPACK in centring,
+rounding, the chain's slack refresh and the output map.
 
 Each chain discards its first ``burn_in_steps`` steps: the configured
 burn-in, or by default 20 per dimension of the polytope, since the
@@ -84,10 +96,15 @@ _CHORD_TOL = 1e-12
 _MAX_CHAINS = 64
 # default burn-in per dimension of the sampled polytope
 _BURN_IN_PER_DIMENSION = 20
-# refill size, cut down to the steps the chains still need: the
-# draw order (axes then uniforms per refill) is part of the
-# deterministic stream for a given seed
+# steps drawn and run per refill, cut down to the steps the chains still
+# need: every step's draws are fixed by the seed, the step and the chain,
+# so this moves the samples only by the rounding of the slack, which
+# each refill recomputes from the points
 _RAND_ROWS = 128
+# SplitMix64's increment, then its mix: (shift, multiplier) per round
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
+_SEED_LIMIT = 2 ** 64
 # numbers (rows x mapped columns and residuals) of one block of the output
 # map and check
 _CHECK_ENTRIES = 2 ** 17
@@ -120,7 +137,8 @@ def _is_integer(value) -> bool:
 class SamplerConfig:
     """What ``hit_and_run`` draws: ``burn_in`` None means by dimension,
     as ``burn_in_steps`` gives it. Every field is an integer (a boolean
-    is not), else ``ValueError`` names it."""
+    is not), else ``ValueError`` names it; the seed, SplitMix64's state,
+    lies in [0, 2^64)."""
 
     sample_count: int = 100_000
     burn_in: int | None = None
@@ -140,6 +158,8 @@ class SamplerConfig:
             raise ValueError("burn_in cannot be negative")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
+        if self.seed >= _SEED_LIMIT:
+            raise ValueError(f"seed must be below 2**64, not {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -435,9 +455,9 @@ class SampleBatch:
         if not (quotas is None or isinstance(quotas, list)):
             raise ValueError(f"{path}: its sidecar gives chain_quotas {quotas!r}, "
                              "not null or a list")
-        if not (seed is None or _is_integer(seed) and seed >= 0):
+        if not (seed is None or _is_integer(seed) and 0 <= seed < _SEED_LIMIT):
             raise ValueError(f"{path}: its sidecar gives seed {seed!r}, "
-                             "not null or a non-negative integer")
+                             "not null or an integer in [0, 2**64)")
         size = os.path.getsize(path)
         if size != 8 * rows * len(cols):
             raise ValueError(
@@ -492,11 +512,17 @@ class _ChainWorkspace:
     points they reach; ``points`` is a prefix view of the coefficients'
     buffer, which is dead when ``_settle`` gathers into it. ``ext`` keeps
     each row's largest and smallest c / s per chain, and ``t`` each row's
-    step lengths, 0 where a chain does not move.
+    step lengths, 0 where a chain does not move. ``base`` holds i * gamma
+    for the refill's words i = 1 .. 2 R C, ``words`` their mix and
+    ``spare`` the mix's shifts, then the words as doubles in [0, 1).
     """
 
     def __init__(self, A: np.ndarray, n_rows: int, chains: int):
         rows, k = A.shape
+        # uint64 arrays wrap mod 2^64 without a warning, unlike scalars
+        self.base = np.arange(1, 2 * n_rows * chains + 1, dtype=np.uint64) * _GAMMA
+        self.words = np.empty_like(self.base)
+        self.spare = np.empty_like(self.base)
         self.chains_last = chains >= rows
         self.axis = 0 if self.chains_last else 1
         self.columns = None if self.chains_last else np.ascontiguousarray(A.T)
@@ -510,6 +536,45 @@ class _ChainWorkspace:
         self.width = np.empty(chains)
         self.t = np.empty((n_rows, chains))
         self.moved = np.empty((n_rows, chains), dtype=bool)
+
+    def stream(self, seed: int, done: int, n_rows: int) -> np.ndarray:
+        """SplitMix64 words 2 done C + 1 to 2 (done + R) C of ``seed``,
+        as a (R, C, 2) view of ``words``: step t of chain c, for t from
+        ``done`` to ``done + R``, reads words 2 (t C + c) + 1 and + 2."""
+        chains = self.moved.shape[1]
+        n = 2 * n_rows * chains
+        words, spare = self.words[:n], self.spare[:n]
+        # word i mixes seed + i * gamma; the offset is a Python int, since a
+        # wrapping uint64 scalar warns
+        np.add(self.base[:n], (seed + 2 * done * chains * _GAMMA) % _SEED_LIMIT, out=words)
+        for shift, factor in _MIX:
+            np.right_shift(words, shift, out=spare)
+            np.bitwise_xor(words, spare, out=words)
+            if factor is not None:
+                np.multiply(words, factor, out=words)
+        return words.reshape(n_rows, chains, 2)
+
+    def draws(self, seed: int, done: int, n_rows: int, k: int):
+        """Axes and uniforms of steps ``done`` to ``done + R`` of every
+        chain, from ``stream``: views of buffers the next call overwrites."""
+        words = self.stream(seed, done, n_rows)
+        return _draws(words, self.spare[:words.size].reshape(words.shape), k)
+
+
+def _draws(words: np.ndarray, spare: np.ndarray, k: int):
+    """Axes (R, C) in [0, k) and uniforms (R, C) in [0, 1) from (R, C, 2)
+    uint64 ``words``: [r, c, 0] is chain c's axis at row r and [r, c, 1]
+    its uniform. Both buffers are overwritten, and the results are views
+    of them."""
+    # the top 53 bits as a double in [0, 1), as Generator.random makes it
+    np.right_shift(words, 11, out=words)
+    unit = np.multiply(words, 2.0 ** -53, out=spare.view(np.float64))
+    # at most (1 - 2^-53) k, which rounds below k; not negative, so the
+    # cast floors it
+    scaled = np.multiply(unit[..., 0], k, out=unit[..., 0])
+    axes = words.reshape(-1).view(np.int64)[:scaled.size].reshape(scaled.shape)
+    np.copyto(axes, scaled, casting="unsafe")
+    return axes, unit[..., 1]
 
 
 def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, done, retries, quota,
@@ -674,12 +739,14 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     lockstep, every one of them ``burn_in + max(quota) * thinning``
     steps, an empty chord being a zero-length step; a chain with one
     sample fewer takes its last ``thinning`` steps without keeping them.
-    Each refill draws ``_RAND_ROWS`` rows of axes, then of uniforms, the
-    last one only the rows that remain, so the generator draws exactly
-    that common total; ``chain_steps`` is told the steps done before each
-    refill and keeps only the empty-chord counts between refills. A step
-    runs along its axis of the rounded frame, in which the Dikin ellipsoid
-    at the centre is the unit ball.
+    Each refill draws ``_RAND_ROWS`` steps of every chain, the last one
+    only the steps that remain, from SplitMix64 seeded with
+    ``config.seed``: step t of chain c reads words 2 (t C + c) + 1 and + 2,
+    its axis and its uniform, so the refills read words 1 to 2 C times
+    the common total, each once. ``chain_steps`` is told the steps done
+    before each refill and keeps only the empty-chord counts between
+    refills. A step runs along its axis of the rounded frame, in which the
+    Dikin ellipsoid at the centre is the unit ball.
 
     The (samples, parameters) result is allocated before the first step,
     so a count that cannot be held raises ``MemoryError`` at once, and it
@@ -695,21 +762,20 @@ def hit_and_run(polytope: Polytope, config: SamplerConfig) -> SampleBatch:
     chains = _chain_count(config, k)
     quota = np.full(chains, config.sample_count // chains, dtype=np.int64)
     quota[: config.sample_count % chains] += 1
-    rng = np.random.default_rng(config.seed)
+    seed = int(config.seed)
     out = theta[:, :k]
     Y = np.zeros((chains, k))
     retries = np.zeros(chains, dtype=np.int64)
     work = _ChainWorkspace(polytope.A, _RAND_ROWS, chains)
-    axes = None
-    uniforms = np.empty((_RAND_ROWS, chains))
+    # views of the workspace's buffers, which they would keep alive
+    axes = uniforms = None
     # the first chain's quota is the largest
     total = burn_in + int(quota[0]) * config.thinning
     # a polytope of dimension 0 is one point: no chain, every row is offset
     for done in range(0, total if k else 0, _RAND_ROWS):
         rows = min(_RAND_ROWS, total - done)
-        axes = rng.integers(k, size=(rows, chains))
-        rng.random(out=uniforms[:rows])
-        chain_steps(polytope.A, polytope.b, Y, axes, uniforms[:rows],
+        axes, uniforms = work.draws(seed, done, rows, k)
+        chain_steps(polytope.A, polytope.b, Y, axes, uniforms,
                     burn_in, config.thinning, done, retries, quota, out, work=work)
     # the chain's buffers go before the map and check
     del work, axes, uniforms

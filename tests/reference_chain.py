@@ -11,11 +11,40 @@ against the masked minimum and maximum of s / c. The loop keeps its own
 per-row counts of the steps taken and the samples each chain has kept.
 The package's chain must leave ``Y``, ``retries`` and ``out`` exactly as
 this loop does, also when it raises.
+
+``splitmix64`` is the generator written as its sequential recurrence in
+Python integers, and ``draws`` turns its words into the axes and
+uniforms that ``sampler.hit_and_run`` gives each step.
 """
 
 import numpy as np
 
 from smaa_promethee.sampler import _CHORD_TOL, _RETRY_BUDGET
+
+MASK = 2 ** 64 - 1
+
+
+def splitmix64(seed, count):
+    """The first ``count`` words of SplitMix64 seeded with ``seed``
+    (Steele, Lea & Flood 2014), one state step at a time."""
+    words = []
+    state = seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def draws(seed, done, rows, chains, k):
+    """Axes (rows, chains) and uniforms of steps ``done`` to ``done +
+    rows``: step t of chain c reads words 2 (t C + c) + 1 and + 2, the
+    axis floor((w >> 11) 2^-53 k) and the uniform (w >> 11) 2^-53."""
+    words = splitmix64(seed, 2 * (done + rows) * chains)[2 * done * chains:]
+    top = np.array([w >> 11 for w in words], dtype=float).reshape(rows, chains, 2)
+    return np.floor(top[..., 0] * (k * 2.0 ** -53)).astype(np.int64), top[..., 1] * 2.0 ** -53
 
 
 def chain_steps(A, b, Y, axes, uniforms, burn_in, thinning, done, retries, quota,

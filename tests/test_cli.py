@@ -350,6 +350,26 @@ def test_utf8_inputs_run_under_the_c_locale(tmp_path):
         feas, ensure_ascii=False)
 
 
+def test_a_run_never_imports_numpy_random(tmp_path):
+    # the chain draws from its own SplitMix64 stream; numpy.random and what
+    # it loads (secrets, hashlib, OpenSSL) cost a run 9-16 ms and 5.5 MB
+    src = str(Path(smaa_promethee.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from smaa_promethee.cli import main; "
+         "code = main(sys.argv[1:]); "
+         "print(sorted(m for m in sys.modules if m.startswith('numpy.random'))); "
+         "sys.exit(code)",
+         "--problem", str(FIXTURES / "students.json"),
+         "--statements", str(FIXTURES / "scenario1.jsonl"),
+         "--samples", "2000", "--exact-ror", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
+    assert run.stdout.decode("utf-8").splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("which", ["problem", "statements"])
 def test_non_utf8_input_exits_1_with_its_path(tmp_path, capsys, which):
     latin1 = dict(zip(("problem", "statements"), non_ascii_inputs(tmp_path, "latin-1")))
@@ -374,6 +394,7 @@ def test_unknown_format_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("arg", [
     "--samples=0", "--thin=0", "--burn-in=-1", "--delta-strict=-0.5", "--seed=-1",
+    "--seed=18446744073709551616",
 ])
 def test_bad_sampler_argument_exits_1_before_any_output(tmp_path, capsys, arg):
     assert run_cli(tmp_path, arg) == 1

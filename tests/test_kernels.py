@@ -170,26 +170,31 @@ def test_hit_and_run_draws_exactly_the_common_total(monkeypatch):
     # in refills of 128, 128 and 46 rows
     polytope = scenario2_polytope()
     config = SamplerConfig(sample_count=601, burn_in=150, thinning=2, seed=3)
-    made = []
-    default_rng = np.random.default_rng
+    refills = []
+    draws = _ChainWorkspace.draws
 
-    def recorded(seed):
-        made.append(default_rng(seed))
-        return made[-1]
+    def recorded(work, seed, done, n_rows, k):
+        axes, uniforms = draws(work, seed, done, n_rows, k)
+        refills.append((seed, done, axes.copy(), uniforms.copy()))
+        return axes, uniforms
 
-    monkeypatch.setattr(np.random, "default_rng", recorded)
+    monkeypatch.setattr(_ChainWorkspace, "draws", recorded)
     quota = hit_and_run(polytope, config).chain_quotas
     chains, total = len(quota), 150 + max(quota) * 2
     assert (chains, total) == (8, 302)
-    twin = default_rng(3)
-    for done in range(0, total, sampler._RAND_ROWS):
-        rows = min(sampler._RAND_ROWS, total - done)
-        twin.integers(polytope.dimension, size=(rows, chains))
-        twin.random((rows, chains))
-    # the run's generator sits where the twin's does: it drew the axes and
-    # uniforms of the common total and not one row more
-    assert len(made) == 1
-    assert made[0].bit_generator.state == twin.bit_generator.state
+    # the refills cover steps [0, total) once each, in order: 2 * total * C
+    # words of the stream and not one more
+    starts = [done for _, done, _, _ in refills]
+    ends = [done + axes.shape[0] for _, done, axes, _ in refills]
+    assert starts == [0, 128, 256] and ends == [128, 256, 302]
+    assert sum(2 * axes.size for _, _, axes, _ in refills) == 2 * total * chains
+    for seed, done, axes, uniforms in refills:
+        rows = axes.shape[0]
+        assert seed == 3 and axes.shape == uniforms.shape == (rows, chains)
+        ref_axes, ref_uniforms = reference_chain.draws(3, done, rows, chains,
+                                                       polytope.dimension)
+        assert np.array_equal(axes, ref_axes)
+        assert np.array_equal(uniforms, ref_uniforms)
 
 
 def test_degenerate_interval_reports_stuck():

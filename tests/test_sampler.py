@@ -5,8 +5,9 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
-from scipy.stats import ks_2samp, kstest
+from scipy.stats import chisquare, ks_2samp, kstest
 
+import reference_chain
 from smaa_promethee.bipolar import ParameterLayout
 from smaa_promethee.elicitation import (
     ConstraintRow,
@@ -113,13 +114,17 @@ def test_simplex_sampling(students):
 def test_simplex_weights_follow_their_beta_marginals(n, bound):
     # with no statements the classical weights fill the simplex of
     # dimension n - 1 uniformly, so each weight is Beta(1, n - 1), whose
-    # CDF is 1 - (1 - x)^(n - 1); seeds 1-8 read KS distances of at most
-    # 0.009 at n = 2 and 0.034 at n = 6; a step drawn as lo + u^2 * width
-    # reads about 0.25 and 0.58-0.69
+    # CDF is 1 - (1 - x)^(n - 1). The KS distance assumes independent
+    # draws; without thinning the chain's correlated samples read 0.028 in
+    # the median at n = 6 and passed 0.05 at about 1 seed in 60. Thinned
+    # by 10, seeds 1000-1255 read at most 0.022 at n = 6 (median 0.011)
+    # and seeds 1000-1127 at most 0.011 at n = 2. A step drawn as
+    # lo + u^2 * width reads about 0.25 and 0.57-0.61 at seeds 1-8
     table = random_table(np.random.default_rng(n), 4, n)
     polytope = build_polytope(restrict_classical(compile_statements(table, [])))
     assert polytope.dimension == n - 1
-    batch = hit_and_run(polytope, SamplerConfig(sample_count=20_000, seed=1))
+    batch = hit_and_run(polytope, SamplerConfig(sample_count=20_000, seed=1,
+                                                thinning=10))
     for j in range(1, n + 1):
         stat = kstest(column(batch, f"a_{j}"), lambda x: 1.0 - (1.0 - x) ** (n - 1))
         assert stat.statistic < bound, (j, stat)
@@ -161,6 +166,82 @@ def test_determinism_bit_identical(students):
     assert np.array_equal(one.data, two.data)
     other = hit_and_run(polytope, SamplerConfig(sample_count=5_000, seed=43))
     assert not np.array_equal(one.data, other.data)
+
+
+# SplitMix64 seeded with 1234567, words 1 to 5 (Rosetta Code,
+# "Pseudo-random numbers/Splitmix64")
+PUBLISHED_WORDS = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                   4593380528125082431, 16408922859458223821]
+
+
+def test_stream_gives_the_published_splitmix64_words():
+    assert reference_chain.splitmix64(1234567, 5) == PUBLISHED_WORDS
+    # one chain: step t reads words 2 t + 1 and 2 t + 2
+    work = sampler._ChainWorkspace(np.ones((1, 1)), 3, 1)
+    assert work.stream(1234567, 0, 3).ravel()[:5].tolist() == PUBLISHED_WORDS
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 2 ** 64 - 1])
+def test_draws_match_the_sequential_stream_across_refills(seed):
+    # refills of up to 7 rows on 3 chains; the offsets start inside a
+    # refill, on its boundary and far on, and the last one is short
+    chains, k = 3, 5
+    work = sampler._ChainWorkspace(np.ones((2, k)), 7, chains)
+    for done, rows in ((0, 7), (5, 7), (7, 7), (12, 4), (1_000, 7)):
+        words = reference_chain.splitmix64(seed, 2 * (done + rows) * chains)
+        assert work.stream(seed, done, rows).ravel().tolist() == words[2 * done * chains:]
+        axes, uniforms = work.draws(seed, done, rows, k)
+        ref_axes, ref_uniforms = reference_chain.draws(seed, done, rows, chains, k)
+        assert np.array_equal(axes, ref_axes)
+        assert np.array_equal(uniforms, ref_uniforms)
+
+
+def test_axis_of_the_largest_word_stays_below_k():
+    # w >> 11 = 2^53 - 1 is the largest double below 1, and k times it
+    # must round below k for every k up to 2^20; _draws multiplies by k
+    # elementwise, so one call checks every k
+    k = np.arange(1, 2 ** 20 + 1)[:, None]
+    words = np.full((k.size, 1, 2), 2 ** 64 - 1, dtype=np.uint64)
+    axes, uniforms = sampler._draws(words, np.empty_like(words), k)
+    assert np.array_equal(axes, k - 1)
+    assert (uniforms == 1.0 - 2.0 ** -53).all()
+
+
+@pytest.mark.parametrize("k", [2, 11, 91])
+def test_axes_are_uniform_by_chi_square(k):
+    work = sampler._ChainWorkspace(np.ones((1, k)), 128, 64)
+    counts = sum(np.bincount(work.draws(9, done, 128, k)[0].ravel(), minlength=k)
+                 for done in range(0, 1_024, 128))
+    assert counts.sum() == 1_024 * 64
+    assert chisquare(counts).pvalue > 1e-3
+
+
+def test_draws_do_not_depend_on_the_refill_size(monkeypatch, students_ramp):
+    # 6,400 samples at burn-in 100 run 64 chains of 200 steps: refills of
+    # 128 and 72 rows, or 29 of 7 rows. Every step draws the same axis and
+    # uniform; the slack is recomputed from the points at each refill, so
+    # the samples agree to rounding rather than bit for bit
+    polytope = build_polytope(compile_statements(
+        students_ramp, parse_statements(FIXTURES / "scenario2.jsonl")))
+    config = SamplerConfig(sample_count=6_400, burn_in=100, seed=5)
+    runs = {}
+    draws = sampler._ChainWorkspace.draws
+    for rows in (7, 128):
+        steps = []
+
+        def recorded(work, *args):
+            axes, uniforms = draws(work, *args)
+            steps.append((axes.copy(), uniforms.copy()))
+            return axes, uniforms
+
+        monkeypatch.setattr(sampler, "_RAND_ROWS", rows)
+        monkeypatch.setattr(sampler._ChainWorkspace, "draws", recorded)
+        data = hit_and_run(polytope, config).data
+        runs[rows] = (data, *(np.concatenate(part) for part in zip(*steps)))
+    (short, axes_7, u_7), (full, axes_128, u_128) = runs[7], runs[128]
+    assert axes_7.shape == (200, 64)
+    assert np.array_equal(axes_7, axes_128) and np.array_equal(u_7, u_128)
+    np.testing.assert_allclose(short, full, rtol=0, atol=1e-12)
 
 
 def test_burn_in_and_thinning_change_stream(students):
@@ -264,11 +345,10 @@ def test_chain_count_rule_at_the_edges(students):
     assert count(sample_count=200, burn_in=1_000, thinning=1_000) == 64
 
     # with no burn-in, chain c's first sample is one step from the origin
-    # of the rounded frame, where every chain starts, driven by row 0,
-    # chain c of the only refill: (R, C) axes, then
-    # (R, C) uniforms, where R = max(quota) is the most steps any chain
-    # needs. 130 samples on 64 chains give the first two chains 3 samples
-    # and the rest 2, in chain-major blocks.
+    # of the rounded frame, where every chain starts: step 0, whose axis
+    # and uniform are words 2 c + 1 and 2 c + 2 of the seed's stream.
+    # 130 samples on 64 chains give the first two chains 3 samples and
+    # the rest 2, in chain-major blocks.
     system = restrict_classical(compile_statements(students, []))
     polytope = build_polytope(system)
     A, b = polytope.A, polytope.b
@@ -276,9 +356,7 @@ def test_chain_count_rule_at_the_edges(students):
         chains = len(quota)
         batch = hit_and_run(polytope, SamplerConfig(
             sample_count=sample_count, burn_in=0, seed=4))
-        rng = np.random.default_rng(4)
-        axes = rng.integers(2, size=(max(quota), chains))[0]
-        u = rng.random((max(quota), chains))[0]
+        (axes,), (u,) = reference_chain.draws(4, 0, 1, chains, 2)
         # along axis j the chord coefficients are A's column j
         coef = A.T[axes]
         with np.errstate(divide="ignore"):
@@ -733,6 +811,11 @@ def test_config_validation():
         SamplerConfig(burn_in=-1)
     with pytest.raises(ValueError, match="seed cannot be negative"):
         SamplerConfig(seed=-1)
+    # SplitMix64's state is 64 bits: 2**64 would run as seed 0
+    with pytest.raises(ValueError,
+                       match=r"^seed must be below 2\*\*64, not 18446744073709551616$"):
+        SamplerConfig(seed=2 ** 64)
+    SamplerConfig(seed=2 ** 64 - 1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -772,6 +855,8 @@ def test_build_polytope_rejects_an_invalid_strict_margin(students, delta_strict)
                  id="chain quotas not a list"),
     pytest.param(lambda sidecar: sidecar.update(seed="x"), "seed 'x'",
                  id="seed not an integer"),
+    pytest.param(lambda sidecar: sidecar.update(seed=2 ** 64), "seed 18446744073709551616",
+                 id="seed beyond the stream"),
     pytest.param(None, "not JSON", id="invalid JSON"),
 ])
 def test_batch_load_names_the_file_of_a_malformed_sidecar(tmp_path, edit, message):
