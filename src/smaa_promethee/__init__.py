@@ -26,7 +26,8 @@ from .elicitation import (
     parse_statements,
     restrict_classical,
 )
-from .lp import EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, LpOutcome, LpSolution, max_epsilon, maximise
+from .lp import (EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, LpOutcome, LpSolution, max_epsilon,
+                 maximise, maximise_over)
 from .model import Criterion, PerformanceTable, load_evaluations_csv, load_problem
 from .promethee import (
     FLOW_TIE_TOL,
@@ -89,6 +90,7 @@ __all__ = [
     "LpSolution",
     "max_epsilon",
     "maximise",
+    "maximise_over",
     "SamplerConfig",
     "Polytope",
     "SampleBatch",

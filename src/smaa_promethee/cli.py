@@ -96,9 +96,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown report formats {bad or args.format!r}", file=sys.stderr)
         return 1
     try:
-        # NaN is not negative, and is no margin either
-        if not args.delta_strict >= 0.0:
-            raise ValueError(f"--delta-strict must be a number >= 0, got {args.delta_strict}")
+        # NaN is not negative, and neither it nor inf is a margin
+        if not 0.0 <= args.delta_strict < float("inf"):
+            raise ValueError(f"--delta-strict must be finite and >= 0, got {args.delta_strict}")
         config = SamplerConfig(
             sample_count=args.samples, burn_in=args.burn_in,
             thinning=args.thin, seed=args.seed,

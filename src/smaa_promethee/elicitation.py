@@ -10,7 +10,8 @@ more linear rows over the packed bicapacity parameters plus one extra
 column for the strict preference margin ``eps``: a kind or sign of I, =
 or 0 gives ``expr = 0``, any other ``expr - eps >= 0``. Structural rows
 (normalisation, sign conditions, monotonicity) close the system so that
-any feasible point is a valid parameter set.
+any feasible point is a valid parameter set. A ``ConstraintSystem``
+packs its rows once, when built, into the arrays every solver reads.
 
 Sign conventions for interaction and opposing-power statements follow the
 itemized statement catalogue; where the summary constraint block differs
@@ -170,10 +171,17 @@ class ConstraintRow:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Rows over the packed parameter columns plus a final eps column."""
+    """Rows over the packed parameter columns plus a final eps column,
+    packed once, in row order, into read-only arrays: row i reads
+    ``A[i] . x = b[i]`` where ``eq[i]``, else ``A[i] . x <= b[i]`` (a
+    ``>=`` row stored negated), and ``origins[i]`` names it."""
 
     layout: ParameterLayout
     rows: tuple[ConstraintRow, ...]
+    A: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    b: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    eq: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    origins: tuple[str, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     @property
     def n_cols(self) -> int:
@@ -194,29 +202,28 @@ class ConstraintSystem:
                     f"row {row.origin!r} has {row.coefs.shape[0]} columns, "
                     f"expected {self.n_cols}"
                 )
+        rel = np.array([row.rel for row in self.rows], dtype=str)
+        sign = np.where(rel == ">=", -1.0, 1.0)
+        A = np.array([row.coefs for row in self.rows]).reshape(rel.size, self.n_cols)
+        b = np.array([row.rhs for row in self.rows], dtype=float)
+        for name, array in (("A", sign[:, None] * A), ("b", sign * b), ("eq", rel == "=")):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "origins", tuple(row.origin for row in self.rows))
 
     def with_rows(self, extra: Iterable[ConstraintRow]) -> "ConstraintSystem":
         return ConstraintSystem(layout=self.layout, rows=self.rows + tuple(extra))
 
     def split(self):
-        """Equalities and <=-normalised inequalities as dense arrays.
+        """The equality rows and the inequality rows, each in row order.
 
         Returns (A_eq, b_eq, eq_origins, A_ub, b_ub, ub_origins).
         """
-        eqs, ubs = [], []
-        for row in self.rows:
-            if row.rel == "=":
-                eqs.append((row.coefs, row.rhs, row.origin))
-            elif row.rel == "<=":
-                ubs.append((row.coefs, row.rhs, row.origin))
-            else:
-                ubs.append((-row.coefs, -row.rhs, row.origin))
-        pack = lambda items: (
-            np.array([c for c, _, _ in items]).reshape(len(items), self.n_cols),
-            np.array([r for _, r, _ in items]),
-            tuple(o for _, _, o in items),
-        )
-        return (*pack(eqs), *pack(ubs))
+        ub = ~self.eq
+        return (self.A[self.eq], self.b[self.eq],
+                tuple(o for o, e in zip(self.origins, self.eq) if e),
+                self.A[ub], self.b[ub],
+                tuple(o for o, e in zip(self.origins, self.eq) if not e))
 
 
 def parse_statement(obj: dict, where: str | None = None) -> Statement:

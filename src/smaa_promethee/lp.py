@@ -21,21 +21,23 @@ that, phase 1 spends most of its pivots driving those rows'
 artificials out. The pinned values go back into every point, and the
 row check runs against the original rows.
 
-``max_epsilon`` maximises the margin, boxed above so it is never
-unbounded. The exact outranking programs (``smaa.exact_ror_matrices``)
-call ``maximise`` directly. Both need vertices: binding rows and sign
-verdicts at 0. The sampler's start point needs none and is found by a
-barrier method in ``sampler``.
+``maximise_over`` is the one door from a ``ConstraintSystem`` to
+``maximise``: it boxes the margin, below ``EPS_CAP`` so it is never
+unbounded and above a floor when given. ``max_epsilon`` and the exact
+outranking programs (``smaa.exact_ror_matrices``) both go through it,
+and both need vertices: binding rows and sign verdicts at 0. The
+sampler's start point needs none and is found by a barrier method in
+``sampler``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .elicitation import ConstraintRow, ConstraintSystem
+from .elicitation import ConstraintSystem
 
 __all__ = [
     "EPS_CAP",
@@ -44,6 +46,7 @@ __all__ = [
     "LpOutcome",
     "LpSolution",
     "maximise",
+    "maximise_over",
     "max_epsilon",
 ]
 
@@ -283,20 +286,28 @@ def _point(T: np.ndarray, basis: np.ndarray, n_vars: int) -> np.ndarray:
     return split[0::2] - split[1::2]
 
 
-def _binding_origins(
-    system_rows: Sequence[ConstraintRow], x: np.ndarray, feasible: bool
-) -> tuple[str, ...]:
-    coefs = np.array([row.coefs for row in system_rows]).reshape(len(system_rows), x.size)
-    eq = np.array([row.rel == "=" for row in system_rows], dtype=bool)
-    ge = np.array([row.rel == ">=" for row in system_rows], dtype=bool)
-    # lhs - rhs of every row, negated on ">=" rows: positive breaks the row
-    resid = coefs @ x - np.array([row.rhs for row in system_rows])
-    resid[ge] *= -1.0
+def maximise_over(system: ConstraintSystem, objectives: np.ndarray | None = None,
+                  eps_floor: float | None = None) -> LpSolution:
+    """Maximise each row of ``objectives``, by default the margin itself,
+    over ``system`` with eps <= ``EPS_CAP`` and, given ``eps_floor``,
+    eps >= eps_floor: the box rows follow the inequality rows, the floor
+    first."""
+    eps = np.eye(system.n_cols)[system.eps_col]
+    box_A, box_b = ([eps], [EPS_CAP]) if eps_floor is None else (
+        [-eps, eps], [-eps_floor, EPS_CAP])
+    A_eq, b_eq, _, A_ub, b_ub, _ = system.split()
+    return maximise(A_eq, b_eq, np.vstack([A_ub, *box_A]), np.append(b_ub, box_b),
+                    eps if objectives is None else objectives)
+
+
+def _binding_origins(system: ConstraintSystem, x: np.ndarray, feasible: bool) -> tuple[str, ...]:
+    # lhs - rhs of every packed row: positive breaks an inequality
+    resid = system.A @ x - system.b
     if feasible:
-        hit = ~eq & (np.abs(resid) <= 1e-7)
+        hit = ~system.eq & (np.abs(resid) <= 1e-7)
     else:
-        hit = np.where(eq, np.abs(resid), resid) > FEASIBILITY_TOL
-    return tuple(row.origin for row, h in zip(system_rows, hit) if h)
+        hit = np.where(system.eq, np.abs(resid), resid) > FEASIBILITY_TOL
+    return tuple(origin for origin, h in zip(system.origins, hit) if h)
 
 
 def max_epsilon(system: ConstraintSystem) -> LpOutcome:
@@ -306,24 +317,8 @@ def max_epsilon(system: ConstraintSystem) -> LpOutcome:
     system reports a negative best margin rather than plain infeasibility;
     "infeasible" is reserved for systems with no solution at any margin.
     """
-    cap_row = ConstraintRow(
-        coefs=np.eye(system.n_cols)[system.eps_col], rel="<=", rhs=EPS_CAP,
-        origin="margin cap",
-    )
-    capped = system.with_rows([cap_row])
-    A_eq, b_eq, _, A_ub, b_ub, _ = capped.split()
-    res = maximise(A_eq, b_eq, A_ub, b_ub, np.eye(system.n_cols)[system.eps_col])
+    res = maximise_over(system)
     x = res.points[0]
-    if not res.feasible:
-        return LpOutcome(
-            status="infeasible",
-            eps_star=None,
-            solution=None,
-            binding=_binding_origins(system.rows, x, feasible=False),
-        )
-    return LpOutcome(
-        status="optimal",
-        eps_star=float(x[system.eps_col]),
-        solution=x,
-        binding=_binding_origins(system.rows, x, feasible=True),
-    )
+    eps_star, solution = (float(x[system.eps_col]), x) if res.feasible else (None, None)
+    return LpOutcome(res.status, eps_star, solution,
+                     _binding_origins(system, x, res.feasible))

@@ -277,8 +277,8 @@ def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polyt
     that the Dikin ellipsoid at the centre becomes the unit ball at the
     origin (see the module docstring); a singular barrier Hessian, a line
     that no row bounds, raises ``RuntimeError`` before any sampling. A
-    negative ``delta_strict`` would relax every strict row, so it raises
-    ``ValueError``.
+    negative ``delta_strict`` would relax every strict row, and NaN or an
+    infinite one fixes no margin, so these raise ``ValueError``.
 
     No LP is solved here: a system with no parameters at the margin
     ``delta_strict`` raises ``InfeasibleSystemError`` naming rows that
@@ -289,16 +289,14 @@ def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polyt
     margin is attainable at all is the margin LP's verdict, for the
     caller to ask first.
     """
-    if not delta_strict >= 0.0:
-        raise ValueError(f"delta_strict must be non-negative, got {delta_strict!r}")
+    if not 0.0 <= delta_strict < float("inf"):
+        raise ValueError(f"delta_strict must be finite and >= 0, got {delta_strict!r}")
     size = system.layout.size
-    ecol = system.eps_col
-
-    A_eq, b_eq, eq_origins, A_ub, b_ub, ub_origins = system.split()
-    eq_A = A_eq[:, :size]
-    eq_b = b_eq - A_eq[:, ecol] * delta_strict
-    ub_A = A_ub[:, :size]
-    ub_b = b_ub - A_ub[:, ecol] * delta_strict
+    # the margin moves into the right-hand side of every packed row
+    b = system.b - system.A[:, system.eps_col] * delta_strict
+    A_eq, _, eq_origins, A_ub, _, ub_origins = system.split()
+    eq_A, eq_b = A_eq[:, :size], b[system.eq]
+    ub_A, ub_b = A_ub[:, :size], b[~system.eq]
 
     basis = _null_space(eq_A, size)
     if eq_A.shape[0]:

@@ -18,9 +18,9 @@ to the weighted preference sum, which keeps the two modes consistent to
 the bit.
 
 The exact verdicts the estimates are checked against take one LP per
-ordered pair (a, b), all solved in one ``maximise`` call: the largest
-F_a - F_b at margin >= ``ROR_EPS_MIN`` decides both "a possibly outranks
-b" and "b necessarily outranks a".
+ordered pair (a, b), all solved in one ``maximise_over`` call: the
+largest F_a - F_b at margin >= ``ROR_EPS_MIN`` decides both "a possibly
+outranks b" and "b necessarily outranks a".
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipolar import ParameterLayout, flow_coefficients
-from .elicitation import ConstraintRow, ConstraintSystem
-from .lp import EPS_CAP, FEASIBILITY_TOL, ROR_EPS_MIN, maximise
+from .elicitation import ConstraintSystem
+from .lp import FEASIBILITY_TOL, ROR_EPS_MIN, maximise_over
 from .model import PerformanceTable
 # aggregate reaches count_relations through this module's global, so a
 # wrapper set on smaa.count_relations sees every chunk
@@ -237,12 +237,6 @@ def exact_ror_matrices(
     entries are False (possible) and True (necessary); the diagonal is
     always True.
     """
-    eps_row = np.eye(system.n_cols)[system.eps_col]
-    bounded = system.with_rows([
-        ConstraintRow(coefs=eps_row, rel=">=", rhs=ROR_EPS_MIN, origin="margin floor"),
-        ConstraintRow(coefs=eps_row, rel="<=", rhs=EPS_CAP, origin="margin cap"),
-    ])
-    A_eq, b_eq, _, A_ub, b_ub, _ = bounded.split()
     flow_pos, flow_neg = flow_coefficients(table, system.layout)
     net = flow_pos - flow_neg
     m = len(table.alternatives)
@@ -252,7 +246,7 @@ def exact_ror_matrices(
 
     possible = np.eye(m, dtype=bool)
     necessary = np.ones((m, m), dtype=bool)
-    best = maximise(A_eq, b_eq, A_ub, b_ub, objectives)
+    best = maximise_over(system, objectives, eps_floor=ROR_EPS_MIN)
     if best.feasible:
         possible[first, second] = best.values >= -FEASIBILITY_TOL
         necessary[second, first] = best.values < ROR_EPS_MIN - FEASIBILITY_TOL

@@ -402,13 +402,14 @@ def test_bad_sampler_argument_exits_1_before_any_output(tmp_path, capsys, arg):
     assert not (tmp_path / "feasibility.json").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "-0.5"])
+@pytest.mark.parametrize("value", ["nan", "-0.5", "inf"])
 def test_delta_strict_that_is_no_margin_exits_1_naming_it(tmp_path, capsys, value):
-    # NaN compares false both ways, so a check for "negative" let it by
+    # NaN compares false both ways, so a check for "negative" let it by;
+    # inf passed that check and failed later, after feasibility.json
     out = tmp_path / "out"
     assert run_cli(out, f"--delta-strict={value}") == 1
     assert capsys.readouterr().err == (
-        f"error: --delta-strict must be a number >= 0, got {float(value)}\n")
+        f"error: --delta-strict must be finite and >= 0, got {float(value)}\n")
     assert not out.exists()
 
 

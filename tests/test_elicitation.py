@@ -511,3 +511,26 @@ def test_split_shapes(students):
     strict = statement_rows(system)[0]
     k = ub_orig.index(strict.origin)
     assert np.array_equal(a_ub[k], -strict.coefs)
+
+
+def test_system_packs_its_rows_once_in_row_order(students):
+    system = restrict_classical(compile_statements(
+        students, parse_statements(FIXTURES / "all_types.jsonl")))
+    assert {row.rel for row in system.rows} == {"=", "<=", ">="}
+    assert system.A.shape == (len(system.rows), system.n_cols)
+    assert system.origins == tuple(row.origin for row in system.rows)
+    for i, row in enumerate(system.rows):
+        sign = -1.0 if row.rel == ">=" else 1.0
+        assert np.array_equal(system.A[i], sign * row.coefs)
+        assert system.b[i] == sign * row.rhs
+        assert system.eq[i] == (row.rel == "=")
+    # every solver shares the arrays, so none may write to them
+    for array in (system.A, system.b, system.eq):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # split() is the two groups of those rows, each in row order
+    a_eq, b_eq, eq_orig, a_ub, b_ub, ub_orig = system.split()
+    order = np.argsort(~system.eq, kind="stable")
+    assert np.array_equal(np.vstack([a_eq, a_ub]), system.A[order])
+    assert np.array_equal(np.append(b_eq, b_ub), system.b[order])
+    assert eq_orig + ub_orig == tuple(system.origins[i] for i in order)

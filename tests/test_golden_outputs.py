@@ -1,7 +1,8 @@
 """Output bytes of fixed runs, pinned by their sha256 in golden_outputs.json.
 
-Each run goes through ``cli.main`` in-process at seed 1 and 5,000 samples,
-and every file it writes must hash as the manifest says, except
+Each run goes through ``cli.main`` in-process at seed 1 and 5,000 samples
+and must exit with its expected code. Every file it writes must hash as
+the manifest says, and so must its stderr when it prints any, except
 ``samples.bin``: its bytes pass through LAPACK and BLAS, whose builds
 differ between numpy wheels, while the reports count verdicts on the
 samples and so come out the same. ``samples.json`` is pinned, since it
@@ -11,7 +12,9 @@ Run this module as a script to rewrite the manifest from the current
 code: ``PYTHONPATH=src python tests/test_golden_outputs.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -32,34 +35,43 @@ TABLES = {
     "n7": dict(m=8, n=7, p=4.0, interactions=True, statement_count=4),
 }
 
-# run name -> (problem, statements, extra arguments); a problem named in
-# TABLES is that synthetic table with its statements
+# run name -> (problem, statements, extra arguments, exit code); a problem
+# named in TABLES is that synthetic table with its statements
 RUNS = {
-    "scenario1-exact-ror": ("students.json", "scenario1.jsonl", ["--exact-ror"]),
-    "scenario2-exact-ror": ("students_ramp.json", "scenario2.jsonl", ["--exact-ror"]),
+    "scenario1-exact-ror": ("students.json", "scenario1.jsonl", ["--exact-ror"], 0),
+    "scenario2-exact-ror": ("students_ramp.json", "scenario2.jsonl", ["--exact-ror"], 0),
     "scenario2-delta-strict": ("students_ramp.json", "scenario2.jsonl",
-                               ["--delta-strict", "0.02"]),
-    "all-types-exact-ror": ("students.json", "all_types.jsonl", ["--exact-ror"]),
-    "m100": ("m100", None, []),
-    "n6-bipolar": ("n6", None, ["--mode", "bipolar"]),
-    "n7-bipolar-exact-ror": ("n7", None, ["--mode", "bipolar", "--exact-ror"]),
+                               ["--delta-strict", "0.02"], 0),
+    "all-types-exact-ror": ("students.json", "all_types.jsonl", ["--exact-ror"], 0),
+    "m100": ("m100", None, [], 0),
+    "n6-bipolar": ("n6", None, ["--mode", "bipolar"], 0),
+    "n7-bipolar-exact-ror": ("n7", None, ["--mode", "bipolar", "--exact-ror"], 0),
+    # no parameters at any margin in either model: both margin LPs end
+    # phase 1 above zero, and only feasibility.json is written
+    "incompatible": ("dominated.json", "incompatible.jsonl", [], 2),
 }
 
 
 def run_hashes(name: str, work: Path) -> dict:
-    """sha256 of every file the run writes, bar samples.bin, by file name."""
-    problem, statements, extra = RUNS[name]
+    """sha256 of every file the run writes, bar samples.bin, by file name,
+    and of its stderr, under "stderr", when it prints any."""
+    problem, statements, extra, expected_code = RUNS[name]
     if problem in TABLES:
         benchmark_instance(work / "input", 1, **TABLES[problem])
         problem, statements = work / "input" / "problem.json", work / "input" / "statements.jsonl"
     else:
         problem, statements = FIXTURES / problem, FIXTURES / statements
     out = work / "out"
-    code = main(["--problem", str(problem), "--statements", str(statements),
-                 "--samples", "5000", "--seed", "1", "--out", str(out), *extra])
-    assert code == 0, name
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.iterdir()) if path.name != "samples.bin"}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--problem", str(problem), "--statements", str(statements),
+                     "--samples", "5000", "--seed", "1", "--out", str(out), *extra])
+    assert code == expected_code, name
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in sorted(out.iterdir()) if path.name != "samples.bin"}
+    if err.getvalue():
+        hashes["stderr"] = hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest()
+    return hashes
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -121,6 +121,67 @@ def test_truly_infeasible_system_reports_binding_rows():
     assert any("w1" in origin for origin in out.binding)
 
 
+def interleaved_system(floors, ceilings, margin_offset=0.0):
+    """Hand-made n=2 system whose =, <= and >= rows alternate: w1 and w2
+    held between ``floors`` and ``ceilings``, weights summing to 1, the
+    interaction and the opposing powers fixed or bounded, and the strict
+    row w1 - w2 - eps >= -``margin_offset``."""
+    layout = ParameterLayout(2)
+
+    def row(coefs, rel, rhs, origin):
+        expr = np.zeros(layout.size + 1)
+        for col, value in coefs.items():
+            expr[col] = value
+        return ConstraintRow(expr, rel, rhs, origin)
+
+    return ConstraintSystem(layout, (
+        row({0: 1.0}, ">=", floors[0], "w1 floor"),
+        row({2: 1.0}, "=", 0.0, "pair pinned"),
+        row({0: 1.0, 1: 1.0}, "=", 1.0, "norm"),
+        row({1: 1.0}, "<=", ceilings[1], "w2 ceiling"),
+        row({3: 1.0}, "<=", 0.0, "opp 1|2 <= 0"),
+        row({1: 1.0}, ">=", floors[1], "w2 floor"),
+        row({4: 1.0}, "=", 0.0, "opp 2|1 pinned"),
+        row({0: 1.0}, "<=", ceilings[0], "w1 ceiling"),
+        row({0: 1.0, 1: -1.0, layout.size: -1.0}, ">=", -margin_offset, "w1 > w2"),
+    ))
+
+
+def rows_by_relation(system, x):
+    """lhs - rhs of every row, each read by its own relation."""
+    return [(row.rel, float(row.coefs @ x) - row.rhs) for row in system.rows]
+
+
+def test_infeasible_binding_is_the_broken_rows_in_system_order():
+    # w1 >= 0.6 and w2 >= 0.7 cannot sum to 1 under ceilings 0.2 and 0.1
+    system = interleaved_system(floors=(0.6, 0.7), ceilings=(0.2, 0.1))
+    out = max_epsilon(system)
+    assert out.status == "infeasible"
+    assert scipy_max_epsilon(system) is None
+    x = lp.maximise_over(system).points[0]
+    broken = [
+        row.origin for row, (rel, gap) in zip(system.rows, rows_by_relation(system, x))
+        if (abs(gap) if rel == "=" else gap if rel == "<=" else -gap) > FEASIBILITY_TOL
+    ]
+    assert out.binding == tuple(broken)
+    # both an equality and a negated >= row are among them
+    kinds = {row.rel for row in system.rows if row.origin in out.binding}
+    assert kinds == {"=", ">="}
+
+
+def test_feasible_binding_is_the_tight_inequality_rows_never_the_cap():
+    # the strict row allows a margin of 1.3, so the cap holds it at 1
+    system = interleaved_system(floors=(0.6, 0.1), ceilings=(0.9, 0.5), margin_offset=0.5)
+    out = max_epsilon(system)
+    assert out.status == "optimal" and out.eps_star == pytest.approx(EPS_CAP, abs=1e-12)
+    tight = [
+        row.origin for row, (rel, gap) in zip(system.rows, rows_by_relation(system, out.solution))
+        if rel != "=" and abs(gap) <= 1e-7
+    ]
+    assert tight and out.binding == tuple(tight)
+    assert "margin cap" not in out.binding
+
+
 def test_margin_can_go_negative():
     layout = ParameterLayout(2)
     # strict preference both ways plus a forced gap: only margin < 0 works

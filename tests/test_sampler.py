@@ -830,13 +830,13 @@ def test_config_rejects_a_field_that_is_not_an_integer(field, value):
         SamplerConfig(**{"sample_count": 100, field: value})
 
 
-@pytest.mark.parametrize("delta_strict", [-0.1, float("nan")])
+@pytest.mark.parametrize("delta_strict", [-0.1, float("nan"), float("inf")])
 def test_build_polytope_rejects_an_invalid_strict_margin(students, delta_strict):
     # a negative margin would let samples break a stated strict preference,
-    # and nan would fix no margin at all
+    # and nan or inf would fix no margin at all
     system = restrict_classical(compile_statements(
         students, parse_statements(FIXTURES / "scenario1.jsonl")))
-    with pytest.raises(ValueError, match="delta_strict must be non-negative"):
+    with pytest.raises(ValueError, match="delta_strict must be finite and >= 0"):
         build_polytope(system, delta_strict=delta_strict)
 
 
