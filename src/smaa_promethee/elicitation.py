@@ -11,7 +11,8 @@ column for the strict preference margin ``eps``: a kind or sign of I, =
 or 0 gives ``expr = 0``, any other ``expr - eps >= 0``. Structural rows
 (normalisation, sign conditions, monotonicity) close the system so that
 any feasible point is a valid parameter set. A ``ConstraintSystem``
-packs its rows once, when built, into the arrays every solver reads.
+packs its rows once, when built, into the arrays every solver reads, and
+its ``excess`` is the one rule by which a point meets them or not.
 
 Sign conventions for interaction and opposing-power statements follow the
 itemized statement catalogue; where the summary constraint block differs
@@ -174,7 +175,8 @@ class ConstraintSystem:
     """Rows over the packed parameter columns plus a final eps column,
     packed once, in row order, into read-only arrays: row i reads
     ``A[i] . x = b[i]`` where ``eq[i]``, else ``A[i] . x <= b[i]`` (a
-    ``>=`` row stored negated), and ``origins[i]`` names it."""
+    ``>=`` row stored negated), and ``origins[i]`` names it. ``excess``
+    is the one rule that judges a point against these rows."""
 
     layout: ParameterLayout
     rows: tuple[ConstraintRow, ...]
@@ -213,6 +215,20 @@ class ConstraintSystem:
 
     def with_rows(self, extra: Iterable[ConstraintRow]) -> "ConstraintSystem":
         return ConstraintSystem(layout=self.layout, rows=self.rows + tuple(extra))
+
+    def excess(self, points: np.ndarray, eps: float) -> np.ndarray:
+        """By how much each of ``points`` (parameter vectors, the eps
+        column left out) exceeds each packed row at margin ``eps``, with
+        shape ``points.shape[:-1] + (rows,)``: lhs - rhs, taken absolute
+        on an equality row, the margin moved into the right-hand side as
+        ``b - A[:, eps_col] * eps``. A point meets a row to tolerance tol
+        when its excess there is at most tol."""
+        # laid out row by row in memory: each row's excesses lie together
+        out = (self.A[:, :self.eps_col] @ points.T).T
+        out -= self.b - self.A[:, self.eps_col] * eps
+        eq_rows = np.flatnonzero(self.eq)
+        out[..., eq_rows] = np.abs(out[..., eq_rows])
+        return out
 
     def split(self):
         """The equality rows and the inequality rows, each in row order.

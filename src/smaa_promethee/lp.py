@@ -23,11 +23,14 @@ row check runs against the original rows.
 
 ``maximise_over`` is the one door from a ``ConstraintSystem`` to
 ``maximise``: it boxes the margin, below ``EPS_CAP`` so it is never
-unbounded and above a floor when given. ``max_epsilon`` and the exact
-outranking programs (``smaa.exact_ror_matrices``) both go through it,
-and both need vertices: binding rows and sign verdicts at 0. The
-sampler's start point needs none and is found by a barrier method in
-``sampler``.
+unbounded and above a floor when given. The cap lies above every margin
+a statement can reach, so it never understates one. ``max_epsilon`` and
+the exact outranking programs (``smaa.exact_ror_matrices``) both go
+through it, and both need vertices: binding rows and sign verdicts at 0.
+``max_epsilon`` names its binding rows by ``ConstraintSystem.excess`` at
+the margin it found: the tight inequality rows at an optimum, every
+broken row at a least-infeasible point. The sampler's start point needs
+no vertex and is found by a barrier method in ``sampler``.
 """
 
 from __future__ import annotations
@@ -50,8 +53,11 @@ __all__ = [
     "max_epsilon",
 ]
 
-# Upper box bound on the strict-preference margin.
-EPS_CAP = 1.0
+# Upper box bound on the strict-preference margin. It binds on no
+# statement: over a normalised monotone 2-additive bicapacity a net-flow
+# gap, an intensity or an interaction-magnitude gap is at most 2, and every
+# other strict expression at most 1. A system with no strict row reports it.
+EPS_CAP = 2.0
 # Residual tolerance deciding feasibility.
 FEASIBILITY_TOL = 1e-8
 # Margin required of a compatible parameter set in exact outranking checks.
@@ -301,12 +307,12 @@ def maximise_over(system: ConstraintSystem, objectives: np.ndarray | None = None
 
 
 def _binding_origins(system: ConstraintSystem, x: np.ndarray, feasible: bool) -> tuple[str, ...]:
-    # lhs - rhs of every packed row: positive breaks an inequality
-    resid = system.A @ x - system.b
+    # the tight inequality rows at an optimum, else every broken row
+    excess = system.excess(x[:system.eps_col], x[system.eps_col])
     if feasible:
-        hit = ~system.eq & (np.abs(resid) <= 1e-7)
+        hit = ~system.eq & (np.abs(excess) <= 1e-7)
     else:
-        hit = np.where(system.eq, np.abs(resid), resid) > FEASIBILITY_TOL
+        hit = excess > FEASIBILITY_TOL
     return tuple(origin for origin, h in zip(system.origins, hit) if h)
 
 

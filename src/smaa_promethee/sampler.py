@@ -105,8 +105,8 @@ _RAND_ROWS = 128
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
 _SEED_LIMIT = 2 ** 64
-# numbers (rows x mapped columns and residuals) of one block of the output
-# map and check
+# numbers (rows x mapped columns and row excesses) of one block of the
+# output map and check
 _CHECK_ENTRIES = 2 ** 17
 # damped Newton stops once the Newton decrement is below this, or after
 # this many steps
@@ -170,24 +170,26 @@ class Polytope:
     rounded polytope, whose Dikin ellipsoid at the analytic centre is the
     unit ball: the centre is the origin, ``b`` holds the slacks there and
     every row has ``|A_i| <= b_i``. ``basis`` spans the null space of the
-    equality rows but is not orthonormal. The original (margin-substituted)
-    rows are kept so emitted samples can be checked against what was
-    actually compiled.
+    equality rows but is not orthonormal. The polytope keeps the
+    ``system`` it was built from and its margin ``delta_strict``, so that
+    emitted samples are judged against what was actually compiled, by
+    ``system.excess`` at that margin.
     """
 
     A: np.ndarray
     b: np.ndarray
     basis: np.ndarray
     offset: np.ndarray
-    names: tuple[str, ...]
-    full_eq_A: np.ndarray
-    full_eq_b: np.ndarray
-    full_ub_A: np.ndarray
-    full_ub_b: np.ndarray
+    system: ConstraintSystem
+    delta_strict: float
 
     @property
     def dimension(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.system.layout.names
 
 
 def _null_space(A: np.ndarray, n: int) -> np.ndarray:
@@ -294,17 +296,17 @@ def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polyt
     size = system.layout.size
     # the margin moves into the right-hand side of every packed row
     b = system.b - system.A[:, system.eps_col] * delta_strict
-    A_eq, _, eq_origins, A_ub, _, ub_origins = system.split()
-    eq_A, eq_b = A_eq[:, :size], b[system.eq]
-    ub_A, ub_b = A_ub[:, :size], b[~system.eq]
+    eq_rows, ub_rows = np.flatnonzero(system.eq), np.flatnonzero(~system.eq)
+    eq_A, eq_b = system.A[eq_rows, :size], b[eq_rows]
+    ub_A, ub_b = system.A[ub_rows, :size], b[ub_rows]
 
     basis = _null_space(eq_A, size)
-    if eq_A.shape[0]:
+    if eq_rows.size:
         offset, *_ = np.linalg.lstsq(eq_A, eq_b, rcond=None)
-        broken = np.abs(eq_A @ offset - eq_b) > FEASIBILITY_TOL
+        broken = system.excess(offset, delta_strict)[eq_rows] > FEASIBILITY_TOL
         if broken.any():
             raise InfeasibleSystemError("inconsistent equality rows",
-                                        _origins(eq_origins, broken))
+                                        _origins(system, eq_rows[broken]))
     else:
         offset = np.zeros(size)
 
@@ -315,7 +317,7 @@ def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polyt
     violated = ~keep & (r < -FEASIBILITY_TOL)
     if violated.any():
         raise InfeasibleSystemError("rows fixed by the equalities are violated",
-                                    _origins(ub_origins, violated))
+                                    _origins(system, ub_rows[violated]))
     R = np.ascontiguousarray(R[keep])
     r = np.ascontiguousarray(r[keep])
 
@@ -324,9 +326,9 @@ def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polyt
     if R.shape[0]:
         worst = int(np.argmin(slack))
         if not slack[worst] > 0.0:
-            origin = _origins(ub_origins, keep)[worst]
             raise InfeasibleSystemError(
-                f"no interior start point: minimum slack {slack[worst]:.3g}", (origin,))
+                f"no interior start point: minimum slack {slack[worst]:.3g}",
+                (system.origins[ub_rows[keep][worst]],))
 
     k = basis.shape[1]
     if k:
@@ -354,16 +356,13 @@ def build_polytope(system: ConstraintSystem, delta_strict: float = 0.0) -> Polyt
         R = R @ T
         r = slack
 
-    return Polytope(
-        A=R, b=r, basis=basis, offset=offset,
-        names=system.layout.names, full_eq_A=eq_A, full_eq_b=eq_b,
-        full_ub_A=ub_A, full_ub_b=ub_b,
-    )
+    return Polytope(A=R, b=r, basis=basis, offset=offset, system=system,
+                    delta_strict=delta_strict)
 
 
-def _origins(origins: tuple[str, ...], mask: np.ndarray) -> tuple[str, ...]:
-    """The origins of the rows ``mask`` picks."""
-    return tuple(o for o, picked in zip(origins, mask) if picked)
+def _origins(system: ConstraintSystem, rows: np.ndarray) -> tuple[str, ...]:
+    """The origins of the packed rows numbered ``rows``."""
+    return tuple(system.origins[i] for i in rows)
 
 
 @dataclass(frozen=True)
@@ -788,33 +787,24 @@ def _map_and_check(polytope: Polytope, theta: np.ndarray) -> None:
 
     Row i of ``theta`` holds a point y in its first k columns and becomes
     ``offset + basis @ y``. This is the hard output contract, not a
-    diagnostic: every vector must meet the compiled equality and
-    inequality rows to ``_OUTPUT_FEAS_TOL``. The rows run in blocks whose
-    mapped vectors and row residuals together hold ``_CHECK_ENTRIES``
+    diagnostic: every vector's excess over every packed row of
+    ``polytope.system`` at the polytope's margin (``ConstraintSystem.excess``)
+    must be at most ``_OUTPUT_FEAS_TOL``. The rows run in blocks whose
+    mapped vectors and row excesses together hold ``_CHECK_ENTRIES``
     numbers, so the check's memory does not grow with the sample count.
     """
     k = polytope.dimension
-    eq_A, eq_b = polytope.full_eq_A, polytope.full_eq_b
-    ub_A, ub_b = polytope.full_ub_A, polytope.full_ub_b
     size = theta.shape[1]
-    step = max(1, _CHECK_ENTRIES // (size + eq_A.shape[0] + ub_A.shape[0]))
+    step = max(1, _CHECK_ENTRIES // (size + len(polytope.system.rows)))
     step = min(step, theta.shape[0])
     mapped = np.empty((step, size))
-    eq_err = np.empty((step, eq_A.shape[0]))
-    ub_err = np.empty((step, ub_A.shape[0]))
     for lo in range(0, theta.shape[0], step):
         block = theta[lo:lo + step]
         n = block.shape[0]
         full = np.matmul(block[:, :k], polytope.basis.T, out=mapped[:n])
         full += polytope.offset
-        if eq_A.shape[0]:
-            err = np.matmul(full, eq_A.T, out=eq_err[:n])
-            err -= eq_b
-            if np.abs(err, out=err).max() > _OUTPUT_FEAS_TOL:
-                raise RuntimeError("sample violates an equality row beyond 1e-9")
-        if ub_A.shape[0]:
-            err = np.matmul(full, ub_A.T, out=ub_err[:n])
-            err -= ub_b
-            if err.max() > _OUTPUT_FEAS_TOL:
-                raise RuntimeError("sample violates an inequality row beyond 1e-9")
+        # one block's excesses at a time: none outlives its block
+        if polytope.system.excess(full, polytope.delta_strict).max(
+                initial=0.0) > _OUTPUT_FEAS_TOL:
+            raise RuntimeError("sample violates a compiled row beyond 1e-9")
         block[...] = full

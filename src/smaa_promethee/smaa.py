@@ -112,8 +112,9 @@ def aggregate(
     working memory is a fixed number of (m, chunk) arrays, whatever the
     sample count. When
     ``polytope`` is given, the barycenter and every central weight vector
-    are checked against its rows (they are convex combinations of
-    feasible samples, so this guards the pipeline, not the math).
+    are checked against the rows it was built from, at its margin, by
+    ``ConstraintSystem.excess`` (they are convex combinations of feasible
+    samples, so this guards the pipeline, not the math).
     """
     if batch.sample_count == 0:
         raise ValueError("sample batch is empty")
@@ -213,16 +214,10 @@ def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:
         if (b[i, 0] > 0) != (name in results.central_weights):
             raise AssertionError("central weight presence must track rank-1 mass")
     if polytope is not None:
-        vectors = [results.barycenter, *results.central_weights.values()]
-        for vec in vectors:
-            if polytope.full_eq_A.shape[0]:
-                err = np.abs(polytope.full_eq_A @ vec - polytope.full_eq_b).max()
-                if err > _CONVEXITY_TOL:
-                    raise AssertionError("mean parameter vector violates an equality")
-            if polytope.full_ub_A.shape[0]:
-                err = (polytope.full_ub_A @ vec - polytope.full_ub_b).max()
-                if err > _CONVEXITY_TOL:
-                    raise AssertionError("mean parameter vector leaves the polytope")
+        vectors = np.array([results.barycenter, *results.central_weights.values()])
+        if polytope.system.excess(vectors, polytope.delta_strict).max(
+                initial=0.0) > _CONVEXITY_TOL:
+            raise AssertionError("mean parameter vector leaves the polytope")
 
 
 def exact_ror_matrices(

@@ -156,6 +156,18 @@ def full_monotonicity_system(system: ConstraintSystem) -> ConstraintSystem:
     return ConstraintSystem(layout=layout, rows=tuple(rows))
 
 
+def polytope_rows(polytope):
+    """The rows ``polytope`` was built from, over the parameter columns,
+    with its margin moved into the right-hand side: (eq_A, eq_b, ub_A,
+    ub_b), every ">=" row negated into "<=". Read through ``split``, not
+    through ``ConstraintSystem.excess``, the rule under test."""
+    size = polytope.system.layout.size
+    eq_A, eq_b, _, ub_A, ub_b, _ = polytope.system.split()
+    delta = polytope.delta_strict
+    return (eq_A[:, :size], eq_b - eq_A[:, size] * delta,
+            ub_A[:, :size], ub_b - ub_A[:, size] * delta)
+
+
 def ror_trials(count: int):
     """The first ``count`` seeded problems of the exact-ROR oracle set:
     m from 6 to 9 alternatives, n from 3 to 5 criteria."""

@@ -36,7 +36,7 @@ from smaa_promethee.promethee import FLOW_TIE_TOL, classical_flows
 from smaa_promethee.sampler import SamplerConfig, build_polytope, hit_and_run
 from smaa_promethee.smaa import aggregate, validate_against_exact_ror
 
-from conftest import FIXTURES, random_table, random_valid_params
+from conftest import FIXTURES, polytope_rows, random_table, random_valid_params
 
 
 def report(num: int, verdict: str, detail: str) -> None:
@@ -163,8 +163,9 @@ def test_criterion_05_sampler_uniformity():
     assert elapsed < 30.0, f"sampling took {elapsed:.2f}s"
 
     theta = batch.data
-    ub_slack = polytope.full_ub_b - theta @ polytope.full_ub_A.T
-    eq_resid = theta @ polytope.full_eq_A.T - polytope.full_eq_b
+    eq_A, eq_b, ub_A, ub_b = polytope_rows(polytope)
+    ub_slack = ub_b - theta @ ub_A.T
+    eq_resid = theta @ eq_A.T - eq_b
     feasible = (ub_slack.min(axis=1) >= -1e-9) & (np.abs(eq_resid).max(axis=1) <= 1e-9)
     frac = float(feasible.mean())
     assert frac == 1.0, f"only {frac:.6f} of samples feasible"
@@ -376,9 +377,10 @@ def test_criterion_09_structural_invariants():
 
     vectors = [results.barycenter]
     vectors += [results.central_weights[a] for a in results.central_weights]
+    eq_A, eq_b, ub_A, ub_b = polytope_rows(polytope)
     for theta in vectors:
-        assert np.all(polytope.full_ub_A @ theta <= polytope.full_ub_b + 1e-9)
-        assert np.all(np.abs(polytope.full_eq_A @ theta - polytope.full_eq_b) <= 1e-9)
+        assert np.all(ub_A @ theta <= ub_b + 1e-9)
+        assert np.all(np.abs(eq_A @ theta - eq_b) <= 1e-9)
     for i, name in enumerate(results.alternatives):
         assert (name in results.central_weights) == (b[i, 0] > 0.0)
     freq_sum = results.p2_pref + results.p2_indiff

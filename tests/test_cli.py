@@ -89,6 +89,20 @@ def test_strict_margin_above_the_attainable_one_exits_2(tmp_path, capsys):
     assert not (tmp_path / "samples.bin").exists()
 
 
+def test_strict_margin_above_one_is_attainable(tmp_path, capsys):
+    # a1 can lead a2 by a net-flow gap of 4/3 over dominated.json, so the
+    # margin LP's box must leave room above 1 for --delta-strict 1.2
+    code = run_cli(tmp_path, "--delta-strict", "1.2", problem="dominated.json",
+                   statements="dominance.jsonl")
+    assert code == 0, capsys.readouterr().err
+    feas = read_json(tmp_path / "feasibility.json")
+    assert feas["mode"] == "classical" and feas["delta_strict"] == 1.2
+    assert feas["classical_margin"] == pytest.approx(4.0 / 3.0, abs=1e-9)
+    assert "margin=1.33333" in capsys.readouterr().out
+    report = read_json(tmp_path / "smaa_report.json")
+    assert report["sample_count"] == 400
+
+
 @pytest.mark.parametrize("problem,statements,mode", [
     ("students.json", "scenario1.jsonl", "classical"),
     ("students_ramp.json", "scenario2.jsonl", "bipolar"),
@@ -577,6 +591,8 @@ def test_empty_statements_run_ok(tmp_path):
     assert code == 0
     feas = read_json(tmp_path / "feasibility.json")
     assert feas["mode"] == "classical"  # simplest model wins with no statements
+    # with no strict row, only the margin LP's box holds the margin
+    assert feas["classical_margin"] == feas["bipolar_margin"] == lp.EPS_CAP == 2.0
     report = read_json(tmp_path / "smaa_report.json")
     rank = report["rank_acceptability_pct"]
     for row in rank:

@@ -534,3 +534,21 @@ def test_system_packs_its_rows_once_in_row_order(students):
     assert np.array_equal(np.vstack([a_eq, a_ub]), system.A[order])
     assert np.array_equal(np.append(b_eq, b_ub), system.b[order])
     assert eq_orig + ub_orig == tuple(system.origins[i] for i in order)
+
+
+def test_excess_is_each_row_judged_by_its_own_relation(students):
+    system = compile_statements(students, parse_statements(FIXTURES / "all_types.jsonl"))
+    assert {row.rel for row in system.rows} == {"=", "<=", ">="}
+    rng = np.random.default_rng(4)
+    points = rng.standard_normal((5, system.layout.size))
+    for eps in (0.0, 0.3):
+        excess = system.excess(points, eps)
+        assert excess.shape == (5, len(system.rows))
+        for i, row in enumerate(system.rows):
+            lhs = points @ row.coefs[:-1] + row.coefs[-1] * eps
+            want = {"=": np.abs(lhs - row.rhs), "<=": lhs - row.rhs,
+                    ">=": row.rhs - lhs}[row.rel]
+            np.testing.assert_allclose(excess[:, i], want, rtol=0.0, atol=1e-12)
+        # one vector gives one row of excesses
+        np.testing.assert_allclose(system.excess(points[2], eps), excess[2],
+                                   rtol=0.0, atol=1e-12)

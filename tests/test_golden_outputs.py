@@ -42,6 +42,9 @@ RUNS = {
     "scenario2-exact-ror": ("students_ramp.json", "scenario2.jsonl", ["--exact-ror"], 0),
     "scenario2-delta-strict": ("students_ramp.json", "scenario2.jsonl",
                                ["--delta-strict", "0.02"], 0),
+    # a margin above 1, which a1's net-flow gap of 4/3 over a2 allows
+    "dominated-delta-strict": ("dominated.json", "dominance.jsonl",
+                               ["--delta-strict", "1.2"], 0),
     "all-types-exact-ror": ("students.json", "all_types.jsonl", ["--exact-ror"], 0),
     "m100": ("m100", None, [], 0),
     "n6-bipolar": ("n6", None, ["--mode", "bipolar"], 0),

@@ -170,8 +170,8 @@ def test_infeasible_binding_is_the_broken_rows_in_system_order():
 
 
 def test_feasible_binding_is_the_tight_inequality_rows_never_the_cap():
-    # the strict row allows a margin of 1.3, so the cap holds it at 1
-    system = interleaved_system(floors=(0.6, 0.1), ceilings=(0.9, 0.5), margin_offset=0.5)
+    # the strict row allows a margin of 2.3, so the cap holds it at 2
+    system = interleaved_system(floors=(0.6, 0.1), ceilings=(0.9, 0.5), margin_offset=1.5)
     out = max_epsilon(system)
     assert out.status == "optimal" and out.eps_star == pytest.approx(EPS_CAP, abs=1e-12)
     tight = [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -33,6 +34,7 @@ from conftest import (
     FIXTURES,
     bicapacity_problem,
     full_monotonicity_system,
+    polytope_rows,
     random_table,
 )
 
@@ -155,6 +157,54 @@ def test_feasibility_of_bipolar_scenario(students_ramp):
     layout = system.layout
     for row in batch.data[::150]:
         layout.unpack(row).validate(tol=1e-7)
+
+
+def scenario1_classical_polytope(students):
+    return build_polytope(restrict_classical(
+        compile_statements(students, parse_statements(FIXTURES / "scenario1.jsonl"))))
+
+
+def test_output_check_rejects_a_sample_below_the_normalisation(students):
+    polytope = scenario1_classical_polytope(students)
+    # the origin of the rounded frame maps to the analytic centre, deep
+    # inside every inequality row; 1e-6 off w1 leaves the weights summing
+    # to 1 - 1e-6, which only the normalisation row's absolute excess shows
+    theta = np.zeros((10, polytope.offset.size))
+    sampler._map_and_check(polytope, theta.copy())
+    short = dataclasses.replace(polytope, offset=polytope.offset - 1e-6 * np.eye(theta.shape[1])[0])
+    with pytest.raises(RuntimeError, match="sample violates a compiled row beyond 1e-9"):
+        sampler._map_and_check(short, theta)
+
+
+def test_output_check_rejects_a_sample_past_an_inequality_row(students):
+    polytope = scenario1_classical_polytope(students)
+    # 1% past the first rounded row, along its normal: on every equality
+    # row, since every rounded point is
+    row = polytope.A[0]
+    theta = np.zeros((10, polytope.offset.size))
+    theta[7, : polytope.dimension] = 1.01 * polytope.b[0] * row / (row @ row)
+    with pytest.raises(RuntimeError, match="sample violates a compiled row beyond 1e-9"):
+        sampler._map_and_check(polytope, theta)
+
+
+def test_output_check_judges_at_the_polytope_margin(students_ramp):
+    # scenario 2 holds up to a margin of 1/18: some samples of its margin-0
+    # polytope clear a strict row by less than 0.02, so they meet every row
+    # at margin 0 but not at the margin the tighter polytope was built at
+    system = compile_statements(students_ramp, parse_statements(FIXTURES / "scenario2.jsonl"))
+    loose, tight = build_polytope(system, 0.0), build_polytope(system, 0.02)
+    data = hit_and_run(loose, SamplerConfig(sample_count=2_000, seed=1)).data
+    _, _, ub_A, ub_b = polytope_rows(tight)
+    short = data[(data @ ub_A.T - ub_b).max(axis=1) > 1e-6]
+    assert short.shape[0]
+    # the same points in the tighter polytope's rounded frame: both share
+    # the equality rows, so its affine map reaches them
+    y, *_ = np.linalg.lstsq(tight.basis, (short - tight.offset).T, rcond=None)
+    theta = np.zeros_like(short)
+    theta[:, : tight.dimension] = y.T
+    sampler._map_and_check(dataclasses.replace(tight, delta_strict=0.0), theta.copy())
+    with pytest.raises(RuntimeError, match="sample violates a compiled row beyond 1e-9"):
+        sampler._map_and_check(tight, theta)
 
 
 def test_determinism_bit_identical(students):
@@ -604,8 +654,9 @@ def test_dikin_rounding(students, students_ramp):
         y /= np.linalg.norm(y, axis=1, keepdims=True)
         y[200:] *= rng.random((200, 1)) ** (1.0 / k)
         theta = polytope.offset + y @ polytope.basis.T
-        assert np.abs(theta @ polytope.full_eq_A.T - polytope.full_eq_b).max() <= 1e-9
-        assert (theta @ polytope.full_ub_A.T - polytope.full_ub_b).max() <= 1e-9
+        eq_A, eq_b, ub_A, ub_b = polytope_rows(polytope)
+        assert np.abs(theta @ eq_A.T - eq_b).max() <= 1e-9
+        assert (theta @ ub_A.T - ub_b).max() <= 1e-9
 
 
 def test_slab_thinner_than_the_square_root_of_eps_is_rounded(students_ramp):
@@ -666,8 +717,9 @@ def test_rank1_acceptability_matches_exact_areas(students):
         compile_statements(students, parse_statements(FIXTURES / "scenario1.jsonl")))
     polytope = build_polytope(system)
     assert polytope.dimension == 2
-    G = polytope.full_ub_A @ polytope.basis
-    h = polytope.full_ub_b - polytope.full_ub_A @ polytope.offset
+    _, _, ub_A, ub_b = polytope_rows(polytope)
+    G = ub_A @ polytope.basis
+    h = ub_b - ub_A @ polytope.offset
     n, m = len(students.criteria), len(students.alternatives)
     # net flows are linear in the weights, the first n columns
     unit = np.stack([classical_flows(students, w).net for w in np.eye(n)], axis=1)

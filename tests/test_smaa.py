@@ -153,6 +153,22 @@ def test_aggregate_input_validation(students):
         aggregate(students, batch, mode="nonsense")
 
 
+def test_aggregate_rejects_a_batch_whose_mean_leaves_the_polytope(students):
+    system = restrict_classical(compile_statements(students, []))
+    polytope, batch = sample_system(system, count=50)
+    aggregate(students, batch, mode="classical", polytope=polytope)
+    # weight moved from w2 to w1 in every sample: the weights still sum to
+    # 1 and the interactions stay zero, but the mean of w2 falls below 0
+    data = batch.data.copy()
+    data[:, 0] += 1.0
+    data[:, 1] -= 1.0
+    forged = SampleBatch(columns=batch.columns, data=data, seed=0)
+    assert forged.data[:, 1].mean() < 0.0
+    aggregate(students, forged, mode="classical")
+    with pytest.raises(AssertionError, match="mean parameter vector leaves the polytope"):
+        aggregate(students, forged, mode="classical", polytope=polytope)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_aggregate_rejects_non_finite_samples(students, bad):
     system = restrict_classical(compile_statements(students, []))
