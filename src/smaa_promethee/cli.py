@@ -11,7 +11,6 @@ output directory that cannot be written is bad input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -20,8 +19,8 @@ from .elicitation import compile_statements, parse_statements, restrict_classica
 from .lp import FEASIBILITY_TOL, max_epsilon
 from .model import load_problem
 from .reports import render_csv, render_text, results_to_dict, to_json
-from .sampler import SamplerConfig, build_polytope, burn_in_steps, hit_and_run
-from .smaa import aggregate, validate_against_exact_ror
+from .sampler import SampleStream, SamplerConfig, build_polytope, sample_file
+from .smaa import Tally, validate_against_exact_ror
 
 __all__ = ["main"]
 
@@ -174,19 +173,32 @@ def _run(args, formats, config, table, full_system) -> int:
         return 2
     try:
         polytope = build_polytope(system, args.delta_strict)
-        # the configuration hit_and_run gets carries the burn-in it runs,
-        # never None: perfbench's tracer reads it off this call
-        config = dataclasses.replace(
-            config, burn_in=burn_in_steps(config, polytope.dimension))
-        batch = hit_and_run(polytope, config)
-    # InfeasibleSystemError included; MemoryError when the samples cannot
-    # be allocated, which hit_and_run tries before the first step
-    except (RuntimeError, ValueError, MemoryError) as exc:
+        stream = SampleStream(polytope, config)
+        shape = (stream.sample_count, len(stream.columns))
+        size = shape[0] * shape[1] * 8
+        target = os.path.join(args.out, "samples.bin")
+        room = os.statvfs(args.out)
+        free = room.f_bavail * room.f_frsize
+        # the blocks of a previous run's samples, which sample_file's
+        # truncation frees, are room too
+        if os.path.isfile(target):
+            free += os.stat(target).st_blocks * 512
+        # checked before the first step: a file system may accept a sparse
+        # file of any length and fail only once the chain has filled it
+        if size > free:
+            raise RuntimeError(f"samples of shape {shape} take {size} bytes, "
+                               f"more than the {free} free under {args.out}")
+        tally = Tally(table, stream.columns, chosen)
+        with sample_file(target, stream) as write:
+            for j0, counts, rows in stream:
+                write(j0, counts, rows)
+                tally.add(rows)
+    # InfeasibleSystemError included; sample_file has removed what it wrote
+    except (RuntimeError, ValueError) as exc:
         print(f"error: sampling failed: {exc}", file=sys.stderr)
         return 2
 
-    batch.save(os.path.join(args.out, "samples.bin"))
-    results = aggregate(table, batch, mode=chosen, polytope=polytope)
+    results = tally.results(polytope)
     report = results_to_dict(results)
     for fmt, (name, render) in _REPORTS.items():
         if fmt in formats:
@@ -203,7 +215,7 @@ def _run(args, formats, config, table, full_system) -> int:
 
     print(
         f"mode={chosen} margin={fit.eps_star:.6g} "
-        f"samples={batch.sample_count} out={args.out}"
+        f"samples={results.sample_count} out={args.out}"
     )
     return 0
 

@@ -17,6 +17,13 @@ pipeline: with zero interactions the bipolar aggregation reduces exactly
 to the weighted preference sum, which keeps the two modes consistent to
 the bit.
 
+``Tally`` does the counting, fed any number of samples at a time and
+counting them in chunks of ``_COUNT_CHUNK``: the command line feeds it
+each block of a ``SampleStream`` as the chains make it, and
+``aggregate`` a whole ``SampleBatch``. The counts do not depend on the
+blocks; the central weights and the barycenter, sums of the samples,
+may differ in the last bit.
+
 The exact verdicts the estimates are checked against take one LP per
 ordered pair (a, b), all solved in one ``maximise_over`` call: the
 largest F_a - F_b at margin >= ``ROR_EPS_MIN`` decides both "a possibly
@@ -33,20 +40,21 @@ from .bipolar import ParameterLayout, flow_coefficients
 from .elicitation import ConstraintSystem
 from .lp import FEASIBILITY_TOL, ROR_EPS_MIN, maximise_over
 from .model import PerformanceTable
-# aggregate reaches count_relations through this module's global, so a
+# Tally.add reaches count_relations through this module's global, so a
 # wrapper set on smaa.count_relations sees every chunk
 from .promethee import FLOW_TIE_TOL, count_relations
 from .sampler import Polytope, SampleBatch
 
 __all__ = [
     "SmaaResults",
+    "Tally",
     "aggregate",
     "exact_ror_matrices",
     "flow_matrices",
     "validate_against_exact_ror",
 ]
 
-# samples per aggregation chunk: the per-chunk arrays are (m, chunk), so
+# samples per counting chunk: the per-chunk arrays are (m, chunk), so
 # this bounds aggregation's working memory. It is no smaller because the
 # per-chunk and per-pair calls then cost more than the smaller arrays save
 # (5,000 samples x 100 alternatives, counted by sort position, aggregate
@@ -95,102 +103,132 @@ def flow_matrices(
     return data @ flow_pos.T, data @ flow_neg.T
 
 
-def aggregate(
-    table: PerformanceTable,
-    batch: SampleBatch,
-    mode: str = "bipolar",
-    polytope: Polytope | None = None,
-) -> SmaaResults:
-    """Accumulate all relation frequencies over the batch.
+class Tally:
+    """Relation counts and parameter sums, fed one block of samples at a
+    time, and the ``SmaaResults`` they make.
 
-    The samples run in chunks of ``_COUNT_CHUNK``, and each chunk is
-    checked for non-finite values (and, in classical mode, for nonzero
-    interaction columns) before it is counted. One GEMM per chunk gives
-    the positive and negative flows as one (2m, chunk) alternative-major
-    block, whose halves ``count_relations`` reads in place; the rank-1 mask it
-    returns selects the samples summed into the central weights. So the
-    working memory is a fixed number of (m, chunk) arrays, whatever the
-    sample count. When
-    ``polytope`` is given, the barycenter and every central weight vector
-    are checked against the rows it was built from, at its margin, by
-    ``ConstraintSystem.excess`` (they are convex combinations of feasible
-    samples, so this guards the pipeline, not the math).
+    ``columns`` must be the parameter layout's names and ``mode``
+    ``"classical"`` or ``"bipolar"``, else ``ValueError``. ``add`` counts
+    its samples in chunks of ``_COUNT_CHUNK``, each checked for non-finite
+    values (and, in classical mode, for nonzero interaction columns)
+    before it is counted. One GEMM per chunk writes the positive and
+    negative flows into an alternative-major buffer, above the net flows,
+    and ``count_relations`` reads their rows in place; the rank-1 mask it
+    returns selects the samples summed into the central weights. The
+    buffer, 3m rows by the largest chunk yet, is reused from chunk to
+    chunk, so the working memory is a fixed number of (m, chunk) arrays,
+    whatever the sample count, and the counts do not depend on how the
+    samples are cut into blocks.
     """
-    if batch.sample_count == 0:
-        raise ValueError("sample batch is empty")
-    m = len(table.alternatives)
-    if m < 2:
-        raise ValueError("need at least two alternatives")
-    layout = ParameterLayout(len(table.criteria))
-    if batch.columns != layout.names:
-        raise ValueError("batch columns do not match the parameter layout")
-    if mode not in ("classical", "bipolar"):
-        raise ValueError(f"unknown mode {mode!r}")
 
-    flows = np.vstack(flow_coefficients(table, layout))
-    # rank, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind, as count_relations
-    counts = np.zeros((6, m, m), dtype=np.int64)
-    cw_sum = np.zeros((m, layout.size))
-    data = batch.data
-    total = data.shape[0]
-    worst_imbalance = 0.0
-    for lo in range(0, total, _COUNT_CHUNK):
-        z = data[lo : lo + _COUNT_CHUNK]
+    def __init__(self, table: PerformanceTable, columns: tuple[str, ...],
+                 mode: str = "bipolar"):
+        m = len(table.alternatives)
+        if m < 2:
+            raise ValueError("need at least two alternatives")
+        layout = ParameterLayout(len(table.criteria))
+        if tuple(columns) != layout.names:
+            raise ValueError("batch columns do not match the parameter layout")
+        if mode not in ("classical", "bipolar"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.table, self.columns, self.mode = table, layout.names, mode
+        self.flows = np.vstack(flow_coefficients(table, layout))
+        # rank, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind, as count_relations
+        self.counts = np.zeros((6, m, m), dtype=np.int64)
+        self.cw_sum = np.zeros((m, layout.size))
+        self.total_sum = np.zeros(layout.size)
+        self.total = 0
+        self.worst_imbalance = 0.0
+        # a chunk's flows, in a buffer grown to the largest chunk yet and
+        # then reused: a fresh one per chunk would be paged in again
+        self.flow_buf = np.empty((3 * m, 0))
+
+    def add(self, samples: np.ndarray) -> None:
+        """Count the (samples, parameters) block ``samples``, in chunks of
+        ``_COUNT_CHUNK``."""
+        for lo in range(0, samples.shape[0], _COUNT_CHUNK):
+            self._add_chunk(samples[lo:lo + _COUNT_CHUNK])
+
+    def _add_chunk(self, z: np.ndarray) -> None:
         if not np.isfinite(z).all():
             raise ValueError("sample batch holds non-finite values")
-        if mode == "classical":
-            inter = z[:, layout.n:]
+        if self.mode == "classical":
+            inter = z[:, len(self.table.criteria):]
             if inter.size and (inter.max() > _CLASSICAL_COLUMN_TOL
                                or inter.min() < -_CLASSICAL_COLUMN_TOL):
                 raise ValueError(
                     "classical mode requires interaction and opposing-power "
                     "columns pinned to zero"
                 )
-        block = flows @ z.T
-        pos_t, neg_t = block[:m], block[m:]
-        net_t = pos_t - neg_t
+        m, n = self.counts.shape[1], z.shape[0]
+        if self.flow_buf.shape[1] < n:
+            self.flow_buf = np.empty((3 * m, n))
+        flows = np.matmul(self.flows, z.T, out=self.flow_buf[:2 * m, :n])
+        pos_t, neg_t = flows[:m], flows[m:]
+        net_t = np.subtract(pos_t, neg_t, out=self.flow_buf[2 * m:, :n])
         imbalance = np.abs(net_t.sum(axis=0)).max()
-        worst_imbalance = max(worst_imbalance, float(imbalance))
-        first = count_relations(pos_t, neg_t, net_t, FLOW_TIE_TOL, counts)
+        self.worst_imbalance = max(self.worst_imbalance, float(imbalance))
+        first = count_relations(pos_t, neg_t, net_t, FLOW_TIE_TOL, self.counts)
         # the product's operands keep the layout of a (samples, m) mask's
         # transpose, which fixes the central weights to the last bit
-        cw_sum += np.ascontiguousarray(first.T, dtype=np.float64).T @ z
-    if worst_imbalance > _FLOW_BALANCE_TOL:
-        raise AssertionError(
-            f"net flows do not sum to zero (worst {worst_imbalance:.3e})"
+        self.cw_sum += np.ascontiguousarray(first.T, dtype=np.float64).T @ z
+        self.total_sum += z.sum(axis=0)
+        self.total += n
+
+    def results(self, polytope: Polytope | None = None) -> SmaaResults:
+        """The frequencies of every sample added so far. When ``polytope``
+        is given, the barycenter and every central weight vector are
+        checked against the rows it was built from, at its margin, by
+        ``ConstraintSystem.excess`` (they are convex combinations of
+        feasible samples, so this guards the pipeline, not the math)."""
+        if self.total == 0:
+            raise ValueError("sample batch is empty")
+        if self.worst_imbalance > _FLOW_BALANCE_TOL:
+            raise AssertionError(
+                f"net flows do not sum to zero (worst {self.worst_imbalance:.3e})"
+            )
+        alternatives = self.table.alternatives
+        rank_counts, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind = self.counts
+        frac = 1.0 / self.total
+        p2_pref_f = p2_pref * frac
+        p2_ind_f = p2_ind * frac
+        central = {
+            name: self.cw_sum[i] / rank_counts[i, 0]
+            for i, name in enumerate(alternatives)
+            if rank_counts[i, 0] > 0
+        }
+        results = SmaaResults(
+            alternatives=alternatives,
+            columns=self.columns,
+            mode=self.mode,
+            sample_count=self.total,
+            rank_acceptability=rank_counts * frac,
+            central_weights=central,
+            barycenter=self.total_sum / self.total,
+            p2_pref=p2_pref_f,
+            p2_indiff=p2_ind_f,
+            p1_pref=p1_pref * frac,
+            p1_indiff=p1_ind * frac,
+            p1_incomp=p1_inc * frac,
+            ror_possible_approx=p2_pref > 0,
+            ror_necessary_approx=np.abs(p2_pref_f + p2_ind_f - 1.0) <= _PARTITION_TOL,
         )
+        _check_invariants(results, polytope)
+        return results
 
-    rank_counts, p1_pref, p1_ind, p1_inc, p2_pref, p2_ind = counts
-    frac = 1.0 / total
-    b = rank_counts * frac
-    p2_pref_f = p2_pref * frac
-    p2_ind_f = p2_ind * frac
-    central = {
-        table.alternatives[i]: cw_sum[i] / rank_counts[i, 0]
-        for i in range(m)
-        if rank_counts[i, 0] > 0
-    }
-    possible = p2_pref > 0
-    necessary = np.abs(p2_pref_f + p2_ind_f - 1.0) <= _PARTITION_TOL
 
-    results = SmaaResults(
-        alternatives=table.alternatives,
-        columns=batch.columns,
-        mode=mode,
-        sample_count=total,
-        rank_acceptability=b,
-        central_weights=central,
-        barycenter=data.mean(axis=0),
-        p2_pref=p2_pref_f,
-        p2_indiff=p2_ind_f,
-        p1_pref=p1_pref * frac,
-        p1_indiff=p1_ind * frac,
-        p1_incomp=p1_inc * frac,
-        ror_possible_approx=possible,
-        ror_necessary_approx=necessary,
-    )
-    _check_invariants(results, polytope)
-    return results
+def aggregate(
+    table: PerformanceTable,
+    batch: SampleBatch,
+    mode: str = "bipolar",
+    polytope: Polytope | None = None,
+) -> SmaaResults:
+    """Accumulate all relation frequencies over the batch: a ``Tally`` fed
+    the whole batch, then its results, checked against ``polytope`` when
+    it is given."""
+    tally = Tally(table, batch.columns, mode)
+    tally.add(batch.data)
+    return tally.results(polytope)
 
 
 def _check_invariants(results: SmaaResults, polytope: Polytope | None) -> None:

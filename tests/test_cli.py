@@ -17,8 +17,15 @@ from pathlib import Path
 import pytest
 
 import smaa_promethee
-from smaa_promethee import cli, lp
+from smaa_promethee import cli, lp, sampler
 from smaa_promethee.cli import main
+from smaa_promethee.elicitation import (
+    compile_statements,
+    parse_statements,
+    restrict_classical,
+)
+from smaa_promethee.model import load_problem
+from smaa_promethee.sampler import SamplerConfig, build_polytope, hit_and_run
 
 from conftest import FIXTURES
 
@@ -428,10 +435,10 @@ def test_delta_strict_that_is_no_margin_exits_1_naming_it(tmp_path, capsys, valu
 
 
 def test_stuck_chain_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
-    def stuck(polytope, config):
+    def stuck(*args, **kwargs):
         raise RuntimeError("hit-and-run made no progress")
 
-    monkeypatch.setattr(cli, "hit_and_run", stuck)
+    monkeypatch.setattr(sampler, "chain_steps", stuck)
     assert run_cli(tmp_path) == 2
     err = capsys.readouterr().err
     assert "error: sampling failed: hit-and-run made no progress" in err
@@ -439,15 +446,62 @@ def test_stuck_chain_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "smaa_report.json").exists()
 
 
+def test_chain_that_fails_after_written_blocks_leaves_no_samples(tmp_path, capsys,
+                                                                monkeypatch):
+    # at --burn-in 0 the first block's samples are written while the
+    # chains still have refills to run, and the first of those raises; the
+    # stale files of an earlier run go too
+    for name in ("samples.bin", "samples.json"):
+        (tmp_path / name).write_text("stale\n", encoding="utf-8")
+    seen = []
+    chain_steps = sampler.chain_steps
+
+    def fails_after_a_block(*args, **kwargs):
+        seen.append((tmp_path / "samples.bin").read_bytes())
+        if seen[-1].strip(b"\0"):
+            raise RuntimeError("hit-and-run made no progress")
+        return chain_steps(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "chain_steps", fails_after_a_block)
+    # 64 chains of 313 samples each take three refills, two to a block
+    assert run_cli(tmp_path, "--burn-in", "0", samples=20_000) == 2
+    err = capsys.readouterr().err
+    assert "error: sampling failed: hit-and-run made no progress" in err
+    assert "Traceback" not in err
+    # the file had its full length, zeros, at the first refill, and a
+    # block's samples when the third refill started
+    assert len(seen) == 3 and len(seen[0]) == len(seen[2]) > 0
+    assert not seen[0].strip(b"\0") and seen[2].strip(b"\0")
+    assert not (tmp_path / "samples.bin").exists()
+    assert not (tmp_path / "samples.json").exists()
+    assert not (tmp_path / "smaa_report.json").exists()
+
+
 def test_unallocatable_sample_array_exits_2_without_traceback(tmp_path, capsys):
-    # 10^15 rows of 8-byte floats lie beyond the address space, so the
-    # allocation fails at once instead of being overcommitted
+    # 10^15 rows of 8-byte floats are more than the file system has room
+    # for, so the run is refused before the first step
     assert run_cli(tmp_path, samples=10**15) == 2
     err = capsys.readouterr().err
     assert "error: sampling failed:" in err
     assert "(1000000000000000," in err
     assert "Traceback" not in err
     assert not (tmp_path / "samples.bin").exists()
+
+
+def test_rerun_counts_the_samples_it_replaces_as_free(tmp_path, capsys, monkeypatch):
+    assert run_cli(tmp_path, samples=2000) == 0
+    kept = (tmp_path / "samples.bin").read_bytes()
+    # a file system with no free block but the old samples' own
+    full = os.statvfs_result((4096, 4096, 1, 1, 0, 0, 0, 0, 0, 255))
+    monkeypatch.setattr(os, "statvfs", lambda path: full)
+    assert run_cli(tmp_path, samples=2000) == 0
+    assert (tmp_path / "samples.bin").read_bytes() == kept
+    # twice as many samples do not fit in the old ones' blocks
+    assert run_cli(tmp_path, samples=4000) == 2
+    err = capsys.readouterr().err
+    assert "error: sampling failed: samples of shape (4000," in err
+    # refused before anything was written: the old samples stand
+    assert (tmp_path / "samples.bin").read_bytes() == kept
 
 
 @pytest.mark.parametrize("under", [False, True])
@@ -586,6 +640,29 @@ def test_report_text_is_written_a_slice_at_a_time(tmp_path):
     assert path.read_text(encoding="utf-8") == text
 
 
+def test_run_memory_does_not_grow_with_the_sample_count(tmp_path):
+    # each refill's samples are checked, written and counted, then
+    # dropped, so no array of the run grows with --samples
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["--problem", str(FIXTURES / "students_ramp.json"),
+                         "--statements", str(FIXTURES / "scenario2.jsonl"),
+                         "--samples", str(samples), "--seed", "1",
+                         "--out", str(tmp_path / str(samples))]) == 0
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # numpy's first-call caches are not the run's
+    traced_peak(5_000)
+    small, large = traced_peak(100_000), traced_peak(1_000_000)
+    # at 1M samples the samples alone are 96 MB
+    assert large - small < 64 * 1024, (
+        f"{small / 2**20:.2f} MiB at 100k samples, {large / 2**20:.2f} MiB at 1M")
+
+
 def test_empty_statements_run_ok(tmp_path):
     code = run_cli(tmp_path, statements="empty.jsonl")
     assert code == 0
@@ -623,13 +700,13 @@ def test_thinned_reruns_write_the_same_samples(tmp_path):
 
 def test_sidecar_records_the_burn_in_by_dimension(tmp_path, monkeypatch):
     # with no --burn-in, scenario 1 (classical, dim 2) burns in 20 * 2
-    # steps and scenario 2 (bipolar, dim 11) 20 * 11, and hit_and_run is
-    # handed that number, not None
-    configs = []
-    hit_and_run = cli.hit_and_run
-    monkeypatch.setattr(cli, "hit_and_run",
-                        lambda polytope, config: configs.append(config)
-                        or hit_and_run(polytope, config))
+    # steps and scenario 2 (bipolar, dim 11) 20 * 11, and the stream the
+    # CLI samples from runs that number
+    streams = []
+    stream = cli.SampleStream
+    monkeypatch.setattr(cli, "SampleStream",
+                        lambda polytope, config: streams.append(stream(polytope, config))
+                        or streams[-1])
     for statements, problem, burn_in in (("scenario1.jsonl", "students.json", 40),
                                          ("scenario2.jsonl", "students_ramp.json", 220)):
         out = tmp_path / statements
@@ -638,7 +715,65 @@ def test_sidecar_records_the_burn_in_by_dimension(tmp_path, monkeypatch):
                      "--samples", "300", "--thin", "2", "--out", str(out)]) == 0
         sidecar = read_json(out / "samples.json")
         assert (sidecar["burn_in"], sidecar["thinning"]) == (burn_in, 2)
-        assert configs.pop().burn_in == burn_in
+        assert streams.pop().burn_in == burn_in
+
+
+def library_samples(out, problem, statements, mode, config):
+    """``samples.bin`` and ``samples.json`` as ``hit_and_run`` and
+    ``SampleBatch.save`` write them for the model the CLI chose."""
+    system = compile_statements(load_problem(problem), parse_statements(statements))
+    if mode == "classical":
+        system = restrict_classical(system)
+    hit_and_run(build_polytope(system), config).save(str(out / "samples.bin"))
+    return (out / "samples.bin").read_bytes(), (out / "samples.json").read_bytes()
+
+
+@pytest.mark.parametrize("samples,extra,burn_in,thinning", [
+    # 64 chains, more than scenario 2's 23 rows: the chains-last layout
+    (100_000, [], None, 1),
+    # 5,000 // 220 = 22 chains, fewer than the rows: the chains-first layout
+    (5_000, [], None, 1),
+    # 9,999 samples over 64 chains at thinning 3: quotas of 157 and 156
+    (9_999, ["--thin", "3"], None, 3),
+    # the first refill keeps samples; 130 samples over 64 chains
+    (130, ["--burn-in", "0"], 0, 1),
+])
+def test_streamed_samples_are_the_library_bytes(tmp_path, samples, extra, burn_in,
+                                                thinning):
+    problem, statements = FIXTURES / "students_ramp.json", FIXTURES / "scenario2.jsonl"
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    lib_out.mkdir()
+    assert main(["--problem", str(problem), "--statements", str(statements),
+                 "--samples", str(samples), "--seed", "1", "--out", str(cli_out),
+                 *extra]) == 0
+    assert read_json(cli_out / "feasibility.json")["mode"] == "bipolar"
+    config = SamplerConfig(sample_count=samples, burn_in=burn_in, thinning=thinning, seed=1)
+    want = library_samples(lib_out, problem, statements, "bipolar", config)
+    assert (cli_out / "samples.bin").read_bytes() == want[0]
+    assert (cli_out / "samples.json").read_bytes() == want[1]
+
+
+def test_streamed_samples_of_a_single_point_are_the_library_bytes(tmp_path):
+    # the dimension-0 polytope of test_single_parameter_vector_is_sampled
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "criteria": [{"name": "c1", "direction": "max", "q": 0.0, "p": 1.0},
+                     {"name": "c2", "direction": "max", "q": 0.0, "p": 1.0}],
+        "alternatives": ["a", "b", "c"],
+        "evaluations": [[1, 2], [2, 1], [1.5, 1.5]],
+    }), encoding="utf-8")
+    statements = tmp_path / "statements.jsonl"
+    statements.write_text(json.dumps(
+        {"type": "criterion_importance", "j": 1, "k": 2, "kind": "="}) + "\n",
+        encoding="utf-8")
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    lib_out.mkdir()
+    assert main(["--problem", str(problem), "--statements", str(statements),
+                 "--samples", "20000", "--seed", "1", "--out", str(cli_out)]) == 0
+    want = library_samples(lib_out, problem, statements, "classical",
+                           SamplerConfig(sample_count=20_000, seed=1))
+    assert (cli_out / "samples.bin").read_bytes() == want[0]
+    assert (cli_out / "samples.json").read_bytes() == want[1]
 
 
 def test_different_seed_changes_report(tmp_path):

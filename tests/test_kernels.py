@@ -538,92 +538,136 @@ def scenario2_polytope():
     return build_polytope(system)
 
 
-def traced_beyond_samples(polytope, config):
-    """Traced peak of one ``hit_and_run`` call beyond its returned samples,
-    and what is left allocated beyond them after it returns."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        batch = hit_and_run(polytope, config)
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    samples = batch.data.nbytes
-    assert samples == config.sample_count * polytope.basis.shape[0] * 8
-    return peak - before - samples, after - before - samples
-
-
 def refill_bytes(polytope, config):
-    """One refill's buffers in ``hit_and_run``: the chord coefficients
-    ``coef``, which the gathered points reuse, the moves and points
-    ``path``, the extremes of c / s, the step lengths, the axes and the
-    uniforms, plus the chains-first layout's copy of A^T."""
+    """The buffers that every refill of one ``SampleStream`` reuses: the
+    chord coefficients ``coef``, which the gathered points reuse, the
+    moves and points ``path``, the slack ratios ``q``, the extremes of
+    c / s, the step lengths and move flags, the 2 R C words of the stream
+    with their offsets and the mix's spare, which the axes and uniforms
+    are views of, the chains-first layout's copy of A^T, and the block
+    buffer."""
     R = sampler._RAND_ROWS
     C = sampler._chain_count(config, polytope.dimension)
     rows, k = polytope.A.shape
     coef = R * C * max(rows, k) * 8
     path = R * C * k * 8
+    q = rows * C * 8
     ext = R * 2 * C * 8
-    lengths = axes = uniforms = R * C * 8
+    lengths = R * C * 8 + R * C
+    words = 3 * 2 * R * C * 8
     columns = 0 if C >= rows else rows * k * 8
-    return coef + path + ext + lengths + axes + uniforms + columns
+    return coef + path + q + ext + lengths + words + columns + block_bytes(polytope, config)
+
+
+def block_bytes(polytope, config):
+    """The block buffer of one ``SampleStream``: min(quota, max(R //
+    thinning + 1, _BLOCK_ROWS // C)) kept rows per chain, the largest
+    quota being the first chain's."""
+    C = sampler._chain_count(config, polytope.dimension)
+    quota = -(-config.sample_count // C)
+    per_chain = min(quota, max(sampler._RAND_ROWS // config.thinning + 1,
+                               sampler._BLOCK_ROWS // C))
+    return C * per_chain * polytope.basis.shape[0] * 8
 
 
 # the mapped vectors and residuals of one block of the output check
 CHECK_BLOCK_BYTES = sampler._CHECK_ENTRIES * 8
 
 
-def test_chain_workspace_is_freed_before_the_feasibility_check(monkeypatch):
-    polytope = scenario2_polytope()
-    config = SamplerConfig(sample_count=20_000, burn_in=300, seed=1)
-    # numpy's first-call caches are not the sampler's
-    traced_beyond_samples(polytope, config)
-    beyond, left = traced_beyond_samples(polytope, config)
-    # the chain holds no (samples, k) output besides the samples. The check
-    # block is not live during the chain, so in the allowance it stands for
-    # the chain's per-refill temporaries (_settle's index arrays, about
-    # 0.6 MiB here)
-    allowance = refill_bytes(polytope, config) + CHECK_BLOCK_BYTES
-    assert beyond < allowance, (
-        f"{beyond / 2**20:.2f} MiB beyond the samples, "
-        f"allowance {allowance / 2**20:.2f} MiB")
-    # only the returned samples outlive the call
-    assert left < 64 * 1024
+def traced_stream(polytope, config, monkeypatch):
+    """Iterate a ``SampleStream`` under tracemalloc, dropping each block.
 
-    check = {}
+    Returns the traced peak, what is left allocated afterwards, and for
+    each call of ``chain_steps`` and of ``_map_and_check``, what was
+    allocated when it started and its own peak beyond that, all counted
+    from the start of the iteration. The stream allocates nothing
+    between those calls, so its peak is the largest of their peaks."""
+    calls = {"chain_steps": [], "_map_and_check": []}
 
-    def traced_check(polytope, theta):
-        check["entry"] = tracemalloc.get_traced_memory()[0] - theta.nbytes
-        tracemalloc.reset_peak()
-        map_and_check(polytope, theta)
-        check["peak"] = tracemalloc.get_traced_memory()[1] - theta.nbytes
+    def traced(name):
+        inner = getattr(sampler, name)
 
-    map_and_check = sampler._map_and_check
-    monkeypatch.setattr(sampler, "_map_and_check", traced_check)
+        def call(*args, **kwargs):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            inner(*args, **kwargs)
+            calls[name].append((entry - base, tracemalloc.get_traced_memory()[1] - entry))
+
+        monkeypatch.setattr(sampler, name, call)
+
+    traced("chain_steps")
+    traced("_map_and_check")
+    stream = sampler.SampleStream(polytope, config)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        hit_and_run(polytope, config)
+        for block in stream:
+            pass
+        # the last block's rows are a view of the stream's buffer
+        block = None
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the chain's buffers are gone when the check starts, and the check
-    # holds one block: no (samples, rows) residuals, which are 3.5 MiB here
-    assert check["entry"] - base < 64 * 1024
-    # plus numpy's 64 KiB buffer for a broadcast in-place operation
-    assert check["peak"] - check["entry"] < CHECK_BLOCK_BYTES + 128 * 1024
+        monkeypatch.undo()
+    peak = max(entry + own for entries in calls.values() for entry, own in entries)
+    return peak, after - base, calls
 
 
-def test_sampler_working_memory_does_not_grow_with_the_sample_count():
+def test_chain_temporaries_are_freed_before_each_feasibility_check(monkeypatch):
+    polytope = scenario2_polytope()
+    config = SamplerConfig(sample_count=20_000, burn_in=300, seed=1)
+    # numpy's first-call caches are not the sampler's
+    traced_stream(polytope, config, monkeypatch)
+    _, left, calls = traced_stream(polytope, config, monkeypatch)
+    reused = refill_bytes(polytope, config)
+    # every refill starts, and checks its block, with only the reused
+    # buffers allocated: no chain output of (samples, k) and none of
+    # _settle's index arrays (about 0.6 MiB here) outlive their refill
+    for name, entries in calls.items():
+        worst = max(entry for entry, _ in entries)
+        assert worst < reused + 64 * 1024, (
+            f"{name} starts with {worst / 2**20:.2f} MiB allocated, "
+            f"the refill buffers are {reused / 2**20:.2f} MiB")
+    # the chain's buffers are gone when the last block is checked: only
+    # the block buffer is left of the reused ones
+    last = calls["_map_and_check"][-1][0]
+    block = block_bytes(polytope, config)
+    assert last < block + 64 * 1024, (
+        f"the last check starts with {last / 2**20:.2f} MiB allocated, "
+        f"the block buffer is {block / 2**20:.2f} MiB")
+    # a refill's own temporaries stay below one check block
+    assert max(own for _, own in calls["chain_steps"]) < CHECK_BLOCK_BYTES
+    # the check holds one piece of its block: no (block, rows)
+    # residuals, plus numpy's 64 KiB buffer for a broadcast in-place
+    # operation
+    assert max(own for _, own in calls["_map_and_check"]) < CHECK_BLOCK_BYTES + 128 * 1024
+    # nothing outlives the stream
+    assert left < 64 * 1024
+
+    # and only the returned samples outlive hit_and_run
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch = hit_and_run(polytope, config)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert batch.data.nbytes == config.sample_count * polytope.basis.shape[0] * 8
+    assert after - before - batch.data.nbytes < 64 * 1024
+
+
+def test_sampler_working_memory_does_not_grow_with_the_sample_count(monkeypatch):
     polytope = scenario2_polytope()
     small = SamplerConfig(sample_count=20_000, burn_in=300, seed=1)
     large = SamplerConfig(sample_count=200_000, burn_in=300, seed=1)
-    traced_beyond_samples(polytope, small)
-    beyond_small, _ = traced_beyond_samples(polytope, small)
-    beyond_large, _ = traced_beyond_samples(polytope, large)
-    # at 200k samples one (samples, rows) residual array is 35 MiB
-    assert abs(beyond_large - beyond_small) < CHECK_BLOCK_BYTES, (
-        f"{beyond_small / 2**20:.2f} MiB at 20k samples, "
-        f"{beyond_large / 2**20:.2f} MiB at 200k")
+    traced_stream(polytope, small, monkeypatch)
+    peak_small = traced_stream(polytope, small, monkeypatch)[0]
+    peak_large = traced_stream(polytope, large, monkeypatch)[0]
+    # at 200k samples the samples alone are 18 MiB, and one (samples,
+    # rows) residual array 35 MiB
+    assert abs(peak_large - peak_small) < 64 * 1024, (
+        f"{peak_small / 2**20:.2f} MiB at 20k samples, "
+        f"{peak_large / 2**20:.2f} MiB at 200k")
 
 
 def random_flow_block(seed, n_samples=400, m=5, ties=True):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -338,6 +339,39 @@ def test_unequal_quotas_at_thinning_3_keep_their_own_rows(students):
     for c, block in enumerate(blocks):
         assert block.shape[0] == quota[c]
         np.testing.assert_array_equal(block, dense[c, 2::3][:quota[c]])
+
+
+@pytest.mark.parametrize("config", [
+    # 64 chains at thinning 3, with quotas of 300 and 299: blocks of
+    # several refills, up to 256 rows per chain
+    SamplerConfig(sample_count=19_168, burn_in=100, thinning=3, seed=7),
+    # 64 chains at thinning 1: a refill keeps 64 x 128 rows, so two
+    # refills make a block
+    SamplerConfig(sample_count=19_200, burn_in=100, seed=7),
+    # one chain: every sample in one block
+    SamplerConfig(sample_count=500, burn_in=1_000, seed=7),
+])
+def test_stream_blocks_hand_out_every_sample_once(students, config):
+    polytope = build_polytope(restrict_classical(compile_statements(students, [])))
+    stream = sampler.SampleStream(polytope, config)
+    chains = len(stream.chain_quotas)
+    bound = max(sampler._BLOCK_ROWS,
+                chains * (sampler._RAND_ROWS // config.thinning + 1))
+    starts = np.cumsum(stream.chain_quotas) - stream.chain_quotas
+    kept = np.zeros(chains, dtype=np.int64)
+    placed = np.full((config.sample_count, len(stream.columns)), np.nan)
+    for j0, counts, block in stream:
+        assert block.shape[0] == counts.sum() <= bound
+        # each chain's samples come in order, from where the last block
+        # stopped, and none past its quota
+        assert (kept[counts > 0] == j0).all()
+        kept += counts
+        # chain c's rows of the block are its samples j0 to j0 + counts[c]
+        placed[np.concatenate([start + j0 + np.arange(n)
+                               for start, n in zip(starts, counts)])] = block
+    assert tuple(kept) == stream.chain_quotas
+    # in chain-major order, the blocks are hit_and_run's rows
+    assert placed.tobytes() == hit_and_run(polytope, config).data.tobytes()
 
 
 @pytest.mark.parametrize("k, steps", [(0, 0), (2, 40), (11, 220), (50, 1_000)])
@@ -760,6 +794,29 @@ def test_batch_save_load_roundtrip(tmp_path, students):
     # is below one, so a single chain holds every row
     assert sidecar["chain_quotas"] == [200]
     assert again.chain_quotas == batch.chain_quotas == (200,)
+
+
+@pytest.mark.parametrize("quotas", [None, (3, 2, 2)])
+def test_batch_save_writes_the_rows_in_order_whatever_their_layout(tmp_path, quotas):
+    # column-major data, written a chain at a time when the quotas are known
+    data = np.asfortranarray(np.arange(14.0).reshape(7, 2) / 3.0)
+    SampleBatch(columns=("a", "b"), data=data, chain_quotas=quotas).save(
+        str(tmp_path / "samples.bin"))
+    assert (tmp_path / "samples.bin").read_bytes() == data.astype("<f8").tobytes(order="C")
+    again = SampleBatch.load(str(tmp_path / "samples.bin"))
+    assert again.chain_quotas == quotas and np.array_equal(again.data, data)
+
+
+def test_batch_save_finishes_a_write_the_system_cuts_short(tmp_path, monkeypatch):
+    # a write may move fewer bytes than it is given (Linux moves at most
+    # about 2 GiB at once); here every call moves at most 1,000
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset:
+                        pwrite(fd, memoryview(data).cast("B")[:1000], offset))
+    data = np.arange(3500.0).reshape(500, 7) / 7.0
+    SampleBatch(columns=tuple("abcdefg"), data=data, chain_quotas=(200, 300)).save(
+        str(tmp_path / "samples.bin"))
+    assert (tmp_path / "samples.bin").read_bytes() == data.astype("<f8").tobytes()
 
 
 def test_sidecar_records_the_chain_quotas(tmp_path, students):
